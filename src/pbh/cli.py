@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 all checks pass, 1 at least one check failed tolerance,
-2 input/schema error, 3 singularity under --strict.
+Exit codes: 0 all checks pass, 1 at least one check failed tolerance or no
+row was checked, 2 input/schema error, 3 singularity under --strict.
 """
 
 from __future__ import annotations
@@ -48,12 +48,15 @@ def _write_report(report, out, fmt):
 
 
 def _cmd_builtin(args) -> int:
-    if args.action == "list":
-        for name, desc in BUILTIN_TEMPLATES.items():
-            print(f"{name:30s} {desc}")
-        return EXIT_PASS
-    print(f"unknown builtin action {args.action!r}", file=sys.stderr)
-    return EXIT_INPUT
+    for name, desc in BUILTIN_TEMPLATES.items():  # the only action is "list"
+        print(f"{name:30s} {desc}")
+    return EXIT_PASS
+
+
+def _warn_if_unchecked(scenario, reports):
+    if any(not rep.rows for rep in reports):
+        print(f"{scenario.name}: no rows checked: every sample point was excluded, "
+              f"so the run fails", file=sys.stderr)
 
 
 def _cmd_run(args) -> int:
@@ -62,6 +65,7 @@ def _cmd_run(args) -> int:
     if args.p is not None:
         overrides["p"] = args.p
     report = run(scenario, overrides=overrides, tolerance=args.tol, strict=args.strict)
+    _warn_if_unchecked(scenario, [report])
     summary = report.summary()
     for check, entry in sorted(summary["checks"].items()):
         status = "pass" if entry["pass"] else "FAIL"
@@ -77,6 +81,7 @@ def _cmd_sweep(args) -> int:
     overrides = _parse_set(args.set)
     result = sweep(scenario, args.param, args.from_, args.to, args.steps,
                    overrides=overrides, tolerance=args.tol, strict=args.strict)
+    _warn_if_unchecked(scenario, result.reports)
     for crossing in result.crossings:
         print(f"{scenario.name}: {crossing['check']}: signed residual crosses zero "
               f"at {args.param} = {crossing['value']!r}")
@@ -84,12 +89,7 @@ def _cmd_sweep(args) -> int:
         print(f"{scenario.name}: no sign crossings detected")
     ok = all(rep.verdict for rep in result.reports)
     if args.out or args.format:
-        text = result.to_csv() if (args.format or "csv") == "csv" else result.to_json()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_report(result, args.out, args.format or "csv")
     return EXIT_PASS if ok else EXIT_FAIL
 
 

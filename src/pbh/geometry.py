@@ -21,7 +21,7 @@ from .jets import lift_point, partial, point_value, sqrt, value
 __all__ = [
     "ChartMetric", "Frame", "space_form_chart", "euclidean_chart",
     "christoffel", "curvature_tensor", "lowered_curvature", "orthonormal_frame",
-    "gradient", "divergence", "divergence_2tensor",
+    "gradient", "divergence", "divergence_at", "divergence_2tensor", "divergence_2tensor_at",
     "sectional_curvature", "scalar_curvature",
 ]
 
@@ -291,27 +291,26 @@ def gradient(chart: ChartMetric, f, x):
     return [value(sum(ginv[i][j] * df[j] for j in range(d))) for i in range(d)]
 
 
-def divergence(chart: ChartMetric, vec_field, x) -> float:
-    """div X = d_i X^i + Gamma^i_ik X^k at a float point."""
-    X = lift_point(x, _depth_of(vec_field) + 1)
-    comps = vec_field(X)
-    gamma = chart.christoffel_at(X)
-    d = chart.dim
+def divergence_at(gamma, comps):
+    """div X = d_i X^i + Gamma^i_ik X^k from components and Christoffel symbols at a jet point."""
+    d = len(comps)
     s = 0.0
     for i in range(d):
         s = s + partial(comps[i], i)
         for k in range(d):
             s = s + gamma[i][i][k] * comps[k]
-    return value(s)
+    return s
 
 
-def divergence_2tensor(chart: ChartMetric, tensor_field, x):
-    """(div T)(d_k) = g^{ij} (nabla_i T)(d_j, d_k) for a symmetric 2-tensor field."""
-    X = lift_point(x, _depth_of(tensor_field) + 1)
-    T = tensor_field(X)
-    ginv = chart.inverse_metric_at(X)
-    gamma = chart.christoffel_at(X)
-    d = chart.dim
+def divergence(chart: ChartMetric, vec_field, x) -> float:
+    """div X at a float point, for a vector field over jet points."""
+    X = lift_point(x, _depth_of(vec_field) + 1)
+    return value(divergence_at(chart.christoffel_at(X), vec_field(X)))
+
+
+def divergence_2tensor_at(ginv, gamma, T):
+    """(div T)(d_k) = g^{ij} (nabla_i T)(d_j, d_k) for a symmetric 2-tensor at a jet point."""
+    d = len(T)
     out = []
     for k in range(d):
         s = 0.0
@@ -321,8 +320,16 @@ def divergence_2tensor(chart: ChartMetric, tensor_field, x):
                 for l in range(d):
                     cov = cov - gamma[l][i][j] * T[l][k] - gamma[l][i][k] * T[j][l]
                 s = s + ginv[i][j] * cov
-        out.append(value(s))
+        out.append(s)
     return out
+
+
+def divergence_2tensor(chart: ChartMetric, tensor_field, x):
+    """div T at a float point, for a symmetric 2-tensor field over jet points."""
+    X = lift_point(x, _depth_of(tensor_field) + 1)
+    T = tensor_field(X)
+    div = divergence_2tensor_at(chart.inverse_metric_at(X), chart.christoffel_at(X), T)
+    return [value(s) for s in div]
 
 
 # ---------------------------------------------------------------------- #

@@ -13,17 +13,9 @@ from .errors import NotPositiveDefiniteError, SingularMatrixError
 from .jets import value
 
 
-def mat_vec(A, v):
-    return [sum(A[i][j] * v[j] for j in range(len(v))) for i in range(len(A))]
-
-
 def mat_mul(A, B):
     n, m, k = len(A), len(B[0]), len(B)
     return [[sum(A[i][l] * B[l][j] for l in range(k)) for j in range(m)] for i in range(n)]
-
-
-def transpose(A):
-    return [list(row) for row in zip(*A)]
 
 
 def solve(A, B):

@@ -10,15 +10,17 @@ formulas carry explicit Christoffel corrections and hold at every chart
 point, not just at centers of normal coordinates.
 
 Jet budget per operation (shifts consumed internally): tension 0, p_tension 1,
-pull-back derivative of a field adds 1, p_bitension 3. Public wrappers lift
-float points with exactly the order they need.
+pull-back derivative of a field adds 1, p_bitension 3. A point lifted to the
+highest order of several readers serves all of them, and p-dependent fields
+are computed once per point and p. Public wrappers lift a float point to
+their own minimum order and call the same reader.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable
 
 import numpy as np
@@ -102,6 +104,15 @@ class FieldAlongMap:
         return self.rule(X)
 
 
+def once_per_p(field):
+    """Decorate field(point, p) to be computed once per MapPoint and p; every
+    reader of the point shares the result."""
+    @wraps(field)
+    def shared(mp, p):
+        return mp.once((field.__name__, p), lambda: field(mp, p))
+    return shared
+
+
 class MapPoint:
     """All per-point data of a map evaluation, computed lazily and shared."""
 
@@ -114,6 +125,13 @@ class MapPoint:
         # point (source trees) and at its image (target trees)
         self._src_memo = {}
         self._tgt_memo = {}
+        self._shared = {}
+
+    def once(self, key, compute):
+        """compute(), evaluated once per key at this point."""
+        if key not in self._shared:
+            self._shared[key] = compute()
+        return self._shared[key]
 
     # -- raw ingredients -------------------------------------------------- #
     @cached_property
@@ -137,12 +155,23 @@ class MapPoint:
                  for i in range(self.m)] for a in range(self.n)]
 
     @cached_property
+    def dphi_cols(self):
+        """dphi(d_i) as target vectors, i = 1..m."""
+        return [[self.dphi[a][i] for a in range(self.n)] for i in range(self.m)]
+
+    @cached_property
     def g(self):
         return self.map.source.metric_at(self.X, self._src_memo)
 
     @cached_property
     def ginv(self):
         return linalg.inverse(self.g)
+
+    @cached_property
+    def ginv_terms(self):
+        """(i, j, g^{ij}) for the entries of g^{-1} that are not structurally zero."""
+        return [(i, j, gij) for i, row in enumerate(self.ginv) for j, gij in enumerate(row)
+                if not (isinstance(gij, float) and gij == 0.0)]
 
     @cached_property
     def gammaM(self):
@@ -170,13 +199,8 @@ class MapPoint:
     def norm2(self):
         """|dphi|^2, the squared Hilbert-Schmidt norm of the differential."""
         s = 0.0
-        for i, j in itertools.product(range(self.m), repeat=2):
-            gij = self.ginv[i][j]
-            if isinstance(gij, float) and gij == 0.0:
-                continue
-            inner = self.h_inner([self.dphi[a][i] for a in range(self.n)],
-                                 [self.dphi[b][j] for b in range(self.n)])
-            s = s + gij * inner
+        for i, j, gij in self.ginv_terms:
+            s = s + gij * self.h_inner(self.dphi_cols[i], self.dphi_cols[j])
         return s
 
     def norm_power(self, q: float):
@@ -186,7 +210,7 @@ class MapPoint:
         if value(self.norm2) <= _NORM2_FLOOR:
             raise SingularityError("vanishing |dphi| under a norm power",
                                    point=point_value(self.X))
-        return powr(self.norm2, 0.5 * q)
+        return self.once(("norm_power", q), lambda: powr(self.norm2, 0.5 * q))
 
     def _require_jets(self, op: str):
         if not isinstance(self.X[0], JetScalar):
@@ -228,18 +252,30 @@ class MapPoint:
         return [sum(self.ginv[i][j] * partials[j] for j in range(self.m))
                 for i in range(self.m)]
 
+    @once_per_p
     def p_tension(self, p: float):
         """tau_p(phi) = |dphi|^{p-2} tau(phi) + (p-2)|dphi|^{p-3} dphi(grad |dphi|)."""
         if p == 2.0:
             return self.tension
         self._require_jets("p_tension")
         norm = self.norm_power(1.0)
-        dnorm = [partial(norm, j) for j in range(self.m)]
-        grad = self.grad_scalar(dnorm)
-        pushed = self.push(grad)
+        pushed = self.push(self.grad_scalar([partial(norm, j) for j in range(self.m)]))
         fac1 = self.norm_power(p - 2.0)
         fac2 = (p - 2.0) * self.norm_power(p - 3.0)
         return [fac1 * self.tension[a] + fac2 * pushed[a] for a in range(self.n)]
+
+    @once_per_p
+    def dp_tension(self, p: float):
+        """[nabla^phi_i tau_p for each i] (two shifts)."""
+        return [self.pullback_derivative(self.p_tension(p), i) for i in range(self.m)]
+
+    @once_per_p
+    def tension_pairing(self, p: float):
+        """<dphi, nabla^phi tau_p> = g^{ij} h(nabla^phi_i tau_p, dphi(d_j)) (two shifts)."""
+        pairing = 0.0
+        for i, j, gij in self.ginv_terms:
+            pairing = pairing + gij * self.h_inner(self.dp_tension(p)[i], self.dphi_cols[j])
+        return pairing
 
     # -- pull-back covariant derivative ----------------------------------- #
     def pullback_derivative(self, V, i: int):
@@ -266,36 +302,30 @@ class MapPoint:
         """
         m, n = self.m, self.n
         out = [0.0] * n
-        for i in range(m):
-            for j in range(m):
-                gij = self.ginv[i][j]
-                if isinstance(gij, float) and gij == 0.0:
-                    continue
-                cov = self.pullback_derivative(W[j], i)
-                for a in range(n):
-                    corr = cov[a]
-                    for k in range(m):
-                        corr = corr - self.gammaM[k][i][j] * W[k][a]
-                    out[a] = out[a] + gij * corr
+        for i, j, gij in self.ginv_terms:
+            cov = self.pullback_derivative(W[j], i)
+            for a in range(n):
+                corr = cov[a]
+                for k in range(m):
+                    corr = corr - self.gammaM[k][i][j] * W[k][a]
+                out[a] = out[a] + gij * corr
         return out
 
     # -- the p-bitension field --------------------------------------------- #
+    @once_per_p
     def p_bitension(self, p: float):
         """Euler-Lagrange field of the p-bienergy, as three trace terms."""
         self._require_jets("p_bitension")
         m, n = self.m, self.n
         taup = self.p_tension(p)
-        dtaup = [self.pullback_derivative(taup, i) for i in range(m)]
+        dtaup = self.dp_tension(p)
         fac = self.norm_power(p - 2.0)
 
         # curvature term: -|dphi|^{p-2} g^{ij} R^N(tau_p, dphi_i) dphi_j
         result = [0.0] * n
         if self.map.target.space_form_c != 0.0:
             Rn = self.map.target.curvature_at(self.phiX, memo=self._tgt_memo)
-            for i, j in itertools.product(range(m), repeat=2):
-                gij = self.ginv[i][j]
-                if isinstance(gij, float) and gij == 0.0:
-                    continue
+            for i, j, gij in self.ginv_terms:
                 for d in range(n):
                     s = 0.0
                     for al, be, ga in itertools.product(range(n), repeat=3):
@@ -313,13 +343,7 @@ class MapPoint:
 
         # gradient-pairing term: -(p-2) trace_g nabla <nabla^phi tau_p, dphi> |dphi|^{p-4} dphi
         if p != 2.0:
-            pairing = 0.0
-            for k, l in itertools.product(range(m), repeat=2):
-                gkl = self.ginv[k][l]
-                if isinstance(gkl, float) and gkl == 0.0:
-                    continue
-                pairing = pairing + gkl * self.h_inner(dtaup[k],
-                                                       [self.dphi[a][l] for a in range(n)])
+            pairing = self.tension_pairing(p)
             fac4 = self.norm_power(p - 4.0)
             U = [[pairing * fac4 * self.dphi[a][j] for a in range(n)] for j in range(m)]
             tr3 = self.trace_pullback_gradient(U)
@@ -334,8 +358,7 @@ class MapPoint:
 
 def dmap(phi: SmoothMap, x):
     """m x n matrix [i][a] of d phi^a / d x_i at x."""
-    pt = phi.at(tuple(x))
-    return [[value(pt.dphi[a][i]) for a in range(pt.n)] for i in range(pt.m)]
+    return [[value(c) for c in col] for col in phi.at(tuple(x)).dphi_cols]
 
 
 def dmap_norm(phi: SmoothMap, x) -> float:
@@ -345,35 +368,34 @@ def dmap_norm(phi: SmoothMap, x) -> float:
 
 def second_fundamental_form_map(phi: SmoothMap, x):
     """(nabla dphi)[a][i][j] at x."""
-    pt = phi.at(tuple(x))
-    return [[[value(v) for v in row] for row in plane] for plane in pt.sff]
+    return [[[value(v) for v in row] for row in plane] for plane in phi.at(tuple(x)).sff]
 
 
 def tension(phi: SmoothMap, x):
     return [value(t) for t in phi.at(tuple(x)).tension]
 
 
-def p_tension(phi: SmoothMap, x, p: float):
+def check_p(p: float):
+    """The p-tension and p-bitension are defined here for p >= 2 only."""
     if p < 2.0:
         raise ValueError(f"p must be >= 2, got {p}")
-    if p == 2.0:
-        return tension(phi, x)
-    pt = phi.at(lift_point(x, 1))
-    return [value(t) for t in pt.p_tension(p)]
+
+
+def p_tension(phi: SmoothMap, x, p: float):
+    check_p(p)
+    # at p = 2 the p-tension is the tension, which needs no jets
+    return [value(t) for t in phi.at(tuple(x) if p == 2.0 else lift_point(x, 1)).p_tension(p)]
 
 
 def pullback_derivative(V: FieldAlongMap, direction: int, x):
     """(nabla^phi_{d_direction} V) at x, for a field along V.base_map."""
     X = lift_point(x, V.depth + 1)
-    pt = V.base_map.at(X)
-    return [value(c) for c in pt.pullback_derivative(V(X), direction)]
+    return [value(c) for c in V.base_map.at(X).pullback_derivative(V(X), direction)]
 
 
 def p_bitension(phi: SmoothMap, x, p: float):
-    if p < 2.0:
-        raise ValueError(f"p must be >= 2, got {p}")
-    pt = phi.at(lift_point(x, 3))
-    return [value(t) for t in pt.p_bitension(p)]
+    check_p(p)
+    return [value(t) for t in phi.at(lift_point(x, 3)).p_bitension(p)]
 
 
 def tension_field(phi: SmoothMap) -> FieldAlongMap:

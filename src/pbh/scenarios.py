@@ -19,6 +19,12 @@ trace_identity      trace of S_{2,p} against both closed trace forms
 energy_quadrature   E_p and E_{2,p} over the sample box; the recorded
                     residual is E_{2,p} (zero exactly for p-harmonic maps)
 ==================  ========================================================
+
+`run` lifts each sample point once, to the highest jet order its checks need
+(`CHECK_ORDER`; a higher order is always valid), and also evaluates it in
+floats; every check reads these two contexts. Float readers (map value, metric
+norms, signed normal residual, proper p) stay on the float context, since jet
+and float evaluation of one expression can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -30,13 +36,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, PbhError, SchemaError, SingularityError
+from .errors import (DomainError, NotPositiveDefiniteError, PbhError, RankDeficiencyError,
+                     SchemaError, SingularityError, SingularMatrixError)
 from .expr import parse
 from .geometry import ChartMetric, space_form_chart
-from .jets import value
-from .mapcalc import SmoothMap, p_bienergy_box, p_bitension, p_energy_box, p_tension
-from .stress import stress_divergence_check, stress_tensor, stress_trace, theta_divergence
-from .submanifold import Immersion, cmc_proper_p, theorem21_residuals, theorem23_residuals
+from .jets import lift_point, value
+from .mapcalc import SmoothMap, check_p, p_bienergy_box, p_energy_box
+from .stress import stress_divergence_at, trace_identity_at
+from .submanifold import Immersion, ImmersionPoint
 
 SCHEMA_VERSION = "pbh/1"
 
@@ -44,6 +51,10 @@ MAP_CHECKS = ("p_harmonic", "p_biharmonic", "stress_divergence", "trace_identity
               "energy_quadrature")
 IMMERSION_CHECKS = ("theorem_2_1", "theorem_2_3", "cmc_proper_p")
 ALL_CHECKS = MAP_CHECKS + IMMERSION_CHECKS
+
+# jet order each point check needs: the shifts its readers perform
+CHECK_ORDER = {"p_harmonic": 1, "trace_identity": 2, "theorem_2_1": 2, "theorem_2_3": 2,
+               "cmc_proper_p": 2, "p_biharmonic": 3, "stress_divergence": 3}
 
 DEFAULT_TOLERANCE = 1e-7
 QUADRATURE_ORDER = 8
@@ -314,7 +325,8 @@ class ResidualReport:
 
     @property
     def verdict(self) -> bool:
-        return all(r.passed for r in self.rows)
+        """Pass only when some row was checked and every row passed."""
+        return bool(self.rows) and all(r.passed for r in self.rows)
 
     def max_residual(self, check=None) -> float:
         vals = [r.residual for r in self.rows
@@ -379,82 +391,63 @@ def _json_float(v: float):
 # check evaluation
 # ---------------------------------------------------------------------- #
 
-def _h_norm(target: ChartMetric, y, v) -> float:
-    h = target.metric_at(tuple(y))
+def _norm(metric, v) -> float:
     n = len(v)
-    return math.sqrt(max(sum(value(h[a][b]) * v[a] * v[b]
+    return math.sqrt(max(sum(value(metric[a][b]) * v[a] * v[b]
                              for a in range(n) for b in range(n)), 0.0))
 
 
-def _g_norm(source: ChartMetric, x, v) -> float:
-    g = source.metric_at(tuple(x))
-    m = len(v)
-    return math.sqrt(max(sum(value(g[i][j]) * v[i] * v[j]
-                             for i in range(m) for j in range(m)), 0.0))
+def _values(vec):
+    return [value(c) for c in vec]
 
 
-def _map_point_value(phi: SmoothMap, x):
-    return [value(c) for c in phi.at(tuple(x)).phiX]
-
-
-def _run_point_check(check, obj, x, p, tol, scenario):
-    """Returns (residual, passed, signed, extras)."""
-    imm = obj if isinstance(obj, Immersion) else None
-    phi = imm.map if imm is not None else obj
-
+def _run_point_check(check, jet, flt, p, tol):
+    """(residual, passed, signed, extras) of one check at a point's jet and float contexts."""
+    ip, fip = (jet, flt) if isinstance(jet, ImmersionPoint) else (None, None)
+    mp, fmp = (jet.mp, flt.mp) if ip is not None else (jet, flt)
+    signed, extras = None, {}
     if check == "p_harmonic":
-        v = p_tension(phi, x, p)
-        res = _h_norm(phi.target, _map_point_value(phi, x), v)
-        return res, res < tol, None, {}
-    if check == "p_biharmonic":
-        v = p_bitension(phi, x, p)
-        res = _h_norm(phi.target, _map_point_value(phi, x), v)
-        return res, res < tol, None, {}
-    if check == "stress_divergence":
-        lhs, rhs, gap = stress_divergence_check(phi, x, p)
-        scale = max(max(abs(v) for v in lhs), max(abs(v) for v in rhs), 1.0)
-        res = gap / scale
-        return res, res < tol, None, {}
-    if check == "trace_identity":
-        tr = stress_trace(phi, x, p)
-        S = stress_tensor(phi, x, p)
-        m = phi.source.dim
-        form_alg = -(m / 2.0) * S.tau_p_norm2 + (p - m) * S.pairing
-        div_th = theta_divergence(phi, x, p)
-        form_div = (m / 2.0 - p) * S.tau_p_norm2 + (p - m) * div_th
+        check_p(p)
+        # at p = 2 the p-tension is the tension, a float reader
+        res = _norm(fmp.h, _values((fmp if p == 2.0 else mp).p_tension(p)))
+    elif check == "p_biharmonic":
+        check_p(p)
+        res = _norm(fmp.h, _values(mp.p_bitension(p)))
+    elif check == "stress_divergence":
+        lhs, rhs, gap = stress_divergence_at(mp, p)
+        res = gap / max(max(abs(v) for v in lhs), max(abs(v) for v in rhs), 1.0)
+    elif check == "trace_identity":
+        tr, _, form_alg, form_div = trace_identity_at(mp, p)
         res = max(abs(tr - form_alg), abs(tr - form_div))
-        return res, res < tol, None, {}
-    if check == "theorem_2_1":
-        normal, tangent = theorem21_residuals(imm, x, p)
-        y = _map_point_value(imm.map, x)
-        res_n = _h_norm(imm.map.target, y, normal)
-        res_t = _g_norm(imm.map.source, x, tangent)
-        signed = _signed_normal(imm, x, normal)
-        res = max(res_n, res_t)
-        return res, res < tol, signed, {}
-    if check == "theorem_2_3":
-        scalar, tangent = theorem23_residuals(imm, x, p)
-        res = max(abs(scalar), _g_norm(imm.map.source, x, tangent))
-        return res, res < tol, scalar, {}
-    if check == "cmc_proper_p":
-        result = cmc_proper_p(imm, x)
-        normal, tangent = theorem21_residuals(imm, x, result.p_star)
-        y = _map_point_value(imm.map, x)
-        res = max(_h_norm(imm.map.target, y, normal),
-                  _g_norm(imm.map.source, x, tangent))
-        extras = {"p_star": result.p_star, "admissible": result.admissible}
-        return res, res < tol, None, extras
-    raise SchemaError("checks", f"unknown check {check!r}")
+    elif check == "theorem_2_3":
+        scalar, tangent = ip.hypersurface_residuals(p)
+        signed = value(scalar)
+        res = max(abs(signed), _norm(fmp.g, _values(tangent)))
+    else:  # theorem_2_1, and cmc_proper_p at the p it solves for
+        if check == "cmc_proper_p":
+            result = fip.proper_p()
+            p = result.p_star
+            extras = {"p_star": result.p_star, "admissible": result.admissible}
+        normal, tangent = (_values(v) for v in ip.general_residuals(p))
+        res = max(_norm(fmp.h, normal), _norm(fmp.g, tangent))
+        if check == "theorem_2_1":  # projection of the normal residual on H/|H|
+            h2 = value(fip.mean_curvature_norm2)
+            if h2 > 1e-18:
+                H = _values(fip.mean_curvature)
+                signed = value(fip.mp.h_inner(normal, H)) / math.sqrt(h2)
+    return res, res < tol, signed, extras
 
 
-def _signed_normal(imm: Immersion, x, normal) -> float | None:
-    """Projection of the normal residual on H/|H|; None where H vanishes."""
-    ip = imm.at(tuple(x))
-    h2 = value(ip.mean_curvature_norm2)
-    if h2 <= 1e-18:
-        return None
-    H = [value(v) for v in ip.mean_curvature]
-    return value(ip.mp.h_inner(normal, H)) / math.sqrt(h2)
+# failures that turn the row of one sample point into NaN (SingularityError under strict)
+POINT_FAILURES = (SingularityError, DomainError, ZeroDivisionError, SingularMatrixError,
+                  RankDeficiencyError, NotPositiveDefiniteError, OverflowError)
+
+
+def _point_failure(exc, strict, point=None):
+    if strict:
+        if isinstance(exc, SingularityError):
+            raise exc
+        raise SingularityError(str(exc), point=point) from exc
 
 
 def run(scenario: Scenario, overrides=None, tolerance=None, strict=False) -> ResidualReport:
@@ -469,24 +462,22 @@ def run(scenario: Scenario, overrides=None, tolerance=None, strict=False) -> Res
     obj = scenario.build(params)
     points = scenario.sample_points(params)
     row_params = tuple(sorted((k, v) for k, v in params.items() if k != "p"))
+    checks = [c for c in scenario.checks if c in CHECK_ORDER]
+    order = max((CHECK_ORDER[c] for c in checks), default=0)
 
     rows = []
     extras = {}
-    for x in points:
-        for check in scenario.checks:
-            if check == "energy_quadrature":
-                continue
+    for x in points if checks else ():
+        jet, flt = obj.at(lift_point(x, order)), obj.at(x)
+        for check in checks:
             try:
-                res, ok, signed, extra = _run_point_check(check, obj, x, p, tol, scenario)
+                res, ok, signed, extra = _run_point_check(check, jet, flt, p, tol)
                 rows.append(CheckRow(scenario.name, check, p, row_params, x,
                                      res, ok, signed))
                 for k, v in extra.items():
                     extras.setdefault(check, {})[k] = v
-            except (SingularityError, DomainError, ZeroDivisionError) as exc:
-                if strict:
-                    if isinstance(exc, SingularityError):
-                        raise
-                    raise SingularityError(str(exc), point=x) from exc
+            except POINT_FAILURES as exc:
+                _point_failure(exc, strict, x)
                 rows.append(CheckRow(scenario.name, check, p, row_params, x,
                                      float("nan"), False, None, note=str(exc)))
     if "energy_quadrature" in scenario.checks:
@@ -497,11 +488,8 @@ def run(scenario: Scenario, overrides=None, tolerance=None, strict=False) -> Res
             extras["energy_quadrature"] = {"E_p": ep, "E_2p": e2p}
             rows.append(CheckRow(scenario.name, "energy_quadrature", p, row_params,
                                  (), e2p, e2p < tol))
-        except (SingularityError, DomainError, ZeroDivisionError) as exc:
-            if strict:
-                if isinstance(exc, SingularityError):
-                    raise
-                raise SingularityError(str(exc)) from exc
+        except POINT_FAILURES as exc:
+            _point_failure(exc, strict)
             rows.append(CheckRow(scenario.name, "energy_quadrature", p, row_params,
                                  (), float("nan"), False, note=str(exc)))
     return ResidualReport(scenario.name, tol, rows, extras)
@@ -549,6 +537,7 @@ def sweep(scenario: Scenario, param: str, lo=None, hi=None, steps=None,
         lo = d_lo if lo is None else lo
         hi = d_hi if hi is None else hi
         steps = d_steps if steps is None else steps
+    _require(isinstance(steps, int) and steps >= 2, "steps", "must be an integer >= 2")
     values = [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
 
     reports = []

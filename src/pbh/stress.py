@@ -3,22 +3,25 @@ divergence identity linking it to the p-bitension field.
 
 All five terms of the tensor are assembled from the map-calculus primitives;
 the divergence side jet-differentiates the full stress pipeline (one shift on
-top of the two the tensor consumes), so a float-point divergence check lifts
-to order 3.
+top of the two the tensor consumes), so a divergence check needs an order-3
+point. The `*_at` readers work on an already lifted `MapPoint`, so the tensor
+is assembled once per point and p and shared by both identities; the
+float-point wrappers lift to their own minimum order and call the same
+readers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import divergence, divergence_2tensor
+from .geometry import divergence_at, divergence_2tensor_at
 from .jets import lift_point, value
-from .mapcalc import MapPoint, SmoothMap
+from .mapcalc import MapPoint, SmoothMap, once_per_p
 
 __all__ = [
     "StressTensorValue", "ThetaForm",
-    "stress_tensor", "stress_trace", "theta", "stress_divergence_check",
-    "theta_sharp_field",
+    "stress_tensor", "stress_trace", "trace_identity", "theta", "theta_divergence",
+    "stress_divergence_check", "trace_identity_at", "stress_divergence_at",
 ]
 
 
@@ -44,23 +47,15 @@ class ThetaForm:
         return sum(c * vi for c, vi in zip(self.components, v))
 
 
+@once_per_p
 def _stress_matrix(mp: MapPoint, p: float):
     """(S matrix, |tau_p|^2, |dphi|^{p-2}<dphi, nabla tau_p>) at a jet point (2 shifts)."""
-    m, n = mp.m, mp.n
+    m, cols, dtaup = mp.m, mp.dphi_cols, mp.dp_tension(p)
     taup = mp.p_tension(p)
-    dtaup = [mp.pullback_derivative(taup, i) for i in range(m)]
     fac = mp.norm_power(p - 2.0)
     tau2 = mp.h_inner(taup, taup)
-    pairing = 0.0
-    for i in range(m):
-        for j in range(m):
-            gij = mp.ginv[i][j]
-            if isinstance(gij, float) and gij == 0.0:
-                continue
-            pairing = pairing + gij * mp.h_inner(dtaup[i], [mp.dphi[a][j] for a in range(n)])
+    pairing = mp.tension_pairing(p)
     scaled_pairing = fac * pairing
-
-    dphi_cols = [[mp.dphi[a][i] for a in range(n)] for i in range(m)]
     fac4s = None
     if p != 2.0:
         fac4s = (p - 2.0) * mp.norm_power(p - 4.0) * pairing
@@ -68,13 +63,58 @@ def _stress_matrix(mp: MapPoint, p: float):
     for i in range(m):
         for j in range(i, m):
             s = (-0.5 * tau2 - scaled_pairing) * mp.g[i][j]
-            s = s + fac * mp.h_inner(dphi_cols[i], dtaup[j])
-            s = s + fac * mp.h_inner(dphi_cols[j], dtaup[i])
+            s = s + fac * mp.h_inner(cols[i], dtaup[j])
+            s = s + fac * mp.h_inner(cols[j], dtaup[i])
             if fac4s is not None:
-                s = s + fac4s * mp.h_inner(dphi_cols[i], dphi_cols[j])
+                s = s + fac4s * mp.h_inner(cols[i], cols[j])
             S[i][j] = S[j][i] = s
     return S, tau2, scaled_pairing
 
+
+def _trace(mp: MapPoint, S):
+    m = mp.m
+    return sum(mp.ginv[i][j] * S[i][j] for i in range(m) for j in range(m))
+
+
+def _theta_low(mp: MapPoint, p: float):
+    """theta(d_i) = h(|dphi|^{p-2} dphi(d_i), tau_p) at a jet point (1 shift)."""
+    taup, fac = mp.p_tension(p), mp.norm_power(p - 2.0)
+    return [fac * mp.h_inner(col, taup) for col in mp.dphi_cols]
+
+
+def _theta_divergence(mp: MapPoint, p: float) -> float:
+    """div of theta with the index raised, at a jet point (2 shifts)."""
+    low = _theta_low(mp, p)
+    sharp = [sum(mp.ginv[i][j] * low[j] for j in range(mp.m)) for i in range(mp.m)]
+    return value(divergence_at(mp.gammaM, sharp))
+
+
+def trace_identity_at(mp: MapPoint, p: float):
+    """(tr S, |tau_p|^2, algebraic form, divergence form) at a jet point (2 shifts).
+
+    The closed forms of the trace are -(m/2)|tau_p|^2 + (p-m)|dphi|^{p-2}<dphi, nabla tau_p>
+    and (m/2 - p)|tau_p|^2 + (p-m) div theta^sharp.
+    """
+    S, tau2, pairing = _stress_matrix(mp, p)
+    m, tau2 = mp.m, value(tau2)
+    form_alg = -(m / 2.0) * tau2 + (p - m) * value(pairing)
+    form_div = (m / 2.0 - p) * tau2 + (p - m) * _theta_divergence(mp, p)
+    return value(_trace(mp, S)), tau2, form_alg, form_div
+
+
+def stress_divergence_at(mp: MapPoint, p: float):
+    """Both sides of div S(d_k) = -h(tau_2p, dphi(d_k)) and their gap at a jet point (3 shifts)."""
+    S = _stress_matrix(mp, p)[0]
+    lhs = [value(s) for s in divergence_2tensor_at(mp.ginv, mp.gammaM, S)]
+    tau2p = mp.p_bitension(p)
+    rhs = [value(-mp.h_inner(tau2p, col)) for col in mp.dphi_cols]
+    gap = max(abs(a - b) for a, b in zip(lhs, rhs))
+    return lhs, rhs, gap
+
+
+# ---------------------------------------------------------------------- #
+# public wrappers over float points
+# ---------------------------------------------------------------------- #
 
 def stress_tensor(phi: SmoothMap, x, p: float) -> StressTensorValue:
     """Stress p-bienergy tensor at a float point."""
@@ -89,54 +129,25 @@ def stress_tensor(phi: SmoothMap, x, p: float) -> StressTensorValue:
 def stress_trace(phi: SmoothMap, x, p: float) -> float:
     """g^{ij} S_ij; equals -(m/2)|tau_p|^2 + (p-m)|dphi|^{p-2}<dphi, nabla tau_p>."""
     mp = phi.at(lift_point(x, 2))
-    S, _, _ = _stress_matrix(mp, p)
-    m = mp.m
-    tr = sum(mp.ginv[i][j] * S[i][j] for i in range(m) for j in range(m))
-    return value(tr)
+    return value(_trace(mp, _stress_matrix(mp, p)[0]))
+
+
+def trace_identity(phi: SmoothMap, x, p: float):
+    """(tr S, |tau_p|^2, algebraic form, divergence form) at a float point."""
+    return trace_identity_at(phi.at(lift_point(x, 2)), p)
 
 
 def theta(phi: SmoothMap, x, p: float) -> ThetaForm:
     """The pairing one-form used by the trace identities."""
-    mp = phi.at(lift_point(x, 1))
-    taup = mp.p_tension(p)
-    fac = mp.norm_power(p - 2.0)
-    comps = [value(fac * mp.h_inner([mp.dphi[a][i] for a in range(mp.n)], taup))
-             for i in range(mp.m)]
+    comps = [value(c) for c in _theta_low(phi.at(lift_point(x, 1)), p)]
     return ThetaForm(point=tuple(float(v) for v in x), components=comps)
-
-
-def theta_sharp_field(phi: SmoothMap, p: float):
-    """theta with the index raised, as a source vector field (depth 1)."""
-
-    def rule(X):
-        mp = phi.at(X)
-        taup = mp.p_tension(p)
-        fac = mp.norm_power(p - 2.0)
-        low = [fac * mp.h_inner([mp.dphi[a][i] for a in range(mp.n)], taup)
-               for i in range(mp.m)]
-        return [sum(mp.ginv[i][j] * low[j] for j in range(mp.m)) for i in range(mp.m)]
-
-    rule.depth = 1
-    return rule
 
 
 def theta_divergence(phi: SmoothMap, x, p: float) -> float:
     """div of the sharped theta form; equals |tau_p|^2 + |dphi|^{p-2}<dphi, nabla tau_p>."""
-    return divergence(phi.source, theta_sharp_field(phi, p), x)
+    return _theta_divergence(phi.at(lift_point(x, 2)), p)
 
 
 def stress_divergence_check(phi: SmoothMap, x, p: float):
     """Both sides of div S(d_k) = -h(tau_2p, dphi(d_k)) at x, plus the max gap."""
-
-    def field(X):
-        return _stress_matrix(phi.at(X), p)[0]
-
-    field.depth = 2
-    lhs = divergence_2tensor(phi.source, field, x)
-
-    mp = phi.at(lift_point(x, 3))
-    tau2p = mp.p_bitension(p)
-    rhs = [value(-mp.h_inner(tau2p, [mp.dphi[a][k] for a in range(mp.n)]))
-           for k in range(mp.m)]
-    gap = max(abs(a - b) for a, b in zip(lhs, rhs))
-    return lhs, rhs, gap
+    return stress_divergence_at(phi.at(lift_point(x, 3)), p)

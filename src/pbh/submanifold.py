@@ -179,27 +179,20 @@ class ImmersionPoint:
             out = [o - c * ti for o, ti in zip(out, t)]
         return out
 
+    def sff_pairing(self, xi):
+        """[h((nabla dphi)(d_i, d_j), xi)]_ij for an ambient vector xi."""
+        mp, n = self.mp, self.n
+        return [[mp.h_inner([mp.sff[a][i][j] for a in range(n)], xi) for j in range(self.m)]
+                for i in range(self.m)]
+
     @cached_property
     def second_fundamental(self):
         """B[a][i][j] = h((nabla dphi)(d_i, d_j), xi_a), in normal-frame coefficients."""
-        mp = self.mp
-        sff = mp.sff
-        out = []
-        for xi in self.normal_frame:
-            mat = [[mp.h_inner([sff[al][i][j] for al in range(self.n)], xi)
-                    for j in range(self.m)] for i in range(self.m)]
-            out.append(mat)
-        return out
-
-    def sff_vector(self, i, j):
-        return [self.mp.sff[a][i][j] for a in range(self.n)]
+        return [self.sff_pairing(xi) for xi in self.normal_frame]
 
     def shape_matrix(self, xi):
         """Matrix of A_xi: g(A_xi d_i, d_j) = h(B(d_i, d_j), xi)."""
-        mp = self.mp
-        C = [[mp.h_inner(self.sff_vector(i, j), xi) for j in range(self.m)]
-             for i in range(self.m)]
-        return linalg.solve(mp.g, C)
+        return linalg.solve(self.mp.g, self.sff_pairing(xi))
 
     @cached_property
     def mean_curvature_frame(self):
@@ -238,18 +231,32 @@ class ImmersionPoint:
         mp = self.mp
         W = self.nabla_perp_H
         out = [0.0] * self.n
-        for i in range(self.m):
-            for j in range(self.m):
-                gij = mp.ginv[i][j]
-                if isinstance(gij, float) and gij == 0.0:
-                    continue
-                term = self.nabla_perp(i, W[j])
-                for k in range(self.m):
-                    gam = mp.gammaM[k][i][j]
-                    term = [t - gam * wk for t, wk in zip(term, W[k])]
-                for al in range(self.n):
-                    out[al] = out[al] + gij * term[al]
+        for i, j, gij in mp.ginv_terms:
+            term = self.nabla_perp(i, W[j])
+            for k in range(self.m):
+                gam = mp.gammaM[k][i][j]
+                term = [t - gam * wk for t, wk in zip(term, W[k])]
+            for al in range(self.n):
+                out[al] = out[al] + gij * term[al]
         return out
+
+    def proper_p(self) -> "CmcResult":
+        """Solve |A|^2 = m c - m (p - 2) |H|^2 for p; a float reader (no jets needed)."""
+        if self.k != 1:
+            raise DomainError("proper-p computation needs a hypersurface")
+        m = self.m
+        c = self.immersion.ambient_curvature
+        h2 = value(self.mean_curvature_norm2)
+        if h2 <= 0.0:
+            raise DomainError("zero mean curvature: no proper p exists")
+        hnorm = math.sqrt(h2)
+        eta = [value(v) / hnorm for v in self.mean_curvature]
+        A = self.shape_matrix(eta)
+        A2 = value(sum(A[i][j] * A[j][i] for i in range(m) for j in range(m)))
+        p_star = 2.0 + (m * c - A2) / (m * h2)
+        # rounding guard: the boundary case p* = 2 must stay admissible
+        return CmcResult(p_star=p_star, admissible=p_star >= 2.0 - 1e-9,
+                         mean_curvature_norm=hnorm, shape_norm2=A2)
 
     # -- residual systems ------------------------------------------------- #
     def trace_B_shape_H(self):
@@ -285,14 +292,10 @@ class ImmersionPoint:
 
         W = self.nabla_perp_H
         trA = [0.0] * m
-        for i in range(m):
-            A_Wi = self.shape_matrix(W[i])
-            for j in range(m):
-                gij = mp.ginv[i][j]
-                if isinstance(gij, float) and gij == 0.0:
-                    continue
-                for k in range(m):
-                    trA[k] = trA[k] + gij * A_Wi[k][j]
+        A_W = [self.shape_matrix(W[i]) for i in range(m)]
+        for i, j, gij in mp.ginv_terms:
+            for k in range(m):
+                trA[k] = trA[k] + gij * A_W[i][k][j]
         grad = self.grad_H_norm2()
         tangent = [2.0 * trA[k] + (p - 2.0 + 0.5 * m) * grad[k] for k in range(m)]
         return normal, tangent
@@ -329,26 +332,22 @@ class ImmersionPoint:
 
 def second_fundamental_form(imm: Immersion, x):
     """B as normal-frame coefficient matrices [a][i][j] at x."""
-    ip = imm.at(tuple(x))
-    return [[[value(v) for v in row] for row in B] for B in ip.second_fundamental]
+    return [[[value(v) for v in row] for row in B] for B in imm.at(tuple(x)).second_fundamental]
 
 
 def shape_operator(imm: Immersion, x, xi):
     """Matrix of A_xi at x for an ambient normal vector xi."""
-    ip = imm.at(tuple(x))
-    return [[value(v) for v in row] for row in ip.shape_matrix(list(xi))]
+    return [[value(v) for v in row] for row in imm.at(tuple(x)).shape_matrix(list(xi))]
 
 
 def mean_curvature(imm: Immersion, x):
     """Mean curvature vector H in ambient components at x."""
-    ip = imm.at(tuple(x))
-    return [value(v) for v in ip.mean_curvature]
+    return [value(v) for v in imm.at(tuple(x)).mean_curvature]
 
 
 def normal_frame(imm: Immersion, x) -> NormalFrame:
-    ip = imm.at(tuple(x))
     return NormalFrame(point=tuple(float(v) for v in x),
-                       vectors=[[value(c) for c in xi] for xi in ip.normal_frame])
+                       vectors=[[value(c) for c in xi] for xi in imm.at(tuple(x)).normal_frame])
 
 
 def normal_connection(imm: Immersion, x, direction: int, xi_field):
@@ -358,26 +357,22 @@ def normal_connection(imm: Immersion, x, direction: int, xi_field):
     shifts are added to the lift budget as usual.
     """
     X = lift_point(x, getattr(xi_field, "depth", 0) + 1)
-    ip = imm.at(X)
-    return [value(v) for v in ip.nabla_perp(direction, xi_field(X))]
+    return [value(v) for v in imm.at(X).nabla_perp(direction, xi_field(X))]
 
 
 def normal_laplacian_H(imm: Immersion, x):
-    ip = imm.at(lift_point(x, 2))
-    return [value(v) for v in ip.laplacian_perp_H]
+    return [value(v) for v in imm.at(lift_point(x, 2)).laplacian_perp_H]
 
 
 def theorem21_residuals(imm: Immersion, x, p: float):
     """(normal residual vector, tangential residual vector) of the general system."""
-    ip = imm.at(lift_point(x, 2))
-    normal, tangent = ip.general_residuals(p)
+    normal, tangent = imm.at(lift_point(x, 2)).general_residuals(p)
     return [value(v) for v in normal], [value(v) for v in tangent]
 
 
 def theorem23_residuals(imm: Immersion, x, p: float):
     """(scalar normal residual, tangential residual vector) of the hypersurface system."""
-    ip = imm.at(lift_point(x, 2))
-    normal, tangent = ip.hypersurface_residuals(p)
+    normal, tangent = imm.at(lift_point(x, 2)).hypersurface_residuals(p)
     return value(normal), [value(v) for v in tangent]
 
 
@@ -401,8 +396,6 @@ def cmc_proper_p(imm: Immersion, x, sample_points=None, cmc_tol: float = 1e-8) -
     When `sample_points` are given, |H| constancy is verified across them
     (std dev below `cmc_tol`) before solving at x.
     """
-    if imm.codim != 1:
-        raise DomainError("proper-p computation needs a hypersurface")
     if sample_points is not None:
         norms = [math.sqrt(max(value(imm.at(tuple(q)).mean_curvature_norm2), 0.0))
                  for q in sample_points]
@@ -410,20 +403,7 @@ def cmc_proper_p(imm: Immersion, x, sample_points=None, cmc_tol: float = 1e-8) -
         std = math.sqrt(sum((v - mean) ** 2 for v in norms) / len(norms))
         if std > cmc_tol:
             raise DomainError(f"mean curvature is not constant (std {std:.3e})")
-    ip = imm.at(tuple(x))
-    m = imm.m
-    c = imm.ambient_curvature
-    h2 = value(ip.mean_curvature_norm2)
-    if h2 <= 0.0:
-        raise DomainError("zero mean curvature: no proper p exists")
-    hnorm = math.sqrt(h2)
-    eta = [value(v) / hnorm for v in ip.mean_curvature]
-    A = ip.shape_matrix(eta)
-    A2 = value(sum(A[i][j] * A[j][i] for i in range(m) for j in range(m)))
-    p_star = 2.0 + (m * c - A2) / (m * h2)
-    # rounding guard: the boundary case p* = 2 must stay admissible
-    return CmcResult(p_star=p_star, admissible=p_star >= 2.0 - 1e-9,
-                     mean_curvature_norm=hnorm, shape_norm2=A2)
+    return imm.at(tuple(x)).proper_p()
 
 
 def bitension_split(imm: Immersion, x, p: float):
@@ -432,11 +412,10 @@ def bitension_split(imm: Immersion, x, p: float):
     Returns (normal ambient components, tangential source components t with
     tangential part = dphi(t)).
     """
-    X = lift_point(x, 3)
-    mp = imm.map.at(X)
+    mp = imm.map.at(lift_point(x, 3))
     tau2p = mp.p_bitension(p)
-    t = [value(sum(mp.ginv[i][j] * mp.h_inner(tau2p, [mp.dphi[a][j] for a in range(imm.n)])
-                   for j in range(imm.m))) for i in range(imm.m)]
+    t = [value(sum(mp.ginv[i][j] * mp.h_inner(tau2p, mp.dphi_cols[j]) for j in range(imm.m)))
+         for i in range(imm.m)]
     pushed = mp.push(t)
     normal = [value(tau2p[a]) - value(pushed[a]) for a in range(imm.n)]
     return normal, t

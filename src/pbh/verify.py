@@ -24,7 +24,7 @@ from .jets import lift_point, value
 from .mapcalc import (SmoothMap, p_bitension, p_energy_box, p_tension,
                       perturbed_map, tension, gauss_legendre_box)
 from .scenarios import builtin, run as run_scenario
-from .stress import stress_divergence_check, stress_tensor, stress_trace, theta_divergence
+from .stress import stress_divergence_check, stress_tensor, trace_identity
 from .submanifold import (Immersion, bitension_split, circle_immersion,
                           cmc_proper_p, graph_hypersurface_immersion,
                           small_hypersphere_immersion, theorem21_residuals,
@@ -350,14 +350,10 @@ def criterion_stress_trace() -> CriterionResult:
             mapp = phi(p) if callable(phi) else phi
             m = mapp.source.dim
             for x in pts:
-                tr = stress_trace(mapp, x, p)
-                S = stress_tensor(mapp, x, p)
-                form_alg = -(m / 2.0) * S.tau_p_norm2 + (p - m) * S.pairing
-                div_th = theta_divergence(mapp, x, p)
-                form_div = (m / 2.0 - p) * S.tau_p_norm2 + (p - m) * div_th
+                tr, tau2, form_alg, form_div = trace_identity(mapp, x, p)
                 worst = max(worst, abs(tr - form_alg), abs(tr - form_div))
                 if p == float(m):
-                    worst_pm = max(worst_pm, abs(tr + (m / 2.0) * S.tau_p_norm2))
+                    worst_pm = max(worst_pm, abs(tr + (m / 2.0) * tau2))
     passed = worst < 1e-7 and worst_pm < 1e-8
     return CriterionResult(
         "stress_trace_identities", passed,

@@ -6,9 +6,14 @@ import math
 import pytest
 
 from pbh.cli import main as cli_main
-from pbh.errors import SchemaError
+from pbh.errors import SchemaError, SingularityError
+from pbh.jets import JetScalar, value
+from pbh.mapcalc import MapPoint, p_bitension, p_tension
 from pbh.scenarios import (SCHEMA_VERSION, Scenario, builtin, load_scenario,
                            run, sweep)
+from pbh.stress import stress_divergence_check, trace_identity
+from pbh.submanifold import (Immersion, cmc_proper_p, theorem21_residuals,
+                             theorem23_residuals)
 
 
 def make_scenario_dict(**overrides):
@@ -170,6 +175,114 @@ class TestReports:
             run(Scenario.from_dict(data), strict=True)
 
 
+def cusp_immersion_dict(**overrides):
+    """(x1^3, x2, x2^2) in R^3: the differential drops rank on x1 = 0."""
+    data = {
+        "schema": SCHEMA_VERSION, "name": "cusp", "kind": "immersion",
+        "source": {"dim": 2}, "target": {"dim": 3, "space_form": 0.0},
+        "components": ["x1^3", "x2", "x2^2"], "params": {"p": 3.0},
+        "samples": {"box": [[-1.0, 1.0], [-1.0, 1.0]], "points_per_axis": 3},
+        "checks": ["theorem_2_1"],
+    }
+    data.update(overrides)
+    return data
+
+
+class TestPointFailures:
+    def test_rank_deficient_points_yield_nan_rows(self):
+        rep = run(Scenario.from_dict(cusp_immersion_dict()))
+        assert len(rep.rows) == 9
+        for r in rep.rows:
+            if r.point[0] == 0.0:
+                assert math.isnan(r.residual) and not r.passed and r.note
+            else:
+                assert math.isfinite(r.residual) and not r.note
+        assert not rep.verdict
+
+    def test_rank_deficient_point_under_strict(self, tmp_path):
+        with pytest.raises(SingularityError):
+            run(Scenario.from_dict(cusp_immersion_dict()), strict=True)
+        path = tmp_path / "cusp.json"
+        path.write_text(json.dumps(cusp_immersion_dict()))
+        assert cli_main(["run", str(path), "--strict"]) == 3
+
+    def test_all_points_excluded_fails(self, tmp_path, capsys):
+        data = make_scenario_dict(samples={"box": [[0.2, 1.0], [0.2, 1.0]],
+                                           "points_per_axis": 2, "exclude": ["-1"]})
+        rep = run(Scenario.from_dict(data))
+        assert rep.rows == []
+        assert not rep.verdict
+        assert rep.summary()["verdict"] == "fail"
+        path = tmp_path / "excluded.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["run", str(path)]) == 1
+        assert "no rows checked" in capsys.readouterr().err
+
+
+def _public_residual(check, obj, x, p):
+    """A report row's residual, recomputed from the float-point public wrappers."""
+    imm = obj if isinstance(obj, Immersion) else None
+    phi = imm.map if imm is not None else obj
+
+    def h_norm(v):
+        h = phi.target.metric_at(tuple(value(c) for c in phi.at(x).phiX))
+        return math.sqrt(max(sum(value(h[a][b]) * v[a] * v[b]
+                                 for a in range(len(v)) for b in range(len(v))), 0.0))
+
+    def g_norm(v):
+        g = phi.source.metric_at(x)
+        return math.sqrt(max(sum(value(g[i][j]) * v[i] * v[j]
+                                 for i in range(len(v)) for j in range(len(v))), 0.0))
+
+    if check == "p_harmonic":
+        return h_norm(p_tension(phi, x, p))
+    if check == "p_biharmonic":
+        return h_norm(p_bitension(phi, x, p))
+    if check == "stress_divergence":
+        lhs, rhs, gap = stress_divergence_check(phi, x, p)
+        return gap / max(max(abs(v) for v in lhs), max(abs(v) for v in rhs), 1.0)
+    if check == "trace_identity":
+        tr, _, form_alg, form_div = trace_identity(phi, x, p)
+        return max(abs(tr - form_alg), abs(tr - form_div))
+    if check == "theorem_2_3":
+        scalar, tangent = theorem23_residuals(imm, x, p)
+        return max(abs(scalar), g_norm(tangent))
+    if check == "cmc_proper_p":
+        p = cmc_proper_p(imm, x).p_star
+    normal, tangent = theorem21_residuals(imm, x, p)
+    return max(h_norm(normal), g_norm(tangent))
+
+
+class TestEvaluationContexts:
+    @pytest.mark.parametrize("name, p", [
+        ("proper_pbh_cylinder", 2.0), ("proper_pbh_cylinder", 3.0),
+        ("proper_pbh_cylinder", 4.0), ("small_hypersphere(2, 0.8)", 3.0),
+        ("inversion(3)", 2.0), ("inversion(3)", 3.0)])
+    def test_run_rows_equal_public_wrappers(self, name, p):
+        sc = builtin(name)
+        obj = sc.build({"p": p})
+        rep = run(sc, overrides={"p": p})
+        point_rows = [r for r in rep.rows if r.point]
+        assert len(point_rows) == len(sc.sample_points()) * len(
+            [c for c in sc.checks if c != "energy_quadrature"])
+        for r in point_rows:
+            assert repr(r.residual) == repr(_public_residual(r.check, obj, r.point, p)), r
+
+    def test_one_jet_lift_per_sample_point(self, monkeypatch):
+        lifted = []
+        init = MapPoint.__init__
+
+        def counting_init(self, smooth_map, X):
+            if isinstance(X[0], JetScalar):
+                lifted.append(tuple(value(c) for c in X))
+            init(self, smooth_map, X)
+
+        monkeypatch.setattr(MapPoint, "__init__", counting_init)
+        sc = builtin("proper_pbh_cylinder")
+        run(sc, overrides={"p": 3.0})
+        assert sorted(lifted) == sorted(sc.sample_points())
+
+
 class TestSweep:
     def test_crossing_at_proper_p(self):
         a = 0.8
@@ -252,6 +365,12 @@ class TestCli:
         assert out.exists()
         # residuals off the critical p fail tolerance, so the sweep exits 1
         assert code == 1
+
+    @pytest.mark.parametrize("steps", ["1", "0", "-3"])
+    def test_sweep_steps_below_two_is_input_error(self, steps, capsys):
+        assert cli_main(["sweep", "inversion(3)", "--param", "l", "--from", "1.8",
+                         "--to", "2.2", "--steps", steps]) == 2
+        assert "steps" in capsys.readouterr().err
 
     def test_bad_set_syntax(self, capsys):
         assert cli_main(["run", "inversion(3)", "--set", "l"]) == 2
