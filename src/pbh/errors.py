@@ -53,3 +53,8 @@ class SchemaError(PbhError):
     def __init__(self, field, message):
         super().__init__(f"scenario field '{field}': {message}")
         self.field = field
+
+
+class BatchSplit(Exception):
+    """Internal signal: the entries of a batched evaluation need different code
+    paths (a pivot row, a zero test). The caller evaluates them one at a time."""

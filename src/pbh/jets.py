@@ -17,6 +17,23 @@ to lift points with enough order for the shifts their pipeline performs.
 The generic elementary functions (:func:`sqrt`, :func:`exp`, ...) accept plain
 floats as well, so the same kernel code runs in float mode when no derivatives
 are requested.
+
+Batch axis. The same code also evaluates many points at once. In float mode a
+batched point is a tuple of coordinate arrays of shape (P,); in jet mode
+(:func:`lift_point` of such a point) each scalar lives in a batched jet space
+and its coefficient array has shape (size, P): the monomial axis first, one
+column per batch entry. Base values (:func:`value`, ``JetScalar.value``) are
+then arrays of shape (P,). Batched jets support order <= 1 only: building a
+batched space of order >= 2 raises :class:`JetOrderError`, so no order >= 2
+product (the bincount kernel) ever sees a batch. Scalar and batched jets
+live in different spaces, so mixing them fails loudly instead of broadcasting.
+Domain checks fail when any entry is out of domain. For bit identity with the
+unbatched path, elementary functions and :func:`powr` compute their base values
+with the same scalar libm call per entry (``math.exp``, ``**``, ...): numpy's
+vectorized ``power``/``exp``/``log`` may differ from libm in the last bit.
+Numpy's ``+ - * /`` are exact IEEE operations and stay vectorized. Code that
+branches on base values per point (pivoting in :mod:`pbh.linalg`) raises
+:class:`pbh.errors.BatchSplit` when the entries of a batch disagree.
 """
 
 from __future__ import annotations
@@ -30,15 +47,16 @@ from .errors import DomainError, JetOrderError
 
 MAX_ORDER = 4
 
-_SPACES: dict[tuple[int, int], "JetSpace"] = {}
+_SPACES: dict[tuple[int, int, bool], "JetSpace"] = {}
 
 
-def space_for(nvars: int, order: int) -> "JetSpace":
-    """Return the (cached) jet space with `nvars` seed variables and total order `order`."""
-    key = (nvars, order)
+def space_for(nvars: int, order: int, batched: bool = False) -> "JetSpace":
+    """Return the (cached) jet space with `nvars` seed variables and total order
+    `order`; a `batched` space holds one coefficient column per batch entry."""
+    key = (nvars, order, batched)
     space = _SPACES.get(key)
     if space is None:
-        space = JetSpace(nvars, order)
+        space = JetSpace(nvars, order, batched)
         _SPACES[key] = space
     return space
 
@@ -51,15 +69,19 @@ def _monomials(nvars: int, order: int) -> list[tuple[int, ...]]:
 
 
 class JetSpace:
-    """Shape data and precomputed tables for one (nvars, order) configuration."""
+    """Shape data and precomputed tables for one (nvars, order) configuration,
+    unbatched (coefficients of shape (size,)) or batched (shape (size, P))."""
 
-    def __init__(self, nvars: int, order: int):
+    def __init__(self, nvars: int, order: int, batched: bool = False):
         if nvars < 1:
             raise ValueError("jet space needs at least one seed variable")
         if not 0 <= order <= MAX_ORDER:
             raise JetOrderError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
+        if batched and order > 1:
+            raise JetOrderError(f"batched jets support order <= 1, got order {order}")
         self.nvars = nvars
         self.order = order
+        self.batched = batched
         self.monomials = _monomials(nvars, order)
         self.size = len(self.monomials)
         self.index = {alpha: i for i, alpha in enumerate(self.monomials)}
@@ -91,28 +113,36 @@ class JetSpace:
                     fac.append(a[v] + 1.0)
             self._shift_src.append(np.array(src, dtype=np.intp))
             self._shift_dst.append(np.array(dst, dtype=np.intp))
-            self._shift_fac.append(np.array(fac))
+            # a column in a batched space, broadcast over the batch entries
+            self._shift_fac.append(np.array(fac)[:, None] if batched else np.array(fac))
 
         self._alpha_factorials = np.array(
             [float(math.prod(math.factorial(x) for x in a)) for a in self.monomials])
 
     def constant(self, x) -> "JetScalar":
-        c = np.zeros(self.size)
-        c[0] = float(x)
+        """Constant jet of value x (in a batched space, one value per entry)."""
+        c = np.zeros((self.size, len(x)) if self.batched else self.size)
+        c[0] = x
         return JetScalar(self, c)
 
     def variable(self, v: int, x0) -> "JetScalar":
         """Seeded coordinate: value x0, unit first-order coefficient in slot v."""
         if not 0 <= v < self.nvars:
             raise ValueError(f"seed index {v} out of range for {self.nvars} variables")
-        c = np.zeros(self.size)
-        c[0] = float(x0)
+        c = np.zeros((self.size, len(x0)) if self.batched else self.size)
+        c[0] = x0
         e_v = tuple(1 if w == v else 0 for w in range(self.nvars))
         c[self.index[e_v]] = 1.0
         return JetScalar(self, c)
 
     def __repr__(self):
-        return f"JetSpace(nvars={self.nvars}, order={self.order})"
+        batched = ", batched" if self.batched else ""
+        return f"JetSpace(nvars={self.nvars}, order={self.order}{batched})"
+
+
+# operands that jet arithmetic takes inline: plain numbers, and arrays holding
+# one float per batch entry
+_INLINE_OPERANDS = (int, float, np.ndarray)
 
 
 class JetScalar:
@@ -120,22 +150,30 @@ class JetScalar:
 
     __slots__ = ("space", "c")
 
+    # numpy operands defer to the jet's reflected operators (array * jet)
+    __array_ufunc__ = None
+
     def __init__(self, space: JetSpace, coeffs: np.ndarray):
         self.space = space
         self.c = coeffs
 
+    def _row(self, row):
+        return row if self.space.batched else float(row)
+
     @property
-    def value(self) -> float:
-        return float(self.c[0])
+    def value(self):
+        """Base value: a float, or an array of shape (P,) in a batched space."""
+        c0 = self.c[0]
+        return c0 if self.space.batched else float(c0)
 
-    def coefficient(self, alpha) -> float:
+    def coefficient(self, alpha):
         """Taylor coefficient of the monomial `alpha` (derivative / alpha!)."""
-        return float(self.c[self.space.index[tuple(alpha)]])
+        return self._row(self.c[self.space.index[tuple(alpha)]])
 
-    def derivative(self, alpha) -> float:
+    def derivative(self, alpha):
         """Mixed partial derivative of multi-index `alpha`."""
         i = self.space.index[tuple(alpha)]
-        return float(self.c[i] * self.space._alpha_factorials[i])
+        return self._row(self.c[i] * self.space._alpha_factorials[i])
 
     def partial(self, v: int) -> "JetScalar":
         """First partial with respect to seed variable v, as a jet.
@@ -144,7 +182,7 @@ class JetScalar:
         result are zero-filled placeholders, not true values.
         """
         sp = self.space
-        out = np.zeros(sp.size)
+        out = np.zeros(self.c.shape)
         out[sp._shift_dst[v]] = sp._shift_fac[v] * self.c[sp._shift_src[v]]
         return JetScalar(sp, out)
 
@@ -154,7 +192,7 @@ class JetScalar:
             if other.space is not self.space:
                 raise ValueError("jet operands belong to different jet spaces")
             return other
-        if isinstance(other, (int, float)):
+        if isinstance(other, _INLINE_OPERANDS):
             return None  # handled inline, cheaper than building a constant jet
         return NotImplemented
 
@@ -208,7 +246,7 @@ class JetScalar:
         if o is NotImplemented:
             return NotImplemented
         if o is None:
-            if other == 0.0:
+            if any_entry(other == 0.0):
                 raise ZeroDivisionError("jet divided by zero constant")
             return JetScalar(self.space, self.c / other)
         return self * _reciprocal(o)
@@ -230,8 +268,8 @@ class JetScalar:
 # analytic functions of one jet via Horner on the nilpotent part
 # ---------------------------------------------------------------------- #
 
-def _compose(u: JetScalar, taylor: list[float]) -> JetScalar:
-    """Evaluate f(u) given taylor[k] = f^(k)(u.value) / k!."""
+def _compose(u: JetScalar, taylor: list) -> JetScalar:
+    """Evaluate f(u) given taylor[k] = f^(k)(u.value) / k! (arrays for a batch)."""
     sp = u.space
     t = JetScalar(sp, u.c.copy())
     t.c[0] = 0.0
@@ -242,9 +280,29 @@ def _compose(u: JetScalar, taylor: list[float]) -> JetScalar:
     return acc
 
 
+def any_entry(mask) -> bool:
+    """A comparison result taken over every batch entry (a plain bool passes through)."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else mask
+
+
+def _libm(f, x, *args):
+    """f(x, *args) for a float, or per entry of a batch array through the same
+    scalar call, so batched and unbatched values agree bit for bit."""
+    if isinstance(x, np.ndarray):
+        return np.array([f(t, *args) for t in x.tolist()])
+    return f(x, *args)
+
+
+def _powers(x, exponents) -> list:
+    """[x ** e for e in exponents] with Python's float pow, per entry for a batch."""
+    if isinstance(x, np.ndarray):
+        return [np.array(col) for col in zip(*([t ** e for e in exponents] for t in x.tolist()))]
+    return [x ** e for e in exponents]
+
+
 def _reciprocal(u: JetScalar) -> JetScalar:
     u0 = u.value
-    if u0 == 0.0:
+    if any_entry(u0 == 0.0):
         raise ZeroDivisionError("jet division by zero base value")
     inv = 1.0 / u0
     taylor = [inv]
@@ -253,10 +311,12 @@ def _reciprocal(u: JetScalar) -> JetScalar:
     return _compose(u, taylor)
 
 
-def value(u) -> float:
-    """Base (order-zero) value of a float-or-jet scalar."""
+def value(u):
+    """Base (order-zero) value of a float-or-jet scalar; an array for a batch."""
     if isinstance(u, JetScalar):
         return u.value
+    if isinstance(u, np.ndarray):
+        return u
     return float(u)
 
 
@@ -270,54 +330,57 @@ def partial(u, v: int):
 def sqrt(u):
     if isinstance(u, JetScalar):
         return powr(u, 0.5)
-    if u < 0.0:
+    if any_entry(u < 0.0):
         raise DomainError(f"sqrt of negative value {u}")
-    return math.sqrt(u)
+    return _libm(math.sqrt, u)
 
 
 def exp(u):
     if isinstance(u, JetScalar):
-        e0 = math.exp(u.value)
+        e0 = _libm(math.exp, u.value)
         taylor = [e0 / math.factorial(k) for k in range(u.space.order + 1)]
         return _compose(u, taylor)
-    return math.exp(u)
+    return _libm(math.exp, u)
 
 
 def log(u):
     if isinstance(u, JetScalar):
         u0 = u.value
-        if u0 <= 0.0:
+        if any_entry(u0 <= 0.0):
             raise DomainError(f"log of non-positive value {u0}")
-        taylor = [math.log(u0)]
-        for k in range(1, u.space.order + 1):
-            taylor.append((-1.0) ** (k - 1) / (k * u0 ** k))
+        order = u.space.order
+        taylor = [_libm(math.log, u0)]
+        for k, u0k in zip(range(1, order + 1), _powers(u0, range(1, order + 1))):
+            taylor.append((-1.0) ** (k - 1) / (k * u0k))
         return _compose(u, taylor)
-    if u <= 0.0:
+    if any_entry(u <= 0.0):
         raise DomainError(f"log of non-positive value {u}")
-    return math.log(u)
+    return _libm(math.log, u)
 
 
 def sin(u):
     if isinstance(u, JetScalar):
-        s0, c0 = math.sin(u.value), math.cos(u.value)
+        s0, c0 = _libm(math.sin, u.value), _libm(math.cos, u.value)
         cycle = (s0, c0, -s0, -c0)
         taylor = [cycle[k % 4] / math.factorial(k) for k in range(u.space.order + 1)]
         return _compose(u, taylor)
-    return math.sin(u)
+    return _libm(math.sin, u)
 
 
 def cos(u):
     if isinstance(u, JetScalar):
-        s0, c0 = math.sin(u.value), math.cos(u.value)
+        s0, c0 = _libm(math.sin, u.value), _libm(math.cos, u.value)
         cycle = (c0, -s0, -c0, s0)
         taylor = [cycle[k % 4] / math.factorial(k) for k in range(u.space.order + 1)]
         return _compose(u, taylor)
-    return math.cos(u)
+    return _libm(math.cos, u)
 
 
 def _int_power(u: JetScalar, n: int) -> JetScalar:
     if n == 0:
-        return u.space.constant(1.0)
+        one = np.zeros_like(u.c)  # keeps u's batch shape
+        one[0] = 1.0
+        return JetScalar(u.space, one)
     result = None
     base = u
     while n:
@@ -342,16 +405,19 @@ def powr(u, q):
         if is_int and q >= 0:
             return _int_power(u, int(q))
         u0 = u.value
-        if u0 == 0.0:
+        if any_entry(u0 == 0.0):
             raise DomainError(f"zero base raised to exponent {q}")
-        if not is_int and u0 < 0.0:
+        if not is_int and any_entry(u0 < 0.0):
             raise DomainError(f"negative base {u0} raised to fractional exponent {q}")
         taylor = []
         coeff = 1.0
-        for k in range(u.space.order + 1):
-            taylor.append(coeff * u0 ** (q - k))
+        order = u.space.order
+        for k, u0qk in enumerate(_powers(u0, [q - k for k in range(order + 1)])):
+            taylor.append(coeff * u0qk)
             coeff *= (q - k) / (k + 1)
         return _compose(u, taylor)
+    if isinstance(u, np.ndarray):
+        return _libm(powr, u, q)
     u = float(u)
     if is_int:
         if u == 0.0 and q < 0:
@@ -369,6 +435,8 @@ def abspow(u, q):
     q = float(q)
     if isinstance(u, JetScalar):
         return powr(u * u, 0.5 * q)
+    if isinstance(u, np.ndarray):
+        return _libm(abspow, u, q)
     u = float(u)
     if u == 0.0:
         if q > 0:
@@ -387,13 +455,19 @@ def lift_point(x, order: int) -> tuple:
     """Turn a float point into a tuple of seeded jets of the given total order.
 
     Every coordinate becomes a seed variable; `order` must cover the number of
-    `partial` shifts the downstream pipeline performs.
+    `partial` shifts the downstream pipeline performs. A batched point (one
+    array of P values per coordinate) lifts into the batched space.
     """
+    if isinstance(x[0], np.ndarray):
+        sp = space_for(len(x), order, batched=True)
+        return tuple(sp.variable(i, v) for i, v in enumerate(np.broadcast_arrays(*x)))
     x = [float(v) for v in x]
     sp = space_for(len(x), order)
     return tuple(sp.variable(i, v) for i, v in enumerate(x))
 
 
-def point_value(X) -> tuple[float, ...]:
-    """Base values of a float-or-jet point."""
-    return tuple(value(v) for v in X)
+def point_value(X) -> tuple:
+    """Base values of a float-or-jet point; a tuple of tuples for a batched
+    point, so that it stays hashable."""
+    return tuple(v if isinstance(v, float) else tuple(v.tolist())
+                 for v in (value(c) for c in X))

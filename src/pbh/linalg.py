@@ -3,13 +3,21 @@
 Matrices are lists of lists; dimensions here are chart dimensions (<= 4 or
 so), so plain Gaussian elimination with partial pivoting on base values is
 both fast enough and jet-transparent.
+
+Batched entries (see :mod:`pbh.jets`) take every branch by the scalar rule per
+entry: the pivot is the first row with the largest |base value|, and a float
+multiplier that is zero skips its row update. When all entries agree the
+elimination proceeds batched; when they disagree, or some pivot is zero, it
+raises :class:`BatchSplit` so the caller can evaluate the entries one at a time.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import NotPositiveDefiniteError, SingularMatrixError
+import numpy as np
+
+from .errors import BatchSplit, NotPositiveDefiniteError, SingularMatrixError
 from .jets import value
 
 
@@ -18,14 +26,41 @@ def mat_mul(A, B):
     return [[sum(A[i][l] * B[l][j] for l in range(k)) for j in range(m)] for i in range(n)]
 
 
+def _pivot(a, col):
+    """(row, is_zero) of the pivot of column `col`: the first row at or below
+    `col` with the largest |base value|."""
+    mags = [abs(value(a[r][col])) for r in range(col, len(a))]
+    if np.ndarray not in map(type, mags):
+        k = max(range(len(mags)), key=mags.__getitem__)
+        return col + k, mags[k] == 0.0
+    mags = np.array(np.broadcast_arrays(*mags))
+    rows = mags.argmax(axis=0)
+    if (rows != rows[0]).any() or not (mags[rows[0]] > 0.0).all():
+        raise BatchSplit(f"batch entries disagree on the pivot of column {col}")
+    return col + int(rows[0]), False
+
+
+def _skips(f) -> bool:
+    """Whether a row update by multiplier f is skipped: f is a float zero."""
+    if isinstance(f, float):
+        return f == 0.0
+    if isinstance(f, np.ndarray):
+        zero = f == 0.0
+        if zero.all():
+            return True
+        if zero.any():
+            raise BatchSplit("batch entries disagree on a zero multiplier")
+    return False
+
+
 def solve(A, B):
     """Solve A X = B for X; B is a matrix (list of rows). Partial pivoting on base values."""
     n = len(A)
     a = [list(row) for row in A]
     b = [list(row) for row in B]
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(value(a[r][col])))
-        if abs(value(a[piv][col])) == 0.0:
+        piv, zero = _pivot(a, col)
+        if zero:
             raise SingularMatrixError(f"zero pivot in column {col}")
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
@@ -33,7 +68,7 @@ def solve(A, B):
         inv = 1.0 / a[col][col]
         for r in range(col + 1, n):
             f = a[r][col] * inv
-            if isinstance(f, float) and f == 0.0:
+            if _skips(f):
                 continue
             for c in range(col, n):
                 a[r][c] = a[r][c] - f * a[col][c]
@@ -61,8 +96,8 @@ def det(A):
     a = [list(row) for row in A]
     sign = 1.0
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(value(a[r][col])))
-        if abs(value(a[piv][col])) == 0.0:
+        piv, zero = _pivot(a, col)
+        if zero:
             return 0.0 * a[0][0]
         if piv != col:
             a[col], a[piv] = a[piv], a[col]

@@ -13,7 +13,9 @@ Jet budget per operation (shifts consumed internally): tension 0, p_tension 1,
 pull-back derivative of a field adds 1, p_bitension 3. A point lifted to the
 highest order of several readers serves all of them, and p-dependent fields
 are computed once per point and p. Public wrappers lift a float point to
-their own minimum order and call the same reader.
+their own minimum order and call the same reader. A MapPoint may also hold a
+batch of points (see :mod:`pbh.jets`); the box quadrature uses that for its
+Gauss nodes.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import JetOrderError, SingularityError
+from .errors import BatchSplit, JetOrderError, PbhError, SingularityError
 from .expr import Const
 from .geometry import ChartMetric
-from .jets import JetScalar, lift_point, partial, point_value, powr, sqrt, value
+from .jets import JetScalar, any_entry, lift_point, partial, point_value, powr, sqrt, value
 
 __all__ = [
     "SmoothMap", "FieldAlongMap", "MapPoint",
@@ -207,7 +209,7 @@ class MapPoint:
         """|dphi|^q with the singularity guard for non-trivial exponents."""
         if q == 0.0:
             return 1.0
-        if value(self.norm2) <= _NORM2_FLOOR:
+        if any_entry(value(self.norm2) <= _NORM2_FLOOR):
             raise SingularityError("vanishing |dphi| under a norm power",
                                    point=point_value(self.X))
         return self.once(("norm_power", q), lambda: powr(self.norm2, 0.5 * q))
@@ -430,33 +432,93 @@ def gauss_legendre_box(box, order: int = 8):
         yield point, weight
 
 
-def _volume_density(pt: MapPoint) -> float:
+def _volume_density(pt: MapPoint):
     from .linalg import det
     return sqrt(value(det(pt.g)))
 
 
-def p_energy_box(phi: SmoothMap, box, p: float, order: int = 8) -> float:
-    """(1/p) integral of |dphi|^p over the box, against the metric volume."""
+# Gauss nodes evaluated together as one batched point
+_CHUNK = 64
+
+# what a batched chunk may raise; the per-node replay then raises or not exactly
+# as a per-node loop would (numpy signals FloatingPointError where Python floats
+# raise ZeroDivisionError, or silently overflow)
+_REPLAYED = (PbhError, ArithmeticError, ValueError, BatchSplit)
+
+
+def _require_in_domain(phi, x):
+    if not phi.source.contains(x):
+        raise SingularityError("quadrature node outside source domain", point=x)
+
+
+def _node_terms(phi, X, jet_order, integrand):
+    """(integrand(pt, X), sqrt(det g)) at the point X lifted to `jet_order`
+    (0: floats); X is one node or a batch of nodes."""
+    pt = phi.at(lift_point(X, jet_order) if jet_order else X)
+    return integrand(pt, X), _volume_density(pt)
+
+
+def _chunk_terms(phi, chunk, jet_order, integrand):
+    """[(integrand, density)] per node of a chunk, from one batched evaluation."""
+    for x, _w in chunk:
+        _require_in_domain(phi, x)
+    X = tuple(np.array(axis) for axis in zip(*(x for x, _w in chunk)))
+    with np.errstate(all="raise", under="ignore"):
+        v, d = _node_terms(phi, X, jet_order, integrand)
+    size = len(chunk)
+    return list(zip(np.broadcast_to(v, size).tolist(), np.broadcast_to(d, size).tolist()))
+
+
+def _box_sum(phi, box, order, jet_order, integrand, factor=1.0):
+    """Sum over the Gauss nodes of the box, in node order, of
+    factor * w * integrand(pt, x) * sqrt(det g) at pt = phi.at(x lifted to jet_order).
+
+    Nodes are taken _CHUNK at a time, each chunk evaluated as one batched point
+    (coordinate arrays in float mode, (size, P) jets at order 1). If a chunk
+    raises (a node outside the source domain, a point failure, a floating-point
+    exception, a BatchSplit), the chunk is replayed node by node through the same code
+    without a batch axis, so the exception and its message are those of a
+    per-node loop. Terms are added one node at a time, in node order and with
+    the per-node association, so the sum is bit-identical to that loop.
+    """
+    nodes = list(gauss_legendre_box(box, order))
     total = 0.0
-    for x, w in gauss_legendre_box(box, order):
-        if not phi.source.contains(x):
-            raise SingularityError("quadrature node outside source domain", point=x)
-        pt = phi.at(x)
-        total += w * value(pt.norm_power(p)) * _volume_density(pt)
-    return total / p
+    for start in range(0, len(nodes), _CHUNK):
+        chunk = nodes[start:start + _CHUNK]
+        try:
+            terms = _chunk_terms(phi, chunk, jet_order, integrand)
+        except _REPLAYED:
+            terms = None
+        for k, (x, w) in enumerate(chunk):
+            if terms is None:
+                _require_in_domain(phi, x)
+                v, d = _node_terms(phi, x, jet_order, integrand)
+            else:
+                v, d = terms[k]
+            total += factor * w * v * d
+    return total
+
+
+def p_energy_box(phi: SmoothMap, box, p: float, order: int = 8) -> float:
+    """(1/p) integral of |dphi|^p over the box, against the metric volume.
+
+    Float mode. Gauss nodes are evaluated 64 at a time as one batched point; a
+    chunk in which anything raises is replayed node by node, so the result and
+    any exception equal those of a per-node loop bit for bit (see `_box_sum`)."""
+    return _box_sum(phi, box, order, 0, lambda pt, x: value(pt.norm_power(p))) / p
 
 
 def p_bienergy_box(phi: SmoothMap, box, p: float, order: int = 8) -> float:
-    """(1/2) integral of |tau_p(phi)|^2 over the box, against the metric volume."""
-    total = 0.0
-    for x, w in gauss_legendre_box(box, order):
-        if not phi.source.contains(x):
-            raise SingularityError("quadrature node outside source domain", point=x)
-        X = lift_point(x, 1) if p != 2.0 else x
-        pt = phi.at(X)
+    """(1/2) integral of |tau_p(phi)|^2 over the box, against the metric volume.
+
+    Order-1 jets (floats at p = 2). Gauss nodes are evaluated 64 at a time as
+    one batched point; a chunk in which anything raises is replayed node by
+    node, so the result and any exception equal those of a per-node loop bit
+    for bit (see `_box_sum`)."""
+    def integrand(pt, x):
         taup = pt.p_tension(p)
-        total += 0.5 * w * value(pt.h_inner(taup, taup)) * _volume_density(pt)
-    return total
+        return value(pt.h_inner(taup, taup))
+    return _box_sum(phi, box, order, 0 if p == 2.0 else 1, integrand, factor=0.5)
 
 
 def perturbed_map(phi: SmoothMap, variation, t: float) -> SmoothMap:

@@ -65,16 +65,37 @@ def _require(cond, field_name, message):
         raise SchemaError(field_name, message)
 
 
+def _is_int(v) -> bool:
+    """JSON integer; booleans are not numbers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _require_tolerance(tol):
+    _require(_is_number(tol) and 0 < tol < math.inf, "tolerance",
+             f"must be a positive finite number, got {tol!r}")
+
+
+def _require_p(p, checks):
+    """The map checks read the p-tension, defined for p >= 2 only (`check_p`)."""
+    map_checks = sorted(set(checks) & set(MAP_CHECKS))
+    if map_checks:
+        _require(p >= 2.0, "p", f"must be >= 2 for the checks {map_checks}, got {p!r}")
+
+
 def _chart_from_spec(spec: dict, field_name: str, params: dict,
                      declared: list) -> ChartMetric:
     _require(isinstance(spec, dict), field_name, "must be an object")
     _require("dim" in spec, f"{field_name}.dim", "is required")
     dim = spec["dim"]
-    _require(isinstance(dim, int) and dim >= 1, f"{field_name}.dim",
+    _require(_is_int(dim) and dim >= 1, f"{field_name}.dim",
              "must be a positive integer")
     if "space_form" in spec:
         c = spec["space_form"]
-        _require(isinstance(c, (int, float)), f"{field_name}.space_form",
+        _require(_is_number(c), f"{field_name}.space_form",
                  "must be a number")
         return space_form_chart(float(c), dim).with_params(**params)
     _require("metric" in spec, field_name, "needs either 'space_form' or 'metric'")
@@ -128,13 +149,15 @@ class Scenario:
         _require(isinstance(raw_params, dict), "params", "must be an object")
         params, sweeps = {}, {}
         for key, val in raw_params.items():
-            if isinstance(val, (int, float)):
+            if _is_number(val):
                 params[key] = float(val)
             elif isinstance(val, dict):
                 for f in ("from", "to", "steps"):
                     _require(f in val, f"params.{key}.{f}", "is required in a sweep range")
-                _require(isinstance(val["steps"], int) and val["steps"] >= 2,
+                _require(_is_int(val["steps"]) and val["steps"] >= 2,
                          f"params.{key}.steps", "must be an integer >= 2")
+                _require(_is_number(val["from"]) and _is_number(val["to"]), f"params.{key}",
+                         "sweep bounds must be numbers")
                 sweeps[key] = (float(val["from"]), float(val["to"]), val["steps"])
                 params[key] = float(val["from"])
             else:
@@ -144,9 +167,9 @@ class Scenario:
         _require("source" in data, "source", "is required")
         _require("target" in data, "target", "is required")
         source_spec, target_spec = data["source"], data["target"]
-        _require(isinstance(source_spec, dict) and isinstance(source_spec.get("dim"), int),
+        _require(isinstance(source_spec, dict) and _is_int(source_spec.get("dim")),
                  "source.dim", "must be an integer")
-        _require(isinstance(target_spec, dict) and isinstance(target_spec.get("dim"), int),
+        _require(isinstance(target_spec, dict) and _is_int(target_spec.get("dim")),
                  "target.dim", "must be an integer")
         m, n = source_spec["dim"], target_spec["dim"]
         if kind == "immersion":
@@ -173,18 +196,20 @@ class Scenario:
         _require(isinstance(box, list) and len(box) == m
                  and all(isinstance(b, list) and len(b) == 2 for b in box),
                  "samples.box", f"must list {m} [lo, hi] pairs")
+        _require(all(_is_number(v) for b in box for v in b), "samples.box",
+                 "bounds must be numbers")
         box = [[float(b[0]), float(b[1])] for b in box]
         _require(all(b[0] < b[1] for b in box), "samples.box", "needs lo < hi per axis")
         ppa = samples.get("points_per_axis", 0)
         rnd = samples.get("random_points", 0)
-        _require(isinstance(ppa, int) and ppa >= 0, "samples.points_per_axis",
+        _require(_is_int(ppa) and ppa >= 0, "samples.points_per_axis",
                  "must be a non-negative integer")
-        _require(isinstance(rnd, int) and rnd >= 0, "samples.random_points",
+        _require(_is_int(rnd) and rnd >= 0, "samples.random_points",
                  "must be a non-negative integer")
         _require(ppa > 0 or rnd > 0, "samples",
                  "needs points_per_axis or random_points")
         seed = samples.get("seed", 0)
-        _require(isinstance(seed, int), "samples.seed", "must be an integer")
+        _require(_is_int(seed), "samples.seed", "must be an integer")
         exclude = samples.get("exclude", [])
         _require(isinstance(exclude, list), "samples.exclude", "must be a list")
         for k, text in enumerate(exclude):
@@ -202,8 +227,9 @@ class Scenario:
                 _require(kind == "immersion", "checks",
                          f"{c!r} applies to immersions only")
         tol = data.get("tolerance", DEFAULT_TOLERANCE)
-        _require(isinstance(tol, (int, float)) and tol > 0, "tolerance",
-                 "must be a positive number")
+        _require_tolerance(tol)
+        for p in sweeps["p"][:2] if "p" in sweeps else [params.get("p", 2.0)]:
+            _require_p(p, checks)
 
         return Scenario(
             name=name, kind=kind, source_spec=source_spec, target_spec=target_spec,
@@ -457,8 +483,11 @@ def run(scenario: Scenario, overrides=None, tolerance=None, strict=False) -> Res
     if unknown:
         raise SchemaError("params", f"override of undeclared parameters {sorted(unknown)}")
     params = {**scenario.params, **overrides}
+    if tolerance is not None:
+        _require_tolerance(tolerance)
     tol = tolerance if tolerance is not None else scenario.tolerance
     p = params.get("p", 2.0)
+    _require_p(p, scenario.checks)
     obj = scenario.build(params)
     points = scenario.sample_points(params)
     row_params = tuple(sorted((k, v) for k, v in params.items() if k != "p"))
@@ -537,7 +566,7 @@ def sweep(scenario: Scenario, param: str, lo=None, hi=None, steps=None,
         lo = d_lo if lo is None else lo
         hi = d_hi if hi is None else hi
         steps = d_steps if steps is None else steps
-    _require(isinstance(steps, int) and steps >= 2, "steps", "must be an integer >= 2")
+    _require(_is_int(steps) and steps >= 2, "steps", "must be an integer >= 2")
     values = [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
 
     reports = []
@@ -587,10 +616,18 @@ def builtin(name: str) -> Scenario:
         raise SchemaError("name", f"cannot parse builtin name {name!r}")
     base, args = m.group(1), m.group(2)
     arglist = [a.strip() for a in args.split(",")] if args else []
+
+    def arg(k, kind):
+        try:
+            return kind(arglist[k])
+        except ValueError:
+            raise SchemaError("name", f"{base} argument {arglist[k]!r} is not "
+                                      f"{'an integer' if kind is int else 'a number'}") from None
+
     if base == "inversion":
         if len(arglist) != 1:
             raise SchemaError("name", "inversion takes one argument: inversion(n)")
-        return _inversion_scenario(int(arglist[0]))
+        return _inversion_scenario(arg(0, int))
     if base == "proper_pbh_cylinder":
         if arglist:
             raise SchemaError("name", "proper_pbh_cylinder takes no arguments")
@@ -599,7 +636,7 @@ def builtin(name: str) -> Scenario:
         if len(arglist) != 2:
             raise SchemaError(
                 "name", "small_hypersphere takes two arguments: small_hypersphere(m, a)")
-        return _small_hypersphere_scenario(int(arglist[0]), float(arglist[1]))
+        return _small_hypersphere_scenario(arg(0, int), arg(1, float))
     raise SchemaError("name", f"unknown builtin {base!r}")
 
 
@@ -645,6 +682,8 @@ def _cylinder_scenario() -> Scenario:
 
 
 def _small_hypersphere_scenario(m: int, a: float) -> Scenario:
+    if m < 1:
+        raise SchemaError("name", f"small_hypersphere needs m >= 1, got {m}")
     if not 0.0 < a < 1.0:
         raise SchemaError("name", f"small_hypersphere needs a in (0, 1), got {a}")
     b = math.sqrt(1.0 - a * a)

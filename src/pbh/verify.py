@@ -21,8 +21,8 @@ from .errors import DomainError
 from .expr import Const, Coord, Expression, differentiate, eval_jet, parse
 from .geometry import euclidean_chart, sectional_curvature, space_form_chart
 from .jets import lift_point, value
-from .mapcalc import (SmoothMap, p_bitension, p_energy_box, p_tension,
-                      perturbed_map, tension, gauss_legendre_box)
+from .mapcalc import (SmoothMap, _box_sum, p_bitension, p_energy_box, p_tension,
+                      perturbed_map, tension)
 from .scenarios import builtin, run as run_scenario
 from .stress import stress_divergence_check, stress_tensor, trace_identity
 from .submanifold import (Immersion, bitension_split, circle_immersion,
@@ -398,17 +398,15 @@ def _bump_variation(box, weights):
 
 def _variation_gap(phi, box, p, weights, eps=1e-4, order=8):
     """Relative gap between central-difference dE_p/dt and the tension pairing."""
-    from .linalg import det
     v = _bump_variation(box, weights)
     e_plus = p_energy_box(perturbed_map(phi, v, eps), box, p, order=order)
     e_minus = p_energy_box(perturbed_map(phi, v, -eps), box, p, order=order)
     lhs = (e_plus - e_minus) / (2.0 * eps)
-    rhs = 0.0
-    for x, w in gauss_legendre_box(box, order):
-        mp = phi.at(lift_point(x, 1))
+
+    def pairing(mp, x):
         taup = mp.p_tension(p)
-        vx = [c.evaluate(x, {}) for c in v]
-        rhs -= w * value(mp.h_inner(taup, vx)) * math.sqrt(value(det(mp.g)))
+        return value(mp.h_inner(taup, [c.evaluate(x, {}) for c in v]))
+    rhs = -_box_sum(phi, box, order, 1, pairing)
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 

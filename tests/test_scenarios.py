@@ -374,3 +374,48 @@ class TestCli:
 
     def test_bad_set_syntax(self, capsys):
         assert cli_main(["run", "inversion(3)", "--set", "l"]) == 2
+
+
+# a scenario-file argument: the make_scenario_dict() fields updated with the mapping
+HOSTILE_INPUTS = [
+    (["run", "inversion(3)", "--p", "1.5"], 2),
+    (["run", "inversion(3)", "--set", "p=1.5"], 2),
+    (["run", "inversion(3)", "--p", "nan"], 2),
+    (["run", "inversion(3)", "--tol", "nan"], 2),
+    (["run", "inversion(3)", "--tol", "-1"], 2),
+    (["run", "inversion(3)", "--set", "l=2.3", "--p", "3", "--tol", "inf"], 2),
+    (["sweep", "proper_pbh_cylinder", "--param", "p", "--from", "1.5", "--to", "3",
+      "--steps", "3"], 2),
+    (["run", "inversion(abc)"], 2),
+    (["run", "inversion(2.5)"], 2),
+    (["run", "small_hypersphere(2, x)"], 2),
+    (["run", "small_hypersphere(0, 0.5)"], 2),
+    (["run", {"params": {"p": 1.5}}], 2),
+    (["run", {"params": {"p": {"from": 1.5, "to": 3.0, "steps": 3}}}], 2),
+    (["run", {"samples": {"box": [["a", 1.0], [0.2, 1.0]], "points_per_axis": 2}}], 2),
+    (["run", {"source": {"dim": True, "space_form": 0.0}}], 2),
+    (["run", {"target": {"dim": True, "space_form": 0.0}}], 2),
+    (["run", {"params": {"p": True}}], 2),
+    (["run", {"tolerance": float("nan")}], 2),
+    (["run", {"tolerance": float("inf")}], 2),
+    # the p >= 2 rule covers the map checks only: p* = 1/b^2 = 4/3 here
+    (["run", "small_hypersphere(2, 0.5)"], 0),
+    (["run", "inversion(3)", "--tol", "1e-7"], 0),
+    (["run", {"components": ["x1", "x2"]}], 0),
+    (["run", {"components": ["x1 + 0.1*x2^2", "x2"]}], 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", HOSTILE_INPUTS)
+def test_input_table_exit_codes(argv, code, tmp_path, capsys):
+    args = []
+    for a in argv:
+        if isinstance(a, dict):
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(make_scenario_dict(**a)))
+            a = str(path)
+        args.append(a)
+    assert cli_main(args) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
