@@ -43,12 +43,13 @@ class Expression:
 
     def _eval(self, coords, params, memo):
         # derivative trees share subtree objects; memoizing on node identity
-        # keeps evaluation linear in the number of distinct nodes
-        key = id(self)
-        v = memo.get(key)
+        # keeps evaluation linear in the number of distinct nodes. Keys are the
+        # nodes themselves (nodes hash by identity): no int per entry, and a
+        # node cannot be freed and its address reused while a memo holds it.
+        v = memo.get(self)
         if v is None:
             v = self._compute(coords, params, memo)
-            memo[key] = v
+            memo[self] = v
         return v
 
     def diff(self, i: int) -> "Expression":
@@ -756,4 +757,10 @@ class _Parser:
 
 def parse(text: str, dim: int, params=()) -> Expression:
     """Parse expression text over a chart of dimension `dim` with declared parameter names."""
-    return _Parser(text, dim, params).parse()
+    parser = _Parser(text, dim, params)
+    try:
+        return parser.parse()
+    except RecursionError:
+        # the parser recurses once per nesting level
+        pos = parser.tokens[min(parser.i, len(parser.tokens) - 1)][2]
+        raise ExprSyntaxError("expression nests too deeply", pos) from None

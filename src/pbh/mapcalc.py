@@ -135,6 +135,14 @@ class MapPoint:
             self._shared[key] = compute()
         return self._shared[key]
 
+    def forget_scratch(self):
+        """Drop the subtree values shared between evaluations and the fields
+        computed per p; cached properties stay. A later reader recomputes what
+        it needs, with the same values."""
+        self._src_memo.clear()
+        self._tgt_memo.clear()
+        self._shared.clear()
+
     # -- raw ingredients -------------------------------------------------- #
     @cached_property
     def phiX(self):

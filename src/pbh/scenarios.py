@@ -25,6 +25,16 @@ energy_quadrature   E_p and E_{2,p} over the sample box; the recorded
 floats; every check reads these two contexts. Float readers (map value, metric
 norms, signed normal residual, proper p) stay on the float context, since jet
 and float evaluation of one expression can differ in the last bit.
+
+`sweep` shares these contexts across its steps. A context is keyed on its
+point and on the values of the parameters that the component and metric
+expressions read, so a step that changes only other parameters (p, unless a
+metric reads it) reuses the points of the step before, with every
+p-independent term they cached. A step that changes a parameter the
+expressions read builds new contexts and drops the old ones. Between steps a
+context keeps its cached properties only, not the subtree values and per-p
+fields it computed on the way. The contexts belong to one `sweep` call and are
+gone when it returns; `run` builds fresh ones and holds one point's at a time.
 """
 
 from __future__ import annotations
@@ -261,18 +271,14 @@ class Scenario:
         }
 
     # -- sampling --------------------------------------------------------- #
-    def _excluded(self, x, params) -> bool:
-        m = self.source_spec["dim"]
-        declared = sorted(self.params.keys())
-        for text in self.exclude_text:
-            if parse(text, m, declared).evaluate(x, params) < 0.0:
-                return True
-        return False
-
     def sample_points(self, params=None) -> list:
         """Deterministic sample points: interior grid, then seeded uniform draws."""
         params = {**self.params, **(params or {})}
-        m = self.source_spec["dim"]
+        exclude = self._parsed()[1]
+
+        def excluded(x):
+            return any(e.evaluate(x, params) < 0.0 for e in exclude)
+
         points = []
         if self.points_per_axis:
             axes = [np.linspace(lo, hi, self.points_per_axis + 2)[1:-1]
@@ -280,7 +286,7 @@ class Scenario:
             grids = np.meshgrid(*axes, indexing="ij")
             for idx in range(grids[0].size):
                 x = tuple(float(g.flat[idx]) for g in grids)
-                if not self._excluded(x, params):
+                if not excluded(x):
                     points.append(x)
         if self.random_points:
             rng = np.random.default_rng(self.seed)
@@ -288,7 +294,7 @@ class Scenario:
             while count < self.random_points and guard < 1000 * self.random_points:
                 guard += 1
                 x = tuple(float(rng.uniform(lo, hi)) for lo, hi in self.box)
-                if not self._excluded(x, params):
+                if not excluded(x):
                     points.append(x)
                     count += 1
             if count < self.random_points:
@@ -296,8 +302,9 @@ class Scenario:
         return points
 
     # -- construction ------------------------------------------------------ #
-    def _base_object(self):
-        """Parse and assemble once; later builds only rebind parameters."""
+    def _parsed(self):
+        """(map or immersion, exclude trees): parsed and assembled once; later
+        builds only rebind parameters."""
         base = getattr(self, "_base", None)
         if base is not None:
             return base
@@ -308,21 +315,22 @@ class Scenario:
         components = [parse(t, m, declared) for t in self.component_text]
         if self.kind == "map":
             source = _chart_from_spec(self.source_spec, "source", params, declared)
-            base = SmoothMap(source, target, components, params=params, name=self.name)
+            obj = SmoothMap(source, target, components, params=params, name=self.name)
         else:
             source_metric = None
             if self.source_supplies_metric:
                 chart = _chart_from_spec(self.source_spec, "source", params, declared)
                 source_metric = chart.components
-            base = Immersion(m, target, components, params=params,
-                             source_metric=source_metric, name=self.name)
+            obj = Immersion(m, target, components, params=params,
+                            source_metric=source_metric, name=self.name)
+        base = (obj, [parse(t, m, declared) for t in self.exclude_text])
         object.__setattr__(self, "_base", base)
         return base
 
     def build(self, overrides=None):
         """Instantiate the scenario's map or immersion with bound parameters."""
         params = {**self.params, **(overrides or {})}
-        return self._base_object().with_params(**params)
+        return self._parsed()[0].with_params(**params)
 
 
 # ---------------------------------------------------------------------- #
@@ -451,7 +459,7 @@ def _run_point_check(check, jet, flt, p, tol):
         res = max(abs(signed), _norm(fmp.g, _values(tangent)))
     else:  # theorem_2_1, and cmc_proper_p at the p it solves for
         if check == "cmc_proper_p":
-            result = fip.proper_p()
+            result = fip.proper_p
             p = result.p_star
             extras = {"p_star": result.p_star, "admissible": result.admissible}
         normal, tangent = (_values(v) for v in ip.general_residuals(p))
@@ -478,6 +486,28 @@ def _point_failure(exc, strict, point=None):
 
 def run(scenario: Scenario, overrides=None, tolerance=None, strict=False) -> ResidualReport:
     """Execute every requested check at every sample point."""
+    return _run(scenario, overrides, tolerance, strict, None)
+
+
+def _params_read(phi) -> list:
+    """Sorted names of the parameters that the map's component and metric
+    expressions read; evaluation contexts depend on these and on the point only."""
+    exprs = [*phi.components, *(e for chart in (phi.source, phi.target)
+                                for row in chart.components for e in row)]
+    return sorted(set().union(*(e.params_used() for e in exprs)))
+
+
+def _run(scenario, overrides, tolerance, strict, contexts) -> ResidualReport:
+    """`run`, reusing point contexts from `contexts` if it is a dict.
+
+    The dict maps (key, x) to the (jet, float) contexts of the sample point
+    x, where key holds the values of the parameters the expressions read
+    (`_params_read`). Entries under another key are dropped first, so the
+    dict holds the points of one parameter binding at most, and each entry
+    keeps only its cached properties between calls (`forget_scratch`).
+    With contexts None, as in `run`, each point's contexts are dropped once
+    its checks are done, so one point's contexts are alive at a time.
+    """
     overrides = dict(overrides or {})
     unknown = set(overrides) - set(scenario.params)
     if unknown:
@@ -489,15 +519,22 @@ def run(scenario: Scenario, overrides=None, tolerance=None, strict=False) -> Res
     p = params.get("p", 2.0)
     _require_p(p, scenario.checks)
     obj = scenario.build(params)
+    phi = obj.map if isinstance(obj, Immersion) else obj
     points = scenario.sample_points(params)
     row_params = tuple(sorted((k, v) for k, v in params.items() if k != "p"))
     checks = [c for c in scenario.checks if c in CHECK_ORDER]
     order = max((CHECK_ORDER[c] for c in checks), default=0)
+    key = tuple((k, params[k]) for k in _params_read(phi))
+    if contexts is not None and any(k != key for k, _x in contexts):
+        contexts.clear()
 
     rows = []
     extras = {}
     for x in points if checks else ():
-        jet, flt = obj.at(lift_point(x, order)), obj.at(x)
+        ctx = contexts.get((key, x)) if contexts is not None else None
+        if ctx is None:
+            ctx = obj.at(lift_point(x, order)), obj.at(x)
+        jet, flt = ctx
         for check in checks:
             try:
                 res, ok, signed, extra = _run_point_check(check, jet, flt, p, tol)
@@ -509,8 +546,11 @@ def run(scenario: Scenario, overrides=None, tolerance=None, strict=False) -> Res
                 _point_failure(exc, strict, x)
                 rows.append(CheckRow(scenario.name, check, p, row_params, x,
                                      float("nan"), False, None, note=str(exc)))
+        if contexts is not None:
+            contexts[key, x] = ctx
+            for c in ctx:
+                (c.mp if isinstance(c, ImmersionPoint) else c).forget_scratch()
     if "energy_quadrature" in scenario.checks:
-        phi = obj.map if isinstance(obj, Immersion) else obj
         try:
             ep = p_energy_box(phi, scenario.box, p, order=QUADRATURE_ORDER)
             e2p = p_bienergy_box(phi, scenario.box, p, order=QUADRATURE_ORDER)
@@ -554,6 +594,12 @@ def sweep(scenario: Scenario, param: str, lo=None, hi=None, steps=None,
           overrides=None, tolerance=None, strict=False) -> SweepResult:
     """Run the scenario over a parameter grid; report sign crossings of signed residuals.
 
+    Each step gives the report `run` would give. The steps share one set of
+    point contexts (see `_run`): while the parameters that the component and
+    metric expressions read keep their values, each sample point is lifted
+    once and its p-independent terms are computed once, for the whole sweep.
+    The contexts live only for this call.
+
     Crossing locations come from linear interpolation of the mean signed
     normal residual between adjacent grid values; no root polishing.
     """
@@ -571,9 +617,9 @@ def sweep(scenario: Scenario, param: str, lo=None, hi=None, steps=None,
 
     reports = []
     means = {}
+    contexts = {}
     for v in values:
-        rep = run(scenario, overrides={**(overrides or {}), param: v},
-                  tolerance=tolerance, strict=strict)
+        rep = _run(scenario, {**(overrides or {}), param: v}, tolerance, strict, contexts)
         reports.append(rep)
         for check in scenario.checks:
             signed = [r.signed for r in rep.rows if r.check == check and r.signed is not None]

@@ -21,7 +21,7 @@ from . import linalg
 from .errors import DomainError, RankDeficiencyError
 from .expr import Const, Expression, parse
 from .geometry import ChartMetric, space_form_chart
-from .jets import lift_point, point_value, sqrt, value
+from .jets import lift_point, partial, point_value, sqrt, value
 from .mapcalc import SmoothMap
 
 __all__ = [
@@ -240,6 +240,7 @@ class ImmersionPoint:
                 out[al] = out[al] + gij * term[al]
         return out
 
+    @cached_property
     def proper_p(self) -> "CmcResult":
         """Solve |A|^2 = m c - m (p - 2) |H|^2 for p; a float reader (no jets needed)."""
         if self.k != 1:
@@ -259,6 +260,9 @@ class ImmersionPoint:
                          mean_curvature_norm=hnorm, shape_norm2=A2)
 
     # -- residual systems ------------------------------------------------- #
+    # p enters both systems only through scalar factors. The other terms are
+    # cached per point, so a point reused across values of p computes them
+    # once; a term that raises is not cached and raises again when read.
     def trace_B_shape_H(self):
         """trace_g B(., A_H(.)) as an ambient (normal) vector."""
         mp = self.mp
@@ -274,53 +278,60 @@ class ImmersionPoint:
 
     def grad_H_norm2(self):
         """grad^M |H|^2 as a source vector (one jet shift)."""
-        from .jets import partial
         h2 = self.mean_curvature_norm2
         return self.mp.grad_scalar([partial(h2, j) for j in range(self.m)])
 
-    def general_residuals(self, p: float):
-        """Normal and tangential residuals of the general p-biharmonic system."""
-        mp = self.mp
-        m = self.m
-        c = self.immersion.ambient_curvature
-        H = self.mean_curvature
-        h2 = self.mean_curvature_norm2
-        lap = self.laplacian_perp_H
+    @cached_property
+    def _general_terms(self):
+        """(trace_g B(., A_H(.)), trace_g A_{nabla_perp H}, grad^M |H|^2)."""
+        mp, m = self.mp, self.m
         trB = self.trace_B_shape_H()
-        normal = [-lap[al] + trB[al] - m * (c - (p - 2.0) * h2) * H[al]
-                  for al in range(self.n)]
-
         W = self.nabla_perp_H
         trA = [0.0] * m
         A_W = [self.shape_matrix(W[i]) for i in range(m)]
         for i, j, gij in mp.ginv_terms:
             for k in range(m):
                 trA[k] = trA[k] + gij * A_W[i][k][j]
-        grad = self.grad_H_norm2()
+        return trB, trA, self.grad_H_norm2()
+
+    def general_residuals(self, p: float):
+        """Normal and tangential residuals of the general p-biharmonic system."""
+        m = self.m
+        c = self.immersion.ambient_curvature
+        H = self.mean_curvature
+        h2 = self.mean_curvature_norm2
+        lap = self.laplacian_perp_H
+        trB, trA, grad = self._general_terms
+        normal = [-lap[al] + trB[al] - m * (c - (p - 2.0) * h2) * H[al]
+                  for al in range(self.n)]
         tangent = [2.0 * trA[k] + (p - 2.0 + 0.5 * m) * grad[k] for k in range(m)]
         return normal, tangent
+
+    @cached_property
+    def _hypersurface_terms(self):
+        """(|H|, |A|^2, -h(Laplacian_perp H, eta), grad |H|, A(grad |H|)) for
+        eta = H / |H| and A = A_eta; needs |H| > 0."""
+        mp, m = self.mp, self.m
+        hnorm = sqrt(self.mean_curvature_norm2)
+        eta = [Hc / hnorm for Hc in self.mean_curvature]
+        A = self.shape_matrix(eta)
+        A2 = sum(A[i][j] * A[j][i] for i in range(m) for j in range(m))
+        neg_lap_eta = -mp.h_inner(self.laplacian_perp_H, eta)
+        grad_absH = mp.grad_scalar([partial(hnorm, j) for j in range(m)])
+        A_grad = [sum(A[k][j] * grad_absH[j] for j in range(m)) for k in range(m)]
+        return hnorm, A2, neg_lap_eta, grad_absH, A_grad
 
     def hypersurface_residuals(self, p: float):
         """Scalar normal residual and tangential residual of the CMC hypersurface system."""
         if self.k != 1:
             raise DomainError("hypersurface system needs codimension 1")
-        mp = self.mp
         m = self.m
         c = self.immersion.ambient_curvature
         h2 = self.mean_curvature_norm2
         if value(h2) <= 0.0:
             raise DomainError("hypersurface system needs nowhere-zero mean curvature")
-        hnorm = sqrt(h2)
-        eta = [Hc / hnorm for Hc in self.mean_curvature]
-        A = self.shape_matrix(eta)
-        A2 = sum(A[i][j] * A[j][i] for i in range(m) for j in range(m))
-        lap = self.laplacian_perp_H
-        normal_scalar = (-mp.h_inner(lap, eta)
-                         + (A2 + m * (p - 2.0) * h2 - m * c) * hnorm)
-
-        from .jets import partial
-        grad_absH = mp.grad_scalar([partial(hnorm, j) for j in range(m)])
-        A_grad = [sum(A[k][j] * grad_absH[j] for j in range(m)) for k in range(m)]
+        hnorm, A2, neg_lap_eta, grad_absH, A_grad = self._hypersurface_terms
+        normal_scalar = neg_lap_eta + (A2 + m * (p - 2.0) * h2 - m * c) * hnorm
         tangent = [2.0 * A_grad[k] + (2.0 * (p - 2.0) + m) * hnorm * grad_absH[k]
                    for k in range(m)]
         return normal_scalar, tangent
@@ -403,7 +414,7 @@ def cmc_proper_p(imm: Immersion, x, sample_points=None, cmc_tol: float = 1e-8) -
         std = math.sqrt(sum((v - mean) ** 2 for v in norms) / len(norms))
         if std > cmc_tol:
             raise DomainError(f"mean curvature is not constant (std {std:.3e})")
-    return imm.at(tuple(x)).proper_p()
+    return imm.at(tuple(x)).proper_p
 
 
 def bitension_split(imm: Immersion, x, p: float):

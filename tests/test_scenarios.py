@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from pbh import scenarios
 from pbh.cli import main as cli_main
 from pbh.errors import SchemaError, SingularityError
 from pbh.jets import JetScalar, value
@@ -12,8 +13,8 @@ from pbh.mapcalc import MapPoint, p_bitension, p_tension
 from pbh.scenarios import (SCHEMA_VERSION, Scenario, builtin, load_scenario,
                            run, sweep)
 from pbh.stress import stress_divergence_check, trace_identity
-from pbh.submanifold import (Immersion, cmc_proper_p, theorem21_residuals,
-                             theorem23_residuals)
+from pbh.submanifold import (Immersion, ImmersionPoint, cmc_proper_p,
+                             theorem21_residuals, theorem23_residuals)
 
 
 def make_scenario_dict(**overrides):
@@ -310,6 +311,103 @@ class TestSweep:
         assert text.count("scenario,check,p") == 1
 
 
+def _count_immersion_points(monkeypatch):
+    """Counter of ImmersionPoint constructions by (float) base point."""
+    built = {}
+    init = ImmersionPoint.__init__
+
+    def counting_init(self, immersion, X):
+        x = tuple(value(c) for c in X)
+        built[x] = built.get(x, 0) + 1
+        init(self, immersion, X)
+
+    monkeypatch.setattr(ImmersionPoint, "__init__", counting_init)
+    return built
+
+
+class TestSharedSweepContexts:
+    @pytest.mark.parametrize("name, param, lo, hi, steps, overrides", [
+        ("small_hypersphere(2, 0.8)", "p", 2.0, 6.0, 9, None),  # contexts reused
+        ("proper_pbh_cylinder", "p", 2.0, 4.0, 3, None),  # p in the metric
+        ("small_hypersphere(2, 0.8)", "a", 0.5, 0.9, 3, None),
+        ("inversion(3)", "l", 1.8, 2.2, 3, {"p": 3.0}),
+        # contexts reused; p-dependent fields and the target curvature per step
+        ("curved_target", "p", 2.0, 4.0, 3, None),
+    ])
+    def test_sweep_equals_independent_runs(self, monkeypatch, name, param, lo, hi,
+                                           steps, overrides):
+        if name == "curved_target":
+            sc = Scenario.from_dict(make_scenario_dict(
+                target={"dim": 2, "space_form": 1.0},
+                components=["0.3*x1 + 0.1*x2^2", "0.2*x2 + 0.1*x1*x2"],
+                checks=["p_harmonic", "p_biharmonic", "stress_divergence",
+                        "trace_identity"]))
+        else:
+            sc = builtin(name)
+        shared = sweep(sc, param, lo, hi, steps, overrides=overrides)
+        step_run = scenarios._run
+        with monkeypatch.context() as patch:
+            # each step as a `run` call: no contexts shared
+            patch.setattr(scenarios, "_run", lambda scenario, ov, tol, strict, _contexts:
+                          step_run(scenario, ov, tol, strict, None))
+            independent = sweep(sc, param, lo, hi, steps, overrides=overrides)
+        assert shared.to_csv() == independent.to_csv()
+        assert shared.to_json() == independent.to_json()
+        assert shared.crossings == independent.crossings
+        if name.startswith("small_hypersphere") and param == "p":
+            assert shared.crossings
+
+    def test_p_sweep_builds_each_point_once(self, monkeypatch):
+        built = _count_immersion_points(monkeypatch)
+        sc = builtin("small_hypersphere(2, 0.8)")
+        sweep(sc, "p", 2.0, 6.0, 41)
+        # one jet and one float context per point, for all 41 steps
+        assert built == {x: 2 for x in sc.sample_points()}
+
+    def test_sweep_of_a_read_parameter_rebuilds_every_step(self, monkeypatch):
+        built = _count_immersion_points(monkeypatch)
+        sc = builtin("small_hypersphere(2, 0.8)")
+        sweep(sc, "a", 0.5, 0.9, 3)
+        assert built == {x: 2 * 3 for x in sc.sample_points()}
+
+    def test_contexts_do_not_outlive_a_call(self, monkeypatch):
+        built = _count_immersion_points(monkeypatch)
+        sc = builtin("small_hypersphere(2, 0.8)")
+        points = sc.sample_points()
+        for calls, call in enumerate((lambda: sweep(sc, "p", 2.0, 3.0, 3),
+                                      lambda: sweep(sc, "p", 2.0, 3.0, 3),
+                                      lambda: run(sc, overrides={"p": 2.0})), start=1):
+            call()
+            assert built == {x: 2 * calls for x in points}
+
+    def test_point_failures_repeat_at_every_step(self, tmp_path):
+        sc = Scenario.from_dict(cusp_immersion_dict())
+        result = sweep(sc, "p", 2.0, 4.0, 5)
+        failed = [[(r.point, r.note) for r in rep.rows if math.isnan(r.residual)]
+                  for rep in result.reports]
+        assert failed[0] and all(f == failed[0] for f in failed)
+        assert all(r.point[0] == 0.0 and "rank" in r.note
+                   for rep in result.reports for r in rep.rows if math.isnan(r.residual))
+        for v, rep in zip(result.values, result.reports):
+            assert rep.to_csv() == run(sc, overrides={"p": v}).to_csv()
+        path = tmp_path / "cusp.json"
+        path.write_text(json.dumps(cusp_immersion_dict()))
+        assert cli_main(["sweep", str(path), "--param", "p", "--from", "2", "--to", "4",
+                         "--steps", "3", "--strict"]) == 3
+
+    def test_sample_points_parse_nothing_after_the_first_build(self, monkeypatch):
+        sc = builtin("proper_pbh_cylinder")
+        sc.build()
+        calls = []
+        parse = scenarios.parse
+        monkeypatch.setattr(scenarios, "parse", lambda *a: calls.append(a) or parse(*a))
+        points = sc.sample_points()
+        for p in (2.0, 3.0, 4.0):
+            assert sc.sample_points({"p": p}) == points
+        sweep(sc, "p", 2.0, 4.0, 3)
+        assert calls == []
+
+
 class TestCli:
     def test_builtin_list(self, capsys):
         assert cli_main(["builtin", "list"]) == 0
@@ -403,6 +501,8 @@ HOSTILE_INPUTS = [
     (["run", "inversion(3)", "--tol", "1e-7"], 0),
     (["run", {"components": ["x1", "x2"]}], 0),
     (["run", {"components": ["x1 + 0.1*x2^2", "x2"]}], 1),
+    # deeper nesting than the recursive parser allows
+    (["run", {"components": ["(" * 2000 + "x1" + ")" * 2000, "x2"]}], 2),
 ]
 
 
