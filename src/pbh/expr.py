@@ -79,9 +79,12 @@ class Expression:
         return {n.name for n in self.walk() if isinstance(n, Param)}
 
     def walk(self):
-        yield self
-        for ch in self._children():
-            yield from ch.walk()
+        """Every node, in pre-order (a node, then each child's subtree in turn)."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node._children()))
 
     def _children(self):
         return ()
@@ -618,6 +621,9 @@ _TOKEN_RE = re.compile(r"""
 
 _FUNCS = {"sqrt": sqrt_, "exp": exp_, "log": log_, "sin": sin_, "cos": cos_, "neg": neg}
 _COORD_RE = re.compile(r"^[xy](\d+)$")
+# `_eval` and `diff` recurse per level, and second derivatives of a quotient chain
+# are 5x as tall: height 64 evaluates with 150 frames of callers below, 72 does not
+_MAX_HEIGHT = 64
 
 
 def _tokenize(text):
@@ -756,11 +762,18 @@ class _Parser:
 
 
 def parse(text: str, dim: int, params=()) -> Expression:
-    """Parse expression text over a chart of dimension `dim` with declared parameter names."""
+    """Parse expression text over a chart of dimension `dim` with declared parameter names;
+    a tree taller than `_MAX_HEIGHT` (a sum of n terms is n tall) is an ExprSyntaxError."""
     parser = _Parser(text, dim, params)
     try:
-        return parser.parse()
+        e = parser.parse()
     except RecursionError:
         # the parser recurses once per nesting level
         pos = parser.tokens[min(parser.i, len(parser.tokens) - 1)][2]
         raise ExprSyntaxError("expression nests too deeply", pos) from None
+    level = [e]
+    for _ in range(_MAX_HEIGHT):
+        level = [ch for node in level for ch in node._children()]
+    if level:
+        raise ExprSyntaxError("expression nests too deeply", 0)
+    return e

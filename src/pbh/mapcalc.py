@@ -11,15 +11,16 @@ point, not just at centers of normal coordinates.
 
 Jet budget per operation (shifts consumed internally): tension 0, p_tension 1,
 pull-back derivative of a field adds 1, p_bitension 3. A point lifted to the
-highest order of several readers serves all of them, and p-dependent fields
-are computed once per point and p. Public wrappers lift a float point to
-their own minimum order and call the same reader. A MapPoint may also hold a
-batch of points (see :mod:`pbh.jets`); the box quadrature uses that for its
-Gauss nodes.
+highest order of several readers serves all of them; p-dependent fields are
+computed once per point and p, the target curvature once per point. Public
+wrappers lift a float point to their own minimum order and call the same
+reader. A MapPoint may also hold a batch of points (see :mod:`pbh.jets`); the
+box quadrature uses that for its Gauss nodes.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, wraps
@@ -65,8 +66,13 @@ class SmoothMap:
         self._d2 = None
 
     def with_params(self, **updates) -> "SmoothMap":
-        merged = {**self.params, **updates}
-        return SmoothMap(self.source, self.target, self.components, merged, self.name)
+        """Copy with rebound parameters; trees and derivative tables are shared."""
+        phi = copy.copy(self)
+        phi.params = {**self.params, **updates}
+        if phi.params:
+            phi.source = self.source.with_params(**phi.params)
+            phi.target = self.target.with_params(**phi.params)
+        return phi
 
     def _first(self):
         if self._d1 is None:
@@ -195,6 +201,11 @@ class MapPoint:
     @cached_property
     def gammaN(self):
         return self.map.target.christoffel_at(self.phiX, memo=self._tgt_memo)
+
+    @cached_property
+    def target_curvature(self):
+        """R^N at phi(X); p-independent, so every p reads the same tensor."""
+        return self.map.target.curvature_at(self.phiX, memo=self._tgt_memo)
 
     def h_inner(self, u, v):
         h = self.h
@@ -334,7 +345,7 @@ class MapPoint:
         # curvature term: -|dphi|^{p-2} g^{ij} R^N(tau_p, dphi_i) dphi_j
         result = [0.0] * n
         if self.map.target.space_form_c != 0.0:
-            Rn = self.map.target.curvature_at(self.phiX, memo=self._tgt_memo)
+            Rn = self.target_curvature
             for i, j, gij in self.ginv_terms:
                 for d in range(n):
                     s = 0.0

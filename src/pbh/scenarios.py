@@ -303,8 +303,8 @@ class Scenario:
 
     # -- construction ------------------------------------------------------ #
     def _parsed(self):
-        """(map or immersion, exclude trees): parsed and assembled once; later
-        builds only rebind parameters."""
+        """(map or immersion, exclude trees, `_params_read` of its map): parsed
+        and assembled once; later builds only rebind parameters."""
         base = getattr(self, "_base", None)
         if base is not None:
             return base
@@ -323,7 +323,8 @@ class Scenario:
                 source_metric = chart.components
             obj = Immersion(m, target, components, params=params,
                             source_metric=source_metric, name=self.name)
-        base = (obj, [parse(t, m, declared) for t in self.exclude_text])
+        base = (obj, [parse(t, m, declared) for t in self.exclude_text],
+                _params_read(obj.map if isinstance(obj, Immersion) else obj))
         object.__setattr__(self, "_base", base)
         return base
 
@@ -524,7 +525,7 @@ def _run(scenario, overrides, tolerance, strict, contexts) -> ResidualReport:
     row_params = tuple(sorted((k, v) for k, v in params.items() if k != "p"))
     checks = [c for c in scenario.checks if c in CHECK_ORDER]
     order = max((CHECK_ORDER[c] for c in checks), default=0)
-    key = tuple((k, params[k]) for k in _params_read(phi))
+    key = tuple((k, params[k]) for k in scenario._parsed()[2])
     if contexts is not None and any(k != key for k, _x in contexts):
         contexts.clear()
 

@@ -259,6 +259,18 @@ class ImmersionPoint:
         return CmcResult(p_star=p_star, admissible=p_star >= 2.0 - 1e-9,
                          mean_curvature_norm=hnorm, shape_norm2=A2)
 
+    def bitension_split(self, p: float):
+        """Normal / tangential decomposition of the p-bitension of the inclusion
+        (3 shifts). Returns floats: (normal ambient components, tangential source
+        components t with tangential part = dphi(t))."""
+        mp, m = self.mp, self.m
+        tau2p = mp.p_bitension(p)
+        t = [value(sum(mp.ginv[i][j] * mp.h_inner(tau2p, mp.dphi_cols[j]) for j in range(m)))
+             for i in range(m)]
+        pushed = mp.push(t)
+        normal = [value(tau2p[a]) - value(pushed[a]) for a in range(self.n)]
+        return normal, t
+
     # -- residual systems ------------------------------------------------- #
     # p enters both systems only through scalar factors. The other terms are
     # cached per point, so a point reused across values of p computes them
@@ -418,18 +430,8 @@ def cmc_proper_p(imm: Immersion, x, sample_points=None, cmc_tol: float = 1e-8) -
 
 
 def bitension_split(imm: Immersion, x, p: float):
-    """Normal / tangential decomposition of the p-bitension of the inclusion.
-
-    Returns (normal ambient components, tangential source components t with
-    tangential part = dphi(t)).
-    """
-    mp = imm.map.at(lift_point(x, 3))
-    tau2p = mp.p_bitension(p)
-    t = [value(sum(mp.ginv[i][j] * mp.h_inner(tau2p, mp.dphi_cols[j]) for j in range(imm.m)))
-         for i in range(imm.m)]
-    pushed = mp.push(t)
-    normal = [value(tau2p[a]) - value(pushed[a]) for a in range(imm.n)]
-    return normal, t
+    """`ImmersionPoint.bitension_split` at a float point x."""
+    return imm.at(lift_point(x, 3)).bitension_split(p)
 
 
 # ---------------------------------------------------------------------- #

@@ -4,6 +4,12 @@ both from pytest and from `pbh verify-paper`.
 Each criterion function returns a :class:`CriterionResult`; `run_all` prints
 one pass/fail line per criterion. Tolerances are fixed here, not tunable.
 
+The point-wise criteria lift each (object, sample point) once, to the highest
+jet order their checks need, read every p and both pipelines from that context
+and hold only the current object's contexts. Loops keep their order, so every
+reported value is the one a fresh context per call gives. The cylinder's metric
+reads p, so its contexts are built per p; the p = 2 oracle lifts on its own.
+
 The bitension/residual cross-check uses the proportionality factor m^(p-1)
 between the p-bitension of an inclusion and the residual pair of the general
 system; the factor is also re-fitted empirically on every run and reported,
@@ -21,14 +27,11 @@ from .errors import DomainError
 from .expr import Const, Coord, Expression, differentiate, eval_jet, parse
 from .geometry import euclidean_chart, sectional_curvature, space_form_chart
 from .jets import lift_point, value
-from .mapcalc import (SmoothMap, _box_sum, p_bitension, p_energy_box, p_tension,
-                      perturbed_map, tension)
+from .mapcalc import SmoothMap, _box_sum, p_energy_box, p_tension, perturbed_map, tension
 from .scenarios import builtin, run as run_scenario
-from .stress import stress_divergence_check, stress_tensor, trace_identity
-from .submanifold import (Immersion, bitension_split, circle_immersion,
-                          cmc_proper_p, graph_hypersurface_immersion,
-                          small_hypersphere_immersion, theorem21_residuals,
-                          theorem23_residuals)
+from .stress import stress_divergence_at, stress_tensor, trace_identity_at
+from .submanifold import (Immersion, circle_immersion, cmc_proper_p,
+                          graph_hypersurface_immersion, small_hypersphere_immersion)
 
 P_VALUES = (2.0, 3.0, 4.0)
 
@@ -115,8 +118,13 @@ def _points(rng, box, count):
     return [tuple(float(rng.uniform(lo, hi)) for lo, hi in box) for _ in range(count)]
 
 
+def _contexts(obj, pts, order):
+    """One evaluation context per sample point, lifted to `order`."""
+    return [obj.at(lift_point(x, order)) for x in pts]
+
+
 def _norm(v):
-    return math.sqrt(sum(float(c) ** 2 for c in v))
+    return math.sqrt(sum(value(c) ** 2 for c in v))
 
 
 # ---------------------------------------------------------------------- #
@@ -240,8 +248,9 @@ def criterion_cylinder_proper_p_biharmonicity() -> CriterionResult:
     for p in P_VALUES:
         phi = cylinder_map(p)
         for x in pts:
-            worst_bi = max(worst_bi, _norm(p_bitension(phi, x, p)))
-            least_tension = min(least_tension, _norm(p_tension(phi, x, p)))
+            mp = phi.at(lift_point(x, 3))
+            worst_bi = max(worst_bi, _norm(mp.p_bitension(p)))
+            least_tension = min(least_tension, _norm(mp.p_tension(p)))
     passed = worst_bi < 1e-6 and least_tension > 1e-3
     return CriterionResult(
         "cylinder_proper_p_biharmonicity", passed,
@@ -268,15 +277,16 @@ def criterion_small_hypersphere() -> CriterionResult:
             failures.append(f"a={a}: invariant gap {max(gaps):.2e}")
         p_star = 1.0 / (b * b)
         for x in pts:
-            normal, tangent = theorem21_residuals(imm, x, p_star)
-            ns, ts = theorem23_residuals(imm, x, p_star)
-            at_star = max(_norm(normal), _norm(tangent), abs(ns), _norm(ts))
+            ip = imm.at(lift_point(x, 2))
+            normal, tangent = ip.general_residuals(p_star)
+            ns, ts = ip.hypersurface_residuals(p_star)
+            at_star = max(_norm(normal), _norm(tangent), abs(value(ns)), _norm(ts))
             if at_star > 1e-7:
                 failures.append(f"a={a}: residual {at_star:.2e} at p*")
             for dp in (-0.5, 0.5):
-                normal, tangent = theorem21_residuals(imm, x, p_star + dp)
-                ns, ts = theorem23_residuals(imm, x, p_star + dp)
-                off = max(_norm(normal), abs(ns))
+                normal, tangent = ip.general_residuals(p_star + dp)
+                ns, ts = ip.hypersurface_residuals(p_star + dp)
+                off = max(_norm(normal), abs(value(ns)))
                 if off < 1e-4:
                     failures.append(f"a={a}: off-critical residual {off:.2e}")
         if abs(a - 1.0 / math.sqrt(2.0)) < 1e-12 and abs(result.p_star - 2.0) > 1e-8:
@@ -298,16 +308,17 @@ def criterion_bitension_cross_check() -> CriterionResult:
     ratios = []
     for name, imm, box in corpus_immersions():
         m = imm.m
-        pts = _points(rng, box, 5)
+        ips = _contexts(imm, _points(rng, box, 5), 3)
         for p in P_VALUES:
             factor = m ** (p - 1.0)
-            for x in pts:
-                normal_b, tangent_b = bitension_split(imm, x, p)
-                normal_r, tangent_r = theorem21_residuals(imm, x, p)
-                for bb, rr in zip(normal_b + tangent_b, normal_r + tangent_r):
+            for ip in ips:
+                normal_b, tangent_b = ip.bitension_split(p)
+                normal_r, tangent_r = ip.general_residuals(p)
+                for bb, rr in zip(normal_b + tangent_b, map(value, normal_r + tangent_r)):
                     worst = max(worst, abs(bb - factor * rr))
                     if abs(rr) > 1e-6:
                         ratios.append(bb / rr / factor)
+        del ips, ip  # hold one object's contexts at a time
     fitted = sum(ratios) / len(ratios) if ratios else float("nan")
     passed = worst < 1e-7 and abs(fitted - 1.0) < 1e-9
     return CriterionResult(
@@ -324,15 +335,16 @@ def criterion_stress_divergence() -> CriterionResult:
     cubic_scale = 0.0
     for name, phi, box in corpus_maps():
         pts = _points(rng, box, 5)
+        fixed = None if callable(phi) else _contexts(phi, pts, 3)
         for p in P_VALUES:
-            mapp = phi(p) if callable(phi) else phi
-            for x in pts:
-                lhs, rhs, gap = stress_divergence_check(mapp, x, p)
+            for mp in _contexts(phi(p), pts, 3) if fixed is None else fixed:
+                lhs, rhs, gap = stress_divergence_at(mp, p)
                 scale = max(max(abs(v) for v in lhs), max(abs(v) for v in rhs), 1.0)
                 worst = max(worst, gap / scale)
                 checked += 1
                 if name == "cubic2" and p >= 3.0:
                     cubic_scale = max(cubic_scale, max(abs(v) for v in rhs))
+        del fixed, mp  # hold one object's contexts at a time
     passed = worst < 1e-6 and cubic_scale > 1e-2
     return CriterionResult(
         "stress_divergence_identity", passed,
@@ -346,14 +358,14 @@ def criterion_stress_trace() -> CriterionResult:
     worst, worst_pm = 0.0, 0.0
     for name, phi, box in corpus_maps():
         pts = _points(rng, box, 4)
+        fixed = None if callable(phi) else _contexts(phi, pts, 2)
         for p in P_VALUES:
-            mapp = phi(p) if callable(phi) else phi
-            m = mapp.source.dim
-            for x in pts:
-                tr, tau2, form_alg, form_div = trace_identity(mapp, x, p)
+            for mp in _contexts(phi(p), pts, 2) if fixed is None else fixed:
+                tr, tau2, form_alg, form_div = trace_identity_at(mp, p)
                 worst = max(worst, abs(tr - form_alg), abs(tr - form_div))
-                if p == float(m):
-                    worst_pm = max(worst_pm, abs(tr + (m / 2.0) * tau2))
+                if p == float(mp.m):
+                    worst_pm = max(worst_pm, abs(tr + (mp.m / 2.0) * tau2))
+        del fixed, mp  # hold one object's contexts at a time
     passed = worst < 1e-7 and worst_pm < 1e-8
     return CriterionResult(
         "stress_trace_identities", passed,

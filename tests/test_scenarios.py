@@ -503,6 +503,8 @@ HOSTILE_INPUTS = [
     (["run", {"components": ["x1 + 0.1*x2^2", "x2"]}], 1),
     # deeper nesting than the recursive parser allows
     (["run", {"components": ["(" * 2000 + "x1" + ")" * 2000, "x2"]}], 2),
+    # a tree taller than the recursive evaluation and `diff` allow
+    (["run", {"components": [" + ".join(["x1"] * 3000), "x2"]}], 2),
 ]
 
 
