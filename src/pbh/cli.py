@@ -1,12 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 all checks pass, 1 at least one check failed tolerance or no
-row was checked, 2 input/schema error, 3 singularity under --strict.
+row was checked, 2 input/schema error (including a scenario file that cannot
+be read or decoded as UTF-8, a report that cannot be written, and a number that
+is NaN or infinite), 3 singularity under --strict.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -41,8 +44,11 @@ def _load(spec: str) -> Scenario:
 def _write_report(report, out, fmt):
     text = report.to_csv() if fmt == "csv" else report.to_json()
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError("--out", f"cannot write the report: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -69,7 +75,11 @@ def _cmd_run(args) -> int:
     summary = report.summary()
     for check, entry in sorted(summary["checks"].items()):
         status = "pass" if entry["pass"] else "FAIL"
-        print(f"{scenario.name}: {check}: {status} (max residual {entry['max_residual']:.3e})")
+        rows = [r for r in report.rows if r.check == check]
+        nan_rows = sum(math.isnan(r.residual) for r in rows)
+        nan_note = f", {nan_rows} of {len(rows)} rows NaN" if nan_rows else ""
+        print(f"{scenario.name}: {check}: {status} "
+              f"(max residual {entry['max_residual']:.3e}{nan_note})")
     print(f"{scenario.name}: verdict {summary['verdict']}")
     if args.out or args.format:
         _write_report(report, args.out, args.format or "csv")
@@ -147,7 +157,7 @@ def main(argv=None) -> int:
     except SingularityError as exc:
         print(f"singularity: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (SchemaError, FileNotFoundError) as exc:
+    except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PbhError as exc:

@@ -23,17 +23,21 @@ batched point is a tuple of coordinate arrays of shape (P,); in jet mode
 (:func:`lift_point` of such a point) each scalar lives in a batched jet space
 and its coefficient array has shape (size, P): the monomial axis first, one
 column per batch entry. Base values (:func:`value`, ``JetScalar.value``) are
-then arrays of shape (P,). Batched jets support order <= 1 only: building a
-batched space of order >= 2 raises :class:`JetOrderError`, so no order >= 2
-product (the bincount kernel) ever sees a batch. Scalar and batched jets
-live in different spaces, so mixing them fails loudly instead of broadcasting.
-Domain checks fail when any entry is out of domain. For bit identity with the
-unbatched path, elementary functions and :func:`powr` compute their base values
-with the same scalar libm call per entry (``math.exp``, ``**``, ...): numpy's
-vectorized ``power``/``exp``/``log`` may differ from libm in the last bit.
-Numpy's ``+ - * /`` are exact IEEE operations and stay vectorized. Code that
-branches on base values per point (pivoting in :mod:`pbh.linalg`) raises
-:class:`pbh.errors.BatchSplit` when the entries of a batch disagree.
+then arrays of shape (P,). Batched jets reach the same orders as unbatched
+ones (<= 4). An order >= 2 product runs the unbatched bincount kernel over
+the flattened indices ``k * P + entry``, with its weights laid out term-major,
+so each entry's terms are summed in the unbatched kernel's order and every
+column equals the product of that column alone, bit for bit. Scalar and
+batched jets live in different spaces, so mixing them fails loudly instead of
+broadcasting. Domain checks fail when any entry is out of domain. For bit
+identity with the unbatched path, elementary functions and :func:`powr` compute
+their base values with the same scalar libm call per entry (``math.exp``,
+``**``, ...): numpy's vectorized ``power``/``exp``/``log`` may differ from libm
+in the last bit. Numpy's ``+ - * /`` are exact IEEE operations and stay
+vectorized. Code that branches on base values per point (pivoting in
+:mod:`pbh.linalg`, the frame in :mod:`pbh.submanifold`) decides through
+:func:`same_in_every_entry`, which raises :class:`pbh.errors.BatchSplit` when
+the entries of a batch disagree.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from itertools import product as _iterproduct
 
 import numpy as np
 
-from .errors import DomainError, JetOrderError
+from .errors import BatchSplit, DomainError, JetOrderError
 
 MAX_ORDER = 4
 
@@ -77,8 +81,6 @@ class JetSpace:
             raise ValueError("jet space needs at least one seed variable")
         if not 0 <= order <= MAX_ORDER:
             raise JetOrderError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
-        if batched and order > 1:
-            raise JetOrderError(f"batched jets support order <= 1, got order {order}")
         self.nvars = nvars
         self.order = order
         self.batched = batched
@@ -98,6 +100,7 @@ class JetSpace:
         self._mul_i = np.array(ii, dtype=np.intp)
         self._mul_j = np.array(jj, dtype=np.intp)
         self._mul_k = np.array(kk, dtype=np.intp)
+        self._batch_bins = {}
 
         # partial-derivative shift tables, one per seed variable
         self._shift_src = []
@@ -118,6 +121,16 @@ class JetSpace:
 
         self._alpha_factorials = np.array(
             [float(math.prod(math.factorial(x) for x in a)) for a in self.monomials])
+
+    def batch_bins(self, size: int) -> np.ndarray:
+        """Bincount bins of a batched product with `size` entries: term t of
+        entry e lands in bin k[t] * size + e, read from weights of shape
+        (terms, size) flattened term-major (cached per size)."""
+        bins = self._batch_bins.get(size)
+        if bins is None:
+            bins = (self._mul_k[:, None] * size + np.arange(size)).ravel()
+            self._batch_bins[size] = bins
+        return bins
 
     def constant(self, x) -> "JetScalar":
         """Constant jet of value x (in a batched space, one value per entry)."""
@@ -235,9 +248,13 @@ class JetScalar:
             prod = self.c * b0 + o.c * a0
             prod[0] = a0 * b0
             return JetScalar(sp, prod)
-        prod = np.bincount(sp._mul_k, weights=self.c[sp._mul_i] * o.c[sp._mul_j],
-                           minlength=sp.size)
-        return JetScalar(sp, prod)
+        terms = self.c[sp._mul_i] * o.c[sp._mul_j]
+        if not sp.batched:
+            return JetScalar(sp, np.bincount(sp._mul_k, weights=terms, minlength=sp.size))
+        size = terms.shape[1]
+        prod = np.bincount(sp.batch_bins(size), weights=terms.ravel(),
+                           minlength=sp.size * size)
+        return JetScalar(sp, prod.reshape(sp.size, size))
 
     __rmul__ = __mul__
 
@@ -283,6 +300,18 @@ def _compose(u: JetScalar, taylor: list) -> JetScalar:
 def any_entry(mask) -> bool:
     """A comparison result taken over every batch entry (a plain bool passes through)."""
     return bool(mask.any()) if isinstance(mask, np.ndarray) else mask
+
+
+def same_in_every_entry(mask) -> bool:
+    """A comparison result that every batch entry must share: its value when
+    all entries agree (a plain bool passes through), BatchSplit otherwise."""
+    if not isinstance(mask, np.ndarray):
+        return mask
+    if mask.all():
+        return True
+    if mask.any():
+        raise BatchSplit("batch entries disagree on a branch")
+    return False
 
 
 def _libm(f, x, *args):

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import BatchSplit, NotPositiveDefiniteError, SingularMatrixError
-from .jets import value
+from .jets import same_in_every_entry, value
 
 
 def mat_mul(A, B):
@@ -42,15 +42,7 @@ def _pivot(a, col):
 
 def _skips(f) -> bool:
     """Whether a row update by multiplier f is skipped: f is a float zero."""
-    if isinstance(f, float):
-        return f == 0.0
-    if isinstance(f, np.ndarray):
-        zero = f == 0.0
-        if zero.all():
-            return True
-        if zero.any():
-            raise BatchSplit("batch entries disagree on a zero multiplier")
-    return False
+    return isinstance(f, (float, np.ndarray)) and same_in_every_entry(f == 0.0)
 
 
 def solve(A, B):

@@ -14,8 +14,10 @@ pull-back derivative of a field adds 1, p_bitension 3. A point lifted to the
 highest order of several readers serves all of them; p-dependent fields are
 computed once per point and p, the target curvature once per point. Public
 wrappers lift a float point to their own minimum order and call the same
-reader. A MapPoint may also hold a batch of points (see :mod:`pbh.jets`); the
-box quadrature uses that for its Gauss nodes.
+reader. A MapPoint may also hold a batch of points (see :mod:`pbh.jets`), at
+any jet order; `replay_chunks` evaluates items in batched chunks and replays a
+chunk that raises item by item. The box quadrature uses it for its Gauss
+nodes, `pbh.scenarios` for its sample points.
 """
 
 from __future__ import annotations
@@ -456,13 +458,37 @@ def _volume_density(pt: MapPoint):
     return sqrt(value(det(pt.g)))
 
 
-# Gauss nodes evaluated together as one batched point
+# points (sample points, Gauss nodes) evaluated together as one batched point
 _CHUNK = 64
 
-# what a batched chunk may raise; the per-node replay then raises or not exactly
-# as a per-node loop would (numpy signals FloatingPointError where Python floats
+# what a batched chunk may raise; the per-item replay then raises or not exactly
+# as a per-item loop would (numpy signals FloatingPointError where Python floats
 # raise ZeroDivisionError, or silently overflow)
 _REPLAYED = (PbhError, ArithmeticError, ValueError, BatchSplit)
+
+
+def replay_chunks(items, batched, single):
+    """Yield one result per item, in order, evaluating _CHUNK items at a time.
+
+    batched(chunk) evaluates a chunk as one batched point, under
+    np.errstate(all="raise", under="ignore"), and returns one result per item.
+    If it raises (a point failure, a floating-point exception, a BatchSplit),
+    the chunk is replayed item by item through single(chunk, k), without a
+    batch axis, so results and exceptions are those of a per-item loop. A
+    chunk of one item goes to single directly: it is the unbatched path.
+    """
+    for start in range(0, len(items), _CHUNK):
+        chunk = items[start:start + _CHUNK]
+        results = None
+        if len(chunk) > 1:
+            try:
+                with np.errstate(all="raise", under="ignore"):
+                    results = batched(chunk)
+            except _REPLAYED:
+                pass
+        if results is None:
+            results = (single(chunk, k) for k in range(len(chunk)))
+        yield from results
 
 
 def _require_in_domain(phi, x):
@@ -482,39 +508,35 @@ def _chunk_terms(phi, chunk, jet_order, integrand):
     for x, _w in chunk:
         _require_in_domain(phi, x)
     X = tuple(np.array(axis) for axis in zip(*(x for x, _w in chunk)))
-    with np.errstate(all="raise", under="ignore"):
-        v, d = _node_terms(phi, X, jet_order, integrand)
+    v, d = _node_terms(phi, X, jet_order, integrand)
     size = len(chunk)
     return list(zip(np.broadcast_to(v, size).tolist(), np.broadcast_to(d, size).tolist()))
+
+
+def _single_node_terms(phi, x, jet_order, integrand):
+    _require_in_domain(phi, x)
+    return _node_terms(phi, x, jet_order, integrand)
 
 
 def _box_sum(phi, box, order, jet_order, integrand, factor=1.0):
     """Sum over the Gauss nodes of the box, in node order, of
     factor * w * integrand(pt, x) * sqrt(det g) at pt = phi.at(x lifted to jet_order).
 
-    Nodes are taken _CHUNK at a time, each chunk evaluated as one batched point
-    (coordinate arrays in float mode, (size, P) jets at order 1). If a chunk
-    raises (a node outside the source domain, a point failure, a floating-point
-    exception, a BatchSplit), the chunk is replayed node by node through the same code
-    without a batch axis, so the exception and its message are those of a
-    per-node loop. Terms are added one node at a time, in node order and with
-    the per-node association, so the sum is bit-identical to that loop.
+    Nodes are evaluated in batched chunks (`replay_chunks`: coordinate arrays
+    in float mode, (size, P) jets at order 1); a chunk that raises (a node
+    outside the source domain, a point failure, a floating-point exception, a
+    BatchSplit) is replayed node by node, so the exception and its message are
+    those of a per-node loop. Terms are added one node at a time, in node
+    order and with the per-node association, so the sum is bit-identical to
+    that loop.
     """
     nodes = list(gauss_legendre_box(box, order))
+    terms = replay_chunks(
+        nodes, lambda chunk: _chunk_terms(phi, chunk, jet_order, integrand),
+        lambda chunk, k: _single_node_terms(phi, chunk[k][0], jet_order, integrand))
     total = 0.0
-    for start in range(0, len(nodes), _CHUNK):
-        chunk = nodes[start:start + _CHUNK]
-        try:
-            terms = _chunk_terms(phi, chunk, jet_order, integrand)
-        except _REPLAYED:
-            terms = None
-        for k, (x, w) in enumerate(chunk):
-            if terms is None:
-                _require_in_domain(phi, x)
-                v, d = _node_terms(phi, x, jet_order, integrand)
-            else:
-                v, d = terms[k]
-            total += factor * w * v * d
+    for (_x, w), (v, d) in zip(nodes, terms):
+        total += factor * w * v * d
     return total
 
 

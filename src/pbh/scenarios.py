@@ -20,21 +20,31 @@ energy_quadrature   E_p and E_{2,p} over the sample box; the recorded
                     residual is E_{2,p} (zero exactly for p-harmonic maps)
 ==================  ========================================================
 
-`run` lifts each sample point once, to the highest jet order its checks need
-(`CHECK_ORDER`; a higher order is always valid), and also evaluates it in
-floats; every check reads these two contexts. Float readers (map value, metric
-norms, signed normal residual, proper p) stay on the float context, since jet
+`run` evaluates the sample points in chunks of up to 64. A chunk gets one
+float context per point and one jet context for all its points, a batched
+point (see :mod:`pbh.jets`) lifted to the highest jet order its checks need
+(`CHECK_ORDER`; a higher order is always valid); every check reads these
+contexts. All checks run on the batch under np.errstate(all="raise",
+under="ignore"), each check's fields are split per point, and each point's
+rows are reduced from floats alone, in point-major order. If anything in a
+chunk raises (a point failure, a floating-point exception, a
+`pbh.errors.BatchSplit` where points need different branches), the chunk is
+replayed point by point, each check at each point on its own jet context, so
+the NaN rows, their notes and the exit under `--strict` are those of a
+per-point run; a chunk of one point is that per-point run (`_run`,
+`mapcalc.replay_chunks`). Float readers (map value, metric norms, signed
+normal residual, proper p) stay on the per-point float contexts, since jet
 and float evaluation of one expression can differ in the last bit.
 
-`sweep` shares these contexts across its steps. A context is keyed on its
-point and on the values of the parameters that the component and metric
-expressions read, so a step that changes only other parameters (p, unless a
-metric reads it) reuses the points of the step before, with every
+`sweep` shares these contexts across its steps. Contexts are keyed on their
+chunk of points and on the values of the parameters that the component and
+metric expressions read, so a step that changes only other parameters (p,
+unless a metric reads it) reuses the chunks of the step before, with every
 p-independent term they cached. A step that changes a parameter the
 expressions read builds new contexts and drops the old ones. Between steps a
 context keeps its cached properties only, not the subtree values and per-p
 fields it computed on the way. The contexts belong to one `sweep` call and are
-gone when it returns; `run` builds fresh ones and holds one point's at a time.
+gone when it returns; `run` builds fresh ones and holds one chunk's at a time.
 """
 
 from __future__ import annotations
@@ -51,8 +61,8 @@ from .errors import (DomainError, NotPositiveDefiniteError, PbhError, RankDefici
 from .expr import parse
 from .geometry import ChartMetric, space_form_chart
 from .jets import lift_point, value
-from .mapcalc import SmoothMap, check_p, p_bienergy_box, p_energy_box
-from .stress import stress_divergence_at, trace_identity_at
+from .mapcalc import SmoothMap, check_p, p_bienergy_box, p_energy_box, replay_chunks
+from .stress import divergence_gap, stress_divergence_sides, trace_identity_at
 from .submanifold import Immersion, ImmersionPoint
 
 SCHEMA_VERSION = "pbh/1"
@@ -89,6 +99,11 @@ def _require_tolerance(tol):
              f"must be a positive finite number, got {tol!r}")
 
 
+def _require_finite(v, field_name):
+    _require(_is_number(v) and math.isfinite(v), field_name,
+             f"must be a finite number, got {v!r}")
+
+
 def _require_p(p, checks):
     """The map checks read the p-tension, defined for p >= 2 only (`check_p`)."""
     map_checks = sorted(set(checks) & set(MAP_CHECKS))
@@ -104,9 +119,8 @@ def _chart_from_spec(spec: dict, field_name: str, params: dict,
     _require(_is_int(dim) and dim >= 1, f"{field_name}.dim",
              "must be a positive integer")
     if "space_form" in spec:
+        _require_finite(spec["space_form"], f"{field_name}.space_form")
         c = spec["space_form"]
-        _require(_is_number(c), f"{field_name}.space_form",
-                 "must be a number")
         return space_form_chart(float(c), dim).with_params(**params)
     _require("metric" in spec, field_name, "needs either 'space_form' or 'metric'")
     rows = spec["metric"]
@@ -160,14 +174,15 @@ class Scenario:
         params, sweeps = {}, {}
         for key, val in raw_params.items():
             if _is_number(val):
+                _require_finite(val, f"params.{key}")
                 params[key] = float(val)
             elif isinstance(val, dict):
                 for f in ("from", "to", "steps"):
                     _require(f in val, f"params.{key}.{f}", "is required in a sweep range")
                 _require(_is_int(val["steps"]) and val["steps"] >= 2,
                          f"params.{key}.steps", "must be an integer >= 2")
-                _require(_is_number(val["from"]) and _is_number(val["to"]), f"params.{key}",
-                         "sweep bounds must be numbers")
+                for f in ("from", "to"):
+                    _require_finite(val[f], f"params.{key}.{f}")
                 sweeps[key] = (float(val["from"]), float(val["to"]), val["steps"])
                 params[key] = float(val["from"])
             else:
@@ -206,8 +221,8 @@ class Scenario:
         _require(isinstance(box, list) and len(box) == m
                  and all(isinstance(b, list) and len(b) == 2 for b in box),
                  "samples.box", f"must list {m} [lo, hi] pairs")
-        _require(all(_is_number(v) for b in box for v in b), "samples.box",
-                 "bounds must be numbers")
+        _require(all(_is_number(v) and math.isfinite(v) for b in box for v in b),
+                 "samples.box", "bounds must be finite numbers")
         box = [[float(b[0]), float(b[1])] for b in box]
         _require(all(b[0] < b[1] for b in box), "samples.box", "needs lo < hi per axis")
         ppa = samples.get("points_per_axis", 0)
@@ -436,41 +451,68 @@ def _values(vec):
     return [value(c) for c in vec]
 
 
-def _run_point_check(check, jet, flt, p, tol):
-    """(residual, passed, signed, extras) of one check at a point's jet and float contexts."""
-    ip, fip = (jet, flt) if isinstance(jet, ImmersionPoint) else (None, None)
-    mp, fmp = (jet.mp, flt.mp) if ip is not None else (jet, flt)
-    signed, extras = None, {}
+def _entries(v, size) -> list:
+    """The `size` per-point floats of a base value: an array holds one per
+    batch entry, a float is shared by all."""
+    return v.tolist() if isinstance(v, np.ndarray) else [v] * size
+
+
+def _split(vec, size) -> list:
+    """Per point, the base values of a vector of float-or-jet scalars."""
+    return [list(col) for col in zip(*(_entries(value(c), size) for c in vec))]
+
+
+def _check_results(check, jet, flts, p, tol) -> list:
+    """[(residual, passed, signed, extras)] of one check, one per point.
+
+    `flts` holds one float context per point, and `jet` the same points as one
+    jet context, batched when there are several. The fields computed on `jet`
+    are split per point, and each point's row is reduced from floats alone, so
+    a row does not depend on the batch its point was evaluated in.
+    """
+    size = len(flts)
+    imm = isinstance(jet, ImmersionPoint)
+    mp = jet.mp if imm else jet
+    fmps = [f.mp for f in flts] if imm else flts
+    signed, extras = [None] * size, [{}] * size
     if check == "p_harmonic":
         check_p(p)
         # at p = 2 the p-tension is the tension, a float reader
-        res = _norm(fmp.h, _values((fmp if p == 2.0 else mp).p_tension(p)))
+        vecs = ([_values(f.p_tension(p)) for f in fmps] if p == 2.0
+                else _split(mp.p_tension(p), size))
+        res = [_norm(f.h, v) for f, v in zip(fmps, vecs)]
     elif check == "p_biharmonic":
         check_p(p)
-        res = _norm(fmp.h, _values(mp.p_bitension(p)))
+        res = [_norm(f.h, v) for f, v in zip(fmps, _split(mp.p_bitension(p), size))]
     elif check == "stress_divergence":
-        lhs, rhs, gap = stress_divergence_at(mp, p)
-        res = gap / max(max(abs(v) for v in lhs), max(abs(v) for v in rhs), 1.0)
+        res = []
+        for lhs, rhs in zip(*(_split(side, size) for side in stress_divergence_sides(mp, p))):
+            scale = max(max(abs(v) for v in lhs), max(abs(v) for v in rhs), 1.0)
+            res.append(divergence_gap(lhs, rhs) / scale)
     elif check == "trace_identity":
         tr, _, form_alg, form_div = trace_identity_at(mp, p)
-        res = max(abs(tr - form_alg), abs(tr - form_div))
+        res = [max(abs(t - a), abs(t - d)) for t, a, d in
+               zip(*(_entries(v, size) for v in (tr, form_alg, form_div)))]
     elif check == "theorem_2_3":
-        scalar, tangent = ip.hypersurface_residuals(p)
-        signed = value(scalar)
-        res = max(abs(signed), _norm(fmp.g, _values(tangent)))
+        scalar, tangent = jet.hypersurface_residuals(p)
+        signed = _entries(value(scalar), size)
+        res = [max(abs(s), _norm(f.g, t))
+               for s, f, t in zip(signed, fmps, _split(tangent, size))]
     else:  # theorem_2_1, and cmc_proper_p at the p it solves for
         if check == "cmc_proper_p":
-            result = fip.proper_p
-            p = result.p_star
-            extras = {"p_star": result.p_star, "admissible": result.admissible}
-        normal, tangent = (_values(v) for v in ip.general_residuals(p))
-        res = max(_norm(fmp.h, normal), _norm(fmp.g, tangent))
+            solved = [f.proper_p for f in flts]
+            extras = [{"p_star": r.p_star, "admissible": r.admissible} for r in solved]
+            # one p per point: an array of shape (P,) at a batched point
+            p = solved[0].p_star if size == 1 else np.array([r.p_star for r in solved])
+        normal, tangent = (_split(v, size) for v in jet.general_residuals(p))
+        res = [max(_norm(f.h, n), _norm(f.g, t)) for f, n, t in zip(fmps, normal, tangent)]
         if check == "theorem_2_1":  # projection of the normal residual on H/|H|
-            h2 = value(fip.mean_curvature_norm2)
-            if h2 > 1e-18:
-                H = _values(fip.mean_curvature)
-                signed = value(fip.mp.h_inner(normal, H)) / math.sqrt(h2)
-    return res, res < tol, signed, extras
+            for e, (fip, n) in enumerate(zip(flts, normal)):
+                h2 = value(fip.mean_curvature_norm2)
+                if h2 > 1e-18:
+                    H = _values(fip.mean_curvature)
+                    signed[e] = value(fip.mp.h_inner(n, H)) / math.sqrt(h2)
+    return [(r, r < tol, s, x) for r, s, x in zip(res, signed, extras)]
 
 
 # failures that turn the row of one sample point into NaN (SingularityError under strict)
@@ -498,21 +540,49 @@ def _params_read(phi) -> list:
     return sorted(set().union(*(e.params_used() for e in exprs)))
 
 
+class _ChunkContexts:
+    """The evaluation contexts of one chunk of sample points: a float context
+    per point, one jet context for the whole chunk (batched), and for a replay
+    one jet context per point. Jet contexts are built on first use."""
+
+    def __init__(self, obj, chunk, order):
+        self.obj, self.chunk, self.order = obj, chunk, order
+        self.flts = [obj.at(x) for x in chunk]
+        self._jets = {}
+
+    def jet(self, k=None):
+        """The jet context of point k, or of the whole chunk when k is None."""
+        ctx = self._jets.get(k)
+        if ctx is None:
+            X = (self.chunk[k] if k is not None
+                 else tuple(np.array(axis) for axis in zip(*self.chunk)))
+            ctx = self._jets[k] = self.obj.at(lift_point(X, self.order))
+        return ctx
+
+    def forget_scratch(self):
+        for c in [*self.flts, *self._jets.values()]:
+            (c.mp if isinstance(c, ImmersionPoint) else c).forget_scratch()
+
+
 def _run(scenario, overrides, tolerance, strict, contexts) -> ResidualReport:
     """`run`, reusing point contexts from `contexts` if it is a dict.
 
-    The dict maps (key, x) to the (jet, float) contexts of the sample point
-    x, where key holds the values of the parameters the expressions read
-    (`_params_read`). Entries under another key are dropped first, so the
-    dict holds the points of one parameter binding at most, and each entry
-    keeps only its cached properties between calls (`forget_scratch`).
-    With contexts None, as in `run`, each point's contexts are dropped once
-    its checks are done, so one point's contexts are alive at a time.
+    Sample points are evaluated in batched chunks and replayed point by point
+    where a chunk raises (see the module docstring). The dict maps (key,
+    chunk) to the `_ChunkContexts` of a chunk of sample points, where key holds
+    the values of the parameters the expressions read (`_params_read`).
+    Entries under another key are dropped first, so the dict holds the
+    contexts of one parameter binding at most, and each keeps only its cached
+    properties between calls (`forget_scratch`). With contexts None, as in
+    `run`, a chunk's contexts are dropped when the next chunk starts, so one
+    chunk's contexts are alive at a time.
     """
     overrides = dict(overrides or {})
     unknown = set(overrides) - set(scenario.params)
     if unknown:
         raise SchemaError("params", f"override of undeclared parameters {sorted(unknown)}")
+    for k, v in overrides.items():
+        _require_finite(v, f"params.{k}")
     params = {**scenario.params, **overrides}
     if tolerance is not None:
         _require_tolerance(tolerance)
@@ -526,31 +596,51 @@ def _run(scenario, overrides, tolerance, strict, contexts) -> ResidualReport:
     checks = [c for c in scenario.checks if c in CHECK_ORDER]
     order = max((CHECK_ORDER[c] for c in checks), default=0)
     key = tuple((k, params[k]) for k in scenario._parsed()[2])
-    if contexts is not None and any(k != key for k, _x in contexts):
+    if contexts is not None and any(k != key for k, _chunk in contexts):
         contexts.clear()
+    cache = {} if contexts is None else contexts
+
+    def chunk_contexts(chunk):
+        ctx = cache.get((key, chunk))
+        if ctx is None:
+            if contexts is None:
+                cache.clear()
+            ctx = cache[key, chunk] = _ChunkContexts(obj, chunk, order)
+        return ctx
+
+    # per point, one outcome per check: a result tuple or the exception raised
+    def batched(chunk):
+        ctx = chunk_contexts(chunk)
+        results = [_check_results(check, ctx.jet(), ctx.flts, p, tol) for check in checks]
+        return list(zip(*results))
+
+    def single(chunk, k):
+        ctx = chunk_contexts(chunk)
+        out = []
+        for check in checks:
+            try:
+                out.append(_check_results(check, ctx.jet(k), ctx.flts[k:k + 1], p, tol)[0])
+            except POINT_FAILURES as exc:
+                _point_failure(exc, strict, chunk[k])
+                out.append(exc)
+        return out
 
     rows = []
     extras = {}
-    for x in points if checks else ():
-        ctx = contexts.get((key, x)) if contexts is not None else None
-        if ctx is None:
-            ctx = obj.at(lift_point(x, order)), obj.at(x)
-        jet, flt = ctx
-        for check in checks:
-            try:
-                res, ok, signed, extra = _run_point_check(check, jet, flt, p, tol)
+    outcomes_per_point = replay_chunks(tuple(points), batched, single) if checks else ()
+    for x, outcomes in zip(points, outcomes_per_point):
+        for check, outcome in zip(checks, outcomes):
+            if isinstance(outcome, Exception):
                 rows.append(CheckRow(scenario.name, check, p, row_params, x,
-                                     res, ok, signed))
-                for k, v in extra.items():
-                    extras.setdefault(check, {})[k] = v
-            except POINT_FAILURES as exc:
-                _point_failure(exc, strict, x)
-                rows.append(CheckRow(scenario.name, check, p, row_params, x,
-                                     float("nan"), False, None, note=str(exc)))
-        if contexts is not None:
-            contexts[key, x] = ctx
-            for c in ctx:
-                (c.mp if isinstance(c, ImmersionPoint) else c).forget_scratch()
+                                     float("nan"), False, None, note=str(outcome)))
+                continue
+            res, ok, signed, extra = outcome
+            rows.append(CheckRow(scenario.name, check, p, row_params, x, res, ok, signed))
+            for k, v in extra.items():
+                extras.setdefault(check, {})[k] = v
+    if contexts is not None:
+        for ctx in contexts.values():
+            ctx.forget_scratch()
     if "energy_quadrature" in scenario.checks:
         try:
             ep = p_energy_box(phi, scenario.box, p, order=QUADRATURE_ORDER)
@@ -597,8 +687,9 @@ def sweep(scenario: Scenario, param: str, lo=None, hi=None, steps=None,
 
     Each step gives the report `run` would give. The steps share one set of
     point contexts (see `_run`): while the parameters that the component and
-    metric expressions read keep their values, each sample point is lifted
-    once and its p-independent terms are computed once, for the whole sweep.
+    metric expressions read keep their values, each chunk of sample points is
+    lifted once and its p-independent terms are computed once, for the whole
+    sweep.
     The contexts live only for this call.
 
     Crossing locations come from linear interpolation of the mean signed
@@ -614,6 +705,8 @@ def sweep(scenario: Scenario, param: str, lo=None, hi=None, steps=None,
         hi = d_hi if hi is None else hi
         steps = d_steps if steps is None else steps
     _require(_is_int(steps) and steps >= 2, "steps", "must be an integer >= 2")
+    _require_finite(lo, "from")
+    _require_finite(hi, "to")
     values = [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
 
     reports = []
@@ -758,9 +851,13 @@ def _small_hypersphere_scenario(m: int, a: float) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
+    """Read and validate a scenario file (UTF-8 JSON); any failure to read or
+    decode it is a SchemaError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError("(file)", f"invalid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError("(file)", f"cannot read {path!r}: {exc}") from exc
     return Scenario.from_dict(data)

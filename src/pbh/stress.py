@@ -7,7 +7,8 @@ top of the two the tensor consumes), so a divergence check needs an order-3
 point. The `*_at` readers work on an already lifted `MapPoint`, so the tensor
 is assembled once per point and p and shared by both identities; the
 float-point wrappers lift to their own minimum order and call the same
-readers.
+readers. `trace_identity_at` and `stress_divergence_sides` also take a batched
+point (see :mod:`pbh.jets`) and then return arrays of per-entry values.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "StressTensorValue", "ThetaForm",
     "stress_tensor", "stress_trace", "trace_identity", "theta", "theta_divergence",
     "stress_divergence_check", "trace_identity_at", "stress_divergence_at",
+    "stress_divergence_sides", "divergence_gap",
 ]
 
 
@@ -102,14 +104,25 @@ def trace_identity_at(mp: MapPoint, p: float):
     return value(_trace(mp, S)), tau2, form_alg, form_div
 
 
-def stress_divergence_at(mp: MapPoint, p: float):
-    """Both sides of div S(d_k) = -h(tau_2p, dphi(d_k)) and their gap at a jet point (3 shifts)."""
+def stress_divergence_sides(mp: MapPoint, p: float):
+    """Base values of both sides of div S(d_k) = -h(tau_2p, dphi(d_k)) at a jet
+    point (3 shifts); arrays of shape (P,) at a batched point."""
     S = _stress_matrix(mp, p)[0]
     lhs = [value(s) for s in divergence_2tensor_at(mp.ginv, mp.gammaM, S)]
     tau2p = mp.p_bitension(p)
     rhs = [value(-mp.h_inner(tau2p, col)) for col in mp.dphi_cols]
-    gap = max(abs(a - b) for a, b in zip(lhs, rhs))
-    return lhs, rhs, gap
+    return lhs, rhs
+
+
+def divergence_gap(lhs, rhs) -> float:
+    """Largest componentwise gap between the two sides at one point."""
+    return max(abs(a - b) for a, b in zip(lhs, rhs))
+
+
+def stress_divergence_at(mp: MapPoint, p: float):
+    """Both sides of div S(d_k) = -h(tau_2p, dphi(d_k)) and their gap at a jet point (3 shifts)."""
+    lhs, rhs = stress_divergence_sides(mp, p)
+    return lhs, rhs, divergence_gap(lhs, rhs)
 
 
 # ---------------------------------------------------------------------- #

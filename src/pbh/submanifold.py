@@ -17,11 +17,13 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from . import linalg
 from .errors import DomainError, RankDeficiencyError
 from .expr import Const, Expression, parse
 from .geometry import ChartMetric, space_form_chart
-from .jets import lift_point, partial, point_value, sqrt, value
+from .jets import any_entry, lift_point, partial, point_value, same_in_every_entry, sqrt, value
 from .mapcalc import SmoothMap
 
 __all__ = [
@@ -150,7 +152,7 @@ class ImmersionPoint:
                 u = [ui - c * bi for ui, bi in zip(u, b)]
             n2 = mp.h_inner(u, u)
             scale = value(mp.h_inner(v, v))
-            if value(n2) <= _PIVOT_REL_TOL * max(scale, 1.0):
+            if same_in_every_entry(value(n2) <= _PIVOT_REL_TOL * np.maximum(scale, 1.0)):
                 if idx < self.m:
                     raise RankDeficiencyError(
                         f"differential drops rank at {point_value(self.mp.X)}")
@@ -340,7 +342,7 @@ class ImmersionPoint:
         m = self.m
         c = self.immersion.ambient_curvature
         h2 = self.mean_curvature_norm2
-        if value(h2) <= 0.0:
+        if any_entry(value(h2) <= 0.0):
             raise DomainError("hypersurface system needs nowhere-zero mean curvature")
         hnorm, A2, neg_lap_eta, grad_absH, A_grad = self._hypersurface_terms
         normal_scalar = neg_lap_eta + (A2 + m * (p - 2.0) * h2 - m * c) * hnorm

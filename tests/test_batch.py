@@ -1,17 +1,25 @@
-"""The batch axis: expressions and map points evaluated at many points at once
-must give exactly what one evaluation per point gives, and the chunked energy
-quadrature must equal a plain per-node loop bit for bit, failures included."""
+"""The batch axis: expressions, jets and map points evaluated at many points
+at once must give exactly what one evaluation per point gives, and the chunked
+energy quadrature and scenario runs must equal a plain per-node or per-point
+loop bit for bit, failures included."""
 
+import json
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_scenarios import cusp_immersion_dict
 
-from pbh import linalg, mapcalc
-from pbh.errors import BatchSplit, JetOrderError, PbhError, SingularityError
+from pbh import jets, linalg, mapcalc, scenarios
+from pbh.cli import main as cli_main
+from pbh.errors import BatchSplit, PbhError, SingularityError
 from pbh.expr import parse
 from pbh.geometry import ChartMetric, euclidean_chart, space_form_chart
-from pbh.jets import lift_point, point_value, space_for, sqrt, value
+from pbh.jets import JetScalar, lift_point, point_value, space_for, sqrt, value
 from pbh.mapcalc import SmoothMap, gauss_legendre_box, p_bienergy_box, p_energy_box
-from pbh.scenarios import builtin
+from pbh.scenarios import Scenario, builtin, run, sweep
 from pbh.verify import corpus_maps, random_expression_with_point
 
 FIRST_PARTIALS = [(1, 0), (0, 1)]
@@ -52,13 +60,14 @@ def test_batched_expression_equals_per_point(seed):
                     == [repr(j.coefficient(alpha)) for _pt, _f, j in good]), str(e)
 
 
-def test_batched_jets_reject_order_two_and_mixing():
-    with pytest.raises(JetOrderError):
-        lift_point(_batch([(0.5, 1.0), (0.7, 1.1)]), 2)
-    scalar = lift_point((0.5, 1.0), 1)
-    batched = lift_point(_batch([(0.5, 1.0), (0.7, 1.1)]), 1)
-    with pytest.raises(ValueError):
-        scalar[0] + batched[0]
+def test_batched_jets_reject_mixing():
+    for order in (1, 3):
+        scalar = lift_point((0.5, 1.0), order)
+        batched = lift_point(_batch([(0.5, 1.0), (0.7, 1.1)]), order)
+        with pytest.raises(ValueError):
+            scalar[0] + batched[0]
+        with pytest.raises(ValueError):
+            scalar[0] * batched[0]
 
 
 def test_batched_point_value_is_hashable():
@@ -178,3 +187,124 @@ def test_pivot_rows_that_differ_across_nodes_split_the_batch(node_calls):
         assert repr(p_energy_box(phi, box, p, order=6)) == repr(loop_energy(phi, box, p, 6))
         assert repr(p_bienergy_box(phi, box, p, order=6)) == repr(loop_bienergy(phi, box, p, 6))
     assert node_calls["single"] > 0
+
+
+# ---------------------------------------------------------------------- #
+# batched jet arithmetic of order 2..4 against one column at a time
+# ---------------------------------------------------------------------- #
+
+@st.composite
+def _batched_jets(draw, positive):
+    """(space, [batched coefficient arrays]) of two operands in a batched
+    space of order 2..4, base values in [0.1, 3] (negated at random unless
+    `positive`)."""
+    nvars, order, size = (draw(st.integers(1, 3)), draw(st.integers(2, 4)),
+                          draw(st.integers(2, 5)))
+    sp = space_for(nvars, order, batched=True)
+    operands = []
+    for _ in range(2):
+        c = draw(hnp.arrays(np.float64, (sp.size, size), elements=st.floats(-2.0, 2.0)))
+        c[0] = draw(hnp.arrays(np.float64, size, elements=st.floats(0.1, 3.0)))
+        if not positive:
+            c[0] *= draw(hnp.arrays(np.float64, size, elements=st.sampled_from([-1.0, 1.0])))
+        operands.append(c)
+    return sp, operands
+
+
+BATCHED_OPS = {
+    "multiply": (False, lambda a, b: a * b),
+    "divide": (False, lambda a, b: a / b),
+    "integer_powr": (False, lambda a, b: jets.powr(a, 3) + jets.powr(b, -2)),
+    "fractional_powr": (True, lambda a, b: jets.powr(a, 0.7) * jets.powr(b, -1.5)),
+    "exp": (False, lambda a, b: jets.exp(a)),
+    "log": (True, lambda a, b: jets.log(a)),
+    "sin": (False, lambda a, b: jets.sin(a)),
+    "cos": (False, lambda a, b: jets.cos(b)),
+    "sqrt": (True, lambda a, b: jets.sqrt(a)),
+    "partial": (False, lambda a, b: (a * b).partial(a.space.nvars - 1)),
+}
+
+
+@pytest.mark.parametrize("name", BATCHED_OPS)
+def test_batched_op_equals_each_column(name):
+    positive, op = BATCHED_OPS[name]
+
+    @settings(derandomize=True, database=None, max_examples=15, deadline=None)
+    @given(_batched_jets(positive))
+    def check(case):
+        sp, (a, b) = case
+        scalar_sp = space_for(sp.nvars, sp.order)
+        batched = op(JetScalar(sp, a), JetScalar(sp, b)).c
+        for e in range(a.shape[1]):
+            column = op(JetScalar(scalar_sp, a[:, e].copy()), JetScalar(scalar_sp, b[:, e].copy()))
+            assert repr(batched[:, e].tolist()) == repr(column.c.tolist())
+
+    check()
+
+
+# ---------------------------------------------------------------------- #
+# sample points evaluated in chunks against one point at a time
+# ---------------------------------------------------------------------- #
+
+@pytest.fixture
+def check_sizes(monkeypatch):
+    """The number of points of every check evaluation in a scenario run."""
+    sizes = []
+    inner = scenarios._check_results
+
+    def counting(check, jet, flts, p, tol):
+        sizes.append(len(flts))
+        return inner(check, jet, flts, p, tol)
+
+    monkeypatch.setattr(scenarios, "_check_results", counting)
+    return sizes
+
+
+def _one_point_chunks(monkeypatch, fn):
+    with monkeypatch.context() as patch:
+        patch.setattr(mapcalc, "_CHUNK", 1)
+        return fn()
+
+
+@pytest.mark.parametrize("name, p", [
+    ("proper_pbh_cylinder", 2.0), ("proper_pbh_cylinder", 3.0), ("proper_pbh_cylinder", 4.0),
+    ("small_hypersphere(2, 0.8)", 3.0), ("small_hypersphere(2, 0.8)", 2.5),
+    ("inversion(3)", 2.0), ("inversion(3)", 3.0)])
+def test_reports_equal_one_point_chunks(name, p, monkeypatch, check_sizes):
+    sc = builtin(name)
+    npoints = len(sc.sample_points())
+    checks = len([c for c in sc.checks if c != "energy_quadrature"])
+    rep = run(sc, overrides={"p": p})
+    assert check_sizes == [npoints] * checks  # one chunk, no replay
+    check_sizes.clear()
+    single = _one_point_chunks(monkeypatch, lambda: run(sc, overrides={"p": p}))
+    assert check_sizes == [1] * (npoints * checks)
+    assert rep.to_csv() == single.to_csv()
+    assert rep.to_json() == single.to_json()
+
+
+def test_failure_mid_chunk_replays_each_point(monkeypatch, check_sizes, tmp_path, capsys):
+    # the cusp drops rank on x1 = 0: points 3, 4 and 5 of the 9-point chunk
+    data = cusp_immersion_dict(checks=["theorem_2_1", "theorem_2_3", "cmc_proper_p"])
+    sc = Scenario.from_dict(data)
+    points = sc.sample_points()
+    assert [k for k, x in enumerate(points) if x[0] == 0.0] == [3, 4, 5]
+    rep = run(sc)
+    # the batch raised on its first check, then each check ran at each point
+    assert check_sizes == [len(points)] + [1] * (3 * len(points))
+    swept = sweep(sc, "p", 2.0, 4.0, 3)
+    path = tmp_path / "cusp.json"
+    path.write_text(json.dumps(data))
+    argv = ["run", str(path), "--strict"]
+    strict = cli_main(argv), capsys.readouterr().err
+
+    def per_point():
+        return (run(sc), sweep(sc, "p", 2.0, 4.0, 3), (cli_main(argv), capsys.readouterr().err))
+
+    ref_rep, ref_swept, ref_strict = _one_point_chunks(monkeypatch, per_point)
+    assert any(r.note and "rank" in r.note for r in rep.rows)
+    assert [(r.check, r.point, repr(r.residual), r.signed, r.note) for r in rep.rows] == [
+        (r.check, r.point, repr(r.residual), r.signed, r.note) for r in ref_rep.rows]
+    assert rep.to_json() == ref_rep.to_json() and rep.extras == ref_rep.extras
+    assert swept.to_json() == ref_swept.to_json() and swept.crossings == ref_swept.crossings
+    assert strict == ref_strict and strict[0] == 3

@@ -8,13 +8,19 @@ import pytest
 from pbh import scenarios
 from pbh.cli import main as cli_main
 from pbh.errors import SchemaError, SingularityError
-from pbh.jets import JetScalar, value
+from pbh.jets import JetScalar, point_value, value
 from pbh.mapcalc import MapPoint, p_bitension, p_tension
 from pbh.scenarios import (SCHEMA_VERSION, Scenario, builtin, load_scenario,
                            run, sweep)
 from pbh.stress import stress_divergence_check, trace_identity
 from pbh.submanifold import (Immersion, ImmersionPoint, cmc_proper_p,
                              theorem21_residuals, theorem23_residuals)
+
+
+def entry_points(X):
+    """The base points a float-or-jet point holds: one per batch entry."""
+    x = point_value(X)
+    return list(zip(*x)) if isinstance(x[0], tuple) else [x]
 
 
 def make_scenario_dict(**overrides):
@@ -275,7 +281,7 @@ class TestEvaluationContexts:
 
         def counting_init(self, smooth_map, X):
             if isinstance(X[0], JetScalar):
-                lifted.append(tuple(value(c) for c in X))
+                lifted.extend(entry_points(X))
             init(self, smooth_map, X)
 
         monkeypatch.setattr(MapPoint, "__init__", counting_init)
@@ -312,13 +318,14 @@ class TestSweep:
 
 
 def _count_immersion_points(monkeypatch):
-    """Counter of ImmersionPoint constructions by (float) base point."""
+    """Counter of ImmersionPoint constructions by (float) base point; a
+    batched construction counts once for each point it holds."""
     built = {}
     init = ImmersionPoint.__init__
 
     def counting_init(self, immersion, X):
-        x = tuple(value(c) for c in X)
-        built[x] = built.get(x, 0) + 1
+        for x in entry_points(X):
+            built[x] = built.get(x, 0) + 1
         init(self, immersion, X)
 
     monkeypatch.setattr(ImmersionPoint, "__init__", counting_init)
@@ -470,11 +477,27 @@ class TestCli:
                          "--to", "2.2", "--steps", steps]) == 2
         assert "steps" in capsys.readouterr().err
 
+    def test_summary_line_counts_nan_rows(self, tmp_path, capsys):
+        path = tmp_path / "cusp.json"
+        path.write_text(json.dumps(cusp_immersion_dict()))
+        assert cli_main(["run", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "cusp: theorem_2_1: FAIL (max residual " in out
+        assert out.split("\n")[0].endswith(", 3 of 9 rows NaN)")
+        assert cli_main(["run", "inversion(3)", "--set", "l=2", "--p", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "NaN" not in out
+        assert "inversion(3): p_harmonic: pass (max residual " in out
+
     def test_bad_set_syntax(self, capsys):
         assert cli_main(["run", "inversion(3)", "--set", "l"]) == 2
 
 
-# a scenario-file argument: the make_scenario_dict() fields updated with the mapping
+# a directory argument
+TMP_DIR = "<tmp dir>"
+
+# a scenario-file argument: the make_scenario_dict() fields updated with the
+# mapping; bytes: a file holding those bytes; TMP_DIR: a directory
 HOSTILE_INPUTS = [
     (["run", "inversion(3)", "--p", "1.5"], 2),
     (["run", "inversion(3)", "--set", "p=1.5"], 2),
@@ -505,6 +528,30 @@ HOSTILE_INPUTS = [
     (["run", {"components": ["(" * 2000 + "x1" + ")" * 2000, "x2"]}], 2),
     # a tree taller than the recursive evaluation and `diff` allow
     (["run", {"components": [" + ".join(["x1"] * 3000), "x2"]}], 2),
+    (["run", TMP_DIR], 2),
+    (["run", "inversion(3)", "--out", TMP_DIR], 2),
+    (["run", b"\xff\xfe{}"], 2),
+    (["run", "small_hypersphere(2,0.8)", "--p", "nan"], 2),
+    (["run", "small_hypersphere(2,0.8)", "--set", "a=nan"], 2),
+    (["run", "small_hypersphere(2,0.8)", "--set", "b=-inf"], 2),
+    (["run", "proper_pbh_cylinder", "--p", "inf"], 2),
+    (["sweep", "small_hypersphere(2,0.8)", "--param", "p", "--from", "nan", "--to", "4",
+      "--steps", "3"], 2),
+    (["sweep", "small_hypersphere(2,0.8)", "--param", "p", "--from", "2", "--to", "inf",
+      "--steps", "3"], 2),
+    # finite bounds whose difference overflows give non-finite steps
+    (["sweep", "small_hypersphere(2,0.8)", "--param", "p", "--from=-1e308", "--to=1e308",
+      "--steps", "3"], 2),
+    (["run", {"params": {"p": float("nan")}}], 2),
+    (["run", {"params": {"p": float("inf")}}], 2),
+    (["run", {"params": {"p": 2.0, "c": float("-inf")}}], 2),
+    (["run", {"params": {"p": {"from": 2.0, "to": float("inf"), "steps": 3}}}], 2),
+    (["run", {"params": {"p": {"from": float("nan"), "to": 3.0, "steps": 3}}}], 2),
+    (["run", {"samples": {"box": [[float("-inf"), 1.0], [0.2, 1.0]], "points_per_axis": 2}}],
+     2),
+    (["run", {"samples": {"box": [[0.2, 1.0], [0.2, float("inf")]], "points_per_axis": 2}}],
+     2),
+    (["run", {"target": {"dim": 2, "space_form": float("nan")}}], 2),
 ]
 
 
@@ -516,6 +563,12 @@ def test_input_table_exit_codes(argv, code, tmp_path, capsys):
             path = tmp_path / "scenario.json"
             path.write_text(json.dumps(make_scenario_dict(**a)))
             a = str(path)
+        elif isinstance(a, bytes):
+            path = tmp_path / "scenario.json"
+            path.write_bytes(a)
+            a = str(path)
+        elif a == TMP_DIR:
+            a = str(tmp_path)
         args.append(a)
     assert cli_main(args) == code
     err = capsys.readouterr().err
