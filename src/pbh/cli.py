@@ -3,7 +3,8 @@
 Exit codes: 0 all checks pass, 1 at least one check failed tolerance or no
 row was checked, 2 input/schema error (including a scenario file that cannot
 be read or decoded as UTF-8, a report that cannot be written, and a number that
-is NaN or infinite), 3 singularity under --strict.
+is NaN or infinite), 3 singularity under --strict. An --out path that is a
+directory or lies in a missing directory is rejected before anything runs.
 """
 
 from __future__ import annotations
@@ -41,6 +42,18 @@ def _load(spec: str) -> Scenario:
     return builtin(spec)
 
 
+def _check_out(out):
+    """Reject an --out path that cannot take a report, before anything runs: a
+    directory, or a path in a directory that does not exist. Creates nothing."""
+    if not out:
+        return
+    if os.path.isdir(out):
+        raise SchemaError("--out", f"{out!r} is a directory")
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise SchemaError("--out", f"{parent!r} is not an existing directory")
+
+
 def _write_report(report, out, fmt):
     text = report.to_csv() if fmt == "csv" else report.to_json()
     if out:
@@ -66,6 +79,7 @@ def _warn_if_unchecked(scenario, reports):
 
 
 def _cmd_run(args) -> int:
+    _check_out(args.out)
     scenario = _load(args.scenario)
     overrides = _parse_set(args.set)
     if args.p is not None:
@@ -87,6 +101,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_out(args.out)
     scenario = _load(args.scenario)
     overrides = _parse_set(args.set)
     result = sweep(scenario, args.param, args.from_, args.to, args.steps,

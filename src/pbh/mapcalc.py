@@ -17,7 +17,8 @@ wrappers lift a float point to their own minimum order and call the same
 reader. A MapPoint may also hold a batch of points (see :mod:`pbh.jets`), at
 any jet order; `replay_chunks` evaluates items in batched chunks and replays a
 chunk that raises item by item. The box quadrature uses it for its Gauss
-nodes, `pbh.scenarios` for its sample points.
+nodes, `pbh.scenarios` and the acceptance criteria of `pbh.verify` for their
+sample points.
 """
 
 from __future__ import annotations
@@ -467,15 +468,32 @@ _CHUNK = 64
 _REPLAYED = (PbhError, ArithmeticError, ValueError, BatchSplit)
 
 
+def _stack(points):
+    """The batched point of a list of float points: one array per coordinate."""
+    return tuple(np.array(axis) for axis in zip(*points))
+
+
+def _entries(v, size) -> list:
+    """The `size` per-point floats of a base value: an array holds one per
+    batch entry, a float is shared by all."""
+    return v.tolist() if isinstance(v, np.ndarray) else [v] * size
+
+
+def _split(vec, size) -> list:
+    """Per point, the base values of a vector of float-or-jet scalars."""
+    return [list(col) for col in zip(*(_entries(value(c), size) for c in vec))]
+
+
 def replay_chunks(items, batched, single):
     """Yield one result per item, in order, evaluating _CHUNK items at a time.
 
     batched(chunk) evaluates a chunk as one batched point, under
     np.errstate(all="raise", under="ignore"), and returns one result per item.
-    If it raises (a point failure, a floating-point exception, a BatchSplit),
-    the chunk is replayed item by item through single(chunk, k), without a
-    batch axis, so results and exceptions are those of a per-item loop. A
-    chunk of one item goes to single directly: it is the unbatched path.
+    If it raises (a point failure, a floating-point exception, a BatchSplit)
+    or returns None, the chunk is replayed item by item through
+    single(chunk, k), without a batch axis, so results and exceptions are
+    those of a per-item loop. A chunk of one item goes to single directly: it
+    is the unbatched path.
     """
     for start in range(0, len(items), _CHUNK):
         chunk = items[start:start + _CHUNK]
@@ -507,8 +525,7 @@ def _chunk_terms(phi, chunk, jet_order, integrand):
     """[(integrand, density)] per node of a chunk, from one batched evaluation."""
     for x, _w in chunk:
         _require_in_domain(phi, x)
-    X = tuple(np.array(axis) for axis in zip(*(x for x, _w in chunk)))
-    v, d = _node_terms(phi, X, jet_order, integrand)
+    v, d = _node_terms(phi, _stack([x for x, _w in chunk]), jet_order, integrand)
     size = len(chunk)
     return list(zip(np.broadcast_to(v, size).tolist(), np.broadcast_to(d, size).tolist()))
 

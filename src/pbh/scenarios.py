@@ -43,8 +43,11 @@ unless a metric reads it) reuses the chunks of the step before, with every
 p-independent term they cached. A step that changes a parameter the
 expressions read builds new contexts and drops the old ones. Between steps a
 context keeps its cached properties only, not the subtree values and per-p
-fields it computed on the way. The contexts belong to one `sweep` call and are
-gone when it returns; `run` builds fresh ones and holds one chunk's at a time.
+fields it computed on the way. A chunk whose batched evaluation raised at one
+step is replayed point by point at every later step without a new batched
+attempt; the replay gives the rows the batch would. The contexts belong to one
+`sweep` call and are gone when it returns; `run` builds fresh ones and holds
+one chunk's at a time.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ from .errors import (DomainError, NotPositiveDefiniteError, PbhError, RankDefici
 from .expr import parse
 from .geometry import ChartMetric, space_form_chart
 from .jets import lift_point, value
-from .mapcalc import SmoothMap, check_p, p_bienergy_box, p_energy_box, replay_chunks
+from .mapcalc import (SmoothMap, _entries, _split, _stack, check_p, p_bienergy_box,
+                      p_energy_box, replay_chunks)
 from .stress import divergence_gap, stress_divergence_sides, trace_identity_at
 from .submanifold import Immersion, ImmersionPoint
 
@@ -451,17 +455,6 @@ def _values(vec):
     return [value(c) for c in vec]
 
 
-def _entries(v, size) -> list:
-    """The `size` per-point floats of a base value: an array holds one per
-    batch entry, a float is shared by all."""
-    return v.tolist() if isinstance(v, np.ndarray) else [v] * size
-
-
-def _split(vec, size) -> list:
-    """Per point, the base values of a vector of float-or-jet scalars."""
-    return [list(col) for col in zip(*(_entries(value(c), size) for c in vec))]
-
-
 def _check_results(check, jet, flts, p, tol) -> list:
     """[(residual, passed, signed, extras)] of one check, one per point.
 
@@ -543,19 +536,20 @@ def _params_read(phi) -> list:
 class _ChunkContexts:
     """The evaluation contexts of one chunk of sample points: a float context
     per point, one jet context for the whole chunk (batched), and for a replay
-    one jet context per point. Jet contexts are built on first use."""
+    one jet context per point. Jet contexts are built on first use. `replayed`
+    is set once the chunk's batched evaluation has raised."""
 
     def __init__(self, obj, chunk, order):
         self.obj, self.chunk, self.order = obj, chunk, order
         self.flts = [obj.at(x) for x in chunk]
         self._jets = {}
+        self.replayed = False
 
     def jet(self, k=None):
         """The jet context of point k, or of the whole chunk when k is None."""
         ctx = self._jets.get(k)
         if ctx is None:
-            X = (self.chunk[k] if k is not None
-                 else tuple(np.array(axis) for axis in zip(*self.chunk)))
+            X = self.chunk[k] if k is not None else _stack(self.chunk)
             ctx = self._jets[k] = self.obj.at(lift_point(X, self.order))
         return ctx
 
@@ -611,7 +605,11 @@ def _run(scenario, overrides, tolerance, strict, contexts) -> ResidualReport:
     # per point, one outcome per check: a result tuple or the exception raised
     def batched(chunk):
         ctx = chunk_contexts(chunk)
+        if ctx.replayed:  # it raised at an earlier sweep step; the replay gives the same rows
+            return None
+        ctx.replayed = True  # stays set if the batch raises
         results = [_check_results(check, ctx.jet(), ctx.flts, p, tol) for check in checks]
+        ctx.replayed = False
         return list(zip(*results))
 
     def single(chunk, k):

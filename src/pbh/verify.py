@@ -4,11 +4,17 @@ both from pytest and from `pbh verify-paper`.
 Each criterion function returns a :class:`CriterionResult`; `run_all` prints
 one pass/fail line per criterion. Tolerances are fixed here, not tunable.
 
-The point-wise criteria lift each (object, sample point) once, to the highest
-jet order their checks need, read every p and both pipelines from that context
-and hold only the current object's contexts. Loops keep their order, so every
-reported value is the one a fresh context per call gives. The cylinder's metric
-reads p, so its contexts are built per p; the p = 2 oracle lifts on its own.
+The point-wise criteria evaluate the sample points of one map or immersion as
+one batched point (see :mod:`pbh.jets`), lifted to the jet order their checks
+need, and read every p and both pipelines from it (`_point_floats`). A batch
+that raises is replayed point by point (`mapcalc.replay_chunks`). The fields
+are split into per-point floats, and the criteria fold these in the order of a
+loop over p, point and component, so every reported value is the one a fresh
+context per point and call gives. Only one object's batch is alive at a time.
+The cylinder's metric reads p, so it gets a batch per p; the inversion maps are
+read at float points at p = 2, as `p_tension` does. The p = 2 reductions
+compare the public float-point wrappers with an independent p = 2 coding, one
+point at a time.
 
 The bitension/residual cross-check uses the proportionality factor m^(p-1)
 between the p-bitension of an inclusion and the residual pair of the general
@@ -27,9 +33,10 @@ from .errors import DomainError
 from .expr import Const, Coord, Expression, differentiate, eval_jet, parse
 from .geometry import euclidean_chart, sectional_curvature, space_form_chart
 from .jets import lift_point, value
-from .mapcalc import SmoothMap, _box_sum, p_energy_box, p_tension, perturbed_map, tension
+from .mapcalc import (SmoothMap, _box_sum, _entries, _split, _stack, p_energy_box, p_tension,
+                      perturbed_map, replay_chunks, tension)
 from .scenarios import builtin, run as run_scenario
-from .stress import stress_divergence_at, stress_tensor, trace_identity_at
+from .stress import divergence_gap, stress_divergence_sides, stress_tensor, trace_identity_at
 from .submanifold import (Immersion, circle_immersion, cmc_proper_p,
                           graph_hypersurface_immersion, small_hypersphere_immersion)
 
@@ -118,13 +125,30 @@ def _points(rng, box, count):
     return [tuple(float(rng.uniform(lo, hi)) for lo, hi in box) for _ in range(count)]
 
 
-def _contexts(obj, pts, order):
-    """One evaluation context per sample point, lifted to `order`."""
-    return [obj.at(lift_point(x, order)) for x in pts]
+def _point_floats(obj, pts, order, read, ps=P_VALUES):
+    """[[read(ctx, p, size)[k] for each point k] for p in ps]: the per-point
+    floats that read splits from a context of `size` points of obj.
+
+    The points are evaluated as one batched point lifted to `order` (0: float
+    points) and replayed one point at a time if that raises
+    (`mapcalc.replay_chunks`). An obj that is a factory obj(p), a map whose
+    metric reads p, gets a batch per p.
+    """
+    if callable(obj):
+        return [_point_floats(obj(p), pts, order, read, (p,))[0] for p in ps]
+
+    def floats(X, size):
+        ctx = obj.at(lift_point(X, order) if order else X)
+        return list(zip(*(read(ctx, p, size) for p in ps)))
+
+    per_point = replay_chunks(tuple(pts), lambda chunk: floats(_stack(chunk), len(chunk)),
+                              lambda chunk, k: floats(chunk[k], 1)[0])
+    return [list(col) for col in zip(*per_point)]
 
 
 def _norm(v):
-    return math.sqrt(sum(value(c) ** 2 for c in v))
+    """Euclidean norm of a list of floats."""
+    return math.sqrt(sum(c ** 2 for c in v))
 
 
 # ---------------------------------------------------------------------- #
@@ -223,16 +247,20 @@ def criterion_inversion_p_harmonicity() -> CriterionResult:
     n = 3
     rng = np.random.default_rng(101)
     pts = _points(rng, [(0.5, 2.0)] * n, 10)
+
+    def norms(mp, p, size):
+        return [_norm(v) for v in _split(mp.p_tension(p), size)]
+
+    def residual(phi, p):
+        # at p = 2 the p-tension is the tension, a float reader (`p_tension`)
+        return max(_point_floats(phi, pts, 0 if p == 2.0 else 1, norms, (p,))[0])
+
     worst_crit, worst_off = 0.0, math.inf
     for p in P_VALUES:
         l_crit = (n + p - 2.0) / (p - 1.0)
-        phi = inversion_map(n, l_crit)
-        res = max(_norm(p_tension(phi, x, p)) for x in pts)
-        worst_crit = max(worst_crit, res)
+        worst_crit = max(worst_crit, residual(inversion_map(n, l_crit), p))
         for dl in (-0.2, 0.2):
-            off = inversion_map(n, l_crit + dl)
-            res_off = max(_norm(p_tension(off, x, p)) for x in pts)
-            worst_off = min(worst_off, res_off)
+            worst_off = min(worst_off, residual(inversion_map(n, l_crit + dl), p))
     passed = worst_crit < 1e-7 and worst_off > 1e-4
     return CriterionResult(
         "inversion_p_harmonicity", passed,
@@ -244,13 +272,16 @@ def criterion_cylinder_proper_p_biharmonicity() -> CriterionResult:
     """The conformal cylinder projection has vanishing p-bitension but nonzero p-tension."""
     rng = np.random.default_rng(102)
     pts = _points(rng, [(0.5, 2.0)] * 3, 10)
+
+    def norms(mp, p, size):
+        return list(zip(*([_norm(v) for v in _split(field, size)]
+                          for field in (mp.p_bitension(p), mp.p_tension(p)))))
+
     worst_bi, least_tension = 0.0, math.inf
-    for p in P_VALUES:
-        phi = cylinder_map(p)
-        for x in pts:
-            mp = phi.at(lift_point(x, 3))
-            worst_bi = max(worst_bi, _norm(mp.p_bitension(p)))
-            least_tension = min(least_tension, _norm(mp.p_tension(p)))
+    for per_point in _point_floats(cylinder_map, pts, 3, norms):
+        for bi, tension_norm in per_point:
+            worst_bi = max(worst_bi, bi)
+            least_tension = min(least_tension, tension_norm)
     passed = worst_bi < 1e-6 and least_tension > 1e-3
     return CriterionResult(
         "cylinder_proper_p_biharmonicity", passed,
@@ -261,6 +292,14 @@ def criterion_small_hypersphere() -> CriterionResult:
     """Latitude spheres: extrinsic invariants and the proper-p characterization."""
     rng = np.random.default_rng(103)
     m = 2
+
+    def norms(ip, p, size):
+        """Per point, the norms of both residual pairs of the two systems."""
+        normal, tangent = (_split(v, size) for v in ip.general_residuals(p))
+        ns, ts = ip.hypersurface_residuals(p)
+        return [(_norm(n), _norm(t), abs(s), _norm(st)) for n, t, s, st
+                in zip(normal, tangent, _entries(value(ns), size), _split(ts, size))]
+
     failures = []
     worst = 0.0
     for a in (0.6, 1.0 / math.sqrt(2.0), 0.8):
@@ -276,17 +315,15 @@ def criterion_small_hypersphere() -> CriterionResult:
         if max(gaps) > 1e-8:
             failures.append(f"a={a}: invariant gap {max(gaps):.2e}")
         p_star = 1.0 / (b * b)
-        for x in pts:
-            ip = imm.at(lift_point(x, 2))
-            normal, tangent = ip.general_residuals(p_star)
-            ns, ts = ip.hypersurface_residuals(p_star)
-            at_star = max(_norm(normal), _norm(tangent), abs(value(ns)), _norm(ts))
-            if at_star > 1e-7:
-                failures.append(f"a={a}: residual {at_star:.2e} at p*")
-            for dp in (-0.5, 0.5):
-                normal, tangent = ip.general_residuals(p_star + dp)
-                ns, ts = ip.hypersurface_residuals(p_star + dp)
-                off = max(_norm(normal), abs(value(ns)))
+        at_star, *off_star = _point_floats(imm, pts, 2, norms,
+                                           (p_star, *(p_star + dp for dp in (-0.5, 0.5))))
+        for k, (n_normal, n_tangent, n_scalar, n_ts) in enumerate(at_star):
+            residual = max(n_normal, n_tangent, n_scalar, n_ts)
+            if residual > 1e-7:
+                failures.append(f"a={a}: residual {residual:.2e} at p*")
+            for per_point in off_star:
+                n_normal, _, n_scalar, _ = per_point[k]
+                off = max(n_normal, n_scalar)
                 if off < 1e-4:
                     failures.append(f"a={a}: off-critical residual {off:.2e}")
         if abs(a - 1.0 / math.sqrt(2.0)) < 1e-12 and abs(result.p_star - 2.0) > 1e-8:
@@ -304,21 +341,23 @@ def criterion_bitension_cross_check() -> CriterionResult:
     The factor is also fitted empirically from the data and reported.
     """
     rng = np.random.default_rng(104)
+
+    def pairs(ip, p, size):
+        normal_b, tangent_b = ip.bitension_split(p)
+        normal_r, tangent_r = ip.general_residuals(p)
+        return list(zip(_split(normal_b + tangent_b, size), _split(normal_r + tangent_r, size)))
+
     worst = 0.0
     ratios = []
     for name, imm, box in corpus_immersions():
-        m = imm.m
-        ips = _contexts(imm, _points(rng, box, 5), 3)
-        for p in P_VALUES:
-            factor = m ** (p - 1.0)
-            for ip in ips:
-                normal_b, tangent_b = ip.bitension_split(p)
-                normal_r, tangent_r = ip.general_residuals(p)
-                for bb, rr in zip(normal_b + tangent_b, map(value, normal_r + tangent_r)):
+        per_p = _point_floats(imm, _points(rng, box, 5), 3, pairs)
+        for p, per_point in zip(P_VALUES, per_p):
+            factor = imm.m ** (p - 1.0)
+            for bitension, residual in per_point:
+                for bb, rr in zip(bitension, residual):
                     worst = max(worst, abs(bb - factor * rr))
                     if abs(rr) > 1e-6:
                         ratios.append(bb / rr / factor)
-        del ips, ip  # hold one object's contexts at a time
     fitted = sum(ratios) / len(ratios) if ratios else float("nan")
     passed = worst < 1e-7 and abs(fitted - 1.0) < 1e-9
     return CriterionResult(
@@ -330,21 +369,22 @@ def criterion_bitension_cross_check() -> CriterionResult:
 def criterion_stress_divergence() -> CriterionResult:
     """div S_{2,p}(d_k) = -h(tau_2p, dphi(d_k)) across the map corpus."""
     rng = np.random.default_rng(105)
+
+    def sides(mp, p, size):
+        return list(zip(*(_split(side, size) for side in stress_divergence_sides(mp, p))))
+
     worst = 0.0
     checked = 0
     cubic_scale = 0.0
     for name, phi, box in corpus_maps():
-        pts = _points(rng, box, 5)
-        fixed = None if callable(phi) else _contexts(phi, pts, 3)
-        for p in P_VALUES:
-            for mp in _contexts(phi(p), pts, 3) if fixed is None else fixed:
-                lhs, rhs, gap = stress_divergence_at(mp, p)
+        per_p = _point_floats(phi, _points(rng, box, 5), 3, sides)
+        for p, per_point in zip(P_VALUES, per_p):
+            for lhs, rhs in per_point:
                 scale = max(max(abs(v) for v in lhs), max(abs(v) for v in rhs), 1.0)
-                worst = max(worst, gap / scale)
+                worst = max(worst, divergence_gap(lhs, rhs) / scale)
                 checked += 1
                 if name == "cubic2" and p >= 3.0:
                     cubic_scale = max(cubic_scale, max(abs(v) for v in rhs))
-        del fixed, mp  # hold one object's contexts at a time
     passed = worst < 1e-6 and cubic_scale > 1e-2
     return CriterionResult(
         "stress_divergence_identity", passed,
@@ -355,17 +395,21 @@ def criterion_stress_divergence() -> CriterionResult:
 def criterion_stress_trace() -> CriterionResult:
     """Trace of S_{2,p} against both closed forms, and the p = m reduction."""
     rng = np.random.default_rng(106)
+
+    def gaps(mp, p, size):
+        """Per point, the gaps to both trace forms and, at p = m, to -(m/2)|tau_p|^2."""
+        return [(abs(tr - form_alg), abs(tr - form_div),
+                 abs(tr + (mp.m / 2.0) * tau2) if p == float(mp.m) else None)
+                for tr, tau2, form_alg, form_div
+                in zip(*(_entries(v, size) for v in trace_identity_at(mp, p)))]
+
     worst, worst_pm = 0.0, 0.0
     for name, phi, box in corpus_maps():
-        pts = _points(rng, box, 4)
-        fixed = None if callable(phi) else _contexts(phi, pts, 2)
-        for p in P_VALUES:
-            for mp in _contexts(phi(p), pts, 2) if fixed is None else fixed:
-                tr, tau2, form_alg, form_div = trace_identity_at(mp, p)
-                worst = max(worst, abs(tr - form_alg), abs(tr - form_div))
-                if p == float(mp.m):
-                    worst_pm = max(worst_pm, abs(tr + (mp.m / 2.0) * tau2))
-        del fixed, mp  # hold one object's contexts at a time
+        for per_point in _point_floats(phi, _points(rng, box, 4), 2, gaps):
+            for gap_alg, gap_div, gap_pm in per_point:
+                worst = max(worst, gap_alg, gap_div)
+                if gap_pm is not None:
+                    worst_pm = max(worst_pm, gap_pm)
     passed = worst < 1e-7 and worst_pm < 1e-8
     return CriterionResult(
         "stress_trace_identities", passed,

@@ -308,3 +308,16 @@ def test_failure_mid_chunk_replays_each_point(monkeypatch, check_sizes, tmp_path
     assert rep.to_json() == ref_rep.to_json() and rep.extras == ref_rep.extras
     assert swept.to_json() == ref_swept.to_json() and swept.crossings == ref_swept.crossings
     assert strict == ref_strict and strict[0] == 3
+
+
+def test_sweep_attempts_a_failing_batch_once(monkeypatch, check_sizes):
+    # the cusp's 9-point chunk raises at every p; after the first step the
+    # sweep goes straight to the per-point replay
+    sc = Scenario.from_dict(cusp_immersion_dict(
+        checks=["theorem_2_1", "theorem_2_3", "cmc_proper_p"]))
+    npoints = len(sc.sample_points())
+    swept = sweep(sc, "p", 2.0, 6.0, 41)
+    assert check_sizes == [npoints] + [1] * (41 * 3 * npoints)
+    ref = _one_point_chunks(monkeypatch, lambda: sweep(sc, "p", 2.0, 6.0, 41))
+    assert swept.to_csv() == ref.to_csv()
+    assert swept.to_json() == ref.to_json() and swept.crossings == ref.crossings

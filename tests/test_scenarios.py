@@ -492,6 +492,27 @@ class TestCli:
     def test_bad_set_syntax(self, capsys):
         assert cli_main(["run", "inversion(3)", "--set", "l"]) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["run", "proper_pbh_cylinder"],
+        ["sweep", "small_hypersphere(2, 0.8)", "--param", "p", "--steps", "3",
+         "--from", "2", "--to", "4"]])
+    @pytest.mark.parametrize("out", ["directory", "missing_parent"])
+    def test_unwritable_out_fails_before_the_run(self, command, out, tmp_path, capsys,
+                                                 monkeypatch):
+        checked = []
+        monkeypatch.setattr(scenarios, "_check_results", lambda *a: checked.append(a))
+        path = tmp_path if out == "directory" else tmp_path / "missing" / "report.csv"
+        assert cli_main([*command, "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and checked == []
+        assert captured.err.startswith("input error: ") and "'--out'" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_input_error_leaves_no_report_file(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        assert cli_main(["run", "inversion(3)", "--p", "1.5", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 # a directory argument
 TMP_DIR = "<tmp dir>"

@@ -1,10 +1,14 @@
-"""The acceptance criteria read shared point contexts: one lifted context per
-(object, sample point) serves every p and both pipelines, with the values of
-one fresh context per call."""
+"""The acceptance criteria read shared, batched point contexts: the sample
+points of one map or immersion are lifted once, as one batched point, which
+serves every p and both pipelines. The per-point floats split from it, and
+every criterion result, equal those of one fresh context per point and call,
+whether the batch is never tried (one-point chunks) or raises and is replayed."""
 
 import numpy as np
 import pytest
 
+from pbh import mapcalc, verify
+from pbh.errors import BatchSplit
 from pbh.geometry import ChartMetric
 from pbh.jets import lift_point, value
 from pbh.stress import (stress_divergence_at, stress_divergence_check, trace_identity,
@@ -12,7 +16,9 @@ from pbh.stress import (stress_divergence_at, stress_divergence_check, trace_ide
 from pbh.submanifold import (ImmersionPoint, bitension_split, theorem21_residuals,
                              theorem23_residuals)
 from pbh.verify import (P_VALUES, _points, corpus_immersions, corpus_maps,
-                        criterion_bitension_cross_check)
+                        criterion_bitension_cross_check, criterion_cylinder_proper_p_biharmonicity,
+                        criterion_inversion_p_harmonicity, criterion_small_hypersphere,
+                        criterion_stress_divergence, criterion_stress_trace)
 
 IMMERSIONS = corpus_immersions()
 FIXED_MAPS = [entry for entry in corpus_maps() if not callable(entry[1])]
@@ -66,5 +72,65 @@ def test_bitension_cross_check_lifts_each_point_once(monkeypatch):
     monkeypatch.setattr(ImmersionPoint, "__init__",
                         lambda self, imm, X: built.append(X) or init(self, imm, X))
     assert criterion_bitension_cross_check().passed
-    assert len(built) == len(IMMERSIONS) * 5 == 30
-    assert all(X[0].space.order == 3 for X in built)
+    # one batched order-3 context of the 5 sample points per immersion
+    assert len(built) == len(IMMERSIONS) == 6
+    assert all(X[0].space.order == 3 and X[0].space.batched and X[0].value.shape == (5,)
+               for X in built)
+
+
+BATCHED_CRITERIA = (criterion_inversion_p_harmonicity, criterion_cylinder_proper_p_biharmonicity,
+                    criterion_bitension_cross_check, criterion_stress_divergence,
+                    criterion_stress_trace, criterion_small_hypersphere)
+
+
+def _recorded(criterion, *patches):
+    """(result, repr of the per-point floats of every `_point_floats` call) of
+    one criterion run, with each (module, attribute, value) of `patches` set."""
+    floats = []
+    point_floats = verify._point_floats
+
+    def recording(*args, **kwargs):
+        out = point_floats(*args, **kwargs)
+        floats.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_point_floats", recording)
+        for module, attr, new in patches:
+            patch.setattr(module, attr, new)
+        result = criterion()
+    return result, repr(floats)
+
+
+@pytest.fixture(scope="module")
+def batched():
+    """criterion -> its recorded batched run, each run once for the module."""
+    runs = {}
+
+    def run(criterion):
+        if criterion not in runs:
+            runs[criterion] = _recorded(criterion)
+        return runs[criterion]
+    return run
+
+
+@pytest.mark.parametrize("criterion", BATCHED_CRITERIA, ids=lambda fn: fn.__name__)
+def test_one_point_chunks_give_the_batched_result(criterion, batched):
+    result, floats = batched(criterion)
+    assert result.passed
+    assert _recorded(criterion, (mapcalc, "_CHUNK", 1)) == (result, floats)
+
+
+def _raise_batch_split(points):
+    raise BatchSplit("forced")
+
+
+# one criterion per kind of batch: float and order-1 points read at one p, a
+# map factory batched per p, an immersion read at its own p values
+@pytest.mark.parametrize("criterion", (criterion_inversion_p_harmonicity,
+                                       criterion_cylinder_proper_p_biharmonicity,
+                                       criterion_small_hypersphere),
+                         ids=lambda fn: fn.__name__)
+def test_a_raising_batch_is_replayed_point_by_point(criterion, batched):
+    assert (_recorded(criterion, (verify, "_stack", _raise_batch_split))
+            == batched(criterion))
