@@ -6,23 +6,15 @@ from .errors import (DomainError, ExprSyntaxError, JetOrderError,
                      SchemaError, SingularityError, SingularMatrixError,
                      UnknownIdentifierError)
 from .expr import Expression, differentiate, eval_jet, parse
-from .geometry import (ChartMetric, Frame, christoffel, curvature_tensor,
-                       divergence, divergence_2tensor, euclidean_chart,
-                       gradient, orthonormal_frame, sectional_curvature,
-                       space_form_chart)
+from .geometry import (ChartMetric, christoffel, divergence, divergence_2tensor,
+                       euclidean_chart, sectional_curvature, space_form_chart)
 from .jets import JetScalar, JetSpace, lift_point
-from .mapcalc import (FieldAlongMap, SmoothMap, dmap, dmap_norm, p_bienergy_box,
-                      p_bitension, p_energy_box, p_tension, p_tension_field,
-                      pullback_derivative, second_fundamental_form_map, tension,
-                      tension_field)
+from .mapcalc import (FieldAlongMap, SmoothMap, p_bienergy_box, p_bitension, p_energy_box,
+                      p_tension, pullback_derivative, tension)
 from .scenarios import ResidualReport, Scenario, builtin, load_scenario, run, sweep
-from .stress import (StressTensorValue, ThetaForm, stress_divergence_check,
-                     stress_tensor, stress_trace, theta)
-from .submanifold import (CmcResult, Immersion, NormalFrame, bitension_split,
-                          circle_immersion, cmc_proper_p,
-                          graph_hypersurface_immersion, mean_curvature,
-                          normal_connection, normal_laplacian_H,
-                          second_fundamental_form, shape_operator,
+from .stress import stress_divergence_check, stress_tensor, stress_trace
+from .submanifold import (CmcResult, Immersion, bitension_split, circle_immersion,
+                          cmc_proper_p, graph_hypersurface_immersion,
                           small_hypersphere_immersion, theorem21_residuals,
                           theorem23_residuals)
 

@@ -1,5 +1,5 @@
-"""Charts with metrics: Levi-Civita connection, curvature, frames, and the
-first-order differential operators (gradient, divergence) on a chart.
+"""Charts with metrics: Levi-Civita connection, curvature, and the divergence
+operators on a chart.
 
 All evaluation methods are generic over float-or-jet points. Metric
 derivatives are taken symbolically (the components are expressions), so
@@ -11,18 +11,15 @@ callables carry a `depth` saying how many jet shifts they consume internally.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import linalg
-from .errors import NotPositiveDefiniteError
-from .expr import Const, Expression, parse
-from .jets import lift_point, partial, point_value, sqrt, value
+from .expr import Const, parse
+from .jets import lift_point, partial, value
 
 __all__ = [
-    "ChartMetric", "Frame", "space_form_chart", "euclidean_chart",
-    "christoffel", "curvature_tensor", "lowered_curvature", "orthonormal_frame",
-    "gradient", "divergence", "divergence_at", "divergence_2tensor", "divergence_2tensor_at",
-    "sectional_curvature", "scalar_curvature",
+    "ChartMetric", "space_form_chart", "euclidean_chart", "christoffel",
+    "divergence", "divergence_at", "divergence_2tensor", "divergence_2tensor_at",
+    "sectional_curvature",
 ]
 
 
@@ -177,15 +174,6 @@ class ChartMetric:
         return f"ChartMetric(dim={self.dim}{tag})"
 
 
-@dataclass
-class Frame:
-    """A g-orthonormal basis at a point, from Gram-Schmidt of the coordinate basis."""
-
-    point: tuple
-    vectors: list
-    provenance: str = field(default="gram_schmidt_coordinate_basis")
-
-
 def euclidean_chart(dim: int) -> ChartMetric:
     comps = [[Const(1.0) if i == j else Const(0.0) for j in range(dim)] for i in range(dim)]
     return ChartMetric(dim, comps, space_form_c=0.0)
@@ -220,76 +208,9 @@ def christoffel(chart: ChartMetric, x):
             for plane in chart.christoffel_at(tuple(x))]
 
 
-def curvature_tensor(chart: ChartMetric, x):
-    """(R^l_ijk, R_ijkl) at a float point; R_ijkl = g(R(d_i,d_j)d_k, d_l)."""
-    X = tuple(x)
-    R = chart.curvature_at(X)
-    g = chart.metric_at(X)
-    d = chart.dim
-    up = [[[[value(R[l][i][j][k]) for k in range(d)] for j in range(d)] for i in range(d)]
-          for l in range(d)]
-    low = [[[[sum(up[m][i][j][k] * value(g[m][l]) for m in range(d))
-              for l in range(d)] for k in range(d)] for j in range(d)] for i in range(d)]
-    return up, low
-
-
-def lowered_curvature(chart: ChartMetric, x):
-    return curvature_tensor(chart, x)[1]
-
-
-def gram_schmidt(vectors, inner):
-    """Orthonormalize `vectors` under the bilinear form `inner`, in order."""
-    basis = []
-    for v in vectors:
-        u = list(v)
-        for b in basis:
-            c = inner(u, b)
-            u = [ui - c * bi for ui, bi in zip(u, b)]
-        n2 = inner(u, u)
-        if value(n2) <= 0.0:
-            raise NotPositiveDefiniteError("Gram-Schmidt breakdown: non-positive norm")
-        inv = 1.0 / sqrt(n2)
-        basis.append([ui * inv for ui in u])
-    return basis
-
-
-def orthonormal_frame(chart: ChartMetric, x) -> Frame:
-    """Deterministic g-orthonormal frame at x (Gram-Schmidt in index order)."""
-    X = tuple(x)
-    g = chart.metric_at(X)
-    d = chart.dim
-
-    def inner(u, v):
-        return sum(g[i][j] * u[i] * v[j] for i in range(d) for j in range(d))
-
-    eye = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
-    vectors = gram_schmidt(eye, inner)
-    return Frame(point=point_value(X), vectors=vectors)
-
-
 # ---------------------------------------------------------------------- #
 # differential operators on fields
 # ---------------------------------------------------------------------- #
-
-def _scalar_partials(chart, f, X):
-    """List of d f / d x_j at X for an Expression or a jet-evaluable callable."""
-    if isinstance(f, Expression):
-        return [f.diff(j).evaluate(X, chart.params) for j in range(chart.dim)]
-    fx = f(X)
-    return [partial(fx, j) for j in range(chart.dim)]
-
-
-def gradient(chart: ChartMetric, f, x):
-    """grad f = g^{ij} (d_j f) d_i at a float point.
-
-    `f` is an Expression or a callable over jet points (with `depth` shifts).
-    """
-    X = tuple(x) if isinstance(f, Expression) else lift_point(x, _depth_of(f) + 1)
-    ginv = chart.inverse_metric_at(X)
-    df = _scalar_partials(chart, f, X)
-    d = chart.dim
-    return [value(sum(ginv[i][j] * df[j] for j in range(d))) for i in range(d)]
-
 
 def divergence_at(gamma, comps):
     """div X = d_i X^i + Gamma^i_ik X^k from components and Christoffel symbols at a jet point."""
@@ -337,11 +258,13 @@ def divergence_2tensor(chart: ChartMetric, tensor_field, x):
 # ---------------------------------------------------------------------- #
 
 def sectional_curvature(chart: ChartMetric, x, u, v) -> float:
-    """K(u, v) = R(u,v,v,u) / (|u|^2 |v|^2 - g(u,v)^2)."""
+    """K(u, v) = R(u,v,v,u) / (|u|^2 |v|^2 - g(u,v)^2), R_ijkl = g(R(d_i,d_j)d_k, d_l)."""
     X = tuple(x)
     g = [[value(c) for c in row] for row in chart.metric_at(X)]
-    low = lowered_curvature(chart, x)
+    R = chart.curvature_at(X)
     d = chart.dim
+    low = [[[[sum(value(R[m][i][j][k]) * g[m][l] for m in range(d)) for l in range(d)]
+             for k in range(d)] for j in range(d)] for i in range(d)]
 
     def ip(a, b):
         return sum(g[i][j] * a[i] * b[j] for i in range(d) for j in range(d))
@@ -350,19 +273,3 @@ def sectional_curvature(chart: ChartMetric, x, u, v) -> float:
               for i in range(d) for j in range(d) for k in range(d) for l in range(d))
     den = ip(u, u) * ip(v, v) - ip(u, v) ** 2
     return num / den
-
-
-def scalar_curvature(chart: ChartMetric, x) -> float:
-    """Sum of R(e_i, e_j, e_j, e_i) over an orthonormal frame."""
-    frame = orthonormal_frame(chart, x).vectors
-    low = lowered_curvature(chart, x)
-    d = chart.dim
-    total = 0.0
-    for a in range(d):
-        for b in range(d):
-            if a == b:
-                continue
-            u, v = frame[a], frame[b]
-            total += sum(low[i][j][k][l] * u[i] * v[j] * v[k] * u[l]
-                         for i in range(d) for j in range(d) for k in range(d) for l in range(d))
-    return total

@@ -2,18 +2,20 @@
 p-tension and p-bitension fields, pull-back derivatives, and box quadrature
 of the p-energy and p-bienergy.
 
-Everything funnels through :class:`MapPoint`, a per-point evaluation context
-generic over float-or-jet points. Derivatives of map components and metric
-components are symbolic; derivatives of computed fields (the p-tension as a
-field along the map, scalars like |dphi|) are jet shifts, so the trace
-formulas carry explicit Christoffel corrections and hold at every chart
-point, not just at centers of normal coordinates.
+Every quantity at a point is read from :class:`MapPoint`, the per-point
+evaluation context `SmoothMap.at(lift_point(x, k))`, generic over
+float-or-jet points. Derivatives of map components and metric components are
+symbolic; derivatives of computed fields (the p-tension as a field along the
+map, scalars like |dphi|) are jet shifts, so the trace formulas carry
+explicit Christoffel corrections and hold at every chart point, not just at
+centers of normal coordinates.
 
 Jet budget per operation (shifts consumed internally): tension 0, p_tension 1,
 pull-back derivative of a field adds 1, p_bitension 3. A point lifted to the
 highest order of several readers serves all of them; p-dependent fields are
-computed once per point and p, the target curvature once per point. Public
-wrappers lift a float point to their own minimum order and call the same
+computed once per point and p, the target curvature once per point. The
+functions `tension`, `p_tension`, `pullback_derivative` and `p_bitension`
+take a float point, lift it to their own minimum order and call the same
 reader. A MapPoint may also hold a batch of points (see :mod:`pbh.jets`), at
 any jet order; `replay_chunks` evaluates items in batched chunks and replays a
 chunk that raises item by item. The box quadrature uses it for its Gauss
@@ -38,9 +40,8 @@ from .geometry import ChartMetric
 from .jets import JetScalar, any_entry, lift_point, partial, point_value, powr, sqrt, value
 
 __all__ = [
-    "SmoothMap", "FieldAlongMap", "MapPoint",
-    "dmap", "dmap_norm", "second_fundamental_form_map", "tension", "p_tension",
-    "pullback_derivative", "p_bitension", "tension_field", "p_tension_field",
+    "SmoothMap", "FieldAlongMap", "MapPoint", "tension", "p_tension",
+    "pullback_derivative", "p_bitension",
     "p_energy_box", "p_bienergy_box", "perturbed_map", "gauss_legendre_box",
 ]
 
@@ -115,6 +116,12 @@ class FieldAlongMap:
         return self.rule(X)
 
 
+def check_p(p: float):
+    """The p-tension, and every field built on it, is defined here for p >= 2 only."""
+    if p < 2.0:
+        raise ValueError(f"p must be >= 2, got {p}")
+
+
 def once_per_p(field):
     """Decorate field(point, p) to be computed once per MapPoint and p; every
     reader of the point shares the result."""
@@ -131,6 +138,9 @@ class MapPoint:
         self.map = smooth_map
         self.X = tuple(X)
         self.m = smooth_map.source.dim
+        if len(self.X) != self.m:
+            raise ValueError(f"a point of the source needs {self.m} coordinates, "
+                             f"got {len(self.X)}")
         self.n = smooth_map.target.dim
         # subtree values shared across every expression evaluated at this
         # point (source trees) and at its image (target trees)
@@ -279,6 +289,7 @@ class MapPoint:
     @once_per_p
     def p_tension(self, p: float):
         """tau_p(phi) = |dphi|^{p-2} tau(phi) + (p-2)|dphi|^{p-3} dphi(grad |dphi|)."""
+        check_p(p)
         if p == 2.0:
             return self.tension
         self._require_jets("p_tension")
@@ -380,33 +391,11 @@ class MapPoint:
 # public wrappers over float points
 # ---------------------------------------------------------------------- #
 
-def dmap(phi: SmoothMap, x):
-    """m x n matrix [i][a] of d phi^a / d x_i at x."""
-    return [[value(c) for c in col] for col in phi.at(tuple(x)).dphi_cols]
-
-
-def dmap_norm(phi: SmoothMap, x) -> float:
-    """Hilbert-Schmidt norm |dphi| at x."""
-    return sqrt(value(phi.at(tuple(x)).norm2))
-
-
-def second_fundamental_form_map(phi: SmoothMap, x):
-    """(nabla dphi)[a][i][j] at x."""
-    return [[[value(v) for v in row] for row in plane] for plane in phi.at(tuple(x)).sff]
-
-
 def tension(phi: SmoothMap, x):
     return [value(t) for t in phi.at(tuple(x)).tension]
 
 
-def check_p(p: float):
-    """The p-tension and p-bitension are defined here for p >= 2 only."""
-    if p < 2.0:
-        raise ValueError(f"p must be >= 2, got {p}")
-
-
 def p_tension(phi: SmoothMap, x, p: float):
-    check_p(p)
     # at p = 2 the p-tension is the tension, which needs no jets
     return [value(t) for t in phi.at(tuple(x) if p == 2.0 else lift_point(x, 1)).p_tension(p)]
 
@@ -418,18 +407,7 @@ def pullback_derivative(V: FieldAlongMap, direction: int, x):
 
 
 def p_bitension(phi: SmoothMap, x, p: float):
-    check_p(p)
     return [value(t) for t in phi.at(lift_point(x, 3)).p_bitension(p)]
-
-
-def tension_field(phi: SmoothMap) -> FieldAlongMap:
-    return FieldAlongMap(phi, lambda X: phi.at(X).tension, depth=0)
-
-
-def p_tension_field(phi: SmoothMap, p: float) -> FieldAlongMap:
-    if p == 2.0:
-        return tension_field(phi)
-    return FieldAlongMap(phi, lambda X: phi.at(X).p_tension(p), depth=1)
 
 
 # ---------------------------------------------------------------------- #

@@ -64,7 +64,7 @@ from .errors import (DomainError, NotPositiveDefiniteError, PbhError, RankDefici
 from .expr import parse
 from .geometry import ChartMetric, space_form_chart
 from .jets import lift_point, value
-from .mapcalc import (SmoothMap, _entries, _split, _stack, check_p, p_bienergy_box,
+from .mapcalc import (SmoothMap, _entries, _split, _stack, p_bienergy_box,
                       p_energy_box, replay_chunks)
 from .stress import divergence_gap, stress_divergence_sides, trace_identity_at
 from .submanifold import Immersion, ImmersionPoint
@@ -109,7 +109,7 @@ def _require_finite(v, field_name):
 
 
 def _require_p(p, checks):
-    """The map checks read the p-tension, defined for p >= 2 only (`check_p`)."""
+    """The map checks read the p-tension, defined for p >= 2 only (`mapcalc.check_p`)."""
     map_checks = sorted(set(checks) & set(MAP_CHECKS))
     if map_checks:
         _require(p >= 2.0, "p", f"must be >= 2 for the checks {map_checks}, got {p!r}")
@@ -469,13 +469,11 @@ def _check_results(check, jet, flts, p, tol) -> list:
     fmps = [f.mp for f in flts] if imm else flts
     signed, extras = [None] * size, [{}] * size
     if check == "p_harmonic":
-        check_p(p)
         # at p = 2 the p-tension is the tension, a float reader
         vecs = ([_values(f.p_tension(p)) for f in fmps] if p == 2.0
                 else _split(mp.p_tension(p), size))
         res = [_norm(f.h, v) for f, v in zip(fmps, vecs)]
     elif check == "p_biharmonic":
-        check_p(p)
         res = [_norm(f.h, v) for f, v in zip(fmps, _split(mp.p_bitension(p), size))]
     elif check == "stress_divergence":
         res = []

@@ -4,49 +4,25 @@ divergence identity linking it to the p-bitension field.
 All five terms of the tensor are assembled from the map-calculus primitives;
 the divergence side jet-differentiates the full stress pipeline (one shift on
 top of the two the tensor consumes), so a divergence check needs an order-3
-point. The `*_at` readers work on an already lifted `MapPoint`, so the tensor
-is assembled once per point and p and shared by both identities; the
-float-point wrappers lift to their own minimum order and call the same
-readers. `trace_identity_at` and `stress_divergence_sides` also take a batched
-point (see :mod:`pbh.jets`) and then return arrays of per-entry values.
+point. The `*_at` readers work on an already lifted `MapPoint`
+(`SmoothMap.at(lift_point(x, k))`), so the tensor is assembled once per point
+and p and shared by both identities; `stress_tensor`, `stress_trace`,
+`theta_divergence` and `stress_divergence_check` take a float point, lift it
+to their own minimum order and call the same readers. `trace_identity_at` and
+`stress_divergence_sides` also take a batched point (see :mod:`pbh.jets`) and
+then return arrays of per-entry values.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .geometry import divergence_at, divergence_2tensor_at
 from .jets import lift_point, value
 from .mapcalc import MapPoint, SmoothMap, once_per_p
 
 __all__ = [
-    "StressTensorValue", "ThetaForm",
-    "stress_tensor", "stress_trace", "trace_identity", "theta", "theta_divergence",
-    "stress_divergence_check", "trace_identity_at", "stress_divergence_at",
-    "stress_divergence_sides", "divergence_gap",
+    "stress_tensor", "stress_trace", "theta_divergence", "stress_divergence_check",
+    "trace_identity_at", "stress_divergence_at", "stress_divergence_sides", "divergence_gap",
 ]
-
-
-@dataclass
-class StressTensorValue:
-    """Stress tensor matrix at a point, with the two scalar invariants it reuses."""
-
-    point: tuple
-    matrix: list
-    p: float
-    tau_p_norm2: float
-    pairing: float  # |dphi|^{p-2} <dphi, nabla^phi tau_p>
-
-
-@dataclass
-class ThetaForm:
-    """The one-form theta(X) = h(|dphi|^{p-2} dphi(X), tau_p)."""
-
-    point: tuple
-    components: list
-
-    def __call__(self, v):
-        return sum(c * vi for c, vi in zip(self.components, v))
 
 
 @once_per_p
@@ -78,15 +54,11 @@ def _trace(mp: MapPoint, S):
     return sum(mp.ginv[i][j] * S[i][j] for i in range(m) for j in range(m))
 
 
-def _theta_low(mp: MapPoint, p: float):
-    """theta(d_i) = h(|dphi|^{p-2} dphi(d_i), tau_p) at a jet point (1 shift)."""
-    taup, fac = mp.p_tension(p), mp.norm_power(p - 2.0)
-    return [fac * mp.h_inner(col, taup) for col in mp.dphi_cols]
-
-
 def _theta_divergence(mp: MapPoint, p: float) -> float:
-    """div of theta with the index raised, at a jet point (2 shifts)."""
-    low = _theta_low(mp, p)
+    """div of theta with the index raised, at a jet point (2 shifts); theta is
+    the pairing one-form theta(d_i) = h(|dphi|^{p-2} dphi(d_i), tau_p)."""
+    taup, fac = mp.p_tension(p), mp.norm_power(p - 2.0)
+    low = [fac * mp.h_inner(col, taup) for col in mp.dphi_cols]
     sharp = [sum(mp.ginv[i][j] * low[j] for j in range(mp.m)) for i in range(mp.m)]
     return value(divergence_at(mp.gammaM, sharp))
 
@@ -129,31 +101,15 @@ def stress_divergence_at(mp: MapPoint, p: float):
 # public wrappers over float points
 # ---------------------------------------------------------------------- #
 
-def stress_tensor(phi: SmoothMap, x, p: float) -> StressTensorValue:
-    """Stress p-bienergy tensor at a float point."""
-    mp = phi.at(lift_point(x, 2))
-    S, tau2, pairing = _stress_matrix(mp, p)
-    return StressTensorValue(
-        point=tuple(float(v) for v in x),
-        matrix=[[value(s) for s in row] for row in S],
-        p=p, tau_p_norm2=value(tau2), pairing=value(pairing))
+def stress_tensor(phi: SmoothMap, x, p: float):
+    """Stress p-bienergy tensor S_ij at a float point."""
+    return [[value(s) for s in row] for row in _stress_matrix(phi.at(lift_point(x, 2)), p)[0]]
 
 
 def stress_trace(phi: SmoothMap, x, p: float) -> float:
     """g^{ij} S_ij; equals -(m/2)|tau_p|^2 + (p-m)|dphi|^{p-2}<dphi, nabla tau_p>."""
     mp = phi.at(lift_point(x, 2))
     return value(_trace(mp, _stress_matrix(mp, p)[0]))
-
-
-def trace_identity(phi: SmoothMap, x, p: float):
-    """(tr S, |tau_p|^2, algebraic form, divergence form) at a float point."""
-    return trace_identity_at(phi.at(lift_point(x, 2)), p)
-
-
-def theta(phi: SmoothMap, x, p: float) -> ThetaForm:
-    """The pairing one-form used by the trace identities."""
-    comps = [value(c) for c in _theta_low(phi.at(lift_point(x, 1)), p)]
-    return ThetaForm(point=tuple(float(v) for v in x), components=comps)
 
 
 def theta_divergence(phi: SmoothMap, x, p: float) -> float:

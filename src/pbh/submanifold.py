@@ -1,10 +1,11 @@
 """Extrinsic geometry of isometric immersions into space forms.
 
-Covers the second fundamental form, shape operators, mean curvature, the
-normal connection and normal Laplacian, and the residuals of the coupled
-normal/tangential systems characterizing p-biharmonic submanifolds (the
-general codimension system and its constant-mean-curvature hypersurface
-specialization).
+`ImmersionPoint` (`Immersion.at`) holds the per-point extrinsic data: the
+tangent and normal frames, the second fundamental form, shape operators, mean
+curvature, the normal connection and normal Laplacian, and the residuals of
+the coupled normal/tangential systems characterizing p-biharmonic
+submanifolds (the general codimension system and its constant-mean-curvature
+hypersurface specialization).
 
 The normal Laplacian is the rough trace of the squared normal connection,
 with no sign flip; the bitension cross-check in the test suite certifies that
@@ -27,12 +28,9 @@ from .jets import any_entry, lift_point, partial, point_value, same_in_every_ent
 from .mapcalc import SmoothMap
 
 __all__ = [
-    "Immersion", "ImmersionPoint", "NormalFrame",
-    "second_fundamental_form", "shape_operator", "mean_curvature",
-    "normal_connection", "normal_laplacian_H",
-    "theorem21_residuals", "theorem23_residuals", "cmc_proper_p", "CmcResult",
-    "bitension_split", "small_hypersphere_immersion", "graph_hypersurface_immersion",
-    "circle_immersion",
+    "Immersion", "ImmersionPoint", "theorem21_residuals", "theorem23_residuals",
+    "cmc_proper_p", "CmcResult", "bitension_split", "small_hypersphere_immersion",
+    "graph_hypersurface_immersion", "circle_immersion",
 ]
 
 _PIVOT_REL_TOL = 1e-12
@@ -117,15 +115,6 @@ class Immersion:
 
     def __repr__(self):
         return f"Immersion({self.name or 'unnamed'}: {self.m} -> {self.n})"
-
-
-@dataclass
-class NormalFrame:
-    """h-orthonormal basis of the normal space at a point."""
-
-    point: tuple
-    vectors: list
-    provenance: str = "gram_schmidt_after_tangents"
 
 
 class ImmersionPoint:
@@ -355,40 +344,6 @@ class ImmersionPoint:
 # public wrappers
 # ---------------------------------------------------------------------- #
 
-def second_fundamental_form(imm: Immersion, x):
-    """B as normal-frame coefficient matrices [a][i][j] at x."""
-    return [[[value(v) for v in row] for row in B] for B in imm.at(tuple(x)).second_fundamental]
-
-
-def shape_operator(imm: Immersion, x, xi):
-    """Matrix of A_xi at x for an ambient normal vector xi."""
-    return [[value(v) for v in row] for row in imm.at(tuple(x)).shape_matrix(list(xi))]
-
-
-def mean_curvature(imm: Immersion, x):
-    """Mean curvature vector H in ambient components at x."""
-    return [value(v) for v in imm.at(tuple(x)).mean_curvature]
-
-
-def normal_frame(imm: Immersion, x) -> NormalFrame:
-    return NormalFrame(point=tuple(float(v) for v in x),
-                       vectors=[[value(c) for c in xi] for xi in imm.at(tuple(x)).normal_frame])
-
-
-def normal_connection(imm: Immersion, x, direction: int, xi_field):
-    """nabla_perp of a normal field along direction `direction` at x.
-
-    `xi_field` maps a (jet) point to ambient components; `xi_field.depth`
-    shifts are added to the lift budget as usual.
-    """
-    X = lift_point(x, getattr(xi_field, "depth", 0) + 1)
-    return [value(v) for v in imm.at(X).nabla_perp(direction, xi_field(X))]
-
-
-def normal_laplacian_H(imm: Immersion, x):
-    return [value(v) for v in imm.at(lift_point(x, 2)).laplacian_perp_H]
-
-
 def theorem21_residuals(imm: Immersion, x, p: float):
     """(normal residual vector, tangential residual vector) of the general system."""
     normal, tangent = imm.at(lift_point(x, 2)).general_residuals(p)
@@ -422,6 +377,8 @@ def cmc_proper_p(imm: Immersion, x, sample_points=None, cmc_tol: float = 1e-8) -
     (std dev below `cmc_tol`) before solving at x.
     """
     if sample_points is not None:
+        if not sample_points:
+            raise ValueError("sample_points must hold at least one point")
         norms = [math.sqrt(max(value(imm.at(tuple(q)).mean_curvature_norm2), 0.0))
                  for q in sample_points]
         mean = sum(norms) / len(norms)

@@ -427,7 +427,7 @@ def criterion_p2_reductions() -> CriterionResult:
             t = tension(mapp, x)
             tp = p_tension(mapp, x, 2.0)
             worst_tau = max(worst_tau, max(abs(a - b) for a, b in zip(t, tp)))
-            S = stress_tensor(mapp, x, 2.0).matrix
+            S = stress_tensor(mapp, x, 2.0)
             S2 = classical_bienergy_stress(mapp, x)
             worst_S = max(worst_S,
                           max(abs(S[i][j] - S2[i][j])

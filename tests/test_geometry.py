@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from pbh.errors import NotPositiveDefiniteError, SingularMatrixError
+from pbh.errors import NotPositiveDefiniteError, RankDeficiencyError, SingularMatrixError
 from pbh.expr import Const, parse
-from pbh.geometry import (ChartMetric, christoffel, curvature_tensor, divergence,
-                          divergence_2tensor, euclidean_chart, gradient,
-                          orthonormal_frame, scalar_curvature, sectional_curvature,
-                          space_form_chart)
+from pbh.geometry import (ChartMetric, christoffel, divergence, divergence_2tensor,
+                          euclidean_chart, sectional_curvature, space_form_chart)
+from pbh.jets import value
+from pbh.mapcalc import SmoothMap
+from pbh.submanifold import Immersion
 from pbh import linalg
 
 
@@ -20,6 +21,36 @@ def conformal_chart(f_text, dim):
     zero = Const(0.0)
     return ChartMetric(dim, [[factor if i == j else zero for j in range(dim)]
                              for i in range(dim)])
+
+
+def curvature_up_low(chart, x):
+    """(R^l_ijk, R_ijkl) at a float point; R_ijkl = g(R(d_i,d_j)d_k, d_l)."""
+    R = chart.curvature_at(x)
+    g = chart.metric_at(x)
+    d = chart.dim
+    low = [[[[sum(R[m][i][j][k] * g[m][l] for m in range(d)) for l in range(d)]
+             for k in range(d)] for j in range(d)] for i in range(d)]
+    return R, low
+
+
+def plane_frames(ambient):
+    """ImmersionPoint.frames of x -> (x1, x2, 0) into a constant 3-dimensional
+    ambient metric, as floats: (tangent frame, normal frame)."""
+    imm = Immersion(2, ambient, [parse("x1", 2), parse("x2", 2), parse("0", 2)])
+    return tuple([[value(c) for c in vec] for vec in frame]
+                 for frame in imm.at((0.1, 0.2)).frames)
+
+
+def constant_chart(M):
+    d = len(M)
+    return ChartMetric(d, [[Const(float(M[i][j])) for j in range(d)] for i in range(d)])
+
+
+def context_gradient(chart, f, x):
+    """grad f = g^{ij} (d_j f) d_i of an expression, read from a point context."""
+    d = chart.dim
+    mp = SmoothMap(chart, euclidean_chart(d), [parse(f"x{i + 1}", d) for i in range(d)]).at(x)
+    return [value(v) for v in mp.grad_scalar([f.diff(j).evaluate(x) for j in range(d)])]
 
 
 class TestChartMetric:
@@ -86,7 +117,7 @@ class TestChristoffel:
 
 class TestCurvature:
     def test_euclidean_flat(self):
-        up, low = curvature_tensor(euclidean_chart(2), (0.5, 0.5))
+        up, low = curvature_up_low(euclidean_chart(2), (0.5, 0.5))
         assert max(abs(v) for plane in low for mat in plane for row in mat
                    for v in row) == 0.0
 
@@ -96,7 +127,7 @@ class TestCurvature:
             rng = np.random.default_rng(32)
             for _ in range(3):
                 x = tuple(rng.uniform(-0.4, 0.4, size=3))
-                _, low = curvature_tensor(chart, x)
+                _, low = curvature_up_low(chart, x)
                 g = [[comp.evaluate(x, {}) for comp in row] for row in chart.components]
                 for i, j, k, l in itertools.product(range(3), repeat=4):
                     expect = c * (g[j][k] * g[i][l] - g[i][k] * g[j][l])
@@ -114,13 +145,14 @@ class TestCurvature:
                                    [1, 0], [0, 1]) == pytest.approx(-1.0, abs=1e-8)
 
     def test_two_sphere_scalar_curvature(self):
-        assert scalar_curvature(space_form_chart(1.0, 2),
-                                (0.2, 0.5)) == pytest.approx(2.0, abs=1e-8)
+        # in dimension 2 the scalar curvature is twice the sectional curvature
+        K = sectional_curvature(space_form_chart(1.0, 2), (0.2, 0.5), [1, 0], [0, 1])
+        assert 2.0 * K == pytest.approx(2.0, abs=1e-8)
 
     def test_antisymmetry_and_first_bianchi(self):
         chart = conformal_chart("0.2*x1^2 - 0.3*x1*x2", 2)
         x = (0.4, -0.6)
-        up, low = curvature_tensor(chart, x)
+        up, low = curvature_up_low(chart, x)
         for i, j, k, l in itertools.product(range(2), repeat=4):
             assert low[i][j][k][l] == pytest.approx(-low[j][i][k][l], abs=1e-10)
         for l, i, j, k in itertools.product(range(2), repeat=4):
@@ -130,44 +162,45 @@ class TestCurvature:
 
 class TestFrames:
     def test_euclidean_standard_basis(self):
-        F = orthonormal_frame(euclidean_chart(3), (0.1, 0.2, 0.3))
-        assert F.vectors == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        tangent, normal = plane_frames(euclidean_chart(3))
+        assert tangent + normal == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
     def test_diagonal_rescaling(self):
-        chart = ChartMetric(2, [[Const(4.0), Const(0.0)], [Const(0.0), Const(9.0)]])
-        F = orthonormal_frame(chart, (0.0, 0.0))
-        assert F.vectors[0] == pytest.approx([0.5, 0.0])
-        assert F.vectors[1] == pytest.approx([0.0, 1.0 / 3.0])
+        tangent, normal = plane_frames(constant_chart([[4.0, 0.0, 0.0], [0.0, 9.0, 0.0],
+                                                       [0.0, 0.0, 1.0]]))
+        assert tangent[0] == pytest.approx([0.5, 0.0, 0.0])
+        assert tangent[1] == pytest.approx([0.0, 1.0 / 3.0, 0.0])
+        assert normal == [[0.0, 0.0, 1.0]]
 
     def test_random_spd_metric_orthonormality(self):
         rng = np.random.default_rng(34)
         for _ in range(5):
             A = rng.uniform(-1, 1, size=(3, 3))
             M = A @ A.T + 3 * np.eye(3)
-            chart = ChartMetric(3, [[Const(M[i][j]) for j in range(3)] for i in range(3)])
-            x = (0.0, 0.0, 0.0)
-            F = orthonormal_frame(chart, x)
+            tangent, normal = plane_frames(constant_chart(M))
+            vectors = tangent + normal
+            assert len(vectors) == 3
             for i in range(3):
                 for j in range(3):
-                    ip = sum(M[a][b] * F.vectors[i][a] * F.vectors[j][b]
+                    ip = sum(M[a][b] * vectors[i][a] * vectors[j][b]
                              for a in range(3) for b in range(3))
                     assert ip == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
 
     def test_breakdown_on_degenerate_metric(self):
-        chart = ChartMetric(2, [[Const(1.0), Const(1.0)], [Const(1.0), Const(1.0)]])
-        with pytest.raises(NotPositiveDefiniteError):
-            orthonormal_frame(chart, (0.0, 0.0))
+        # dphi(d_2) - dphi(d_1) has zero length under this metric
+        with pytest.raises(RankDeficiencyError):
+            plane_frames(constant_chart([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
 class TestOperators:
     def test_gradient_coordinate_function(self):
-        g = gradient(euclidean_chart(3), parse("x1", 3), (0.1, 0.2, 0.3))
+        g = context_gradient(euclidean_chart(3), parse("x1", 3), (0.1, 0.2, 0.3))
         assert g == pytest.approx([1.0, 0.0, 0.0])
 
     def test_gradient_respects_inverse_metric(self):
         chart = conformal_chart("0.4*x1", 2)
         x = (0.3, 0.8)
-        g = gradient(chart, parse("x2^2", 2), x)
+        g = context_gradient(chart, parse("x2^2", 2), x)
         lam = math.exp(2 * 0.4 * 0.3)
         assert g == pytest.approx([0.0, 2 * 0.8 / lam], rel=1e-12)
 

@@ -12,13 +12,12 @@ from pbh.expr import Const, parse
 from pbh.geometry import euclidean_chart, space_form_chart
 from pbh.jets import lift_point, value
 from pbh.linalg import det
-from pbh.mapcalc import (FieldAlongMap, SmoothMap, dmap, dmap_norm,
-                         gauss_legendre_box, p_bienergy_box, p_bitension,
-                         p_energy_box, p_tension, p_tension_field,
-                         perturbed_map, pullback_derivative,
-                         second_fundamental_form_map, tension, tension_field)
+from pbh.mapcalc import (FieldAlongMap, SmoothMap, gauss_legendre_box, p_bienergy_box,
+                         p_bitension, p_energy_box, p_tension, perturbed_map,
+                         pullback_derivative, tension)
 from pbh.scenarios import builtin
-from pbh.submanifold import small_hypersphere_immersion
+from pbh.stress import stress_divergence_check, stress_tensor, stress_trace, theta_divergence
+from pbh.submanifold import bitension_split, small_hypersphere_immersion, theorem21_residuals
 
 
 def identity_map(dim):
@@ -44,31 +43,36 @@ def sample(rng, box, count):
     return [tuple(float(rng.uniform(lo, hi)) for lo, hi in box) for _ in range(count)]
 
 
+def floats(t):
+    """Base values of a nested list of float-or-jet scalars."""
+    return [floats(v) for v in t] if isinstance(t, list) else value(t)
+
+
 class TestDifferential:
     def test_identity_norm(self):
         phi = identity_map(3)
-        assert dmap_norm(phi, (0.3, 0.4, 0.5)) ** 2 == pytest.approx(3.0, rel=1e-14)
+        assert value(phi.at((0.3, 0.4, 0.5)).norm2) == pytest.approx(3.0, rel=1e-14)
 
     def test_dmap_shape_and_values(self):
         phi = SmoothMap(euclidean_chart(2), euclidean_chart(3),
                         [parse("x1*x2", 2), parse("x1", 2), parse("x2^2", 2)])
-        J = dmap(phi, (2.0, 3.0))
+        J = floats(phi.at((2.0, 3.0)).dphi_cols)
         assert J == [[3.0, 1.0, 0.0], [2.0, 0.0, 6.0]]
 
     def test_inclusion_norm_is_dimension(self):
         imm = small_hypersphere_immersion(2, 0.7)
-        assert dmap_norm(imm.map, (0.2, -0.3)) ** 2 == pytest.approx(2.0, rel=1e-12)
+        assert value(imm.map.at((0.2, -0.3)).norm2) == pytest.approx(2.0, rel=1e-12)
 
     def test_cylinder_norm_against_index_sum(self):
         # independent oracle: explicit g^{ij} h_ab dphi^a_i dphi^b_j sum
         p = 2.0
         phi = cylinder(p)
         x = (1.0, 1.0, 1.0)
-        J = dmap(phi, x)
+        J = floats(phi.at(x).dphi_cols)
         ginv = [[value(v) for v in row] for row in phi.source.inverse_metric_at(x)]
         total = sum(ginv[i][j] * J[i][a] * J[j][a]
                     for i in range(3) for j in range(3) for a in range(2))
-        assert dmap_norm(phi, x) ** 2 == pytest.approx(total, rel=1e-13)
+        assert value(phi.at(x).norm2) == pytest.approx(total, rel=1e-13)
         assert total == pytest.approx(2.0 * 2.0 ** (1.0 / p), rel=1e-13)
 
 
@@ -77,13 +81,13 @@ class TestSecondFundamentalForm:
         e2 = euclidean_chart(2)
         rot = SmoothMap(e2, e2, [parse("0.6*x1 - 0.8*x2", 2),
                                  parse("0.8*x1 + 0.6*x2", 2)])
-        sff = second_fundamental_form_map(rot, (0.4, 0.9))
+        sff = floats(rot.at((0.4, 0.9)).sff)
         assert max(abs(v) for plane in sff for row in plane for v in row) == 0.0
 
     def test_identity_on_curved_chart_vanishes(self):
         chart = space_form_chart(1.0, 2)
         phi = SmoothMap(chart, chart, [parse("x1", 2), parse("x2", 2)])
-        sff = second_fundamental_form_map(phi, (0.3, -0.2))
+        sff = floats(phi.at((0.3, -0.2)).sff)
         assert max(abs(v) for plane in sff for row in plane
                    for v in row) == pytest.approx(0.0, abs=1e-14)
 
@@ -92,7 +96,7 @@ class TestSecondFundamentalForm:
         comps = [parse("0.5*x1^2 + 0.3*x1*x2", 2), parse("x2^2 - 0.2*x1^2", 2)]
         phi = SmoothMap(e2, e2, comps)
         x = (0.7, -0.4)
-        sff = second_fundamental_form_map(phi, x)
+        sff = floats(phi.at(x).sff)
         for a, c in enumerate(comps):
             for i in range(2):
                 for j in range(2):
@@ -101,7 +105,7 @@ class TestSecondFundamentalForm:
 
     def test_symmetry(self):
         phi = cylinder(3.0)
-        sff = second_fundamental_form_map(phi, (0.9, 1.1, 0.7))
+        sff = floats(phi.at((0.9, 1.1, 0.7)).sff)
         for a in range(2):
             for i in range(3):
                 for j in range(3):
@@ -165,7 +169,7 @@ class TestPullbackDerivative:
         x = (1.1, 0.8, 1.3)
         X = lift_point(x, 1)
         mp = phi.at(X)
-        sff = second_fundamental_form_map(phi, x)
+        sff = floats(phi.at(x).sff)
         for i in range(3):
             for j in range(3):
                 dcol = [mp.dphi[a][j] for a in range(2)]
@@ -327,14 +331,49 @@ class TestVariationalConsistency:
 
 class TestFields:
     def test_tension_field_depths(self):
+        # a field's depth is the jet shifts its rule consumes: differentiating
+        # it once needs a point lifted to depth + 1
         phi = cylinder(3.0)
-        assert tension_field(phi).depth == 0
-        assert p_tension_field(phi, 3.0).depth == 1
-        assert p_tension_field(phi, 2.0).depth == 0
+        x = (1.0, 1.0, 1.0)
+        fields = [(FieldAlongMap(phi, lambda X: phi.at(X).tension, depth=0), 0),
+                  (FieldAlongMap(phi, lambda X: phi.at(X).p_tension(3.0), depth=1), 1),
+                  (FieldAlongMap(phi, lambda X: phi.at(X).p_tension(2.0), depth=0), 0)]
+        for field, depth in fields:
+            assert field.depth == depth
+            assert len(pullback_derivative(field, 0, x)) == 2
 
     def test_p_tension_field_evaluates(self):
         phi = cylinder(3.0)
-        field = p_tension_field(phi, 3.0)
+        field = FieldAlongMap(phi, lambda X: phi.at(X).p_tension(3.0), depth=1)
         X = lift_point((1.0, 1.0, 1.0), 2)
         vals = [value(c) for c in field(X)]
         assert vals == pytest.approx(p_tension(phi, (1.0, 1.0, 1.0), 3.0), rel=1e-12)
+
+
+class TestArguments:
+    @pytest.mark.parametrize("read", [
+        lambda: stress_tensor(cylinder(3.0), (1.0, 1.0, 1.0), 1.5),
+        lambda: stress_trace(cylinder(3.0), (1.0, 1.0, 1.0), 1.5),
+        lambda: theta_divergence(cylinder(3.0), (1.0, 1.0, 1.0), 1.5),
+        lambda: stress_divergence_check(cylinder(3.0), (1.0, 1.0, 1.0), 1.5),
+        lambda: bitension_split(small_hypersphere_immersion(2, 0.7), (0.1, 0.2), 1.5),
+        lambda: p_bienergy_box(inversion(3, 2.0), [(0.5, 1.0)] * 3, 1.5, order=2),
+    ], ids=["stress_tensor", "stress_trace", "theta_divergence", "stress_divergence_check",
+            "bitension_split", "p_bienergy_box"])
+    def test_p_below_two_rejected_by_every_p_field(self, read):
+        with pytest.raises(ValueError, match="p must be >= 2"):
+            read()
+
+    def test_point_with_too_many_coordinates(self):
+        imm = small_hypersphere_immersion(2, 0.7)
+        with pytest.raises(ValueError, match="needs 2 coordinates, got 3"):
+            p_tension(imm.map, (0.1, 0.2, 0.3), 3.0)
+        with pytest.raises(ValueError, match="needs 2 coordinates, got 3"):
+            imm.map.at((np.array([0.1, 0.2]),) * 3)
+
+    def test_point_with_too_few_coordinates(self):
+        imm = small_hypersphere_immersion(2, 0.7)
+        with pytest.raises(ValueError, match="needs 2 coordinates, got 1"):
+            theorem21_residuals(imm, (0.1,), 3.0)
+        with pytest.raises(ValueError, match="needs 2 coordinates, got 1"):
+            imm.at((np.array([0.1, 0.2]),))

@@ -8,11 +8,11 @@ import pytest
 from pbh import scenarios
 from pbh.cli import main as cli_main
 from pbh.errors import SchemaError, SingularityError
-from pbh.jets import JetScalar, point_value, value
+from pbh.jets import JetScalar, lift_point, point_value, value
 from pbh.mapcalc import MapPoint, p_bitension, p_tension
 from pbh.scenarios import (SCHEMA_VERSION, Scenario, builtin, load_scenario,
                            run, sweep)
-from pbh.stress import stress_divergence_check, trace_identity
+from pbh.stress import stress_divergence_check, trace_identity_at
 from pbh.submanifold import (Immersion, ImmersionPoint, cmc_proper_p,
                              theorem21_residuals, theorem23_residuals)
 
@@ -249,7 +249,7 @@ def _public_residual(check, obj, x, p):
         lhs, rhs, gap = stress_divergence_check(phi, x, p)
         return gap / max(max(abs(v) for v in lhs), max(abs(v) for v in rhs), 1.0)
     if check == "trace_identity":
-        tr, _, form_alg, form_div = trace_identity(phi, x, p)
+        tr, _, form_alg, form_div = trace_identity_at(phi.at(lift_point(x, 2)), p)
         return max(abs(tr - form_alg), abs(tr - form_div))
     if check == "theorem_2_3":
         scalar, tangent = theorem23_residuals(imm, x, p)

@@ -12,10 +12,8 @@ from pbh.jets import lift_point, value
 from pbh.mapcalc import p_tension, tension
 from pbh.submanifold import (Immersion, bitension_split, circle_immersion,
                              cmc_proper_p, graph_hypersurface_immersion,
-                             mean_curvature, normal_connection, normal_frame,
-                             normal_laplacian_H, second_fundamental_form,
-                             shape_operator, small_hypersphere_immersion,
-                             theorem21_residuals, theorem23_residuals)
+                             small_hypersphere_immersion, theorem21_residuals,
+                             theorem23_residuals)
 
 SPHERE_BOX = [(-0.6, 0.7)] * 2
 
@@ -30,6 +28,11 @@ def plane_immersion():
 def paraboloid():
     return graph_hypersurface_immersion(
         parse("0.3*x1^2 + 0.2*x1*x2 + 0.4*x2^2 + 0.1*x1", 2), 2, name="paraboloid")
+
+
+def floats(t):
+    """Base values of a nested list of float-or-jet scalars."""
+    return [floats(v) for v in t] if isinstance(t, list) else value(t)
 
 
 def sample(rng, box, count):
@@ -64,10 +67,10 @@ class TestImmersionBasics:
     def test_normal_frame_orthonormal_and_normal(self):
         imm = small_hypersphere_immersion(2, 0.7)
         x = (0.3, 0.25)
-        F = normal_frame(imm, x)
-        assert len(F.vectors) == 1
+        F = floats(imm.at(x).normal_frame)
+        assert len(F) == 1
         ip = imm.at(x)
-        xi = F.vectors[0]
+        xi = F[0]
         assert value(ip.mp.h_inner(xi, xi)) == pytest.approx(1.0, abs=1e-12)
         for i in range(2):
             col = [value(ip.mp.dphi[a][i]) for a in range(3)]
@@ -77,7 +80,7 @@ class TestImmersionBasics:
 class TestSecondFundamentalForm:
     def test_plane_is_totally_geodesic(self):
         imm = plane_immersion()
-        B = second_fundamental_form(imm, (0.4, -0.7))
+        B = floats(imm.at((0.4, -0.7)).second_fundamental)
         assert max(abs(v) for mat in B for row in mat for v in row) < 1e-14
 
     def test_small_sphere_is_umbilical(self):
@@ -86,7 +89,7 @@ class TestSecondFundamentalForm:
         b = math.sqrt(1 - a * a)
         imm = small_hypersphere_immersion(2, a)
         x = (0.2, -0.4)
-        B = second_fundamental_form(imm, x)[0]
+        B = floats(imm.at(x).second_fundamental)[0]
         g = [[value(v) for v in row] for row in imm.map.source.metric_at(x)]
         ratio = B[0][0] / g[0][0]
         assert abs(ratio) == pytest.approx(b / a, rel=1e-10)
@@ -97,7 +100,7 @@ class TestSecondFundamentalForm:
     def test_circle_curvature(self):
         rho = 0.8
         imm = circle_immersion(rho)
-        B = second_fundamental_form(imm, (1.1,))[0]
+        B = floats(imm.at((1.1,)).second_fundamental)[0]
         g = value(imm.map.source.metric_at((1.1,))[0][0])
         assert abs(B[0][0]) / g == pytest.approx(1.0 / rho, rel=1e-10)
 
@@ -105,8 +108,8 @@ class TestSecondFundamentalForm:
 class TestShapeOperator:
     def test_plane_vanishes(self):
         imm = plane_immersion()
-        xi = normal_frame(imm, (0.1, 0.2)).vectors[0]
-        A = shape_operator(imm, (0.1, 0.2), xi)
+        xi = floats(imm.at((0.1, 0.2)).normal_frame)[0]
+        A = floats(imm.at((0.1, 0.2)).shape_matrix(xi))
         assert max(abs(v) for row in A for v in row) < 1e-14
 
     def test_sphere_is_proportional_to_identity(self):
@@ -114,10 +117,10 @@ class TestShapeOperator:
         b = math.sqrt(1 - a * a)
         imm = small_hypersphere_immersion(2, a)
         x = (0.15, 0.3)
-        H = mean_curvature(imm, x)
+        H = floats(imm.at(x).mean_curvature)
         hn = math.sqrt(sum(value(imm.at(x).mp.h_inner(H, H)) for _ in [0]))
         eta = [c / hn for c in H]
-        A = shape_operator(imm, x, eta)
+        A = floats(imm.at(x).shape_matrix(eta))
         for i in range(2):
             for j in range(2):
                 assert A[i][j] == pytest.approx((b / a) * (i == j), abs=1e-8)
@@ -125,8 +128,8 @@ class TestShapeOperator:
     def test_self_adjointness(self):
         imm = paraboloid()
         x = (0.3, -0.2)
-        xi = normal_frame(imm, x).vectors[0]
-        A = shape_operator(imm, x, xi)
+        xi = floats(imm.at(x).normal_frame)[0]
+        A = floats(imm.at(x).shape_matrix(xi))
         g = [[value(v) for v in row] for row in imm.map.source.metric_at(x)]
         gA = [[sum(g[i][k] * A[k][j] for k in range(2)) for j in range(2)]
               for i in range(2)]
@@ -141,8 +144,8 @@ class TestShapeOperator:
             eta = [value(c) for c in ip.normal_frame[0]]
             H = [value(c) for c in ip.mean_curvature]
             h_eta = value(ip.mp.h_inner(H, eta))
-            A_eta = shape_operator(imm, x, eta)
-            A_H = shape_operator(imm, x, H)
+            A_eta = floats(imm.at(x).shape_matrix(eta))
+            A_H = floats(imm.at(x).shape_matrix(H))
             for i in range(2):
                 for j in range(2):
                     assert A_H[i][j] == pytest.approx(h_eta * A_eta[i][j], abs=1e-9)
@@ -150,7 +153,7 @@ class TestShapeOperator:
 
 class TestMeanCurvature:
     def test_plane_minimal(self):
-        assert mean_curvature(plane_immersion(), (0.9, 0.1)) == pytest.approx(
+        assert floats(plane_immersion().at((0.9, 0.1)).mean_curvature) == pytest.approx(
             [0.0, 0.0, 0.0], abs=1e-14)
 
     def test_small_sphere_norm(self):
@@ -169,13 +172,13 @@ class TestMeanCurvature:
             m = imm.m
             for x in sample(rng, box, 3):
                 tau = tension(imm.map, x)
-                H = mean_curvature(imm, x)
+                H = floats(imm.at(x).mean_curvature)
                 assert max(abs(t - m * h) for t, h in zip(tau, H)) < 1e-9
 
     def test_p_tension_is_m_to_p_half_H(self):
         imm = small_hypersphere_immersion(2, 0.75)
         x = (0.2, 0.4)
-        H = mean_curvature(imm, x)
+        H = floats(imm.at(x).mean_curvature)
         for p in (2.0, 3.0, 4.0):
             tp = p_tension(imm.map, x, p)
             assert max(abs(t - 2 ** (p / 2.0) * h) for t, h in zip(tp, H)) < 1e-9
@@ -189,18 +192,18 @@ class TestNormalConnection:
         def H_field(X):
             return imm.at(X).mean_curvature
 
-        H_field.depth = 0
+        X = lift_point(x, 1)
         for i in range(2):
-            W = normal_connection(imm, x, i, H_field)
+            W = floats(imm.at(X).nabla_perp(i, H_field(X)))
             assert max(abs(v) for v in W) < 1e-10
-        assert max(abs(v) for v in normal_laplacian_H(imm, x)) < 1e-9
+        assert max(abs(v) for v in floats(imm.at(lift_point(x, 2)).laplacian_perp_H)) < 1e-9
 
     def test_normal_laplacian_is_normal(self):
         rng = np.random.default_rng(54)
         for imm, box in [(paraboloid(), [(-0.6, 0.6)] * 2),
                          (small_hypersphere_immersion(2, 0.6), SPHERE_BOX)]:
             for x in sample(rng, box, 3):
-                lap = normal_laplacian_H(imm, x)
+                lap = floats(imm.at(lift_point(x, 2)).laplacian_perp_H)
                 ip = imm.at(x)
                 for i in range(imm.m):
                     col = [value(ip.mp.dphi[a][i]) for a in range(imm.n)]
@@ -230,7 +233,7 @@ class TestNormalConnection:
         lap_scalar = divergence(imm.map.source, grad_f, x)
         ip = imm.at(x)
         eta = [value(c) for c in ip.normal_frame[0]]
-        lap = normal_laplacian_H(imm, x)
+        lap = floats(imm.at(lift_point(x, 2)).laplacian_perp_H)
         for a in range(3):
             assert lap[a] == pytest.approx(lap_scalar * eta[a], abs=1e-8)
 
@@ -314,6 +317,10 @@ class TestCmcProperP:
         small = cmc_proper_p(small_hypersphere_immersion(2, 0.6), (0.2, 0.3))
         assert not small.admissible
         assert small.message == "no admissible p >= 2"
+
+    def test_empty_sample_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            cmc_proper_p(small_hypersphere_immersion(2, 0.8), (0.2, 0.3), sample_points=[])
 
     def test_zero_mean_curvature_rejected(self):
         with pytest.raises(DomainError):

@@ -11,8 +11,7 @@ from pbh import mapcalc, verify
 from pbh.errors import BatchSplit
 from pbh.geometry import ChartMetric
 from pbh.jets import lift_point, value
-from pbh.stress import (stress_divergence_at, stress_divergence_check, trace_identity,
-                        trace_identity_at)
+from pbh.stress import stress_divergence_at, stress_divergence_check, trace_identity_at
 from pbh.submanifold import (ImmersionPoint, bitension_split, theorem21_residuals,
                              theorem23_residuals)
 from pbh.verify import (P_VALUES, _points, corpus_immersions, corpus_maps,
@@ -49,7 +48,8 @@ def test_shared_map_point_equals_stress_wrappers(name, phi, box):
         mp = phi.at(lift_point(x, 3))
         for p in P_VALUES:
             assert repr(stress_divergence_at(mp, p)) == repr(stress_divergence_check(phi, x, p))
-            assert repr(trace_identity_at(mp, p)) == repr(trace_identity(phi, x, p))
+            assert (repr(trace_identity_at(mp, p))
+                    == repr(trace_identity_at(phi.at(lift_point(x, 2)), p)))
 
 
 def test_target_curvature_is_computed_once_per_point(monkeypatch):
