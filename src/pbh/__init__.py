@@ -1,16 +1,13 @@
 """Numerical verification of p-harmonic / p-biharmonic map identities and
 stress p-bienergy tensors on chart-described Riemannian manifolds."""
 
-from .errors import (DomainError, ExprSyntaxError, JetOrderError,
-                     NotPositiveDefiniteError, PbhError, RankDeficiencyError,
-                     SchemaError, SingularityError, SingularMatrixError,
-                     UnknownIdentifierError)
+from .errors import (DomainError, ExprSyntaxError, JetOrderError, PbhError,
+                     RankDeficiencyError, SchemaError, SingularityError,
+                     SingularMatrixError, UnknownIdentifierError)
 from .expr import Expression, differentiate, eval_jet, parse
-from .geometry import (ChartMetric, christoffel, divergence, divergence_2tensor,
-                       euclidean_chart, sectional_curvature, space_form_chart)
+from .geometry import ChartMetric, euclidean_chart, sectional_curvature, space_form_chart
 from .jets import JetScalar, JetSpace, lift_point
-from .mapcalc import (FieldAlongMap, SmoothMap, p_bienergy_box, p_bitension, p_energy_box,
-                      p_tension, pullback_derivative, tension)
+from .mapcalc import SmoothMap, p_bienergy_box, p_bitension, p_energy_box, p_tension, tension
 from .scenarios import ResidualReport, Scenario, builtin, load_scenario, run, sweep
 from .stress import stress_divergence_check, stress_tensor, stress_trace
 from .submanifold import (CmcResult, Immersion, bitension_split, circle_immersion,

@@ -35,10 +35,6 @@ class SingularMatrixError(PbhError):
     """Matrix inversion / linear solve hit a zero pivot."""
 
 
-class NotPositiveDefiniteError(PbhError):
-    """A metric matrix failed the positive-definiteness check."""
-
-
 class RankDeficiencyError(PbhError):
     """An immersion's differential dropped rank at a sample point."""
 

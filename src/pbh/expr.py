@@ -19,11 +19,10 @@ import re
 
 from . import jets
 from .errors import ExprSyntaxError, UnknownIdentifierError
-from .jets import space_for
+from .jets import lift_point
 
 __all__ = [
     "Expression", "parse", "differentiate", "eval_jet",
-    "const", "coord", "param",
 ]
 
 
@@ -460,18 +459,6 @@ def _const_of(e):
 # smart constructors: constant folding plus the 0/1 identities
 # ---------------------------------------------------------------------- #
 
-def const(v) -> Const:
-    return Const(v)
-
-
-def coord(i) -> Coord:
-    return Coord(i)
-
-
-def param(name) -> Param:
-    return Param(name)
-
-
 def add(a, b):
     ca, cb = _const_of(a), _const_of(b)
     if ca is not None and cb is not None:
@@ -585,27 +572,13 @@ def differentiate(e: Expression, coord_index: int) -> Expression:
     return e.diff(coord_index)
 
 
-def eval_jet(e: Expression, point, order: int, seeds=None, params=None):
-    """Evaluate `e` at `point` in jet arithmetic.
-
-    `seeds` lists the coordinate indices that become jet variables (all of
-    them by default); the remaining coordinates enter as constants. The
-    result's coefficient for a multi-index alpha (over the seed list, in
-    order) is the corresponding mixed partial of `e` divided by alpha!.
+def eval_jet(e: Expression, point, order: int):
+    """Evaluate `e` at the float `point` lifted to jets of total order `order`
+    (every coordinate a jet variable). The result's coefficient for a
+    multi-index alpha is the corresponding mixed partial of `e` divided by
+    alpha!.
     """
-    point = [float(v) for v in point]
-    if seeds is None:
-        seeds = list(range(len(point)))
-    else:
-        seeds = list(seeds)
-    sp = space_for(len(seeds), order)
-    coords = []
-    for i, v in enumerate(point):
-        if i in seeds:
-            coords.append(sp.variable(seeds.index(i), v))
-        else:
-            coords.append(sp.constant(v))
-    return e.evaluate(coords, params or {})
+    return e.evaluate(lift_point(point, order))
 
 
 # ---------------------------------------------------------------------- #

@@ -4,8 +4,10 @@ operators on a chart.
 All evaluation methods are generic over float-or-jet points. Metric
 derivatives are taken symbolically (the components are expressions), so
 Christoffel symbols and the curvature tensor are exact at any point type.
-Derivatives of *computed* fields (callables) go through jet lifting; such
-callables carry a `depth` saying how many jet shifts they consume internally.
+The divergence operators take the Christoffel symbols (and inverse metric) and
+the field's components at a jet point, and differentiate the components by one
+jet shift; a caller lifts its point to the order its field consumes plus one.
+`sectional_curvature` is the one reader over a float point.
 """
 
 from __future__ import annotations
@@ -14,17 +16,12 @@ import itertools
 
 from . import linalg
 from .expr import Const, parse
-from .jets import lift_point, partial, value
+from .jets import partial, value
 
 __all__ = [
-    "ChartMetric", "space_form_chart", "euclidean_chart", "christoffel",
-    "divergence", "divergence_at", "divergence_2tensor", "divergence_2tensor_at",
-    "sectional_curvature",
+    "ChartMetric", "space_form_chart", "euclidean_chart", "divergence_at",
+    "divergence_2tensor_at", "sectional_curvature",
 ]
-
-
-def _depth_of(f) -> int:
-    return getattr(f, "depth", 0)
 
 
 class ChartMetric:
@@ -202,12 +199,6 @@ def space_form_chart(c: float, dim: int) -> ChartMetric:
     return ChartMetric(dim, comps, space_form_c=c, domain=domain)
 
 
-def christoffel(chart: ChartMetric, x):
-    """Gamma^k_ij at a float point."""
-    return [[[value(v) for v in row] for row in plane]
-            for plane in chart.christoffel_at(tuple(x))]
-
-
 # ---------------------------------------------------------------------- #
 # differential operators on fields
 # ---------------------------------------------------------------------- #
@@ -221,12 +212,6 @@ def divergence_at(gamma, comps):
         for k in range(d):
             s = s + gamma[i][i][k] * comps[k]
     return s
-
-
-def divergence(chart: ChartMetric, vec_field, x) -> float:
-    """div X at a float point, for a vector field over jet points."""
-    X = lift_point(x, _depth_of(vec_field) + 1)
-    return value(divergence_at(chart.christoffel_at(X), vec_field(X)))
 
 
 def divergence_2tensor_at(ginv, gamma, T):
@@ -245,24 +230,19 @@ def divergence_2tensor_at(ginv, gamma, T):
     return out
 
 
-def divergence_2tensor(chart: ChartMetric, tensor_field, x):
-    """div T at a float point, for a symmetric 2-tensor field over jet points."""
-    X = lift_point(x, _depth_of(tensor_field) + 1)
-    T = tensor_field(X)
-    div = divergence_2tensor_at(chart.inverse_metric_at(X), chart.christoffel_at(X), T)
-    return [value(s) for s in div]
-
-
 # ---------------------------------------------------------------------- #
 # curvature diagnostics (used by space-form validation)
 # ---------------------------------------------------------------------- #
 
 def sectional_curvature(chart: ChartMetric, x, u, v) -> float:
     """K(u, v) = R(u,v,v,u) / (|u|^2 |v|^2 - g(u,v)^2), R_ijkl = g(R(d_i,d_j)d_k, d_l)."""
+    d = chart.dim
+    if (len(x), len(u), len(v)) != (d, d, d):
+        raise ValueError(f"the point and both vectors need {d} coordinates, got "
+                         f"{len(x)}, {len(u)} and {len(v)}")
     X = tuple(x)
     g = [[value(c) for c in row] for row in chart.metric_at(X)]
     R = chart.curvature_at(X)
-    d = chart.dim
     low = [[[[sum(value(R[m][i][j][k]) * g[m][l] for m in range(d)) for l in range(d)]
              for k in range(d)] for j in range(d)] for i in range(d)]
 

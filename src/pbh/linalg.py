@@ -13,11 +13,9 @@ raises :class:`BatchSplit` so the caller can evaluate the entries one at a time.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import BatchSplit, NotPositiveDefiniteError, SingularMatrixError
+from .errors import BatchSplit, SingularMatrixError
 from .jets import same_in_every_entry, value
 
 
@@ -102,28 +100,3 @@ def det(A):
     for i in range(1, n):
         d = d * a[i][i]
     return sign * d
-
-
-def cholesky(A):
-    """Float-only Cholesky; raises NotPositiveDefiniteError on failure."""
-    n = len(A)
-    L = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            s = sum(L[i][k] * L[j][k] for k in range(j))
-            if i == j:
-                d = A[i][i] - s
-                if d <= 0.0:
-                    raise NotPositiveDefiniteError(f"leading minor {i + 1} not positive")
-                L[i][j] = math.sqrt(d)
-            else:
-                L[i][j] = (A[i][j] - s) / L[j][j]
-    return L
-
-
-def is_spd(A) -> bool:
-    try:
-        cholesky([[value(x) for x in row] for row in A])
-        return True
-    except NotPositiveDefiniteError:
-        return False

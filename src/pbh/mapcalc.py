@@ -14,22 +14,21 @@ Jet budget per operation (shifts consumed internally): tension 0, p_tension 1,
 pull-back derivative of a field adds 1, p_bitension 3. A point lifted to the
 highest order of several readers serves all of them; p-dependent fields are
 computed once per point and p, the target curvature once per point. The
-functions `tension`, `p_tension`, `pullback_derivative` and `p_bitension`
-take a float point, lift it to their own minimum order and call the same
-reader. A MapPoint may also hold a batch of points (see :mod:`pbh.jets`), at
-any jet order; `replay_chunks` evaluates items in batched chunks and replays a
-chunk that raises item by item. The box quadrature uses it for its Gauss
-nodes, `pbh.scenarios` and the acceptance criteria of `pbh.verify` for their
-sample points.
+functions `tension`, `p_tension` and `p_bitension` take a float point, lift
+it to their own minimum order and call the same reader. A MapPoint may also
+hold a batch of points (see :mod:`pbh.jets`), at any jet order;
+`replay_chunks` evaluates items in batched chunks and replays a chunk that
+raises item by item. `pbh.scenarios` uses it for its sample points; the box
+quadrature (its Gauss nodes) and the acceptance criteria of `pbh.verify`
+(their sample points) read through one chunk reader on top of it,
+`_read_points`.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, wraps
-from typing import Callable
 
 import numpy as np
 
@@ -40,8 +39,7 @@ from .geometry import ChartMetric
 from .jets import JetScalar, any_entry, lift_point, partial, point_value, powr, sqrt, value
 
 __all__ = [
-    "SmoothMap", "FieldAlongMap", "MapPoint", "tension", "p_tension",
-    "pullback_derivative", "p_bitension",
+    "SmoothMap", "MapPoint", "tension", "p_tension", "p_bitension",
     "p_energy_box", "p_bienergy_box", "perturbed_map", "gauss_legendre_box",
 ]
 
@@ -97,23 +95,6 @@ class SmoothMap:
 
     def __repr__(self):
         return f"SmoothMap({self.name or 'unnamed'}: dim {self.source.dim} -> {self.target.dim})"
-
-
-@dataclass
-class FieldAlongMap:
-    """A section of the pulled-back target tangent bundle, as an evaluation rule.
-
-    `rule(X)` returns target components at the source point X; `depth` is the
-    number of jet shifts the rule performs internally, which callers must add
-    to their own budget when differentiating the field.
-    """
-
-    base_map: SmoothMap
-    rule: Callable
-    depth: int = 0
-
-    def __call__(self, X):
-        return self.rule(X)
 
 
 def check_p(p: float):
@@ -314,7 +295,10 @@ class MapPoint:
 
     # -- pull-back covariant derivative ----------------------------------- #
     def pullback_derivative(self, V, i: int):
-        """(nabla^phi_{d_i} V)^a = d_i V^a + Gamma^N{}^a_{mu sigma} (d_i phi^mu) V^sigma."""
+        """(nabla^phi_{d_i} V)^a = d_i V^a + Gamma^N{}^a_{mu sigma} (d_i phi^mu) V^sigma,
+        for a direction 0 <= i < m."""
+        if not 0 <= i < self.m:
+            raise ValueError(f"direction {i} is not one of the {self.m} source directions")
         self._require_jets("pullback_derivative")
         n = self.n
         gn = self.gammaN
@@ -400,12 +384,6 @@ def p_tension(phi: SmoothMap, x, p: float):
     return [value(t) for t in phi.at(tuple(x) if p == 2.0 else lift_point(x, 1)).p_tension(p)]
 
 
-def pullback_derivative(V: FieldAlongMap, direction: int, x):
-    """(nabla^phi_{d_direction} V) at x, for a field along V.base_map."""
-    X = lift_point(x, V.depth + 1)
-    return [value(c) for c in V.base_map.at(X).pullback_derivative(V(X), direction)]
-
-
 def p_bitension(phi: SmoothMap, x, p: float):
     return [value(t) for t in phi.at(lift_point(x, 3)).p_bitension(p)]
 
@@ -487,50 +465,47 @@ def replay_chunks(items, batched, single):
         yield from results
 
 
-def _require_in_domain(phi, x):
-    if not phi.source.contains(x):
-        raise SingularityError("quadrature node outside source domain", point=x)
+def _read_points(obj, points, order, read):
+    """Yield one result per point, in order, read from the points in batched chunks.
 
+    obj is a SmoothMap or an Immersion. A chunk is one batched point X (one
+    point alone is the unbatched point X), and read(obj.at(X lifted to `order`;
+    0: floats), X, size) returns the results of its `size` points. Every point
+    of a chunk is checked against the source domain before any is evaluated;
+    a chunk that raises is replayed point by point (`replay_chunks`), so the
+    exception and its message are those of a per-point loop.
+    """
+    source = obj.source if isinstance(obj, SmoothMap) else obj.map.source
 
-def _node_terms(phi, X, jet_order, integrand):
-    """(integrand(pt, X), sqrt(det g)) at the point X lifted to `jet_order`
-    (0: floats); X is one node or a batch of nodes."""
-    pt = phi.at(lift_point(X, jet_order) if jet_order else X)
-    return integrand(pt, X), _volume_density(pt)
+    def at(chunk):
+        for x in chunk:
+            if not source.contains(x):
+                raise SingularityError("quadrature node outside source domain", point=x)
+        X = _stack(chunk) if len(chunk) > 1 else chunk[0]
+        return read(obj.at(lift_point(X, order) if order else X), X, len(chunk))
 
-
-def _chunk_terms(phi, chunk, jet_order, integrand):
-    """[(integrand, density)] per node of a chunk, from one batched evaluation."""
-    for x, _w in chunk:
-        _require_in_domain(phi, x)
-    v, d = _node_terms(phi, _stack([x for x, _w in chunk]), jet_order, integrand)
-    size = len(chunk)
-    return list(zip(np.broadcast_to(v, size).tolist(), np.broadcast_to(d, size).tolist()))
-
-
-def _single_node_terms(phi, x, jet_order, integrand):
-    _require_in_domain(phi, x)
-    return _node_terms(phi, x, jet_order, integrand)
+    return replay_chunks(points, at, lambda chunk, k: at(chunk[k:k + 1])[0])
 
 
 def _box_sum(phi, box, order, jet_order, integrand, factor=1.0):
     """Sum over the Gauss nodes of the box, in node order, of
     factor * w * integrand(pt, x) * sqrt(det g) at pt = phi.at(x lifted to jet_order).
 
-    Nodes are evaluated in batched chunks (`replay_chunks`: coordinate arrays
-    in float mode, (size, P) jets at order 1); a chunk that raises (a node
-    outside the source domain, a point failure, a floating-point exception, a
-    BatchSplit) is replayed node by node, so the exception and its message are
-    those of a per-node loop. Terms are added one node at a time, in node
-    order and with the per-node association, so the sum is bit-identical to
-    that loop.
+    Nodes are read in batched chunks (`_read_points`: coordinate arrays in
+    float mode, (size, P) jets at order 1), and a chunk that raises is
+    replayed node by node. Terms are added one node at a time, in node order
+    and with the per-node association, so the sum is bit-identical to a
+    per-node loop.
     """
     nodes = list(gauss_legendre_box(box, order))
-    terms = replay_chunks(
-        nodes, lambda chunk: _chunk_terms(phi, chunk, jet_order, integrand),
-        lambda chunk, k: _single_node_terms(phi, chunk[k][0], jet_order, integrand))
+
+    def terms(pt, X, size):
+        return list(zip(*(np.broadcast_to(t, size).tolist()
+                          for t in (integrand(pt, X), _volume_density(pt)))))
+
+    points = [x for x, _w in nodes]
     total = 0.0
-    for (_x, w), (v, d) in zip(nodes, terms):
+    for (_x, w), (v, d) in zip(nodes, _read_points(phi, points, jet_order, terms)):
         total += factor * w * v * d
     return total
 

@@ -55,12 +55,12 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, NotPositiveDefiniteError, PbhError, RankDeficiencyError,
-                     SchemaError, SingularityError, SingularMatrixError)
+from .errors import (DomainError, PbhError, RankDeficiencyError, SchemaError,
+                     SingularityError, SingularMatrixError)
 from .expr import parse
 from .geometry import ChartMetric, space_form_chart
 from .jets import lift_point, value
@@ -161,7 +161,6 @@ class Scenario:
     exclude_text: list
     checks: list
     tolerance: float
-    source_supplies_metric: bool = field(default=False)
 
     @staticmethod
     def from_dict(data: dict) -> "Scenario":
@@ -264,8 +263,7 @@ class Scenario:
             name=name, kind=kind, source_spec=source_spec, target_spec=target_spec,
             component_text=list(comp_text), params=params, sweeps=sweeps, box=box,
             points_per_axis=ppa, random_points=rnd, seed=seed,
-            exclude_text=list(exclude), checks=list(checks), tolerance=float(tol),
-            source_supplies_metric="metric" in source_spec)
+            exclude_text=list(exclude), checks=list(checks), tolerance=float(tol))
 
     def to_dict(self) -> dict:
         params = {}
@@ -337,7 +335,7 @@ class Scenario:
             obj = SmoothMap(source, target, components, params=params, name=self.name)
         else:
             source_metric = None
-            if self.source_supplies_metric:
+            if "metric" in self.source_spec:
                 chart = _chart_from_spec(self.source_spec, "source", params, declared)
                 source_metric = chart.components
             obj = Immersion(m, target, components, params=params,
@@ -381,11 +379,6 @@ class ResidualReport:
     def verdict(self) -> bool:
         """Pass only when some row was checked and every row passed."""
         return bool(self.rows) and all(r.passed for r in self.rows)
-
-    def max_residual(self, check=None) -> float:
-        vals = [r.residual for r in self.rows
-                if (check is None or r.check == check) and not math.isnan(r.residual)]
-        return max(vals) if vals else 0.0
 
     def summary(self) -> dict:
         checks = {}
@@ -508,7 +501,7 @@ def _check_results(check, jet, flts, p, tol) -> list:
 
 # failures that turn the row of one sample point into NaN (SingularityError under strict)
 POINT_FAILURES = (SingularityError, DomainError, ZeroDivisionError, SingularMatrixError,
-                  RankDeficiencyError, NotPositiveDefiniteError, OverflowError)
+                  RankDeficiencyError, OverflowError)
 
 
 def _point_failure(exc, strict, point=None):

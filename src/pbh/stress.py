@@ -4,13 +4,14 @@ divergence identity linking it to the p-bitension field.
 All five terms of the tensor are assembled from the map-calculus primitives;
 the divergence side jet-differentiates the full stress pipeline (one shift on
 top of the two the tensor consumes), so a divergence check needs an order-3
-point. The `*_at` readers work on an already lifted `MapPoint`
-(`SmoothMap.at(lift_point(x, k))`), so the tensor is assembled once per point
-and p and shared by both identities; `stress_tensor`, `stress_trace`,
-`theta_divergence` and `stress_divergence_check` take a float point, lift it
-to their own minimum order and call the same readers. `trace_identity_at` and
-`stress_divergence_sides` also take a batched point (see :mod:`pbh.jets`) and
-then return arrays of per-entry values.
+point. The two readers, `trace_identity_at` and `stress_divergence_sides`,
+work on an already lifted `MapPoint` (`SmoothMap.at(lift_point(x, k))`), so
+the tensor is assembled once per point and p and shared by both identities.
+They also take a batched point (see :mod:`pbh.jets`) and then return arrays
+of per-entry values. `stress_tensor`, `stress_trace`, `theta_divergence` and
+`stress_divergence_check` take a float point, lift it to their own minimum
+order and assemble the same fields; `stress_divergence_check` adds the gap
+of `divergence_gap` to the two sides.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .mapcalc import MapPoint, SmoothMap, once_per_p
 
 __all__ = [
     "stress_tensor", "stress_trace", "theta_divergence", "stress_divergence_check",
-    "trace_identity_at", "stress_divergence_at", "stress_divergence_sides", "divergence_gap",
+    "trace_identity_at", "stress_divergence_sides", "divergence_gap",
 ]
 
 
@@ -91,12 +92,6 @@ def divergence_gap(lhs, rhs) -> float:
     return max(abs(a - b) for a, b in zip(lhs, rhs))
 
 
-def stress_divergence_at(mp: MapPoint, p: float):
-    """Both sides of div S(d_k) = -h(tau_2p, dphi(d_k)) and their gap at a jet point (3 shifts)."""
-    lhs, rhs = stress_divergence_sides(mp, p)
-    return lhs, rhs, divergence_gap(lhs, rhs)
-
-
 # ---------------------------------------------------------------------- #
 # public wrappers over float points
 # ---------------------------------------------------------------------- #
@@ -119,4 +114,5 @@ def theta_divergence(phi: SmoothMap, x, p: float) -> float:
 
 def stress_divergence_check(phi: SmoothMap, x, p: float):
     """Both sides of div S(d_k) = -h(tau_2p, dphi(d_k)) at x, plus the max gap."""
-    return stress_divergence_at(phi.at(lift_point(x, 3)), p)
+    lhs, rhs = stress_divergence_sides(phi.at(lift_point(x, 3)), p)
+    return lhs, rhs, divergence_gap(lhs, rhs)

@@ -370,11 +370,11 @@ class CmcResult:
         return "" if self.admissible else "no admissible p >= 2"
 
 
-def cmc_proper_p(imm: Immersion, x, sample_points=None, cmc_tol: float = 1e-8) -> CmcResult:
+def cmc_proper_p(imm: Immersion, x, sample_points=None) -> CmcResult:
     """Solve |A|^2 = m c - m (p - 2) |H|^2 for p on a CMC hypersurface.
 
     When `sample_points` are given, |H| constancy is verified across them
-    (std dev below `cmc_tol`) before solving at x.
+    (std dev at most 1e-8) before solving at x.
     """
     if sample_points is not None:
         if not sample_points:
@@ -383,7 +383,7 @@ def cmc_proper_p(imm: Immersion, x, sample_points=None, cmc_tol: float = 1e-8) -
                  for q in sample_points]
         mean = sum(norms) / len(norms)
         std = math.sqrt(sum((v - mean) ** 2 for v in norms) / len(norms))
-        if std > cmc_tol:
+        if std > 1e-8:
             raise DomainError(f"mean curvature is not constant (std {std:.3e})")
     return imm.at(tuple(x)).proper_p
 

@@ -7,10 +7,11 @@ one pass/fail line per criterion. Tolerances are fixed here, not tunable.
 The point-wise criteria evaluate the sample points of one map or immersion as
 one batched point (see :mod:`pbh.jets`), lifted to the jet order their checks
 need, and read every p and both pipelines from it (`_point_floats`). A batch
-that raises is replayed point by point (`mapcalc.replay_chunks`). The fields
-are split into per-point floats, and the criteria fold these in the order of a
-loop over p, point and component, so every reported value is the one a fresh
-context per point and call gives. Only one object's batch is alive at a time.
+that raises is replayed point by point (`mapcalc._read_points`, the chunk
+reader the energy quadrature uses for its Gauss nodes). The fields are split
+into per-point floats, and the criteria fold these in the order of a loop over
+p, point and component, so every reported value is the one a fresh context per
+point and call gives. Only one object's batch is alive at a time.
 The cylinder's metric reads p, so it gets a batch per p; the inversion maps are
 read at float points at p = 2, as `p_tension` does. The p = 2 reductions
 compare the public float-point wrappers with an independent p = 2 coding, one
@@ -33,8 +34,8 @@ from .errors import DomainError
 from .expr import Const, Coord, Expression, differentiate, eval_jet, parse
 from .geometry import euclidean_chart, sectional_curvature, space_form_chart
 from .jets import lift_point, value
-from .mapcalc import (SmoothMap, _box_sum, _entries, _split, _stack, p_energy_box, p_tension,
-                      perturbed_map, replay_chunks, tension)
+from .mapcalc import (SmoothMap, _box_sum, _entries, _read_points, _split, p_energy_box,
+                      p_tension, perturbed_map, tension)
 from .scenarios import builtin, run as run_scenario
 from .stress import divergence_gap, stress_divergence_sides, stress_tensor, trace_identity_at
 from .submanifold import (Immersion, circle_immersion, cmc_proper_p,
@@ -131,19 +132,16 @@ def _point_floats(obj, pts, order, read, ps=P_VALUES):
 
     The points are evaluated as one batched point lifted to `order` (0: float
     points) and replayed one point at a time if that raises
-    (`mapcalc.replay_chunks`). An obj that is a factory obj(p), a map whose
+    (`mapcalc._read_points`). An obj that is a factory obj(p), a map whose
     metric reads p, gets a batch per p.
     """
     if callable(obj):
         return [_point_floats(obj(p), pts, order, read, (p,))[0] for p in ps]
 
-    def floats(X, size):
-        ctx = obj.at(lift_point(X, order) if order else X)
+    def floats(ctx, X, size):
         return list(zip(*(read(ctx, p, size) for p in ps)))
 
-    per_point = replay_chunks(tuple(pts), lambda chunk: floats(_stack(chunk), len(chunk)),
-                              lambda chunk, k: floats(chunk[k], 1)[0])
-    return [list(col) for col in zip(*per_point)]
+    return [list(col) for col in zip(*_read_points(obj, pts, order, floats))]
 
 
 def _norm(v):

@@ -1,5 +1,6 @@
 """The public surface of pbh: the names a fresh `import pbh` exports, every
-module's `__all__`, and the methods the benchmark tracer wraps by name."""
+module's `__all__` (each entry exists and something outside the tests uses
+it), and the methods the benchmark tracer wraps by name."""
 
 import ast
 import importlib
@@ -11,21 +12,19 @@ from pathlib import Path
 
 import pbh
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 PUBLIC_NAMES = [
     # errors
-    "DomainError", "ExprSyntaxError", "JetOrderError", "NotPositiveDefiniteError", "PbhError",
-    "RankDeficiencyError", "SchemaError", "SingularMatrixError", "SingularityError",
-    "UnknownIdentifierError",
+    "DomainError", "ExprSyntaxError", "JetOrderError", "PbhError", "RankDeficiencyError",
+    "SchemaError", "SingularMatrixError", "SingularityError", "UnknownIdentifierError",
     # expr, jets
     "Expression", "differentiate", "eval_jet", "parse", "JetScalar", "JetSpace", "lift_point",
     # geometry
-    "ChartMetric", "christoffel", "divergence", "divergence_2tensor", "euclidean_chart",
-    "sectional_curvature", "space_form_chart",
+    "ChartMetric", "euclidean_chart", "sectional_curvature", "space_form_chart",
     # mapcalc
-    "FieldAlongMap", "SmoothMap", "p_bienergy_box", "p_bitension", "p_energy_box", "p_tension",
-    "pullback_derivative", "tension",
+    "SmoothMap", "p_bienergy_box", "p_bitension", "p_energy_box", "p_tension", "tension",
     # scenarios
     "ResidualReport", "Scenario", "builtin", "load_scenario", "run", "sweep",
     # stress
@@ -55,7 +54,7 @@ def test_public_names_of_a_fresh_import():
         [sys.executable, "-c",
          "import pbh; print(' '.join(n for n in dir(pbh) if not n.startswith('_')))"],
         capture_output=True, text=True, check=True, timeout=60, env=env).stdout.split()
-    assert len(PUBLIC_NAMES) == 59
+    assert len(PUBLIC_NAMES) == 53
     assert sorted(out) == sorted(PUBLIC_NAMES)
 
 
@@ -65,11 +64,44 @@ def test_every_all_entry_resolves():
         assert missing == [], f"{mod.__name__}.__all__ names missing objects: {missing}"
 
 
+def _assigned(tree, name):
+    """The literal a module-level assignment gives `name`, or None."""
+    return next((ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == name for t in node.targets)), None)
+
+
+def _identifiers(tree, outside=None) -> set:
+    """Every name and attribute name used in tree, except inside the node `outside`."""
+    skipped = set(map(id, ast.walk(outside))) if outside is not None else set()
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in skipped}
+
+
+def test_every_all_entry_is_used_outside_the_tests():
+    # the package itself (not the re-exports of its __init__) or the benchmark
+    # must use each exported name; a name only the tests reach is dead code
+    modules = sorted((ROOT / "src" / "pbh").glob("*.py"))
+    trees = {path: ast.parse(path.read_text())
+             for path in [*modules, *sorted((ROOT / "perfbench").glob("*.py"))]
+             if path.name != "__init__.py"}
+    exported, unused = 0, []
+    for path in modules:
+        names = _assigned(trees[path], "__all__") if path in trees else None
+        if not names:
+            continue
+        exported += len(names)
+        defs = {node.name: node for node in trees[path].body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        others = set().union(*(_identifiers(t) for p, t in trees.items() if p != path))
+        unused += [f"{path.stem}.{name}" for name in names
+                   if name not in others | _identifiers(trees[path], defs.get(name))]
+    assert exported > 0
+    assert unused == []
+
+
 def test_traced_methods_exist():
-    tree = ast.parse(TRACER.read_text())
-    methods = next(ast.literal_eval(node.value) for node in tree.body
-                   if isinstance(node, ast.Assign)
-                   and any(getattr(t, "id", None) == "METHODS" for t in node.targets))
+    methods = _assigned(ast.parse(TRACER.read_text()), "METHODS")
     assert methods
     for layer, classes in methods.items():
         mod = importlib.import_module(f"pbh.{layer}")

@@ -124,13 +124,15 @@ def _outcome(fn, *args):
 def node_calls(monkeypatch):
     """Counts of batched and single-node evaluations inside the quadrature."""
     calls = {"batched": 0, "single": 0}
-    inner = mapcalc._node_terms
+    inner = mapcalc._read_points
 
-    def counting(phi, X, jet_order, integrand):
-        calls["batched" if isinstance(X[0], np.ndarray) else "single"] += 1
-        return inner(phi, X, jet_order, integrand)
+    def spying(obj, points, order, read):
+        def counting(ctx, X, size):
+            calls["batched" if isinstance(X[0], np.ndarray) else "single"] += 1
+            return read(ctx, X, size)
+        return inner(obj, points, order, counting)
 
-    monkeypatch.setattr(mapcalc, "_node_terms", counting)
+    monkeypatch.setattr(mapcalc, "_read_points", spying)
     return calls
 
 
@@ -171,6 +173,20 @@ def test_node_outside_domain_mid_chunk():
         got = _outcome(fn, phi, box, 3.0, 4)
         assert got.startswith("SingularityError: quadrature node outside source domain")
         assert got == _outcome(loop, phi, box, 3.0, 4)
+
+
+def test_point_failure_before_a_node_outside_domain(node_calls):
+    # order 4: node 0 (x1 = -0.72) is inside the ball but log(x1) fails there;
+    # nodes 12-15 (x1 = 2.72) leave the ball, which fails the chunk's domain
+    # check first, so only the node-by-node replay finds the loop's exception
+    phi = SmoothMap(space_form_chart(-1.0, 2), euclidean_chart(2),
+                    [parse("log(x1)", 2), parse("x2", 2)])
+    box = [(-1.0, 3.0), (0.0, 0.5)]
+    for fn, loop in ((p_energy_box, loop_energy), (p_bienergy_box, loop_bienergy)):
+        got = _outcome(fn, phi, box, 3.0, 4)
+        assert got.startswith("DomainError")
+        assert got == _outcome(loop, phi, box, 3.0, 4)
+    assert node_calls == {"batched": 0, "single": 2}
 
 
 def test_pivot_rows_that_differ_across_nodes_split_the_batch(node_calls):

@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from pbh.errors import NotPositiveDefiniteError, RankDeficiencyError, SingularMatrixError
+from pbh.errors import RankDeficiencyError, SingularMatrixError
 from pbh.expr import Const, parse
-from pbh.geometry import (ChartMetric, christoffel, divergence, divergence_2tensor,
-                          euclidean_chart, sectional_curvature, space_form_chart)
-from pbh.jets import value
+from pbh.geometry import (ChartMetric, divergence_2tensor_at, divergence_at, euclidean_chart,
+                          sectional_curvature, space_form_chart)
+from pbh.jets import lift_point, value
 from pbh.mapcalc import SmoothMap
 from pbh.submanifold import Immersion
-from pbh import linalg
 
 
 def conformal_chart(f_text, dim):
@@ -65,13 +64,6 @@ class TestChartMetric:
         with pytest.raises(ValueError):
             ChartMetric(2, [[Const(1.0)]])
 
-    def test_spd_detection(self):
-        good = euclidean_chart(3).metric_at((0.0, 0.0, 0.0))
-        assert linalg.is_spd(good)
-        assert not linalg.is_spd([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(NotPositiveDefiniteError):
-            linalg.cholesky([[0.0, 0.0], [0.0, 1.0]])
-
     def test_singular_metric_inversion(self):
         chart = ChartMetric(2, [[parse("x1", 2), Const(0.0)],
                                 [Const(0.0), Const(1.0)]])
@@ -86,7 +78,7 @@ class TestChartMetric:
 
 class TestChristoffel:
     def test_euclidean_zero(self):
-        G = christoffel(euclidean_chart(3), (0.3, -0.2, 1.0))
+        G = euclidean_chart(3).christoffel_at((0.3, -0.2, 1.0))
         assert max(abs(G[k][i][j]) for k in range(3) for i in range(3)
                    for j in range(3)) == 0.0
 
@@ -97,7 +89,7 @@ class TestChristoffel:
         rng = np.random.default_rng(31)
         for _ in range(5):
             x = tuple(rng.uniform(-0.8, 0.8, size=2))
-            G = christoffel(chart, x)
+            G = chart.christoffel_at(x)
             df = [f.diff(0).evaluate(x), f.diff(1).evaluate(x)]
             for k, i, j in itertools.product(range(2), repeat=3):
                 expect = ((k == i) * df[j] + (k == j) * df[i] - (i == j) * df[k])
@@ -105,12 +97,12 @@ class TestChristoffel:
 
     def test_symmetry_in_lower_indices(self):
         chart = space_form_chart(0.7, 3)
-        G = christoffel(chart, (0.2, 0.4, -0.1))
+        G = chart.christoffel_at((0.2, 0.4, -0.1))
         for k, i, j in itertools.product(range(3), repeat=3):
             assert G[k][i][j] == G[k][j][i]
 
     def test_sphere_chart_origin_is_critical(self):
-        G = christoffel(space_form_chart(1.0, 2), (0.0, 0.0))
+        G = space_form_chart(1.0, 2).christoffel_at((0.0, 0.0))
         assert max(abs(G[k][i][j]) for k in range(2) for i in range(2)
                    for j in range(2)) == 0.0
 
@@ -143,6 +135,16 @@ class TestCurvature:
             assert sectional_curvature(chart, x, u, v) == pytest.approx(1.0, abs=1e-8)
         assert sectional_curvature(space_form_chart(-1.0, 2), (0.0, 0.0),
                                    [1, 0], [0, 1]) == pytest.approx(-1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("chart_dim, x, u, v", [
+        (2, (0.1, 0.2, 5.0), [1, 0], [0, 1]),  # a point with a coordinate too many
+        (3, (0.1, 0.2), [1, 0, 0], [0, 1, 0]),  # a point with one too few
+        (2, (0.1, 0.2), [1, 0, 0], [0, 1]),
+        (2, (0.1, 0.2), [1, 0], [0]),
+    ])
+    def test_sectional_curvature_checks_sizes(self, chart_dim, x, u, v):
+        with pytest.raises(ValueError, match=f"need {chart_dim} coordinates"):
+            sectional_curvature(space_form_chart(1.0, chart_dim), x, u, v)
 
     def test_two_sphere_scalar_curvature(self):
         # in dimension 2 the scalar curvature is twice the sectional curvature
@@ -205,10 +207,9 @@ class TestOperators:
         assert g == pytest.approx([0.0, 2 * 0.8 / lam], rel=1e-12)
 
     def test_divergence_of_position_field(self):
-        def pos(X):
-            return list(X)
-
-        assert divergence(euclidean_chart(3), pos, (0.4, 0.5, -0.2)) == pytest.approx(3.0)
+        X = lift_point((0.4, 0.5, -0.2), 1)
+        div = divergence_at(euclidean_chart(3).christoffel_at(X), list(X))
+        assert value(div) == pytest.approx(3.0)
 
     def test_divergence_2tensor_product_rule(self):
         # T = f g  =>  div T = df
@@ -221,10 +222,11 @@ class TestOperators:
             g = chart.metric_at(X)
             return [[fx * g[i][j] for j in range(2)] for i in range(2)]
 
-        T.depth = 0
         for _ in range(4):
             x = tuple(rng.uniform(-0.7, 0.7, size=2))
-            div = divergence_2tensor(chart, T, x)
+            X = lift_point(x, 1)
+            div = [value(s) for s in divergence_2tensor_at(chart.inverse_metric_at(X),
+                                                           chart.christoffel_at(X), T(X))]
             df = [f.diff(0).evaluate(x), f.diff(1).evaluate(x)]
             assert div == pytest.approx(df, abs=1e-9)
 

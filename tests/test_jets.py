@@ -24,14 +24,6 @@ def test_sine_maclaurin():
     assert coeffs == pytest.approx([0.0, 1.0, 0.0, -1.0 / 6.0], abs=1e-16)
 
 
-def test_seed_subset():
-    # only x2 seeded: x1 enters as a constant
-    j = eval_jet(parse("x1 * x2^2", 2), (3.0, 2.0), 2, seeds=[1])
-    assert j.value == 12.0
-    assert j.coefficient((1,)) == 12.0 / 2.0 * 2.0  # d/dx2 = 2 x1 x2 = 12
-    assert j.coefficient((2,)) == 3.0  # second derivative / 2! = x1
-
-
 def test_jets_match_symbolic_derivatives():
     rng = np.random.default_rng(21)
     worst = 0.0

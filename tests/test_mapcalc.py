@@ -12,9 +12,8 @@ from pbh.expr import Const, parse
 from pbh.geometry import euclidean_chart, space_form_chart
 from pbh.jets import lift_point, value
 from pbh.linalg import det
-from pbh.mapcalc import (FieldAlongMap, SmoothMap, gauss_legendre_box, p_bienergy_box,
-                         p_bitension, p_energy_box, p_tension, perturbed_map,
-                         pullback_derivative, tension)
+from pbh.mapcalc import (SmoothMap, gauss_legendre_box, p_bienergy_box, p_bitension,
+                         p_energy_box, p_tension, perturbed_map, tension)
 from pbh.scenarios import builtin
 from pbh.stress import stress_divergence_check, stress_tensor, stress_trace, theta_divergence
 from pbh.submanifold import bitension_split, small_hypersphere_immersion, theorem21_residuals
@@ -159,9 +158,18 @@ class TestTension:
 
 class TestPullbackDerivative:
     def test_constant_field_flat_target(self):
-        phi = identity_map(2)
-        V = FieldAlongMap(phi, lambda X: [1.0, -2.0], depth=0)
-        assert pullback_derivative(V, 0, (0.3, 0.4)) == [0.0, 0.0]
+        mp = identity_map(2).at(lift_point((0.3, 0.4), 1))
+        assert [value(c) for c in mp.pullback_derivative([1.0, -2.0], 0)] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("field", ["tangent", "constant"])
+    def test_direction_outside_the_source_rejected(self, field):
+        # a negative index would silently read the last direction, and a
+        # constant field never reaches JetScalar.partial: the method checks
+        mp = small_hypersphere_immersion(2, 0.8).map.at(lift_point((0.1, 0.2), 1))
+        V = mp.dphi_cols[0] if field == "tangent" else [1.0, 0.0, 0.0]
+        for i in (-1, 2):
+            with pytest.raises(ValueError, match=f"direction {i} is not one of the 2"):
+                mp.pullback_derivative(V, i)
 
     def test_second_fundamental_form_cross_check(self):
         # nabla^phi_i dphi(d_j) - dphi(nabla^M_i d_j) = (nabla dphi)(d_i, d_j)
@@ -335,18 +343,17 @@ class TestFields:
         # it once needs a point lifted to depth + 1
         phi = cylinder(3.0)
         x = (1.0, 1.0, 1.0)
-        fields = [(FieldAlongMap(phi, lambda X: phi.at(X).tension, depth=0), 0),
-                  (FieldAlongMap(phi, lambda X: phi.at(X).p_tension(3.0), depth=1), 1),
-                  (FieldAlongMap(phi, lambda X: phi.at(X).p_tension(2.0), depth=0), 0)]
-        for field, depth in fields:
-            assert field.depth == depth
-            assert len(pullback_derivative(field, 0, x)) == 2
+        fields = [(lambda X: phi.at(X).tension, 0),
+                  (lambda X: phi.at(X).p_tension(3.0), 1),
+                  (lambda X: phi.at(X).p_tension(2.0), 0)]
+        for rule, depth in fields:
+            X = lift_point(x, depth + 1)
+            assert len(phi.at(X).pullback_derivative(rule(X), 0)) == 2
 
     def test_p_tension_field_evaluates(self):
         phi = cylinder(3.0)
-        field = FieldAlongMap(phi, lambda X: phi.at(X).p_tension(3.0), depth=1)
         X = lift_point((1.0, 1.0, 1.0), 2)
-        vals = [value(c) for c in field(X)]
+        vals = [value(c) for c in phi.at(X).p_tension(3.0)]
         assert vals == pytest.approx(p_tension(phi, (1.0, 1.0, 1.0), 3.0), rel=1e-12)
 
 
