@@ -24,12 +24,15 @@ batched point is a tuple of coordinate arrays of shape (P,); in jet mode
 and its coefficient array has shape (size, P): the monomial axis first, one
 column per batch entry. Base values (:func:`value`, ``JetScalar.value``) are
 then arrays of shape (P,). Batched jets reach the same orders as unbatched
-ones (<= 4). An order >= 2 product runs the unbatched bincount kernel over
-the flattened indices ``k * P + entry``, with its weights laid out term-major,
-so each entry's terms are summed in the unbatched kernel's order and every
-column equals the product of that column alone, bit for bit. Scalar and
-batched jets live in different spaces, so mixing them fails loudly instead of
-broadcasting. Domain checks fail when any entry is out of domain. For bit
+ones (<= 4). An order >= 2 product gathers the rows of its two operands that
+the multiplication table pairs (``take`` along the monomial axis, one (terms,
+P) array each), multiplies them in place and sums the terms with one
+``bincount`` over the flattened bins ``k * P + entry``, weights laid out
+term-major. Each entry's terms are the unbatched kernel's products, summed in
+its order, so every column equals the product of that column alone, bit for
+bit. Scalar and batched jets live in different spaces, so mixing them fails
+loudly instead of broadcasting. Domain checks fail when any entry is out of
+domain. For bit
 identity with the unbatched path, elementary functions and :func:`powr` compute
 their base values with the same scalar libm call per entry (``math.exp``,
 ``**``, ...): numpy's vectorized ``power``/``exp``/``log`` may differ from libm
@@ -123,9 +126,11 @@ class JetSpace:
             [float(math.prod(math.factorial(x) for x in a)) for a in self.monomials])
 
     def batch_bins(self, size: int) -> np.ndarray:
-        """Bincount bins of a batched product with `size` entries: term t of
-        entry e lands in bin k[t] * size + e, read from weights of shape
-        (terms, size) flattened term-major (cached per size)."""
+        """Bincount bins of a batched product with `size` entries (cached per
+        size). The product's weights are its gathered operand rows, a[i[t]] *
+        b[j[t]] for term t of the multiplication table, an array of shape
+        (terms, size) flattened term-major; term t of entry e lands in bin
+        k[t] * size + e."""
         bins = self._batch_bins.get(size)
         if bins is None:
             bins = (self._mul_k[:, None] * size + np.arange(size)).ravel()
@@ -195,6 +200,8 @@ class JetScalar:
         result are zero-filled placeholders, not true values.
         """
         sp = self.space
+        if not 0 <= v < sp.nvars:
+            raise ValueError(f"seed index {v} out of range for {sp.nvars} variables")
         out = np.zeros(self.c.shape)
         out[sp._shift_dst[v]] = sp._shift_fac[v] * self.c[sp._shift_src[v]]
         return JetScalar(sp, out)
@@ -232,6 +239,8 @@ class JetScalar:
         return JetScalar(self.space, self.c - o.c)
 
     def __rsub__(self, other):
+        if not isinstance(other, _INLINE_OPERANDS):
+            return NotImplemented
         c = -self.c
         c[0] += other
         return JetScalar(self.space, c)
@@ -248,12 +257,13 @@ class JetScalar:
             prod = self.c * b0 + o.c * a0
             prod[0] = a0 * b0
             return JetScalar(sp, prod)
-        terms = self.c[sp._mul_i] * o.c[sp._mul_j]
         if not sp.batched:
-            return JetScalar(sp, np.bincount(sp._mul_k, weights=terms, minlength=sp.size))
+            terms = self.c[sp._mul_i] * o.c[sp._mul_j]
+            return JetScalar(sp, np.bincount(sp._mul_k, terms, sp.size))
+        terms = self.c.take(sp._mul_i, 0)
+        terms *= o.c.take(sp._mul_j, 0)
         size = terms.shape[1]
-        prod = np.bincount(sp.batch_bins(size), weights=terms.ravel(),
-                           minlength=sp.size * size)
+        prod = np.bincount(sp.batch_bins(size), terms.ravel(), sp.size * size)
         return JetScalar(sp, prod.reshape(sp.size, size))
 
     __rmul__ = __mul__
@@ -269,6 +279,8 @@ class JetScalar:
         return self * _reciprocal(o)
 
     def __rtruediv__(self, other):
+        if not isinstance(other, _INLINE_OPERANDS):
+            return NotImplemented
         return _reciprocal(self) * other
 
     def __neg__(self):
@@ -487,6 +499,8 @@ def lift_point(x, order: int) -> tuple:
     `partial` shifts the downstream pipeline performs. A batched point (one
     array of P values per coordinate) lifts into the batched space.
     """
+    if not len(x):
+        raise ValueError("a point needs at least one coordinate")
     if isinstance(x[0], np.ndarray):
         sp = space_for(len(x), order, batched=True)
         return tuple(sp.variable(i, v) for i, v in enumerate(np.broadcast_arrays(*x)))

@@ -13,7 +13,13 @@ centers of normal coordinates.
 Jet budget per operation (shifts consumed internally): tension 0, p_tension 1,
 pull-back derivative of a field adds 1, p_bitension 3. A point lifted to the
 highest order of several readers serves all of them; p-dependent fields are
-computed once per point and p, the target curvature once per point. The
+computed once per point and p, the target curvature once per point. So are
+the products Gamma^N{}^a_{mu sigma} * dphi^mu_i that every Christoffel term of
+`sff` and `pullback_derivative` starts with (`_gamma_dphi`, p-independent, so
+kept across the steps of a sweep); the p-bitension's curvature term forms
+R * tau_p * dphi_i once per index and i, not once per (i, j). Hoisted
+products keep the left-to-right order and every sum its order, so each float
+equals the one the unhoisted loops give. The
 functions `tension`, `p_tension` and `p_bitension` take a float point, lift
 it to their own minimum order and call the same reader. A MapPoint may also
 hold a batch of points (see :mod:`pbh.jets`), at any jet order;
@@ -197,6 +203,20 @@ class MapPoint:
         return self.map.target.christoffel_at(self.phiX, memo=self._tgt_memo)
 
     @cached_property
+    def _gamma_dphi(self):
+        """[i][a]: (sigma, Gamma^N{}^a_{mu sigma} * dphi[mu][i]) for each
+        Gamma^N{}^a_{mu sigma} that is not structurally zero, in
+        itertools.product order of (mu, sigma). p-independent: it is the
+        left factor of every Christoffel term of `sff` and
+        `pullback_derivative`, formed once per point."""
+        n, gn, dphi = self.n, self.gammaN, self.dphi
+        nonzero = [[(mu, sg, gn[a][mu][sg]) for mu, sg in itertools.product(range(n), repeat=2)
+                    if not (isinstance(gn[a][mu][sg], float) and gn[a][mu][sg] == 0.0)]
+                   for a in range(n)]
+        return [[[(sg, gam * dphi[mu][i]) for mu, sg, gam in row] for row in nonzero]
+                for i in range(self.m)]
+
+    @cached_property
     def target_curvature(self):
         """R^N at phi(X); p-independent, so every p reads the same tensor."""
         return self.map.target.curvature_at(self.phiX, memo=self._tgt_memo)
@@ -238,7 +258,7 @@ class MapPoint:
         """(nabla dphi)[a][i][j], symmetric in (i, j)."""
         m, n = self.m, self.n
         dphi, d2phi = self.dphi, self.d2phi
-        gm, gn = self.gammaM, self.gammaN
+        gm = self.gammaM
         out = [[[None] * m for _ in range(m)] for _ in range(n)]
         for a in range(n):
             for i in range(m):
@@ -246,11 +266,8 @@ class MapPoint:
                     s = d2phi[a][i][j]
                     for k in range(m):
                         s = s - gm[k][i][j] * dphi[a][k]
-                    for mu, sg in itertools.product(range(n), repeat=2):
-                        gam = gn[a][mu][sg]
-                        if isinstance(gam, float) and gam == 0.0:
-                            continue
-                        s = s + gam * dphi[mu][i] * dphi[sg][j]
+                    for sg, gam_dphi in self._gamma_dphi[i][a]:
+                        s = s + gam_dphi * dphi[sg][j]
                     out[a][i][j] = s
                     out[a][j][i] = s
         return out
@@ -300,16 +317,11 @@ class MapPoint:
         if not 0 <= i < self.m:
             raise ValueError(f"direction {i} is not one of the {self.m} source directions")
         self._require_jets("pullback_derivative")
-        n = self.n
-        gn = self.gammaN
         out = []
-        for a in range(n):
+        for a, row in enumerate(self._gamma_dphi[i]):
             s = partial(V[a], i)
-            for mu, sg in itertools.product(range(n), repeat=2):
-                gam = gn[a][mu][sg]
-                if isinstance(gam, float) and gam == 0.0:
-                    continue
-                s = s + gam * self.dphi[mu][i] * V[sg]
+            for sg, gam_dphi in row:
+                s = s + gam_dphi * V[sg]
             out.append(s)
         return out
 
@@ -343,15 +355,21 @@ class MapPoint:
         # curvature term: -|dphi|^{p-2} g^{ij} R^N(tau_p, dphi_i) dphi_j
         result = [0.0] * n
         if self.map.target.space_form_c != 0.0:
-            Rn = self.target_curvature
+            Rn, dphi = self.target_curvature, self.dphi
+            # per d: (gamma, [R^d_{al be ga} * taup^al * dphi^be_i for each i]),
+            # the left factors of the (i, j) sums, formed once
+            left = [[] for _ in range(n)]
+            for d, al, be, ga in itertools.product(range(n), repeat=4):
+                R = Rn[d][al][be][ga]
+                if isinstance(R, float) and R == 0.0:
+                    continue
+                R_taup = R * taup[al]
+                left[d].append((ga, [R_taup * dphi[be][i] for i in range(m)]))
             for i, j, gij in self.ginv_terms:
                 for d in range(n):
                     s = 0.0
-                    for al, be, ga in itertools.product(range(n), repeat=3):
-                        R = Rn[d][al][be][ga]
-                        if isinstance(R, float) and R == 0.0:
-                            continue
-                        s = s + R * taup[al] * self.dphi[be][i] * self.dphi[ga][j]
+                    for ga, R_taup_dphi in left[d]:
+                        s = s + R_taup_dphi[i] * dphi[ga][j]
                     result[d] = result[d] - fac * gij * s
 
         # second-order term: -trace_g nabla^phi |dphi|^{p-2} nabla^phi tau_p

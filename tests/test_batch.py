@@ -3,6 +3,7 @@ at once must give exactly what one evaluation per point gives, and the chunked
 energy quadrature and scenario runs must equal a plain per-node or per-point
 loop bit for bit, failures included."""
 
+import itertools
 import json
 
 import hypothesis.extra.numpy as hnp
@@ -256,6 +257,41 @@ def test_batched_op_equals_each_column(name):
             assert repr(batched[:, e].tolist()) == repr(column.c.tolist())
 
     check()
+
+
+# operand entries of every kind a product kernel may meet: signed zeros,
+# subnormals, ordinary values, and values whose products overflow to +-inf
+_ENTRY_KINDS = (lambda rng, n: rng.choice([0.0, -0.0], n),
+                lambda rng, n: rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-323.5, -308.0, n),
+                lambda rng, n: rng.uniform(-2.0, 2.0, n),
+                lambda rng, n: rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(150.0, 308.0, n))
+
+
+def _mixed_entries(rng, shape, weights):
+    kinds = rng.choice(len(_ENTRY_KINDS), size=shape, p=weights)
+    out = np.empty(shape)
+    for k, draw in enumerate(_ENTRY_KINDS):
+        mask = kinds == k
+        out[mask] = draw(rng, int(mask.sum()))
+    return out
+
+
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.floats(0.05, 1.0), min_size=len(_ENTRY_KINDS), max_size=len(_ENTRY_KINDS)))
+def test_batched_product_columns_are_bit_equal_to_unbatched_products(seed, weights):
+    rng = np.random.default_rng(seed)
+    weights = np.array(weights) / sum(weights)
+    with np.errstate(all="ignore"):
+        for nvars, order, width in itertools.product((1, 2, 3), (2, 3, 4), (1, 2, 5, 24, 64, 65)):
+            sp, scalar_sp = space_for(nvars, order, batched=True), space_for(nvars, order)
+            a, b = (_mixed_entries(rng, (sp.size, width), weights) for _ in range(2))
+            batched = (JetScalar(sp, a) * JetScalar(sp, b)).c
+            assert batched.shape == (sp.size, width)
+            for e in range(width):
+                column = JetScalar(scalar_sp, a[:, e].copy()) * JetScalar(scalar_sp, b[:, e].copy())
+                assert (batched[:, e].view(np.int64) == column.c.view(np.int64)).all(), \
+                    (nvars, order, width, e)
 
 
 # ---------------------------------------------------------------------- #

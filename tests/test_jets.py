@@ -125,3 +125,32 @@ def test_jet_repr_mentions_order():
     sp = space_for(2, 2)
     assert "order=2" in repr(sp.variable(0, 1.0))
     assert "nvars=2" in repr(sp)
+
+
+@pytest.mark.parametrize("v", [-1, 2, 5])
+def test_partial_rejects_a_variable_outside_the_space(v):
+    x = lift_point((0.5, 0.7), 3)[0]
+    with pytest.raises(ValueError, match="out of range"):
+        x.partial(v)
+    assert x.partial(1).value == 0.0
+
+
+@pytest.mark.parametrize("operand", ["a", [1.0]])
+@pytest.mark.parametrize("op", [lambda a, j: a - j, lambda a, j: a / j, lambda a, j: j + a],
+                         ids=["rsub", "rtruediv", "add"])
+def test_unsupported_operands_raise_type_error(op, operand):
+    for order in (1, 3):
+        with pytest.raises(TypeError):
+            op(operand, lift_point((0.5, 0.7), order)[0])
+
+
+def test_reflected_operators_still_take_numbers():
+    x = lift_point((0.5, 0.7), 2)[0]
+    assert ((1.0 - x).value, (1.0 - x).coefficient((1, 0))) == (0.5, -1.0)
+    assert (2 / x).value == 4.0
+    assert (np.float64(1.5) - x).value == 1.0
+
+
+def test_lift_point_needs_a_coordinate():
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        lift_point((), 3)

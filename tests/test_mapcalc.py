@@ -1,5 +1,6 @@
 """Map calculus: differentials, tension fields, pull-back derivatives, the
-p-bitension field, and energy quadrature."""
+p-bitension field, and energy quadrature. The products MapPoint hoists out of
+its loops give, bit for bit, what loops forming them at every use give."""
 
 import itertools
 import math
@@ -7,16 +8,18 @@ import math
 import numpy as np
 import pytest
 
+from pbh import mapcalc
 from pbh.errors import JetOrderError, SingularityError
 from pbh.expr import Const, parse
 from pbh.geometry import euclidean_chart, space_form_chart
-from pbh.jets import lift_point, value
+from pbh.jets import JetScalar, lift_point, partial, value
 from pbh.linalg import det
 from pbh.mapcalc import (SmoothMap, gauss_legendre_box, p_bienergy_box, p_bitension,
                          p_energy_box, p_tension, perturbed_map, tension)
 from pbh.scenarios import builtin
 from pbh.stress import stress_divergence_check, stress_tensor, stress_trace, theta_divergence
 from pbh.submanifold import bitension_split, small_hypersphere_immersion, theorem21_residuals
+from pbh.verify import _points, corpus_immersions, corpus_maps
 
 
 def identity_map(dim):
@@ -384,3 +387,111 @@ class TestArguments:
             theorem21_residuals(imm, (0.1,), 3.0)
         with pytest.raises(ValueError, match="needs 2 coordinates, got 1"):
             imm.at((np.array([0.1, 0.2]),))
+
+
+# ---------------------------------------------------------------------- #
+# hoisted products against loops that form every product where it is used
+# ---------------------------------------------------------------------- #
+
+def _zero(t):
+    return isinstance(t, float) and t == 0.0
+
+
+def _loop_sff(mp):
+    """(nabla dphi)[a][i][j] with Gamma^N * dphi_i formed in every (a, i, j) term."""
+    m, n = mp.m, mp.n
+    dphi, d2phi, gm, gn = mp.dphi, mp.d2phi, mp.gammaM, mp.gammaN
+    out = [[[None] * m for _ in range(m)] for _ in range(n)]
+    for a in range(n):
+        for i in range(m):
+            for j in range(i, m):
+                s = d2phi[a][i][j]
+                for k in range(m):
+                    s = s - gm[k][i][j] * dphi[a][k]
+                for mu, sg in itertools.product(range(n), repeat=2):
+                    gam = gn[a][mu][sg]
+                    if _zero(gam):
+                        continue
+                    s = s + gam * dphi[mu][i] * dphi[sg][j]
+                out[a][i][j] = s
+                out[a][j][i] = s
+    return out
+
+
+def _loop_pullback_derivative(mp, V, i):
+    """(nabla^phi_{d_i} V)^a with Gamma^N * dphi_i formed for every V."""
+    out = []
+    for a in range(mp.n):
+        s = partial(V[a], i)
+        for mu, sg in itertools.product(range(mp.n), repeat=2):
+            gam = mp.gammaN[a][mu][sg]
+            if _zero(gam):
+                continue
+            s = s + gam * mp.dphi[mu][i] * V[sg]
+        out.append(s)
+    return out
+
+
+def _loop_p_bitension(mp, p):
+    """The p-bitension with R * tau_p * dphi_i * dphi_j formed per (i, j)."""
+    m, n = mp.m, mp.n
+    taup = mp.p_tension(p)
+    dtaup = mp.dp_tension(p)
+    fac = mp.norm_power(p - 2.0)
+    result = [0.0] * n
+    if mp.map.target.space_form_c != 0.0:
+        Rn = mp.target_curvature
+        for i, j, gij in mp.ginv_terms:
+            for d in range(n):
+                s = 0.0
+                for al, be, ga in itertools.product(range(n), repeat=3):
+                    R = Rn[d][al][be][ga]
+                    if _zero(R):
+                        continue
+                    s = s + R * taup[al] * mp.dphi[be][i] * mp.dphi[ga][j]
+                result[d] = result[d] - fac * gij * s
+    W = [[fac * dtaup[j][a] for a in range(n)] for j in range(m)]
+    tr2 = mp.trace_pullback_gradient(W)
+    for a in range(n):
+        result[a] = result[a] - tr2[a]
+    if p != 2.0:
+        pairing = mp.tension_pairing(p)
+        fac4 = mp.norm_power(p - 4.0)
+        U = [[pairing * fac4 * mp.dphi[a][j] for a in range(n)] for j in range(m)]
+        tr3 = mp.trace_pullback_gradient(U)
+        for a in range(n):
+            result[a] = result[a] - (p - 2.0) * tr3[a]
+    return result
+
+
+def _loop_point(phi, X):
+    """A MapPoint whose sff and pull-back derivatives come from the loops above."""
+    mp = phi.at(X)
+    mp.__dict__["sff"] = _loop_sff(mp)
+    mp.pullback_derivative = lambda V, i: _loop_pullback_derivative(mp, V, i)
+    return mp
+
+
+def _bits(v):
+    """Every coefficient of a nested list of float-or-jet scalars, as repr."""
+    if isinstance(v, list):
+        return [_bits(t) for t in v]
+    return repr(v.c.tolist()) if isinstance(v, JetScalar) else repr(v)
+
+
+HOIST_CASES = ([(name, phi, box) for name, phi, box in corpus_maps()]
+               + [(name, imm.map, box) for name, imm, box in corpus_immersions()])
+
+
+@pytest.mark.parametrize("name, phi, box", HOIST_CASES, ids=[c[0] for c in HOIST_CASES])
+def test_hoisted_products_equal_the_per_use_loops(name, phi, box):
+    points = _points(np.random.default_rng(14), box, 3)
+    X = lift_point(mapcalc._stack(points), 3)
+    for p in (2.0, 3.0, 4.0):
+        smooth = phi(p) if callable(phi) else phi
+        mp, loop = smooth.at(X), _loop_point(smooth, X)
+        assert _bits(mp.sff) == _bits(loop.sff)
+        assert _bits(mp.dp_tension(p)) == _bits(loop.dp_tension(p))
+        assert _bits(mp.p_bitension(p)) == _bits(_loop_p_bitension(loop, p))
+        flt = smooth.at(points[0])
+        assert _bits(flt.sff) == _bits(_loop_sff(flt))

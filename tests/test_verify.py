@@ -2,15 +2,19 @@
 points of one map or immersion are lifted once, as one batched point, which
 serves every p and both pipelines. The per-point floats split from it, and
 every criterion result, equal those of one fresh context per point and call,
-whether the batch is never tried (one-point chunks) or raises and is replayed."""
+whether the batch is never tried (one-point chunks) or raises and is replayed.
+Sampling random expressions with one memo draws what a memo per subtree
+draws, and the two heaviest criteria stay within a fixed count of jet products
+and node evaluations."""
 
 import numpy as np
 import pytest
 
 from pbh import mapcalc, verify
-from pbh.errors import BatchSplit
+from pbh.errors import BatchSplit, DomainError
+from pbh.expr import Expression, eval_jet
 from pbh.geometry import ChartMetric
-from pbh.jets import lift_point, value
+from pbh.jets import JetScalar, lift_point, value
 from pbh.stress import (divergence_gap, stress_divergence_check, stress_divergence_sides,
                         trace_identity_at)
 from pbh.submanifold import (ImmersionPoint, bitension_split, theorem21_residuals,
@@ -137,3 +141,72 @@ def _raise_batch_split(points):
 def test_a_raising_batch_is_replayed_point_by_point(criterion, batched):
     assert (_recorded(criterion, (mapcalc, "_stack", _raise_batch_split))
             == batched(criterion))
+
+
+# ---------------------------------------------------------------------- #
+# shared subtree values and the jet work of the heaviest criteria
+# ---------------------------------------------------------------------- #
+
+def _per_subtree_draw(rng, dim, depth=6, bound=1e4):
+    """random_expression_with_point with a fresh memo and lift per subtree."""
+    while True:
+        try:
+            e = verify.random_expression(rng, dim, depth)
+        except (DomainError, ZeroDivisionError):
+            continue
+        if not e.has_coords():
+            continue
+        x = tuple(float(rng.uniform(0.35, 1.65)) for _ in range(dim))
+        try:
+            ok = True
+            for sub in e.walk():
+                J = eval_jet(sub, x, 4)
+                coeffs = np.asarray(J.c) if hasattr(J, "c") else np.asarray([float(J)])
+                if not np.all(np.isfinite(coeffs)) or np.max(np.abs(coeffs)) > bound:
+                    ok = False
+                    break
+        except Exception:
+            continue
+        if ok:
+            return e, x
+
+
+@pytest.mark.parametrize("seed", range(104, 111))
+def test_shared_subtree_memo_draws_what_a_memo_per_subtree_draws(seed):
+    shared, per_subtree = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(50):
+        e, x = verify.random_expression_with_point(shared, 2)
+        e_old, x_old = _per_subtree_draw(per_subtree, 2)
+        assert (e.to_string(), x) == (e_old.to_string(), x_old)
+
+
+def _expression_classes(cls=Expression):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _expression_classes(sub)
+
+
+def test_jet_products_and_node_evaluations_stay_within_budget(monkeypatch):
+    """Counts, not times: losing a hoisted product or a shared memo shows here
+    without machine noise."""
+    counts = {"products": 0, "nodes": 0}
+    mul = JetScalar.__mul__
+
+    def counting_mul(a, b):
+        if isinstance(b, JetScalar):
+            counts["products"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(JetScalar, "__mul__", counting_mul)
+    for cls in set(_expression_classes()):
+        if "_compute" in cls.__dict__:
+            def counting_compute(node, *args, _compute=cls.__dict__["_compute"]):
+                counts["nodes"] += 1
+                return _compute(node, *args)
+            monkeypatch.setattr(cls, "_compute", counting_compute)
+
+    assert criterion_bitension_cross_check().passed
+    assert counts["products"] <= 23_200
+    counts["nodes"] = 0
+    assert verify.criterion_infrastructure().passed
+    assert counts["nodes"] <= 125_000
