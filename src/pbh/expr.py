@@ -15,6 +15,7 @@ with it; no canonicalization is attempted.
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 from . import jets
@@ -27,7 +28,10 @@ __all__ = [
 
 
 class Expression:
-    """Base node. Subclasses implement `_eval`, `_diff`, `_subst`, `to_string`."""
+    """Base node. Subclasses implement `_eval`, `_diff` (leaves: `diff`),
+    `_subst` and `to_string`. An inner node's `_eval` looks itself up in the
+    memo and otherwise applies its class's `OPERATION` to its operands' values,
+    in one frame per node."""
 
     __slots__ = ("_dcache",)
 
@@ -40,27 +44,14 @@ class Expression:
         """
         return self._eval(coords, params or {}, {} if memo is None else memo)
 
-    def _eval(self, coords, params, memo):
-        # derivative trees share subtree objects; memoizing on node identity
-        # keeps evaluation linear in the number of distinct nodes. Keys are the
-        # nodes themselves (nodes hash by identity): no int per entry, and a
-        # node cannot be freed and its address reused while a memo holds it.
-        v = memo.get(self)
-        if v is None:
-            v = self._compute(coords, params, memo)
-            memo[self] = v
-        return v
-
     def diff(self, i: int) -> "Expression":
         """Exact partial derivative with respect to coordinate i (cached)."""
         cache = getattr(self, "_dcache", None)
         if cache is None:
-            cache = {}
-            object.__setattr__(self, "_dcache", cache)
+            cache = self._dcache = {}
         d = cache.get(i)
         if d is None:
-            d = self._diff(i)
-            cache[i] = d
+            d = cache[i] = self._diff(i)
         return d
 
     def substitute(self, replacements) -> "Expression":
@@ -132,16 +123,18 @@ def _as_expr(x):
     return Const(float(x))
 
 
+# leaves are not memoized, and their constant derivatives need no cache
+
 class Const(Expression):
     __slots__ = ("value",)
 
     def __init__(self, value: float):
-        object.__setattr__(self, "value", float(value))
+        self.value = float(value)
 
     def _eval(self, coords, params, memo):
         return self.value
 
-    def _diff(self, i):
+    def diff(self, i):
         return _ZERO
 
     def _subst(self, repl):
@@ -157,12 +150,12 @@ class Coord(Expression):
     __slots__ = ("index",)
 
     def __init__(self, index: int):
-        object.__setattr__(self, "index", int(index))
+        self.index = int(index)
 
     def _eval(self, coords, params, memo):
         return coords[self.index]
 
-    def _diff(self, i):
+    def diff(self, i):
         return _ONE if i == self.index else _ZERO
 
     def _subst(self, repl):
@@ -176,7 +169,7 @@ class Param(Expression):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
+        self.name = name
 
     def _eval(self, coords, params, memo):
         try:
@@ -184,7 +177,7 @@ class Param(Expression):
         except KeyError:
             raise UnknownIdentifierError(f"parameter '{self.name}' has no bound value") from None
 
-    def _diff(self, i):
+    def diff(self, i):
         return _ZERO
 
     def _subst(self, repl):
@@ -194,13 +187,25 @@ class Param(Expression):
         return self.name
 
 
+# Inner nodes memoize their values on node identity: derivative trees share
+# subtree objects, and the memo keeps evaluation linear in the number of
+# distinct nodes. Keys are the nodes themselves (nodes hash by identity): no
+# int per entry, and a node cannot be freed and its address reused while a
+# memo holds it.
+
 class _Unary(Expression):
     __slots__ = ("arg",)
 
     FUNC = ""
 
     def __init__(self, arg: Expression):
-        object.__setattr__(self, "arg", arg)
+        self.arg = arg
+
+    def _eval(self, coords, params, memo):
+        v = memo.get(self)
+        if v is None:
+            v = memo[self] = self.OPERATION(self.arg._eval(coords, params, memo))
+        return v
 
     def _children(self):
         return (self.arg,)
@@ -212,9 +217,7 @@ class _Unary(Expression):
 class Neg(_Unary):
     __slots__ = ()
     FUNC = "neg"
-
-    def _compute(self, coords, params, memo):
-        return -self.arg._eval(coords, params, memo)
+    OPERATION = operator.neg
 
     def _diff(self, i):
         return neg(self.arg.diff(i))
@@ -226,9 +229,7 @@ class Neg(_Unary):
 class Sqrt(_Unary):
     __slots__ = ()
     FUNC = "sqrt"
-
-    def _compute(self, coords, params, memo):
-        return jets.sqrt(self.arg._eval(coords, params, memo))
+    OPERATION = staticmethod(jets.sqrt)
 
     def _diff(self, i):
         return div(self.arg.diff(i), mul(Const(2.0), self))
@@ -240,9 +241,7 @@ class Sqrt(_Unary):
 class Exp(_Unary):
     __slots__ = ()
     FUNC = "exp"
-
-    def _compute(self, coords, params, memo):
-        return jets.exp(self.arg._eval(coords, params, memo))
+    OPERATION = staticmethod(jets.exp)
 
     def _diff(self, i):
         return mul(self, self.arg.diff(i))
@@ -254,9 +253,7 @@ class Exp(_Unary):
 class Log(_Unary):
     __slots__ = ()
     FUNC = "log"
-
-    def _compute(self, coords, params, memo):
-        return jets.log(self.arg._eval(coords, params, memo))
+    OPERATION = staticmethod(jets.log)
 
     def _diff(self, i):
         return div(self.arg.diff(i), self.arg)
@@ -268,9 +265,7 @@ class Log(_Unary):
 class Sin(_Unary):
     __slots__ = ()
     FUNC = "sin"
-
-    def _compute(self, coords, params, memo):
-        return jets.sin(self.arg._eval(coords, params, memo))
+    OPERATION = staticmethod(jets.sin)
 
     def _diff(self, i):
         return mul(cos_(self.arg), self.arg.diff(i))
@@ -282,9 +277,7 @@ class Sin(_Unary):
 class Cos(_Unary):
     __slots__ = ()
     FUNC = "cos"
-
-    def _compute(self, coords, params, memo):
-        return jets.cos(self.arg._eval(coords, params, memo))
+    OPERATION = staticmethod(jets.cos)
 
     def _diff(self, i):
         return neg(mul(sin_(self.arg), self.arg.diff(i)))
@@ -300,8 +293,15 @@ class _Binary(Expression):
     PRECEDENCE = 0
 
     def __init__(self, left: Expression, right: Expression):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        self.left = left
+        self.right = right
+
+    def _eval(self, coords, params, memo):
+        v = memo.get(self)
+        if v is None:
+            v = memo[self] = self.OPERATION(self.left._eval(coords, params, memo),
+                                            self.right._eval(coords, params, memo))
+        return v
 
     def _children(self):
         return (self.left, self.right)
@@ -319,10 +319,8 @@ class _Binary(Expression):
 class Add(_Binary):
     __slots__ = ()
     OP = "+"
+    OPERATION = operator.add
     PRECEDENCE = 1
-
-    def _compute(self, coords, params, memo):
-        return self.left._eval(coords, params, memo) + self.right._eval(coords, params, memo)
 
     def _diff(self, i):
         return add(self.left.diff(i), self.right.diff(i))
@@ -334,10 +332,8 @@ class Add(_Binary):
 class Sub(_Binary):
     __slots__ = ()
     OP = "-"
+    OPERATION = operator.sub
     PRECEDENCE = 1
-
-    def _compute(self, coords, params, memo):
-        return self.left._eval(coords, params, memo) - self.right._eval(coords, params, memo)
 
     def _diff(self, i):
         return sub(self.left.diff(i), self.right.diff(i))
@@ -349,10 +345,8 @@ class Sub(_Binary):
 class Mul(_Binary):
     __slots__ = ()
     OP = "*"
+    OPERATION = operator.mul
     PRECEDENCE = 2
-
-    def _compute(self, coords, params, memo):
-        return self.left._eval(coords, params, memo) * self.right._eval(coords, params, memo)
 
     def _diff(self, i):
         return add(mul(self.left.diff(i), self.right), mul(self.left, self.right.diff(i)))
@@ -364,10 +358,8 @@ class Mul(_Binary):
 class Div(_Binary):
     __slots__ = ()
     OP = "/"
+    OPERATION = operator.truediv
     PRECEDENCE = 2
-
-    def _compute(self, coords, params, memo):
-        return self.left._eval(coords, params, memo) / self.right._eval(coords, params, memo)
 
     def _diff(self, i):
         num = sub(mul(self.left.diff(i), self.right), mul(self.left, self.right.diff(i)))
@@ -377,35 +369,45 @@ class Div(_Binary):
         return div(self.left._subst(repl), self.right._subst(repl))
 
 
-class Pow(Expression):
-    """base ^ exponent with a coordinate-free exponent expression."""
+class _Power(Expression):
+    """arg raised to a coordinate-free exponent expression."""
 
-    __slots__ = ("base", "exponent")
+    __slots__ = ("arg", "exponent")
 
-    PRECEDENCE = 3
-
-    def __init__(self, base: Expression, exponent: Expression):
+    def __init__(self, arg: Expression, exponent: Expression):
         if exponent.has_coords():
-            raise ExprSyntaxError("exponent must be coordinate-free", 0)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
+            raise ExprSyntaxError(self.EXPONENT_ERROR, 0)
+        self.arg = arg
+        self.exponent = exponent
+
+    def _eval(self, coords, params, memo):
+        v = memo.get(self)
+        if v is None:
+            # the exponent first: an unbound parameter there raises before a
+            # domain error of the base
+            q = self.exponent._eval((), params, memo)
+            v = memo[self] = self.OPERATION(self.arg._eval(coords, params, memo), q)
+        return v
 
     def _children(self):
-        return (self.base, self.exponent)
+        return (self.arg, self.exponent)
 
-    def _compute(self, coords, params, memo):
-        q = self.exponent._eval((), params, memo)
-        return jets.powr(self.base._eval(coords, params, memo), q)
+
+class Pow(_Power):
+    __slots__ = ()
+    OPERATION = staticmethod(jets.powr)
+    EXPONENT_ERROR = "exponent must be coordinate-free"
+    PRECEDENCE = 3
 
     def _diff(self, i):
         qm1 = sub(self.exponent, _ONE)
-        return mul(mul(self.exponent, pow_(self.base, qm1)), self.base.diff(i))
+        return mul(mul(self.exponent, pow_(self.arg, qm1)), self.arg.diff(i))
 
     def _subst(self, repl):
-        return pow_(self.base._subst(repl), self.exponent)
+        return pow_(self.arg._subst(repl), self.exponent)
 
     def to_string(self, prec=0):
-        b = self.base.to_string(self.PRECEDENCE + 1)
+        b = self.arg.to_string(self.PRECEDENCE + 1)
         e = self.exponent
         if isinstance(e, Const) and e.value >= 0:
             es = repr(e.value)
@@ -417,23 +419,12 @@ class Pow(Expression):
         return s
 
 
-class AbsPow(Expression):
+class AbsPow(_Power):
     """|arg| ^ exponent, smooth away from arg = 0."""
 
-    __slots__ = ("arg", "exponent")
-
-    def __init__(self, arg: Expression, exponent: Expression):
-        if exponent.has_coords():
-            raise ExprSyntaxError("abspow exponent must be coordinate-free", 0)
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "exponent", exponent)
-
-    def _children(self):
-        return (self.arg, self.exponent)
-
-    def _compute(self, coords, params, memo):
-        q = self.exponent._eval((), params, memo)
-        return jets.abspow(self.arg._eval(coords, params, memo), q)
+    __slots__ = ()
+    OPERATION = staticmethod(jets.abspow)
+    EXPONENT_ERROR = "abspow exponent must be coordinate-free"
 
     def _diff(self, i):
         # d|u|^q = q |u|^(q-2) u du, valid away from u = 0
@@ -451,119 +442,109 @@ _ZERO = Const(0.0)
 _ONE = Const(1.0)
 
 
-def _const_of(e):
-    return e.value if isinstance(e, Const) else None
-
-
 # ---------------------------------------------------------------------- #
 # smart constructors: constant folding plus the 0/1 identities
 # ---------------------------------------------------------------------- #
 
 def add(a, b):
-    ca, cb = _const_of(a), _const_of(b)
-    if ca is not None and cb is not None:
-        return Const(ca + cb)
-    if ca == 0.0:
-        return b
-    if cb == 0.0:
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.value + b.value)
+        if a.value == 0.0:
+            return b
+    elif type(b) is Const and b.value == 0.0:
         return a
     return Add(a, b)
 
 
 def sub(a, b):
-    ca, cb = _const_of(a), _const_of(b)
-    if ca is not None and cb is not None:
-        return Const(ca - cb)
-    if cb == 0.0:
-        return a
-    if ca == 0.0:
+    if type(b) is Const:
+        if type(a) is Const:
+            return Const(a.value - b.value)
+        if b.value == 0.0:
+            return a
+    elif type(a) is Const and a.value == 0.0:
         return neg(b)
     return Sub(a, b)
 
 
 def mul(a, b):
-    ca, cb = _const_of(a), _const_of(b)
-    if ca is not None and cb is not None:
-        return Const(ca * cb)
-    if ca == 0.0 or cb == 0.0:
-        return _ZERO
-    if ca == 1.0:
-        return b
-    if cb == 1.0:
-        return a
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.value * b.value)
+        if a.value == 0.0:
+            return _ZERO
+        if a.value == 1.0:
+            return b
+    elif type(b) is Const:
+        if b.value == 0.0:
+            return _ZERO
+        if b.value == 1.0:
+            return a
     return Mul(a, b)
 
 
 def div(a, b):
-    ca, cb = _const_of(a), _const_of(b)
-    if cb is not None:
-        if cb == 0.0:
+    if type(b) is Const:
+        if b.value == 0.0:
             raise ZeroDivisionError("constant division by zero in expression")
-        if ca is not None:
-            return Const(ca / cb)
-        if cb == 1.0:
+        if type(a) is Const:
+            return Const(a.value / b.value)
+        if b.value == 1.0:
             return a
     return Div(a, b)
 
 
 def neg(a):
-    ca = _const_of(a)
-    if ca is not None:
-        return Const(-ca)
+    if type(a) is Const:
+        return Const(-a.value)
     return Neg(a)
 
 
 def sqrt_(a):
-    ca = _const_of(a)
-    if ca is not None:
-        return Const(jets.sqrt(ca))
+    if type(a) is Const:
+        return Const(jets.sqrt(a.value))
     return Sqrt(a)
 
 
 def exp_(a):
-    ca = _const_of(a)
-    if ca is not None:
-        return Const(math.exp(ca))
+    if type(a) is Const:
+        return Const(math.exp(a.value))
     return Exp(a)
 
 
 def log_(a):
-    ca = _const_of(a)
-    if ca is not None:
-        return Const(jets.log(ca))
+    if type(a) is Const:
+        return Const(jets.log(a.value))
     return Log(a)
 
 
 def sin_(a):
-    ca = _const_of(a)
-    if ca is not None:
-        return Const(math.sin(ca))
+    if type(a) is Const:
+        return Const(math.sin(a.value))
     return Sin(a)
 
 
 def cos_(a):
-    ca = _const_of(a)
-    if ca is not None:
-        return Const(math.cos(ca))
+    if type(a) is Const:
+        return Const(math.cos(a.value))
     return Cos(a)
 
 
 def pow_(a, q):
-    cq = _const_of(q)
-    if cq == 0.0:
-        return _ONE
-    if cq == 1.0:
-        return a
-    ca = _const_of(a)
-    if ca is not None and cq is not None:
-        return Const(jets.powr(ca, cq))
+    if type(q) is Const:
+        if q.value == 0.0:
+            return _ONE
+        if q.value == 1.0:
+            return a
+        if type(a) is Const:
+            return Const(jets.powr(a.value, q.value))
     return Pow(a, q)
 
 
 def abspow_(a, q):
-    ca, cq = _const_of(a), _const_of(q)
-    if ca is not None and cq is not None:
-        return Const(jets.abspow(ca, cq))
+    if type(a) is Const and type(q) is Const:
+        return Const(jets.abspow(a.value, q.value))
     return AbsPow(a, q)
 
 
@@ -594,8 +575,10 @@ _TOKEN_RE = re.compile(r"""
 
 _FUNCS = {"sqrt": sqrt_, "exp": exp_, "log": log_, "sin": sin_, "cos": cos_, "neg": neg}
 _COORD_RE = re.compile(r"^[xy](\d+)$")
-# `_eval` and `diff` recurse per level, and second derivatives of a quotient chain
-# are 5x as tall: height 64 evaluates with 150 frames of callers below, 72 does not
+# `_eval` recurses one frame per level and `diff` two (`diff`, `_diff`), and the
+# second derivatives of a quotient chain are taller than the chain: `pbh run` with
+# p_biharmonic on a height-64 chain needs a recursion limit of 344 of the default
+# 1000, and height 224 exceeds the default
 _MAX_HEIGHT = 64
 
 

@@ -158,11 +158,6 @@ class JetSpace:
         return f"JetSpace(nvars={self.nvars}, order={self.order}{batched})"
 
 
-# operands that jet arithmetic takes inline: plain numbers, and arrays holding
-# one float per batch entry
-_INLINE_OPERANDS = (int, float, np.ndarray)
-
-
 class JetScalar:
     """One truncated Taylor scalar. Immutable by convention."""
 
@@ -208,12 +203,19 @@ class JetScalar:
 
     # ------------------------------------------------------------------ #
     def _coerce(self, other):
+        """`other` as a jet of this space; None for an operand taken inline
+        (cheaper than building a constant jet): a number, or an array of shape
+        () or, in a batched space, one value per entry."""
         if isinstance(other, JetScalar):
             if other.space is not self.space:
                 raise ValueError("jet operands belong to different jet spaces")
             return other
-        if isinstance(other, _INLINE_OPERANDS):
-            return None  # handled inline, cheaper than building a constant jet
+        if isinstance(other, (int, float)):
+            return None
+        if isinstance(other, np.ndarray):
+            if other.shape in ((), self.c.shape[1:]):
+                return None
+            raise ValueError("jet operands belong to different jet spaces")
         return NotImplemented
 
     def __add__(self, other):
@@ -239,7 +241,7 @@ class JetScalar:
         return JetScalar(self.space, self.c - o.c)
 
     def __rsub__(self, other):
-        if not isinstance(other, _INLINE_OPERANDS):
+        if self._coerce(other) is not None:
             return NotImplemented
         c = -self.c
         c[0] += other
@@ -279,7 +281,7 @@ class JetScalar:
         return self * _reciprocal(o)
 
     def __rtruediv__(self, other):
-        if not isinstance(other, _INLINE_OPERANDS):
+        if self._coerce(other) is not None:
             return NotImplemented
         return _reciprocal(self) * other
 
@@ -326,12 +328,12 @@ def same_in_every_entry(mask) -> bool:
     return False
 
 
-def _libm(f, x, *args):
-    """f(x, *args) for a float, or per entry of a batch array through the same
-    scalar call, so batched and unbatched values agree bit for bit."""
+def _libm(f, x):
+    """f(x) for a float, or per entry of a batch array through the same scalar
+    call, so batched and unbatched values agree bit for bit."""
     if isinstance(x, np.ndarray):
-        return np.array([f(t, *args) for t in x.tolist()])
-    return f(x, *args)
+        return np.array([f(t) for t in x.tolist()])
+    return f(x)
 
 
 def _powers(x, exponents) -> list:
@@ -458,7 +460,13 @@ def powr(u, q):
             coeff *= (q - k) / (k + 1)
         return _compose(u, taylor)
     if isinstance(u, np.ndarray):
-        return _libm(powr, u, q)
+        # the float path below, flat over the entries; entry by entry when one
+        # is out of its domain, so that the same exception is raised first
+        if (not is_int and (u < 0.0).any()) or (q < 0 and (u == 0.0).any()):
+            for t in u.tolist():
+                powr(t, q)
+        n, ts = int(q), u.tolist()
+        return np.array([t ** n for t in ts] if is_int else [math.pow(t, q) for t in ts])
     u = float(u)
     if is_int:
         if u == 0.0 and q < 0:
@@ -477,7 +485,11 @@ def abspow(u, q):
     if isinstance(u, JetScalar):
         return powr(u * u, 0.5 * q)
     if isinstance(u, np.ndarray):
-        return _libm(abspow, u, q)
+        # as powr; the float path's value at zero is math.pow(0.0, q) for q >= 0
+        if not q >= 0.0 and (u == 0.0).any():
+            for t in u.tolist():
+                abspow(t, q)
+        return np.array([math.pow(abs(t), q) for t in u.tolist()])
     u = float(u)
     if u == 0.0:
         if q > 0:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .expr import Const, Coord, Expression, differentiate, eval_jet, parse
+from .expr import Const, Coord, Expression, differentiate, parse
 from .geometry import euclidean_chart, sectional_curvature, space_form_chart
 from .jets import lift_point, value
 from .mapcalc import (SmoothMap, _box_sum, _entries, _read_points, _split, p_energy_box,
@@ -207,7 +207,8 @@ def random_expression(rng, dim: int, depth: int) -> Expression:
 
 
 def random_expression_with_point(rng, dim: int, depth: int = 6, bound: float = 1e4):
-    """Rejection-sample an expression and an in-domain point with tame derivatives.
+    """Rejection-sample an expression, an in-domain point and the expression's
+    order-4 jet there, `(e, x, J)`, with tame derivatives.
 
     Every subexpression must have bounded jet coefficients at the point, so
     the evaluation path is well-conditioned: derivative comparisons are then
@@ -222,20 +223,19 @@ def random_expression_with_point(rng, dim: int, depth: int = 6, bound: float = 1
         if not e.has_coords():
             continue
         x = tuple(float(rng.uniform(0.35, 1.65)) for _ in range(dim))
+        X, memo = lift_point(x, 4), {}
         try:
-            ok = True
-            # one memo: each subtree's value is computed once, with the root
-            X, memo = lift_point(x, 4), {}
-            for sub in e.walk():
-                J = sub.evaluate(X, None, memo)
-                coeffs = np.asarray(J.c) if hasattr(J, "c") else np.asarray([float(J)])
-                if not np.all(np.isfinite(coeffs)) or np.max(np.abs(coeffs)) > bound:
-                    ok = False
-                    break
+            J = e.evaluate(X, None, memo)
         except Exception:
             continue
-        if ok:
-            return e, x
+        # every subtree's coefficients at once: the memo holds the inner nodes,
+        # a bare-coordinate root is not memoized, and neither are the leaves
+        leaves = {ch for node in memo for ch in node._children()}.difference(memo)
+        coeffs = np.concatenate([J.c, *(v.c for v in memo.values()),
+                                 *(X[n.index].c for n in leaves if type(n) is Coord),
+                                 [n.value for n in leaves if type(n) is Const]])
+        if np.all(np.isfinite(coeffs)) and np.max(np.abs(coeffs)) <= bound:
+            return e, x, J
 
 
 # ---------------------------------------------------------------------- #
@@ -496,8 +496,7 @@ def criterion_infrastructure() -> CriterionResult:
     rng = np.random.default_rng(108)
     worst_jet = 0.0
     for _ in range(200):
-        e, x = random_expression_with_point(rng, 2)
-        J = eval_jet(e, x, 4)
+        e, x, J = random_expression_with_point(rng, 2)
         # the derivative trees share subtrees, so they share one memo at x
         memo = {}
         for alpha in [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1),

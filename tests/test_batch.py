@@ -38,7 +38,7 @@ def _entries(v, size):
 def test_batched_expression_equals_per_point(seed):
     rng = np.random.default_rng(seed)
     for _ in range(40):
-        e, x = random_expression_with_point(rng, 2)
+        e, x, _ = random_expression_with_point(rng, 2)
         points = [tuple(c + float(d) for c, d in zip(x, rng.uniform(-0.05, 0.05, 2)))
                   for _ in range(6)]
         good = []

@@ -101,7 +101,7 @@ class TestDifferentiate:
     def test_chain_rules_against_finite_differences(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
-            e, x = random_expression_with_point(rng, 2, depth=5)
+            e, x, _ = random_expression_with_point(rng, 2, depth=5)
             for coord in (0, 1):
                 sym = differentiate(e, coord).evaluate(x)
                 if abs(sym) > 1e3:
@@ -122,8 +122,8 @@ class TestDifferentiate:
     def test_linearity(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            e1, x = random_expression_with_point(rng, 2, depth=4)
-            e2, _ = random_expression_with_point(rng, 2, depth=4)
+            e1, x, _ = random_expression_with_point(rng, 2, depth=4)
+            e2, _, _ = random_expression_with_point(rng, 2, depth=4)
             a = Const(float(rng.uniform(-2, 2)))
             combined = differentiate(a * e1 + e2, 0)
             split = a * differentiate(e1, 0) + differentiate(e2, 0)
@@ -151,7 +151,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(5)
         checked = 0
         while checked < 50:
-            e, x = random_expression_with_point(rng, 2, depth=6)
+            e, x, _ = random_expression_with_point(rng, 2, depth=6)
             back = parse(str(e), 2)
             assert back.evaluate(x) == pytest.approx(e.evaluate(x), rel=1e-14, abs=1e-14)
             checked += 1

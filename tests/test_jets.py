@@ -28,7 +28,7 @@ def test_jets_match_symbolic_derivatives():
     rng = np.random.default_rng(21)
     worst = 0.0
     for _ in range(200):
-        e, x = random_expression_with_point(rng, 2)
+        e, x, _ = random_expression_with_point(rng, 2)
         J = eval_jet(e, x, 4)
         for alpha in ORDERS_1_TO_4:
             d = e
@@ -44,7 +44,7 @@ def test_jets_match_symbolic_derivatives():
 def test_order_zero_matches_plain_float():
     rng = np.random.default_rng(22)
     for _ in range(100):
-        e, x = random_expression_with_point(rng, 2)
+        e, x, _ = random_expression_with_point(rng, 2)
         plain = e.evaluate(x)
         jet = eval_jet(e, x, 3).value
         assert jet == pytest.approx(plain, rel=5e-15, abs=5e-15)
@@ -149,6 +149,29 @@ def test_reflected_operators_still_take_numbers():
     assert ((1.0 - x).value, (1.0 - x).coefficient((1, 0))) == (0.5, -1.0)
     assert (2 / x).value == 4.0
     assert (np.float64(1.5) - x).value == 1.0
+
+
+OPERATORS = {"add": lambda a, b: a + b, "radd": lambda a, b: b + a,
+             "sub": lambda a, b: a - b, "rsub": lambda a, b: b - a,
+             "mul": lambda a, b: a * b, "rmul": lambda a, b: b * a,
+             "truediv": lambda a, b: a / b, "rtruediv": lambda a, b: b / a}
+
+
+@pytest.mark.parametrize("op", OPERATORS.values(), ids=OPERATORS.keys())
+@pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
+def test_misshaped_array_operands_are_rejected_by_jet_arithmetic(op, batched):
+    x0 = (np.array([0.5, 0.6, 0.8]), np.array([0.7, 0.9, 1.1])) if batched else (0.5, 0.7)
+    x = lift_point(x0, 3)[0]
+    # among them np.array([1.0]) - x, x + np.array([1.0, 2.0]), x * np.array([1.0, 2.0])
+    for operand in (np.array([1.0]), np.array([1.0, 2.0]), np.ones((3, 2))):
+        with pytest.raises(ValueError, match="different jet spaces"):
+            op(x, operand)
+    # the inline shapes: () always, and one value per entry in a batched space
+    inline = (np.array(2.0), np.array([2.0, 3.0, 4.0])) if batched else (np.array(2.0),)
+    for operand in inline:
+        want = op(x, x.space.constant(np.broadcast_to(operand, x.value.shape).copy()
+                                      if batched else float(operand)))
+        assert np.allclose(op(x, operand).c, want.c, rtol=1e-15, atol=0.0)
 
 
 def test_lift_point_needs_a_coordinate():

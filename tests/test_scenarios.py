@@ -5,9 +5,9 @@ import math
 
 import pytest
 
-from pbh import scenarios
+from pbh import expr, scenarios
 from pbh.cli import main as cli_main
-from pbh.errors import SchemaError, SingularityError
+from pbh.errors import ExprSyntaxError, SchemaError, SingularityError
 from pbh.jets import JetScalar, lift_point, point_value, value
 from pbh.mapcalc import MapPoint, p_bitension, p_tension
 from pbh.scenarios import (SCHEMA_VERSION, Scenario, builtin, load_scenario,
@@ -425,6 +425,21 @@ class TestCli:
     def test_run_builtin_pass_and_fail(self, capsys):
         assert cli_main(["run", "inversion(3)", "--set", "l=2", "--p", "3"]) == 0
         assert cli_main(["run", "inversion(3)", "--set", "l=2.3", "--p", "3"]) == 1
+
+    @pytest.mark.parametrize("operator, code", [("+", 0), ("/", 1)], ids=["sum", "quotient"])
+    def test_the_tallest_parseable_trees_end_in_a_report(self, operator, code, tmp_path, capsys):
+        """A chain of `_MAX_HEIGHT` terms is as tall as `parse` accepts; its
+        second derivatives (p_biharmonic) are taller still."""
+        terms = (["x1", "x2"] * expr._MAX_HEIGHT)[:expr._MAX_HEIGHT]
+        component = f" {operator} ".join(terms)
+        with pytest.raises(ExprSyntaxError, match="nests too deeply"):
+            expr.parse(f"{component} {operator} x1", 2)
+        path = tmp_path / "tall.json"
+        path.write_text(json.dumps(make_scenario_dict(
+            components=[component, "x2"], params={"p": 3.0},
+            checks=["p_harmonic", "p_biharmonic"])))
+        assert cli_main(["run", str(path)]) == code
+        assert "test_map: verdict" in capsys.readouterr().out
 
     def test_run_scenario_file_with_csv_output(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"

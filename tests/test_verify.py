@@ -4,8 +4,9 @@ serves every p and both pipelines. The per-point floats split from it, and
 every criterion result, equal those of one fresh context per point and call,
 whether the batch is never tried (one-point chunks) or raises and is replayed.
 Sampling random expressions with one memo draws what a memo per subtree
-draws, and the two heaviest criteria stay within a fixed count of jet products
-and node evaluations."""
+draws and returns the drawn expression's jet at the point, and the two
+heaviest criteria stay within a fixed count of jet products and node
+evaluations."""
 
 import numpy as np
 import pytest
@@ -175,9 +176,17 @@ def _per_subtree_draw(rng, dim, depth=6, bound=1e4):
 def test_shared_subtree_memo_draws_what_a_memo_per_subtree_draws(seed):
     shared, per_subtree = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(50):
-        e, x = verify.random_expression_with_point(shared, 2)
+        e, x, _ = verify.random_expression_with_point(shared, 2)
         e_old, x_old = _per_subtree_draw(per_subtree, 2)
         assert (e.to_string(), x) == (e_old.to_string(), x_old)
+
+
+@pytest.mark.parametrize("seed", [104, 108])
+def test_the_drawn_jet_is_the_expressions_jet_at_the_point(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        e, x, J = verify.random_expression_with_point(rng, 2)
+        assert J.c.tobytes() == eval_jet(e, x, 4).c.tobytes()
 
 
 def _expression_classes(cls=Expression):
@@ -188,7 +197,8 @@ def _expression_classes(cls=Expression):
 
 def test_jet_products_and_node_evaluations_stay_within_budget(monkeypatch):
     """Counts, not times: losing a hoisted product or a shared memo shows here
-    without machine noise."""
+    without machine noise. A node counts each time it is computed, that is
+    each time its class applies its `OPERATION`."""
     counts = {"products": 0, "nodes": 0}
     mul = JetScalar.__mul__
 
@@ -198,15 +208,19 @@ def test_jet_products_and_node_evaluations_stay_within_budget(monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(JetScalar, "__mul__", counting_mul)
-    for cls in set(_expression_classes()):
-        if "_compute" in cls.__dict__:
-            def counting_compute(node, *args, _compute=cls.__dict__["_compute"]):
+    for cls in _expression_classes():
+        if "OPERATION" in cls.__dict__:
+            def counting(*operands, _operation=cls.OPERATION):
                 counts["nodes"] += 1
-                return _compute(node, *args)
-            monkeypatch.setattr(cls, "_compute", counting_compute)
+                return _operation(*operands)
+            monkeypatch.setattr(cls, "OPERATION", staticmethod(counting))
+    # every node class with derivative rules (all but the leaves) is counted
+    assert all(cls.OPERATION.__name__ == "counting" for cls in _expression_classes()
+               if "_diff" in cls.__dict__)
 
     assert criterion_bitension_cross_check().passed
     assert counts["products"] <= 23_200
-    counts["nodes"] = 0
+    counts.update(products=0, nodes=0)
     assert verify.criterion_infrastructure().passed
-    assert counts["nodes"] <= 125_000
+    assert counts["products"] <= 10_300
+    assert counts["nodes"] <= 122_000
