@@ -191,17 +191,24 @@ class Param(Expression):
 # subtree objects, and the memo keeps evaluation linear in the number of
 # distinct nodes. Keys are the nodes themselves (nodes hash by identity): no
 # int per entry, and a node cannot be freed and its address reused while a
-# memo holds it.
+# memo holds it. A node that `mark_reads` found read once in every forest it
+# marked (`_once` True) skips the memo: its one reader computes it once per
+# memo anyway, and at a batched point of 512 entries the memo entries of
+# single-use nodes would hold most of the memory. A node never marked (None)
+# or read twice in some marked forest (False) memoizes.
 
 class _Unary(Expression):
-    __slots__ = ("arg",)
+    __slots__ = ("arg", "_once")
 
     FUNC = ""
 
     def __init__(self, arg: Expression):
         self.arg = arg
+        self._once = None
 
     def _eval(self, coords, params, memo):
+        if self._once:
+            return self.OPERATION(self.arg._eval(coords, params, memo))
         v = memo.get(self)
         if v is None:
             v = memo[self] = self.OPERATION(self.arg._eval(coords, params, memo))
@@ -287,7 +294,7 @@ class Cos(_Unary):
 
 
 class _Binary(Expression):
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "_once")
 
     OP = ""
     PRECEDENCE = 0
@@ -295,8 +302,12 @@ class _Binary(Expression):
     def __init__(self, left: Expression, right: Expression):
         self.left = left
         self.right = right
+        self._once = None
 
     def _eval(self, coords, params, memo):
+        if self._once:
+            return self.OPERATION(self.left._eval(coords, params, memo),
+                                  self.right._eval(coords, params, memo))
         v = memo.get(self)
         if v is None:
             v = memo[self] = self.OPERATION(self.left._eval(coords, params, memo),
@@ -372,19 +383,23 @@ class Div(_Binary):
 class _Power(Expression):
     """arg raised to a coordinate-free exponent expression."""
 
-    __slots__ = ("arg", "exponent")
+    __slots__ = ("arg", "exponent", "_once")
 
     def __init__(self, arg: Expression, exponent: Expression):
         if exponent.has_coords():
             raise ExprSyntaxError(self.EXPONENT_ERROR, 0)
         self.arg = arg
         self.exponent = exponent
+        self._once = None
 
     def _eval(self, coords, params, memo):
+        # the exponent first: an unbound parameter there raises before a
+        # domain error of the base
+        if self._once:
+            q = self.exponent._eval((), params, memo)
+            return self.OPERATION(self.arg._eval(coords, params, memo), q)
         v = memo.get(self)
         if v is None:
-            # the exponent first: an unbound parameter there raises before a
-            # domain error of the base
             q = self.exponent._eval((), params, memo)
             v = memo[self] = self.OPERATION(self.arg._eval(coords, params, memo), q)
         return v
@@ -440,6 +455,31 @@ class AbsPow(_Power):
 
 _ZERO = Const(0.0)
 _ONE = Const(1.0)
+
+
+_INNER = (_Unary, _Binary, _Power)
+
+
+def mark_reads(roots):
+    """Mark the inner nodes of the forest `roots`, evaluated on one memo with
+    each root called once per entry of `roots`, by how many readers read them:
+    a reader is a parent (once per operand slot) or an entry of `roots`. A
+    node read once skips the memo, unless another marked forest reads it
+    twice; marking the same forest again changes nothing."""
+    reads = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        n = reads.get(node, 0)
+        reads[node] = n + 1
+        if not n:
+            stack.extend(node._children())
+    for node, n in reads.items():
+        if isinstance(node, _INNER):
+            if n > 1:
+                node._once = False
+            elif node._once is None:
+                node._once = True
 
 
 # ---------------------------------------------------------------------- #

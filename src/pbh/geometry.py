@@ -49,8 +49,8 @@ class ChartMetric:
         self.params = dict(params or {})
         self.space_form_c = space_form_c
         self.domain = domain
-        self._dg = None
-        self._d2g = None
+        # derivative tables, shared with every with_params copy
+        self._tables = {}
 
     def with_params(self, **updates) -> "ChartMetric":
         """Copy of this chart with parameter bindings updated (expressions shared)."""
@@ -60,8 +60,7 @@ class ChartMetric:
         chart.params = {**self.params, **updates}
         chart.space_form_c = self.space_form_c
         chart.domain = self.domain
-        chart._dg = self._dg
-        chart._d2g = self._d2g
+        chart._tables = self._tables
         return chart
 
     def contains(self, x) -> bool:
@@ -69,19 +68,22 @@ class ChartMetric:
 
     # -- symbolic derivative caches ------------------------------------- #
     def _first_derivs(self):
-        if self._dg is None:
+        dg = self._tables.get("dg")
+        if dg is None:
             d = self.dim
-            self._dg = [[[self.components[i][j].diff(k) for j in range(d)]
-                         for i in range(d)] for k in range(d)]
-        return self._dg
+            dg = self._tables["dg"] = [[[self.components[i][j].diff(k) for j in range(d)]
+                                        for i in range(d)] for k in range(d)]
+        return dg
 
     def _second_derivs(self):
-        if self._d2g is None:
+        d2g = self._tables.get("d2g")
+        if d2g is None:
             d = self.dim
             dg = self._first_derivs()
-            self._d2g = [[[[dg[k][i][j].diff(l) for j in range(d)]
-                           for i in range(d)] for k in range(d)] for l in range(d)]
-        return self._d2g
+            d2g = self._tables["d2g"] = [[[[dg[k][i][j].diff(l) for j in range(d)]
+                                           for i in range(d)] for k in range(d)]
+                                         for l in range(d)]
+        return d2g
 
     # -- pointwise evaluation ------------------------------------------- #
     def metric_at(self, X, memo=None):
@@ -151,12 +153,15 @@ class ChartMetric:
             out[m][k][i][j] = 0.5 * s
         return out
 
-    def curvature_at(self, X, memo=None):
+    def curvature_at(self, X, ginv=None, dg=None, gamma=None, memo=None):
         """R[l][i][j][k] with R(d_i, d_j) d_k = R^l_ijk d_l."""
         d = self.dim
-        ginv = self.inverse_metric_at(X, memo)
-        dg = self.dmetric_at(X, memo)
-        gamma = self.christoffel_at(X, ginv=ginv, dg=dg)
+        if ginv is None:
+            ginv = self.inverse_metric_at(X, memo)
+        if dg is None:
+            dg = self.dmetric_at(X, memo)
+        if gamma is None:
+            gamma = self.christoffel_at(X, ginv=ginv, dg=dg)
         dgamma = self.christoffel_derivative_at(X, ginv=ginv, dg=dg, memo=memo)
         R = [[[[None] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
         for l, i, j, k in itertools.product(range(d), repeat=4):

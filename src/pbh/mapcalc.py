@@ -23,11 +23,11 @@ equals the one the unhoisted loops give. The
 functions `tension`, `p_tension` and `p_bitension` take a float point, lift
 it to their own minimum order and call the same reader. A MapPoint may also
 hold a batch of points (see :mod:`pbh.jets`), at any jet order;
-`replay_chunks` evaluates items in batched chunks and replays a chunk that
-raises item by item. `pbh.scenarios` uses it for its sample points; the box
-quadrature (its Gauss nodes) and the acceptance criteria of `pbh.verify`
-(their sample points) read through one chunk reader on top of it,
-`_read_points`.
+`replay_chunks` evaluates items in batched chunks of up to 512 and evaluates
+a chunk that raises again by halves, down to single items. `pbh.scenarios`
+uses it for its sample points; the box quadrature (its Gauss nodes) and the
+acceptance criteria of `pbh.verify` (their sample points) read through one
+chunk reader on top of it, `_read_points`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BatchSplit, JetOrderError, PbhError, SingularityError
-from .expr import Const
+from .expr import Const, Expression, mark_reads
 from .geometry import ChartMetric
 from .jets import JetScalar, any_entry, lift_point, partial, point_value, powr, sqrt, value
 
@@ -70,11 +70,12 @@ class SmoothMap:
         self.target = target.with_params(**self.params) if self.params else target
         self.components = list(components)
         self.name = name
-        self._d1 = None
-        self._d2 = None
+        # derivative tables, shared with every with_params copy
+        self._tables = {}
 
     def with_params(self, **updates) -> "SmoothMap":
-        """Copy with rebound parameters; trees and derivative tables are shared."""
+        """Copy with rebound parameters; trees, derivative tables and their
+        marking are shared."""
         phi = copy.copy(self)
         phi.params = {**self.params, **updates}
         if phi.params:
@@ -83,24 +84,45 @@ class SmoothMap:
         return phi
 
     def _first(self):
-        if self._d1 is None:
+        d1 = self._tables.get("d1")
+        if d1 is None:
             m = self.source.dim
-            self._d1 = [[c.diff(i) for i in range(m)] for c in self.components]
-        return self._d1
+            d1 = self._tables["d1"] = [[c.diff(i) for i in range(m)] for c in self.components]
+        return d1
 
     def _second(self):
-        if self._d2 is None:
+        d2 = self._tables.get("d2")
+        if d2 is None:
             m = self.source.dim
             d1 = self._first()
-            self._d2 = [[[d1[a][i].diff(j) for j in range(m)] for i in range(m)]
-                        for a in range(len(self.components))]
-        return self._d2
+            d2 = self._tables["d2"] = [[[d1[a][i].diff(j) for j in range(m)] for i in range(m)]
+                                       for a in range(len(self.components))]
+        return d2
+
+    def _mark_reads(self):
+        """Mark the nodes that one reader reads (`expr.mark_reads`), once per
+        family of with_params copies and before any point evaluates: every
+        tree a MapPoint evaluates on its source memo is one forest, every tree
+        it evaluates on its target memo another. The source forest holds the
+        source metric, which for an immersion is the pull-back metric built
+        from the map's first derivative trees."""
+        if "marked" not in self._tables:
+            src, tgt = self.source, self.target
+            mark_reads(_roots([self.components, self._first(), self._second(), src.components,
+                               src._first_derivs(), src._second_derivs()]))
+            mark_reads(_roots([tgt.components, tgt._first_derivs(), tgt._second_derivs()]))
+            self._tables["marked"] = True
 
     def at(self, X) -> "MapPoint":
         return MapPoint(self, X)
 
     def __repr__(self):
         return f"SmoothMap({self.name or 'unnamed'}: dim {self.source.dim} -> {self.target.dim})"
+
+
+def _roots(tables) -> list:
+    """The expressions of nested lists of expressions, in order."""
+    return [e for t in tables for e in ([t] if isinstance(t, Expression) else _roots(t))]
 
 
 def check_p(p: float):
@@ -129,8 +151,10 @@ class MapPoint:
             raise ValueError(f"a point of the source needs {self.m} coordinates, "
                              f"got {len(self.X)}")
         self.n = smooth_map.target.dim
+        smooth_map._mark_reads()
         # subtree values shared across every expression evaluated at this
-        # point (source trees) and at its image (target trees)
+        # point (source trees) and at its image (target trees); each table of
+        # trees is evaluated once per memo, as `_mark_reads` counts it
         self._src_memo = {}
         self._tgt_memo = {}
         self._shared = {}
@@ -199,8 +223,14 @@ class MapPoint:
         return self.map.target.metric_at(self.phiX, self._tgt_memo)
 
     @cached_property
+    def _hinv_dh(self):
+        """(h^{-1}, dh) at phi(X), read by both gammaN and target_curvature."""
+        return linalg.inverse(self.h), self.map.target.dmetric_at(self.phiX, self._tgt_memo)
+
+    @cached_property
     def gammaN(self):
-        return self.map.target.christoffel_at(self.phiX, memo=self._tgt_memo)
+        hinv, dh = self._hinv_dh
+        return self.map.target.christoffel_at(self.phiX, ginv=hinv, dg=dh)
 
     @cached_property
     def _gamma_dphi(self):
@@ -219,7 +249,9 @@ class MapPoint:
     @cached_property
     def target_curvature(self):
         """R^N at phi(X); p-independent, so every p reads the same tensor."""
-        return self.map.target.curvature_at(self.phiX, memo=self._tgt_memo)
+        hinv, dh = self._hinv_dh
+        return self.map.target.curvature_at(self.phiX, ginv=hinv, dg=dh, gamma=self.gammaN,
+                                            memo=self._tgt_memo)
 
     def h_inner(self, u, v):
         h = self.h
@@ -433,12 +465,14 @@ def _volume_density(pt: MapPoint):
     return sqrt(value(det(pt.g)))
 
 
-# points (sample points, Gauss nodes) evaluated together as one batched point
-_CHUNK = 64
+# points (sample points, Gauss nodes) evaluated together as one batched point:
+# the 8^3 Gauss nodes of a 3-D box
+_CHUNK = 512
 
-# what a batched chunk may raise; the per-item replay then raises or not exactly
-# as a per-item loop would (numpy signals FloatingPointError where Python floats
-# raise ZeroDivisionError, or silently overflow)
+# what a batched chunk may raise; evaluating its halves, down to single items,
+# then raises or not exactly as a per-item loop would (numpy signals
+# FloatingPointError where Python floats raise ZeroDivisionError, or silently
+# overflow)
 _REPLAYED = (PbhError, ArithmeticError, ValueError, BatchSplit)
 
 
@@ -464,23 +498,33 @@ def replay_chunks(items, batched, single):
     batched(chunk) evaluates a chunk as one batched point, under
     np.errstate(all="raise", under="ignore"), and returns one result per item.
     If it raises (a point failure, a floating-point exception, a BatchSplit)
-    or returns None, the chunk is replayed item by item through
-    single(chunk, k), without a batch axis, so results and exceptions are
-    those of a per-item loop. A chunk of one item goes to single directly: it
-    is the unbatched path.
+    or returns None, each half of the chunk is tried the same way in turn,
+    down to single items. single(item) evaluates one item without a batch
+    axis: it is the unbatched path, and a chunk of one item goes to it
+    directly. Results and exceptions are those of a per-item loop, in item
+    order; a chunk with one bad item late in it costs about 2 log2(size)
+    batched attempts instead of size single ones.
     """
     for start in range(0, len(items), _CHUNK):
-        chunk = items[start:start + _CHUNK]
+        yield from _halving(items[start:start + _CHUNK], batched, single)
+
+
+def _halving(chunk, batched, single) -> list:
+    """The results of `chunk` for replay_chunks: one batched attempt, then
+    each half in turn. (At module level: a closure calling itself would be a
+    reference cycle holding every run's contexts until the cyclic GC runs.)"""
+    if len(chunk) == 1:
+        return [single(chunk[0])]
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            results = batched(chunk)
+    except _REPLAYED:
         results = None
-        if len(chunk) > 1:
-            try:
-                with np.errstate(all="raise", under="ignore"):
-                    results = batched(chunk)
-            except _REPLAYED:
-                pass
-        if results is None:
-            results = (single(chunk, k) for k in range(len(chunk)))
-        yield from results
+    if results is None:
+        half = len(chunk) // 2
+        return (_halving(chunk[:half], batched, single)
+                + _halving(chunk[half:], batched, single))
+    return results
 
 
 def _read_points(obj, points, order, read):
@@ -490,8 +534,9 @@ def _read_points(obj, points, order, read):
     point alone is the unbatched point X), and read(obj.at(X lifted to `order`;
     0: floats), X, size) returns the results of its `size` points. Every point
     of a chunk is checked against the source domain before any is evaluated;
-    a chunk that raises is replayed point by point (`replay_chunks`), so the
-    exception and its message are those of a per-point loop.
+    a chunk that raises is evaluated again by halves, down to single points
+    (`replay_chunks`), so the exception and its message are those of a
+    per-point loop.
     """
     source = obj.source if isinstance(obj, SmoothMap) else obj.map.source
 
@@ -502,7 +547,7 @@ def _read_points(obj, points, order, read):
         X = _stack(chunk) if len(chunk) > 1 else chunk[0]
         return read(obj.at(lift_point(X, order) if order else X), X, len(chunk))
 
-    return replay_chunks(points, at, lambda chunk, k: at(chunk[k:k + 1])[0])
+    return replay_chunks(points, at, lambda x: at((x,))[0])
 
 
 def _box_sum(phi, box, order, jet_order, integrand, factor=1.0):
@@ -511,9 +556,9 @@ def _box_sum(phi, box, order, jet_order, integrand, factor=1.0):
 
     Nodes are read in batched chunks (`_read_points`: coordinate arrays in
     float mode, (size, P) jets at order 1), and a chunk that raises is
-    replayed node by node. Terms are added one node at a time, in node order
-    and with the per-node association, so the sum is bit-identical to a
-    per-node loop.
+    evaluated again by halves, down to single nodes. Terms are added one node
+    at a time, in node order and with the per-node association, so the sum is
+    bit-identical to a per-node loop.
     """
     nodes = list(gauss_legendre_box(box, order))
 
@@ -531,19 +576,21 @@ def _box_sum(phi, box, order, jet_order, integrand, factor=1.0):
 def p_energy_box(phi: SmoothMap, box, p: float, order: int = 8) -> float:
     """(1/p) integral of |dphi|^p over the box, against the metric volume.
 
-    Float mode. Gauss nodes are evaluated 64 at a time as one batched point; a
-    chunk in which anything raises is replayed node by node, so the result and
-    any exception equal those of a per-node loop bit for bit (see `_box_sum`)."""
+    Float mode. The Gauss nodes are evaluated up to 512 at a time (8^3, a
+    whole box of the default order in three dimensions) as one batched point;
+    a chunk in which anything raises is evaluated again by halves, down to
+    single nodes, so the result and any exception equal those of a per-node
+    loop bit for bit (see `_box_sum`)."""
     return _box_sum(phi, box, order, 0, lambda pt, x: value(pt.norm_power(p))) / p
 
 
 def p_bienergy_box(phi: SmoothMap, box, p: float, order: int = 8) -> float:
     """(1/2) integral of |tau_p(phi)|^2 over the box, against the metric volume.
 
-    Order-1 jets (floats at p = 2). Gauss nodes are evaluated 64 at a time as
-    one batched point; a chunk in which anything raises is replayed node by
-    node, so the result and any exception equal those of a per-node loop bit
-    for bit (see `_box_sum`)."""
+    Order-1 jets (floats at p = 2). The Gauss nodes are evaluated up to 512 at
+    a time as one batched point; a chunk in which anything raises is
+    evaluated again by halves, down to single nodes, so the result and any
+    exception equal those of a per-node loop bit for bit (see `_box_sum`)."""
     def integrand(pt, x):
         taup = pt.p_tension(p)
         return value(pt.h_inner(taup, taup))

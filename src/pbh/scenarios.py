@@ -20,7 +20,7 @@ energy_quadrature   E_p and E_{2,p} over the sample box; the recorded
                     residual is E_{2,p} (zero exactly for p-harmonic maps)
 ==================  ========================================================
 
-`run` evaluates the sample points in chunks of up to 64. A chunk gets one
+`run` evaluates the sample points in chunks of up to 512. A chunk gets one
 float context per point and one jet context for all its points, a batched
 point (see :mod:`pbh.jets`) lifted to the highest jet order its checks need
 (`CHECK_ORDER`; a higher order is always valid); every check reads these
@@ -28,13 +28,14 @@ contexts. All checks run on the batch under np.errstate(all="raise",
 under="ignore"), each check's fields are split per point, and each point's
 rows are reduced from floats alone, in point-major order. If anything in a
 chunk raises (a point failure, a floating-point exception, a
-`pbh.errors.BatchSplit` where points need different branches), the chunk is
-replayed point by point, each check at each point on its own jet context, so
-the NaN rows, their notes and the exit under `--strict` are those of a
-per-point run; a chunk of one point is that per-point run (`_run`,
-`mapcalc.replay_chunks`). Float readers (map value, metric norms, signed
-normal residual, proper p) stay on the per-point float contexts, since jet
-and float evaluation of one expression can differ in the last bit.
+`pbh.errors.BatchSplit` where points need different branches), each half of
+the chunk is evaluated the same way in turn, down to single points, where
+each check runs on its own and a failure becomes that check's row. So the
+NaN rows, their notes and the exit under `--strict` are those of a per-point
+run; a chunk of one point is that per-point run, on unbatched contexts
+(`_run`, `mapcalc.replay_chunks`). Float readers (map value, metric norms,
+signed normal residual, proper p) stay on the per-point float contexts, since
+jet and float evaluation of one expression can differ in the last bit.
 
 `sweep` shares these contexts across its steps. Contexts are keyed on their
 chunk of points and on the values of the parameters that the component and
@@ -44,8 +45,8 @@ p-independent term they cached. A step that changes a parameter the
 expressions read builds new contexts and drops the old ones. Between steps a
 context keeps its cached properties only, not the subtree values and per-p
 fields it computed on the way. A chunk whose batched evaluation raised at one
-step is replayed point by point at every later step without a new batched
-attempt; the replay gives the rows the batch would. The contexts belong to one
+step goes straight to its halves at every later step, without a new batched
+attempt; the halves give the rows the batch would. The contexts belong to one
 `sweep` call and are gone when it returns; `run` builds fresh ones and holds
 one chunk's at a time.
 """
@@ -526,41 +527,39 @@ def _params_read(phi) -> list:
 
 class _ChunkContexts:
     """The evaluation contexts of one chunk of sample points: a float context
-    per point, one jet context for the whole chunk (batched), and for a replay
-    one jet context per point. Jet contexts are built on first use. `replayed`
-    is set once the chunk's batched evaluation has raised."""
+    per point and one jet context for the whole chunk, batched unless the
+    chunk is one point, built on first use. `replayed` is set once the
+    chunk's batched evaluation has raised."""
 
     def __init__(self, obj, chunk, order):
         self.obj, self.chunk, self.order = obj, chunk, order
         self.flts = [obj.at(x) for x in chunk]
-        self._jets = {}
+        self._jet = None
         self.replayed = False
 
-    def jet(self, k=None):
-        """The jet context of point k, or of the whole chunk when k is None."""
-        ctx = self._jets.get(k)
-        if ctx is None:
-            X = self.chunk[k] if k is not None else _stack(self.chunk)
-            ctx = self._jets[k] = self.obj.at(lift_point(X, self.order))
-        return ctx
+    def jet(self):
+        if self._jet is None:
+            X = _stack(self.chunk) if len(self.chunk) > 1 else self.chunk[0]
+            self._jet = self.obj.at(lift_point(X, self.order))
+        return self._jet
 
     def forget_scratch(self):
-        for c in [*self.flts, *self._jets.values()]:
+        for c in self.flts if self._jet is None else [*self.flts, self._jet]:
             (c.mp if isinstance(c, ImmersionPoint) else c).forget_scratch()
 
 
 def _run(scenario, overrides, tolerance, strict, contexts) -> ResidualReport:
     """`run`, reusing point contexts from `contexts` if it is a dict.
 
-    Sample points are evaluated in batched chunks and replayed point by point
-    where a chunk raises (see the module docstring). The dict maps (key,
-    chunk) to the `_ChunkContexts` of a chunk of sample points, where key holds
-    the values of the parameters the expressions read (`_params_read`).
-    Entries under another key are dropped first, so the dict holds the
-    contexts of one parameter binding at most, and each keeps only its cached
-    properties between calls (`forget_scratch`). With contexts None, as in
-    `run`, a chunk's contexts are dropped when the next chunk starts, so one
-    chunk's contexts are alive at a time.
+    Sample points are evaluated in batched chunks, and by halves down to
+    single points where a chunk raises (see the module docstring). The dict
+    maps (key, chunk) to the `_ChunkContexts` of a chunk of sample points,
+    where key holds the values of the parameters the expressions read
+    (`_params_read`). Entries under another key are dropped first, so the
+    dict holds the contexts of one parameter binding at most, and each keeps
+    only its cached properties between calls (`forget_scratch`). With
+    contexts None, as in `run`, a chunk's contexts are dropped when the next
+    chunk starts, so one chunk's contexts are alive at a time.
     """
     overrides = dict(overrides or {})
     unknown = set(overrides) - set(scenario.params)
@@ -596,22 +595,24 @@ def _run(scenario, overrides, tolerance, strict, contexts) -> ResidualReport:
     # per point, one outcome per check: a result tuple or the exception raised
     def batched(chunk):
         ctx = chunk_contexts(chunk)
-        if ctx.replayed:  # it raised at an earlier sweep step; the replay gives the same rows
+        if ctx.replayed:  # it raised at an earlier sweep step; its halves give the same rows
             return None
         ctx.replayed = True  # stays set if the batch raises
         results = [_check_results(check, ctx.jet(), ctx.flts, p, tol) for check in checks]
         ctx.replayed = False
         return list(zip(*results))
 
-    def single(chunk, k):
-        ctx = chunk_contexts(chunk)
+    def single(x):
+        ctx = chunk_contexts((x,))
         out = []
         for check in checks:
             try:
-                out.append(_check_results(check, ctx.jet(k), ctx.flts[k:k + 1], p, tol)[0])
+                out.append(_check_results(check, ctx.jet(), ctx.flts, p, tol)[0])
             except POINT_FAILURES as exc:
-                _point_failure(exc, strict, chunk[k])
-                out.append(exc)
+                _point_failure(exc, strict, x)
+                # without its traceback: the frames would hold `out`, a cycle
+                # that keeps the point's contexts alive until the cyclic GC runs
+                out.append(exc.with_traceback(None))
         return out
 
     rows = []

@@ -7,11 +7,12 @@ one pass/fail line per criterion. Tolerances are fixed here, not tunable.
 The point-wise criteria evaluate the sample points of one map or immersion as
 one batched point (see :mod:`pbh.jets`), lifted to the jet order their checks
 need, and read every p and both pipelines from it (`_point_floats`). A batch
-that raises is replayed point by point (`mapcalc._read_points`, the chunk
-reader the energy quadrature uses for its Gauss nodes). The fields are split
-into per-point floats, and the criteria fold these in the order of a loop over
-p, point and component, so every reported value is the one a fresh context per
-point and call gives. Only one object's batch is alive at a time.
+that raises is evaluated again by halves, down to single points
+(`mapcalc._read_points`, the chunk reader the energy quadrature uses for its
+Gauss nodes). The fields are split into per-point floats, and the criteria
+fold these in the order of a loop over p, point and component, so every
+reported value is the one a fresh context per point and call gives. Only one
+object's batch is alive at a time.
 The cylinder's metric reads p, so it gets a batch per p; the inversion maps are
 read at float points at p = 2, as `p_tension` does. The p = 2 reductions
 compare the public float-point wrappers with an independent p = 2 coding, one
@@ -131,8 +132,8 @@ def _point_floats(obj, pts, order, read, ps=P_VALUES):
     floats that read splits from a context of `size` points of obj.
 
     The points are evaluated as one batched point lifted to `order` (0: float
-    points) and replayed one point at a time if that raises
-    (`mapcalc._read_points`). An obj that is a factory obj(p), a map whose
+    points) and evaluated again by halves, down to single points, if that
+    raises (`mapcalc._read_points`). An obj that is a factory obj(p), a map whose
     metric reads p, gets a batch per p.
     """
     if callable(obj):

@@ -5,6 +5,7 @@ loop bit for bit, failures included."""
 
 import itertools
 import json
+import math
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -20,7 +21,7 @@ from pbh.expr import parse
 from pbh.geometry import ChartMetric, euclidean_chart, space_form_chart
 from pbh.jets import JetScalar, lift_point, point_value, space_for, sqrt, value
 from pbh.mapcalc import SmoothMap, gauss_legendre_box, p_bienergy_box, p_energy_box
-from pbh.scenarios import Scenario, builtin, run, sweep
+from pbh.scenarios import SCHEMA_VERSION, Scenario, builtin, run, sweep
 from pbh.verify import corpus_maps, random_expression_with_point
 
 FIRST_PARTIALS = [(1, 0), (0, 1)]
@@ -137,6 +138,28 @@ def node_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def attempts(monkeypatch):
+    """The size of every batched attempt of `replay_chunks`, in order, and a 1
+    for each single-item call (a batched attempt never holds one item); an
+    attempt counts before the quadrature's domain check of its nodes."""
+    sizes = []
+    inner = mapcalc.replay_chunks
+
+    def spying(items, batched, single):
+        def batched_attempt(chunk):
+            sizes.append(len(chunk))
+            return batched(chunk)
+
+        def single_call(item):
+            sizes.append(1)
+            return single(item)
+        return inner(items, batched_attempt, single_call)
+
+    monkeypatch.setattr(mapcalc, "replay_chunks", spying)
+    return sizes
+
+
 def _corpus():
     maps = [(name, phi, box) for name, phi, box in corpus_maps()]
     inv3, inv2 = builtin("inversion(3)"), builtin("inversion(2)")
@@ -147,12 +170,24 @@ def _corpus():
 
 @pytest.mark.parametrize("phi, box", _corpus())
 def test_quadrature_matches_per_node_loop(phi, box, node_calls):
-    # order 5: one chunk in two dimensions, a full and a partial chunk in three
+    # order 5: one chunk of 25 nodes in two dimensions, of 125 in three
     for p in (2.0, 3.0):
         f = phi(p) if callable(phi) else phi
         assert repr(p_energy_box(f, box, p, order=5)) == repr(loop_energy(f, box, p, 5))
         assert repr(p_bienergy_box(f, box, p, order=5)) == repr(loop_bienergy(f, box, p, 5))
     assert node_calls["single"] == 0 and node_calls["batched"] > 0
+
+
+def test_quadrature_over_two_chunks_matches_per_node_loop(node_calls, attempts):
+    # order 23 in two dimensions: 529 nodes, a full chunk of 512 and one of 17
+    inv2 = builtin("inversion(2)")
+    phi = inv2.build({"l": 1.7, "p": 3.0})
+    assert repr(p_energy_box(phi, inv2.box, 3.0, order=23)) == repr(
+        loop_energy(phi, inv2.box, 3.0, 23))
+    assert repr(p_bienergy_box(phi, inv2.box, 3.0, order=23)) == repr(
+        loop_bienergy(phi, inv2.box, 3.0, 23))
+    assert attempts == [512, 17] * 2
+    assert node_calls == {"batched": 4, "single": 0}
 
 
 def test_vanishing_differential_mid_chunk(node_calls):
@@ -176,10 +211,11 @@ def test_node_outside_domain_mid_chunk():
         assert got == _outcome(loop, phi, box, 3.0, 4)
 
 
-def test_point_failure_before_a_node_outside_domain(node_calls):
+def test_point_failure_before_a_node_outside_domain(node_calls, attempts):
     # order 4: node 0 (x1 = -0.72) is inside the ball but log(x1) fails there;
     # nodes 12-15 (x1 = 2.72) leave the ball, which fails the chunk's domain
-    # check first, so only the node-by-node replay finds the loop's exception
+    # check first, so only halves that leave them out find the loop's
+    # exception: nodes 0-7, 0-3 and 0-1 raise it as batches, node 0 alone
     phi = SmoothMap(space_form_chart(-1.0, 2), euclidean_chart(2),
                     [parse("log(x1)", 2), parse("x2", 2)])
     box = [(-1.0, 3.0), (0.0, 0.5)]
@@ -187,10 +223,39 @@ def test_point_failure_before_a_node_outside_domain(node_calls):
         got = _outcome(fn, phi, box, 3.0, 4)
         assert got.startswith("DomainError")
         assert got == _outcome(loop, phi, box, 3.0, 4)
-    assert node_calls == {"batched": 0, "single": 2}
+    assert attempts == [16, 8, 4, 2, 1] * 2
+    assert node_calls == {"batched": 6, "single": 2}
 
 
-def test_pivot_rows_that_differ_across_nodes_split_the_batch(node_calls):
+def test_late_node_outside_domain_takes_few_attempts(attempts):
+    # one chunk of 512 Gauss nodes whose first node outside the ball
+    # |x|^2 < 4 is node 448, the first of the last x1 plane: the halving finds
+    # it in 12 batched attempts and one single call (a node-by-node replay of
+    # the chunk would make 449 single calls)
+    sc = Scenario.from_dict({
+        "schema": SCHEMA_VERSION, "name": "late_exit", "kind": "map",
+        "source": {"dim": 3, "space_form": -1.0}, "target": {"dim": 3, "space_form": 0.0},
+        "components": ["x1", "x2 + 0.1*x1^2", "x3"], "params": {"p": 3.0},
+        "samples": {"box": [[-0.5, 1.98], [-0.5, 0.5], [-0.5, 0.5]], "points_per_axis": 2},
+        "checks": ["energy_quadrature"]})
+    nodes = [x for x, _w in gauss_legendre_box(sc.box, scenarios.QUADRATURE_ORDER)]
+    phi = sc.build(sc.params)
+    assert len(nodes) == 512
+    assert min(k for k, x in enumerate(nodes) if not phi.source.contains(x)) == 448
+    halving = [512, 256, 256, 128, 128, 64, 64, 32, 16, 8, 4, 2, 1]
+    [row] = run(sc).rows
+    assert attempts == halving
+    ref = _outcome(loop_energy, phi, sc.box, 3.0, 8)
+    assert ref.startswith("SingularityError: quadrature node outside source domain")
+    assert math.isnan(row.residual) and f"SingularityError: {row.note}" == ref
+    for fn, loop in ((p_energy_box, loop_energy), (p_bienergy_box, loop_bienergy)):
+        attempts.clear()
+        assert _outcome(fn, phi, sc.box, 3.0, 8) == _outcome(loop, phi, sc.box, 3.0, 8)
+        assert attempts == halving
+        assert attempts.count(1) <= 2 and len(attempts) - attempts.count(1) <= 2 * 9
+
+
+def test_pivot_rows_that_differ_across_nodes_split_the_batch(node_calls, attempts):
     # column 0 pivots on row 0 where 0.3 + x1^2 > 0.8 and on row 1 elsewhere
     g = [[parse("0.3 + x1^2", 2), parse("0.8", 2)], [parse("0.8", 2), parse("3 + x2", 2)]]
     source = ChartMetric(2, g)
@@ -203,7 +268,10 @@ def test_pivot_rows_that_differ_across_nodes_split_the_batch(node_calls):
     for p in (2.0, 3.0):
         assert repr(p_energy_box(phi, box, p, order=6)) == repr(loop_energy(phi, box, p, 6))
         assert repr(p_bienergy_box(phi, box, p, order=6)) == repr(loop_bienergy(phi, box, p, 6))
-    assert node_calls["single"] > 0
+    # the 36 nodes and the halves holding both pivot rows raise; halves of
+    # one pivot row evaluate as batches, none down to a single node
+    assert attempts == [36, 18, 18, 9, 4, 5, 2, 3, 9] * 4
+    assert node_calls == {"batched": 36, "single": 0}
 
 
 # ---------------------------------------------------------------------- #
@@ -335,6 +403,14 @@ def test_reports_equal_one_point_chunks(name, p, monkeypatch, check_sizes):
     assert rep.to_json() == single.to_json()
 
 
+# check sizes of a cusp run: every batch of two or more of its 9 points
+# raises on its first check (a BatchSplit: the Gram-Schmidt pivots differ
+# across its points), so the halving goes down to single points, where each
+# of the 3 checks runs on its own: [9], [0-3], [0-1], 0, 1, [2-3], 2, 3,
+# [4-8], [4-5], 4, 5, [6-8], 6, [7-8], 7, 8
+_CUSP_HALVING = [9, 4, 2, *[1] * 6, 2, *[1] * 6, 5, 2, *[1] * 6, 3, *[1] * 3, 2, *[1] * 6]
+
+
 def test_failure_mid_chunk_replays_each_point(monkeypatch, check_sizes, tmp_path, capsys):
     # the cusp drops rank on x1 = 0: points 3, 4 and 5 of the 9-point chunk
     data = cusp_immersion_dict(checks=["theorem_2_1", "theorem_2_3", "cmc_proper_p"])
@@ -342,8 +418,7 @@ def test_failure_mid_chunk_replays_each_point(monkeypatch, check_sizes, tmp_path
     points = sc.sample_points()
     assert [k for k, x in enumerate(points) if x[0] == 0.0] == [3, 4, 5]
     rep = run(sc)
-    # the batch raised on its first check, then each check ran at each point
-    assert check_sizes == [len(points)] + [1] * (3 * len(points))
+    assert check_sizes == _CUSP_HALVING
     swept = sweep(sc, "p", 2.0, 4.0, 3)
     path = tmp_path / "cusp.json"
     path.write_text(json.dumps(data))
@@ -363,13 +438,13 @@ def test_failure_mid_chunk_replays_each_point(monkeypatch, check_sizes, tmp_path
 
 
 def test_sweep_attempts_a_failing_batch_once(monkeypatch, check_sizes):
-    # the cusp's 9-point chunk raises at every p; after the first step the
-    # sweep goes straight to the per-point replay
+    # every batch of the cusp raises at every p; after the first step the
+    # sweep goes straight to the halves of each, down to single points
     sc = Scenario.from_dict(cusp_immersion_dict(
         checks=["theorem_2_1", "theorem_2_3", "cmc_proper_p"]))
     npoints = len(sc.sample_points())
     swept = sweep(sc, "p", 2.0, 6.0, 41)
-    assert check_sizes == [npoints] + [1] * (41 * 3 * npoints)
+    assert check_sizes == _CUSP_HALVING + [1] * (40 * 3 * npoints)
     ref = _one_point_chunks(monkeypatch, lambda: sweep(sc, "p", 2.0, 6.0, 41))
     assert swept.to_csv() == ref.to_csv()
     assert swept.to_json() == ref.to_json() and swept.crossings == ref.crossings

@@ -1,0 +1,136 @@
+"""Memo marking: an inner node that one reader reads skips the memo
+(`expr.mark_reads`). That must never make a node be computed twice where the
+memo would have served it, marking must be idempotent, and the batched runs
+must leave no reference cycle that keeps their points alive."""
+
+import gc
+import weakref
+
+import pytest
+from test_scenarios import cusp_immersion_dict
+
+from pbh import expr, mapcalc, verify
+from pbh.mapcalc import _roots, p_bienergy_box
+from pbh.scenarios import SCHEMA_VERSION, Scenario, builtin, run, sweep
+
+# charts given by metric expressions, whose diagonal entries each appear once
+# in their tables: the target's are read by the metric, the Christoffel
+# symbols and the curvature of one point
+CUSTOM_CHARTS = {
+    "schema": SCHEMA_VERSION, "name": "custom_charts", "kind": "map",
+    "source": {"dim": 2, "metric": [["1 + x2^2", "0.1*x1"], ["0.1*x1", "exp(x1)"]]},
+    "target": {"dim": 2, "metric": [["exp(x2)", "0"], ["0", "1 + x1^2"]]},
+    "components": ["x1 + 0.3*x2^2", "x2 + 0.2*x1*x2"], "params": {"p": 3.0},
+    "samples": {"box": [[0.1, 0.6], [0.2, 0.7]], "points_per_axis": 3},
+    "checks": ["p_harmonic", "p_biharmonic", "stress_divergence", "trace_identity",
+               "energy_quadrature"]}
+
+# each builds its maps afresh, so a run marks its own trees
+WORKLOADS = {
+    "custom_charts": lambda: run(Scenario.from_dict(CUSTOM_CHARTS)),
+    "cylinder": lambda: [run(builtin("proper_pbh_cylinder"), overrides={"p": p})
+                         for p in (2.0, 3.0, 4.0)],
+    "hypersphere": lambda: run(builtin("small_hypersphere(2, 0.8)"), overrides={"p": 3.0}),
+    "inversion": lambda: run(builtin("inversion(3)"), overrides={"l": 2.0, "p": 3.0}),
+    "sweep": lambda: sweep(builtin("small_hypersphere(2, 0.8)"), "p", 2.0, 6.0, 41),
+    **{fn.__name__: fn for fn in verify.CRITERIA},
+}
+
+
+def _inner_nodes(roots):
+    seen = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen[node] = None
+            stack.extend(node._children())
+    return [n for n in seen if isinstance(n, expr._INNER)]
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_marking_computes_no_node_twice(name, monkeypatch):
+    """A node counts each time it is computed (its class applies its
+    `OPERATION`); with every mark cleared every inner node memoizes, and the
+    marked run must compute exactly as many."""
+    monkeypatch.setattr(mapcalc, "_CHUNK", 64)
+    counts = {"nodes": 0, "single_use": 0}
+    for cls in vars(expr).values():
+        if isinstance(cls, type) and "OPERATION" in cls.__dict__:
+            def counting(*operands, _operation=cls.OPERATION):
+                counts["nodes"] += 1
+                return _operation(*operands)
+            monkeypatch.setattr(cls, "OPERATION", staticmethod(counting))
+    mark = mapcalc.mark_reads
+
+    def marking(roots):
+        mark(roots)
+        counts["single_use"] += sum(n._once is True for n in _inner_nodes(roots))
+
+    monkeypatch.setattr(mapcalc, "mark_reads", marking)
+    WORKLOADS[name]()
+    marked = counts["nodes"]
+    assert counts["single_use"] > 0  # the marking did mark nodes single-use
+
+    def clearing(roots):
+        for node in _inner_nodes(roots):
+            node._once = None
+        counts["cleared"] += 1
+
+    counts.update(nodes=0, cleared=0)
+    monkeypatch.setattr(mapcalc, "mark_reads", clearing)
+    WORKLOADS[name]()
+    assert counts["cleared"] > 0
+    assert marked == counts["nodes"]
+
+
+def _single_use(phi):
+    src, tgt = phi.source, phi.target
+    roots = _roots([phi.components, phi._first(), phi._second(), src.components,
+                    src._first_derivs(), src._second_derivs(), tgt.components,
+                    tgt._first_derivs(), tgt._second_derivs()])
+    return {n for n in _inner_nodes(roots) if n._once}, roots
+
+
+def test_marking_is_idempotent():
+    sc = builtin("inversion(3)")
+    overrides = {"l": 2.0, "p": 3.0}
+    phi = sc.build({**sc.params, **overrides})
+    run(sc, overrides=overrides)
+    first, roots = _single_use(phi)
+    assert first
+    run(sc, overrides=overrides)
+    assert _single_use(phi)[0] == first
+    phi._tables.pop("marked")
+    phi._mark_reads()
+    expr.mark_reads(roots)
+    assert _single_use(phi)[0] == first
+
+
+def _quadrature():
+    sc = builtin("inversion(3)")
+    return p_bienergy_box(sc.build({**sc.params, "l": 2.0, "p": 3.0}), sc.box, 3.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run(builtin("inversion(3)"), overrides={"l": 2.0, "p": 3.0}),
+    lambda: run(Scenario.from_dict(cusp_immersion_dict(checks=["theorem_2_1"]))),
+    _quadrature,
+], ids=["run", "run_with_failures", "p_bienergy_box"])
+def test_points_are_freed_without_the_cyclic_gc(call, monkeypatch):
+    refs = []
+    init = mapcalc.MapPoint.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(mapcalc.MapPoint, "__init__", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        alive = sum(r() is not None for r in refs)
+    finally:
+        gc.enable()
+    assert refs and alive == 0

@@ -223,4 +223,4 @@ def test_jet_products_and_node_evaluations_stay_within_budget(monkeypatch):
     counts.update(products=0, nodes=0)
     assert verify.criterion_infrastructure().passed
     assert counts["products"] <= 10_300
-    assert counts["nodes"] <= 122_000
+    assert counts["nodes"] <= 112_510
