@@ -41,6 +41,19 @@ vectorized. Code that branches on base values per point (pivoting in
 :mod:`pbh.linalg`, the frame in :mod:`pbh.submanifold`) decides through
 :func:`same_in_every_entry`, which raises :class:`pbh.errors.BatchSplit` when
 the entries of a batch disagree.
+
+Structural zeros. A Python float operand 0.0 or 1.0 never becomes a jet:
+``u * 0.0`` and ``0.0 * u`` are the float 0.0 (shared by every batch entry);
+``u * 1.0``, ``1.0 * u``, ``u + 0.0``, ``0.0 + u`` and ``u - 0.0`` are ``u``.
+The zero components of metrics, Christoffel symbols, curvatures and
+differentials then stay floats through later products and sums, at the cost
+of a float operation each. ``u * 0.0`` is 0.0 even for infinite or NaN
+coefficients, as the symbolic fold 0 * x -> 0 of :mod:`pbh.expr`. Otherwise
+every coefficient equals the one a zero jet in the float's place gives (zero
+times finite is zero; adding a zero keeps a nonzero), up to the sign of an
+exact zero: x - 0.0 * y keeps a -0.0 of x that a zero jet makes 0.0. An int
+(``sum()``'s start), a numpy operand, ``0.0 - u`` and float mode keep their
+arithmetic.
 """
 
 from __future__ import annotations
@@ -159,7 +172,9 @@ class JetSpace:
 
 
 class JetScalar:
-    """One truncated Taylor scalar. Immutable by convention."""
+    """One truncated Taylor scalar. Immutable by convention: arithmetic may
+    return an operand itself (``u + 0.0`` is ``u``), so code writes in place
+    only the coefficients of a jet it made."""
 
     __slots__ = ("space", "c")
 
@@ -223,6 +238,8 @@ class JetScalar:
         if o is NotImplemented:
             return NotImplemented
         if o is None:
+            if type(other) is float and other == 0.0:
+                return self
             c = self.c.copy()
             c[0] += other
             return JetScalar(self.space, c)
@@ -235,6 +252,8 @@ class JetScalar:
         if o is NotImplemented:
             return NotImplemented
         if o is None:
+            if type(other) is float and other == 0.0:
+                return self
             c = self.c.copy()
             c[0] -= other
             return JetScalar(self.space, c)
@@ -252,6 +271,11 @@ class JetScalar:
         if o is NotImplemented:
             return NotImplemented
         if o is None:
+            if type(other) is float:
+                if other == 0.0:
+                    return 0.0
+                if other == 1.0:
+                    return self
             return JetScalar(self.space, self.c * other)
         sp = self.space
         if sp.order <= 1:

@@ -2,11 +2,13 @@
 
 Matrices are lists of lists; dimensions here are chart dimensions (<= 4 or
 so), so plain Gaussian elimination with partial pivoting on base values is
-both fast enough and jet-transparent.
+both fast enough and jet-transparent. A float multiplier that is zero skips
+its row update, in jet matrices too: jet arithmetic keeps a float zero a float
+(:mod:`pbh.jets`), so a diagonal jet matrix's inverse has float zeros.
 
 Batched entries (see :mod:`pbh.jets`) take every branch by the scalar rule per
-entry: the pivot is the first row with the largest |base value|, and a float
-multiplier that is zero skips its row update. When all entries agree the
+entry: the pivot is the first row with the largest |base value|, and a
+multiplier skips when it is zero in every entry. When all entries agree the
 elimination proceeds batched; when they disagree, or some pivot is zero, it
 raises :class:`BatchSplit` so the caller can evaluate the entries one at a time.
 """

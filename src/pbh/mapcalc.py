@@ -17,7 +17,9 @@ computed once per point and p, the target curvature once per point. So are
 the products Gamma^N{}^a_{mu sigma} * dphi^mu_i that every Christoffel term of
 `sff` and `pullback_derivative` starts with (`_gamma_dphi`, p-independent, so
 kept across the steps of a sweep); the p-bitension's curvature term forms
-R * tau_p * dphi_i once per index and i, not once per (i, j). Hoisted
+R * tau_p * dphi_i once per index and i, not once per (i, j). Structural
+zeros stay the float 0.0 at jet points (:mod:`pbh.jets`), so `ginv_terms` and
+`_gamma_dphi` drop the zeros of g^{-1} and Gamma^N there too. Hoisted
 products keep the left-to-right order and every sum its order, so each float
 equals the one the unhoisted loops give. The
 functions `tension`, `p_tension` and `p_bitension` take a float point, lift

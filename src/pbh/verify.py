@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DomainError
 from .expr import Const, Coord, Expression, differentiate, parse
 from .geometry import euclidean_chart, sectional_curvature, space_form_chart
-from .jets import lift_point, value
+from .jets import JetScalar, lift_point, value
 from .mapcalc import (SmoothMap, _box_sum, _entries, _read_points, _split, p_energy_box,
                       p_tension, perturbed_map, tension)
 from .scenarios import builtin, run as run_scenario
@@ -229,10 +229,14 @@ def random_expression_with_point(rng, dim: int, depth: int = 6, bound: float = 1
             J = e.evaluate(X, None, memo)
         except Exception:
             continue
-        # every subtree's coefficients at once: the memo holds the inner nodes,
-        # a bare-coordinate root is not memoized, and neither are the leaves
+        # a structurally zero root (0.0 / x) is the float 0.0: nothing to compare
+        if not isinstance(J, JetScalar):
+            continue
+        # every subtree's coefficients at once: the memo holds the inner nodes
+        # (structural zeros as floats), not the leaves or a bare-coordinate root
         leaves = {ch for node in memo for ch in node._children()}.difference(memo)
-        coeffs = np.concatenate([J.c, *(v.c for v in memo.values()),
+        coeffs = np.concatenate([J.c, *(v.c if isinstance(v, JetScalar) else [v]
+                                        for v in memo.values()),
                                  *(X[n.index].c for n in leaves if type(n) is Coord),
                                  [n.value for n in leaves if type(n) is Const]])
         if np.all(np.isfinite(coeffs)) and np.max(np.abs(coeffs)) <= bound:

@@ -1,6 +1,7 @@
-"""The public surface of pbh: the names a fresh `import pbh` exports, every
-module's `__all__` (each entry exists and something outside the tests uses
-it), and the methods the benchmark tracer wraps by name."""
+"""The public surface of pbh: the names a fresh `import pbh` exports, the
+`python -m pbh` entry point, every module's `__all__` (each entry exists and
+something outside the tests uses it), and the methods the benchmark tracer
+wraps by name."""
 
 import ast
 import importlib
@@ -44,18 +45,28 @@ def _modules():
             for info in pkgutil.iter_modules(pbh.__path__)]
 
 
-def test_public_names_of_a_fresh_import():
-    # a fresh interpreter: importing pbh.verify or pbh.cli, as other tests
-    # do, adds them to the package namespace
+def _fresh_python(*args) -> str:
+    """stdout of a fresh interpreter that imports pbh from this checkout."""
     src = str(Path(pbh.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import pbh; print(' '.join(n for n in dir(pbh) if not n.startswith('_')))"],
-        capture_output=True, text=True, check=True, timeout=60, env=env).stdout.split()
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          check=True, timeout=60, env=env).stdout
+
+
+def test_public_names_of_a_fresh_import():
+    # a fresh interpreter: importing pbh.verify or pbh.cli, as other tests
+    # do, adds them to the package namespace
+    out = _fresh_python(
+        "-c", "import pbh; print(' '.join(n for n in dir(pbh) if not n.startswith('_')))").split()
     assert len(PUBLIC_NAMES) == 53
     assert sorted(out) == sorted(PUBLIC_NAMES)
+
+
+def test_python_m_pbh_runs_the_cli():
+    out = _fresh_python("-m", "pbh", "builtin", "list")
+    assert out.splitlines()[0].startswith("inversion(n)")
+    assert "proper_pbh_cylinder" in out
 
 
 def test_every_all_entry_resolves():

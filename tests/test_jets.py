@@ -1,12 +1,15 @@
 """Jet arithmetic: Taylor coefficients against the symbolic derivative oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
 from pbh.errors import DomainError, JetOrderError
-from pbh.expr import differentiate, eval_jet, parse
-from pbh.jets import JetSpace, lift_point, space_for, value
-from pbh import jets
+from pbh.expr import Add, Const, Coord, Div, differentiate, eval_jet, parse
+from pbh.geometry import space_form_chart
+from pbh.jets import JetScalar, JetSpace, lift_point, space_for, value
+from pbh import jets, linalg, verify
 from pbh.verify import random_expression_with_point
 
 ORDERS_1_TO_4 = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2),
@@ -177,3 +180,88 @@ def test_misshaped_array_operands_are_rejected_by_jet_arithmetic(op, batched):
 def test_lift_point_needs_a_coordinate():
     with pytest.raises(ValueError, match="at least one coordinate"):
         lift_point((), 3)
+
+
+# ---------------------------------------------------------------------- #
+# structural zeros: a Python float 0.0 or 1.0 operand never becomes a jet
+# ---------------------------------------------------------------------- #
+
+BATCHED = pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
+
+
+def _point(batched):
+    return ((np.array([0.5, 0.6, 0.8]), np.array([0.7, 0.9, 1.1])) if batched
+            else (0.5, 0.7))
+
+
+@BATCHED
+def test_float_zero_and_one_operands_keep_their_structure(batched):
+    J = lift_point(_point(batched), 3)[0]
+    for zero in (0.0, -0.0):
+        for product in (J * zero, zero * J):
+            assert type(product) is float and repr(product) == "0.0"
+    assert J * 1.0 is J and 1.0 * J is J
+    assert J + 0.0 is J and 0.0 + J is J and J - 0.0 is J
+
+
+def test_a_zero_factor_annihilates_non_finite_coefficients():
+    """The symbolic fold's convention: expr.mul folds 0 * x to 0 whatever x is."""
+    sp = space_for(2, 3)
+    coeffs = np.zeros(sp.size)
+    coeffs[:3] = (1.0, math.inf, math.nan)
+    J = JetScalar(sp, coeffs)
+    assert repr(J * 0.0) == repr(0.0 * J) == "0.0"
+    assert parse("0 * log(x1)", 2).evaluate((0.0, 1.0)) == 0.0
+
+
+@BATCHED
+def test_other_zero_operands_keep_their_arithmetic(batched):
+    J = lift_point(_point(batched), 3)[0]
+    neg = -J.c
+    neg[0] += 0.0
+    assert (0.0 - J).c.tobytes() == neg.tobytes()
+    # an int (the start of sum()) and a numpy scalar are not Python floats
+    for zero in (0, np.float64(0.0)):
+        assert type(J * zero) is JetScalar and (J * zero).c.tobytes() == (J.c * 0.0).tobytes()
+        assert (zero + J) is not J and (zero + J).c.tobytes() == J.c.tobytes()
+    if batched:
+        zeros = np.zeros(3)
+        assert (J * zeros).c.tobytes() == (J.c * zeros).tobytes()
+        assert (J + zeros) is not J and (J - zeros) is not J
+    # float mode is Python's arithmetic
+    assert math.isnan(parse("x1 * x2", 2).evaluate((0.0, math.inf)))
+
+
+@BATCHED
+def test_results_that_alias_an_operand_never_write_it(batched):
+    """x + 0.0 and x * 1.0 return x itself: the functions that write
+    coefficients in place (`_compose`) must write only arrays they made."""
+    J = lift_point(_point(batched), 3)[0]
+    before = J.c.copy()
+    readers = (jets.exp, jets.log, jets.sqrt, jets.sin, lambda u: jets.powr(u, -1.5),
+               lambda u: jets.powr(u, 1), lambda u: 1.0 / u, lambda u: u.partial(0))
+    for u in (J + 0.0, J - 0.0, 0.0 + J, J * 1.0):
+        for read in readers:
+            read(u)
+    assert J.c.tobytes() == before.tobytes()
+
+
+@BATCHED
+def test_inverse_of_a_diagonal_jet_metric_has_float_zeros_off_the_diagonal(batched):
+    X = lift_point(_point(batched), 2)
+    g = space_form_chart(1.0, 2).metric_at(X)
+    assert type(g[0][1]) is float
+    ginv = linalg.inverse(g)
+    assert repr(ginv[0][1]) == repr(ginv[1][0]) == "0.0"
+    assert np.allclose((ginv[0][0] * g[0][0]).c[1:], 0.0, atol=1e-15)
+
+
+def test_drawn_expressions_read_structural_zero_subtrees(monkeypatch):
+    """0.0 / x1 evaluates to the float 0.0 at a jet point: a root that is such a
+    float is drawn again, a subtree that is one is read as its value."""
+    zero = Div(Const(0.0), Coord(0))
+    drawn = iter([zero, Add(zero, Coord(1))])
+    monkeypatch.setattr(verify, "random_expression", lambda rng, dim, depth: next(drawn))
+    e, x, J = random_expression_with_point(np.random.default_rng(0), 2)
+    assert e.to_string() == "0.0 / x1 + x2"
+    assert J.c.tobytes() == lift_point(x, 4)[1].c.tobytes()

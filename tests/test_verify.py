@@ -5,8 +5,8 @@ every criterion result, equal those of one fresh context per point and call,
 whether the batch is never tried (one-point chunks) or raises and is replayed.
 Sampling random expressions with one memo draws what a memo per subtree
 draws and returns the drawn expression's jet at the point, and the two
-heaviest criteria stay within a fixed count of jet products and node
-evaluations."""
+heaviest criteria and a cylinder run stay within a fixed count of jet
+products and node evaluations."""
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from pbh.errors import BatchSplit, DomainError
 from pbh.expr import Expression, eval_jet
 from pbh.geometry import ChartMetric
 from pbh.jets import JetScalar, lift_point, value
+from pbh.scenarios import builtin, run as run_scenario
 from pbh.stress import (divergence_gap, stress_divergence_check, stress_divergence_sides,
                         trace_identity_at)
 from pbh.submanifold import (ImmersionPoint, bitension_split, theorem21_residuals,
@@ -219,8 +220,11 @@ def test_jet_products_and_node_evaluations_stay_within_budget(monkeypatch):
                if "_diff" in cls.__dict__)
 
     assert criterion_bitension_cross_check().passed
-    assert counts["products"] <= 23_200
+    assert counts["products"] <= 13_900
     counts.update(products=0, nodes=0)
     assert verify.criterion_infrastructure().passed
-    assert counts["products"] <= 10_300
+    assert counts["products"] <= 4_200
     assert counts["nodes"] <= 112_510
+    counts.update(products=0, nodes=0)
+    assert len(run_scenario(builtin("proper_pbh_cylinder"), {"p": 3.0}).rows) == 24
+    assert counts["products"] <= 355
