@@ -246,8 +246,9 @@ def sectional_curvature(chart: ChartMetric, x, u, v) -> float:
         raise ValueError(f"the point and both vectors need {d} coordinates, got "
                          f"{len(x)}, {len(u)} and {len(v)}")
     X = tuple(x)
-    g = [[value(c) for c in row] for row in chart.metric_at(X)]
-    R = chart.curvature_at(X)
+    memo = {}  # the metric derivative trees share subtrees
+    g = [[value(c) for c in row] for row in chart.metric_at(X, memo)]
+    R = chart.curvature_at(X, memo=memo)
     low = [[[[sum(value(R[m][i][j][k]) * g[m][l] for m in range(d)) for l in range(d)]
              for k in range(d)] for j in range(d)] for i in range(d)]
 

@@ -32,11 +32,13 @@ term-major. Each entry's terms are the unbatched kernel's products, summed in
 its order, so every column equals the product of that column alone, bit for
 bit. Scalar and batched jets live in different spaces, so mixing them fails
 loudly instead of broadcasting. Domain checks fail when any entry is out of
-domain. For bit
-identity with the unbatched path, elementary functions and :func:`powr` compute
-their base values with the same scalar libm call per entry (``math.exp``,
-``**``, ...): numpy's vectorized ``power``/``exp``/``log`` may differ from libm
-in the last bit. Numpy's ``+ - * /`` are exact IEEE operations and stay
+domain. For bit identity with the unbatched path, elementary functions,
+:func:`powr` and :func:`abspow` compute their base values with the same
+scalar libm call per entry (``math.exp``, ``pow``, ...), driven from C with no
+Python frame per entry: ``np.fromiter(map(f, entries), float, P)``. Numpy's
+ufuncs ``power``, ``exp``, ``log``, ``sin``, ... are not used: they have their
+own implementations (SIMD ones on some CPUs), which may differ from libm in
+the last bit. Numpy's ``+ - * /`` are exactly rounded IEEE operations and stay
 vectorized. Code that branches on base values per point (pivoting in
 :mod:`pbh.linalg`, the frame in :mod:`pbh.submanifold`) decides through
 :func:`same_in_every_entry`, which raises :class:`pbh.errors.BatchSplit` when
@@ -51,15 +53,16 @@ of a float operation each. ``u * 0.0`` is 0.0 even for infinite or NaN
 coefficients, as the symbolic fold 0 * x -> 0 of :mod:`pbh.expr`. Otherwise
 every coefficient equals the one a zero jet in the float's place gives (zero
 times finite is zero; adding a zero keeps a nonzero), up to the sign of an
-exact zero: x - 0.0 * y keeps a -0.0 of x that a zero jet makes 0.0. An int
-(``sum()``'s start), a numpy operand, ``0.0 - u`` and float mode keep their
-arithmetic.
+exact zero: x - 0.0 * y keeps a -0.0 of x that a zero jet makes 0.0. An int,
+a numpy operand, ``0.0 - u`` and float mode keep their arithmetic; sums of
+jets therefore start from 0.0 (``sum(terms, 0.0)``), which hands the first
+term through, not from ``sum()``'s default int 0, which copies it.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product as _iterproduct
+from itertools import product as _iterproduct, repeat
 
 import numpy as np
 
@@ -356,14 +359,15 @@ def _libm(f, x):
     """f(x) for a float, or per entry of a batch array through the same scalar
     call, so batched and unbatched values agree bit for bit."""
     if isinstance(x, np.ndarray):
-        return np.array([f(t) for t in x.tolist()])
+        return np.fromiter(map(f, x.tolist()), float, len(x))
     return f(x)
 
 
 def _powers(x, exponents) -> list:
     """[x ** e for e in exponents] with Python's float pow, per entry for a batch."""
     if isinstance(x, np.ndarray):
-        return [np.array(col) for col in zip(*([t ** e for e in exponents] for t in x.tolist()))]
+        ts = x.tolist()
+        return [np.fromiter(map(pow, ts, repeat(e)), float, len(ts)) for e in exponents]
     return [x ** e for e in exponents]
 
 
@@ -489,8 +493,9 @@ def powr(u, q):
         if (not is_int and (u < 0.0).any()) or (q < 0 and (u == 0.0).any()):
             for t in u.tolist():
                 powr(t, q)
-        n, ts = int(q), u.tolist()
-        return np.array([t ** n for t in ts] if is_int else [math.pow(t, q) for t in ts])
+        ts = u.tolist()
+        values = map(pow, ts, repeat(int(q))) if is_int else map(math.pow, ts, repeat(q))
+        return np.fromiter(values, float, len(ts))
     u = float(u)
     if is_int:
         if u == 0.0 and q < 0:
@@ -513,7 +518,7 @@ def abspow(u, q):
         if not q >= 0.0 and (u == 0.0).any():
             for t in u.tolist():
                 abspow(t, q)
-        return np.array([math.pow(abs(t), q) for t in u.tolist()])
+        return np.fromiter(map(math.pow, map(abs, u.tolist()), repeat(q)), float, len(u))
     u = float(u)
     if u == 0.0:
         if q > 0:

@@ -23,7 +23,8 @@ from .jets import same_in_every_entry, value
 
 def mat_mul(A, B):
     n, m, k = len(A), len(B[0]), len(B)
-    return [[sum(A[i][l] * B[l][j] for l in range(k)) for j in range(m)] for i in range(n)]
+    return [[sum((A[i][l] * B[l][j] for l in range(k)), 0.0) for j in range(m)]
+            for i in range(n)]
 
 
 def _pivot(a, col):

@@ -257,11 +257,11 @@ class MapPoint:
 
     def h_inner(self, u, v):
         h = self.h
-        return sum(h[a][b] * u[a] * v[b] for a in range(self.n) for b in range(self.n))
+        return sum((h[a][b] * u[a] * v[b] for a in range(self.n) for b in range(self.n)), 0.0)
 
     def push(self, v):
         """dphi applied to a source vector."""
-        return [sum(self.dphi[a][i] * v[i] for i in range(self.m)) for a in range(self.n)]
+        return [sum((self.dphi[a][i] * v[i] for i in range(self.m)), 0.0) for a in range(self.n)]
 
     # -- first-order invariants ------------------------------------------- #
     @cached_property
@@ -309,13 +309,13 @@ class MapPoint:
     @cached_property
     def tension(self):
         """tau(phi)^a = g^{ij} (nabla dphi)^a_ij."""
-        return [sum(self.ginv[i][j] * self.sff[a][i][j]
-                    for i in range(self.m) for j in range(self.m))
+        return [sum((self.ginv[i][j] * self.sff[a][i][j]
+                     for i in range(self.m) for j in range(self.m)), 0.0)
                 for a in range(self.n)]
 
     def grad_scalar(self, partials):
         """g^{ij} (d_j f) from a list of coordinate partials of a scalar."""
-        return [sum(self.ginv[i][j] * partials[j] for j in range(self.m))
+        return [sum((self.ginv[i][j] * partials[j] for j in range(self.m)), 0.0)
                 for i in range(self.m)]
 
     @once_per_p
@@ -444,22 +444,26 @@ def p_bitension(phi: SmoothMap, x, p: float):
 # box quadrature of the energy functionals
 # ---------------------------------------------------------------------- #
 
-def gauss_legendre_box(box, order: int = 8):
-    """Tensor-product Gauss-Legendre nodes and weights over an axis-aligned box."""
+def gauss_legendre_box(box, order: int = 8) -> list:
+    """Tensor-product Gauss-Legendre nodes and weights over an axis-aligned box.
+
+    A list of (point tuple, weight) pairs in `itertools.product` order of the
+    axes' nodes (the last axis varies fastest). A weight is the product of
+    its axis weights, taken axis by axis starting from 1.0; the grid is built
+    by numpy broadcasting."""
     nodes_1d, weights_1d = np.polynomial.legendre.leggauss(order)
-    axes = []
-    for lo, hi in box:
+    dim = len(box)
+    points = np.empty((order,) * dim + (dim,))
+    weights = np.ones((order,) * dim)
+    for k, (lo, hi) in enumerate(box):
         lo, hi = float(lo), float(hi)
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
-        axes.append([(float(mid + half * t), float(half * w))
-                     for t, w in zip(nodes_1d, weights_1d)])
-    for combo in itertools.product(*axes):
-        point = tuple(c[0] for c in combo)
-        weight = 1.0
-        for c in combo:
-            weight *= c[1]
-        yield point, weight
+        axis = (order,) + (1,) * (dim - 1 - k)  # broadcasts along axis k of the grid
+        points[..., k] = (mid + half * nodes_1d).reshape(axis)
+        weights *= (half * weights_1d).reshape(axis)
+    return list(zip(map(tuple, points.reshape(order ** dim, dim).tolist()),
+                    weights.ravel().tolist()))
 
 
 def _volume_density(pt: MapPoint):

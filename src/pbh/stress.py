@@ -52,7 +52,7 @@ def _stress_matrix(mp: MapPoint, p: float):
 
 def _trace(mp: MapPoint, S):
     m = mp.m
-    return sum(mp.ginv[i][j] * S[i][j] for i in range(m) for j in range(m))
+    return sum((mp.ginv[i][j] * S[i][j] for i in range(m) for j in range(m)), 0.0)
 
 
 def _theta_divergence(mp: MapPoint, p: float) -> float:
@@ -60,7 +60,7 @@ def _theta_divergence(mp: MapPoint, p: float) -> float:
     the pairing one-form theta(d_i) = h(|dphi|^{p-2} dphi(d_i), tau_p)."""
     taup, fac = mp.p_tension(p), mp.norm_power(p - 2.0)
     low = [fac * mp.h_inner(col, taup) for col in mp.dphi_cols]
-    sharp = [sum(mp.ginv[i][j] * low[j] for j in range(mp.m)) for i in range(mp.m)]
+    sharp = [sum((mp.ginv[i][j] * low[j] for j in range(mp.m)), 0.0) for i in range(mp.m)]
     return value(divergence_at(mp.gammaM, sharp))
 
 

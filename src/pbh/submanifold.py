@@ -189,7 +189,8 @@ class ImmersionPoint:
     def mean_curvature_frame(self):
         """H^a = (1/m) g^{ij} B^a_ij."""
         mp = self.mp
-        return [sum(mp.ginv[i][j] * B[i][j] for i in range(self.m) for j in range(self.m)) * (1.0 / self.m)
+        return [sum((mp.ginv[i][j] * B[i][j] for i in range(self.m) for j in range(self.m)), 0.0)
+                * (1.0 / self.m)
                 for B in self.second_fundamental]
 
     @cached_property
@@ -244,7 +245,7 @@ class ImmersionPoint:
         hnorm = math.sqrt(h2)
         eta = [value(v) / hnorm for v in self.mean_curvature]
         A = self.shape_matrix(eta)
-        A2 = value(sum(A[i][j] * A[j][i] for i in range(m) for j in range(m)))
+        A2 = value(sum((A[i][j] * A[j][i] for i in range(m) for j in range(m)), 0.0))
         p_star = 2.0 + (m * c - A2) / (m * h2)
         # rounding guard: the boundary case p* = 2 must stay admissible
         return CmcResult(p_star=p_star, admissible=p_star >= 2.0 - 1e-9,
@@ -256,8 +257,8 @@ class ImmersionPoint:
         components t with tangential part = dphi(t))."""
         mp, m = self.mp, self.m
         tau2p = mp.p_bitension(p)
-        t = [value(sum(mp.ginv[i][j] * mp.h_inner(tau2p, mp.dphi_cols[j]) for j in range(m)))
-             for i in range(m)]
+        low = [mp.h_inner(tau2p, col) for col in mp.dphi_cols]
+        t = [value(sum((mp.ginv[i][j] * low[j] for j in range(m)), 0.0)) for i in range(m)]
         pushed = mp.push(t)
         normal = [value(tau2p[a]) - value(pushed[a]) for a in range(self.n)]
         return normal, t
@@ -268,13 +269,12 @@ class ImmersionPoint:
     # once; a term that raises is not cached and raises again when read.
     def trace_B_shape_H(self):
         """trace_g B(., A_H(.)) as an ambient (normal) vector."""
-        mp = self.mp
+        mp, r = self.mp, range(self.m)
         M = self.shape_matrix(self.mean_curvature)
         out = [0.0] * self.n
         for a, xi in enumerate(self.normal_frame):
             B = self.second_fundamental[a]
-            coeff = sum(mp.ginv[i][j] * M[k][j] * B[i][k]
-                        for i in range(self.m) for j in range(self.m) for k in range(self.m))
+            coeff = sum((mp.ginv[i][j] * M[k][j] * B[i][k] for i in r for j in r for k in r), 0.0)
             for al in range(self.n):
                 out[al] = out[al] + coeff * xi[al]
         return out
@@ -318,10 +318,10 @@ class ImmersionPoint:
         hnorm = sqrt(self.mean_curvature_norm2)
         eta = [Hc / hnorm for Hc in self.mean_curvature]
         A = self.shape_matrix(eta)
-        A2 = sum(A[i][j] * A[j][i] for i in range(m) for j in range(m))
+        A2 = sum((A[i][j] * A[j][i] for i in range(m) for j in range(m)), 0.0)
         neg_lap_eta = -mp.h_inner(self.laplacian_perp_H, eta)
         grad_absH = mp.grad_scalar([partial(hnorm, j) for j in range(m)])
-        A_grad = [sum(A[k][j] * grad_absH[j] for j in range(m)) for k in range(m)]
+        A_grad = [sum((A[k][j] * grad_absH[j] for j in range(m)), 0.0) for k in range(m)]
         return hnorm, A2, neg_lap_eta, grad_absH, A_grad
 
     def hypersurface_residuals(self, p: float):

@@ -161,8 +161,8 @@ def classical_bienergy_stress(phi: SmoothMap, x):
     tau = mp.tension
     dtau = [mp.pullback_derivative(tau, i) for i in range(m)]
     tau2 = mp.h_inner(tau, tau)
-    pairing = sum(mp.ginv[i][j] * mp.h_inner(dtau[i], [mp.dphi[a][j] for a in range(n)])
-                  for i in range(m) for j in range(m))
+    pairing = sum((mp.ginv[i][j] * mp.h_inner(dtau[i], [mp.dphi[a][j] for a in range(n)])
+                   for i in range(m) for j in range(m)), 0.0)
     cols = [[mp.dphi[a][i] for a in range(n)] for i in range(m)]
     S = [[value((-0.5 * tau2 - pairing) * mp.g[i][j]
                 + mp.h_inner(cols[i], dtau[j]) + mp.h_inner(cols[j], dtau[i]))
@@ -528,9 +528,10 @@ def criterion_infrastructure() -> CriterionResult:
     worst_compat = 0.0
     for chart, box in charts:
         for x in _points(rng2, box, 3):
-            dg = chart.dmetric_at(x)
-            gamma = chart.christoffel_at(x)
-            g = chart.metric_at(x)
+            memo = {}
+            dg = chart.dmetric_at(x, memo)
+            gamma = chart.christoffel_at(x, dg=dg, memo=memo)
+            g = chart.metric_at(x, memo)
             d = chart.dim
             for k in range(d):
                 for i in range(d):

@@ -6,6 +6,7 @@ loop bit for bit, failures included."""
 import itertools
 import json
 import math
+import sys
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -448,3 +449,33 @@ def test_sweep_attempts_a_failing_batch_once(monkeypatch, check_sizes):
     ref = _one_point_chunks(monkeypatch, lambda: sweep(sc, "p", 2.0, 6.0, 41))
     assert swept.to_csv() == ref.to_csv()
     assert swept.to_json() == ref.to_json() and swept.crossings == ref.crossings
+
+
+def test_quadrature_makes_no_python_frame_per_node():
+    """Counts, not times: the energy and bienergy of inversion(3) (l = 2, p = 3)
+    over its 512 Gauss nodes start about 7200 Python frames (generator
+    resumptions included). A Python loop per node or per batch entry shows as
+    thousands more: with per-entry comprehensions for the libm calls and the
+    Gauss grid it read 41 066."""
+    sc = builtin("inversion(3)")
+    phi = sc.build({"l": 2.0, "p": 3.0})
+
+    def energies():
+        order = scenarios.QUADRATURE_ORDER
+        return (p_energy_box(phi, sc.box, 3.0, order=order),
+                p_bienergy_box(phi, sc.box, 3.0, order=order))
+
+    warm = energies()  # derivative tables and jet spaces are built once
+    calls = 0
+
+    def counting(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(counting)
+    try:
+        got = energies()
+    finally:
+        sys.setprofile(None)
+    assert repr(got) == repr(warm)
+    assert calls <= 7_300

@@ -2,14 +2,18 @@
 differentiated through the class-level `OPERATION` tables and the inline
 constant tests agree with a plain reference (per-class `_compute` bodies and
 `_const_of` smart constructors) bit for bit, exception for exception; the flat
-batched-float `powr` and `abspow` agree with one scalar call per entry."""
+batched-float `powr` and `abspow` agree with one scalar call per entry; the
+batched elementary functions of floats and jets agree with one scalar call
+per entry and with the unbatched jet of each column; the Gauss grid of the
+box quadrature agrees with nested loops."""
 
+import itertools
 import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from pbh import expr, jets
+from pbh import expr, jets, mapcalc
 from pbh.errors import DomainError, UnknownIdentifierError
 from pbh.expr import (Add, AbsPow, Const, Coord, Cos, Div, Exp, Log, Mul, Neg, Param, Pow, Sin,
                       Sqrt, Sub)
@@ -269,8 +273,11 @@ def test_an_unbound_exponent_raises_before_a_base_out_of_domain():
 # batched floats: one flat pass against one scalar call per entry
 # ---------------------------------------------------------------------- #
 
+# huge, subnormal, zero and negative entries, next to ordinary ones
+EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-200, 1e154, 1e300, -1e300,
+                            710.0, -750.0, math.inf, -math.inf, math.nan])
 ENTRIES = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan]),
-                             st.floats(-4.0, 4.0)), min_size=1, max_size=8)
+                             st.floats(-4.0, 4.0), EXTREMES), min_size=1, max_size=8)
 POWERS = st.sampled_from([0, 1, 2, 3, -1, -2, 0.5, 1.5, -0.5, -2.5, 2.0, 7.0, 0.0])
 
 
@@ -306,3 +313,132 @@ def test_batched_powr_raises_at_the_first_entry_out_of_domain():
         DomainError, "negative base -2.0 raised to fractional exponent 0.5")
     assert _flat(jets.powr, u, -1) == (DomainError, "zero base raised to exponent -1.0")
     assert _flat(jets.abspow, u, -1) == (DomainError, "abspow at zero with negative exponent")
+
+
+# ---------------------------------------------------------------------- #
+# batched elementary functions: one scalar libm call per entry, driven from
+# C, against a call per entry, the unbatched jet of each column, and the
+# per-entry comprehensions they replaced (copied here as the oracle of every
+# value and exception)
+# ---------------------------------------------------------------------- #
+
+def _comprehension_libm(f, x):
+    if isinstance(x, np.ndarray):
+        return np.array([f(t) for t in x.tolist()])
+    return f(x)
+
+
+def _comprehension_powers(x, exponents):
+    if isinstance(x, np.ndarray):
+        return [np.array(col) for col in zip(*([t ** e for e in exponents] for t in x.tolist()))]
+    return [x ** e for e in exponents]
+
+
+def _with_comprehensions(compute):
+    saved = jets._libm, jets._powers
+    jets._libm, jets._powers = _comprehension_libm, _comprehension_powers
+    try:
+        return compute()
+    finally:
+        jets._libm, jets._powers = saved
+
+
+ORDINARY = st.builds(lambda s, t: s * t, st.sampled_from([-1.0, 1.0]), st.floats(0.05, 4.0))
+WIDE_ENTRIES = st.lists(st.one_of(EXTREMES, ORDINARY), min_size=1, max_size=6)
+UNARY = {"exp": jets.exp, "log": jets.log, "sin": jets.sin, "cos": jets.cos, "sqrt": jets.sqrt}
+
+
+def _bits(compute):
+    """The float bits of a result (a coefficient array, a batch of values), or
+    the exception's type and message."""
+    try:
+        v = compute()
+    except Exception as exc:
+        return type(exc), str(exc)
+    c = v.c if isinstance(v, jets.JetScalar) else np.asarray(v, dtype=float)
+    return np.ascontiguousarray(c).view(np.int64).tolist()
+
+
+@SETTINGS
+@given(WIDE_ENTRIES)
+def test_batched_elementary_functions_equal_scalar_calls_per_entry(entries):
+    u = np.array(entries)
+    for name, f in UNARY.items():
+        batched = _bits(lambda: f(u))
+        assert batched == _with_comprehensions(lambda: _bits(lambda: f(u))), name
+        per_entry = _bits(lambda: [f(t) for t in entries])
+        if isinstance(per_entry, list) or name in ("exp", "sin", "cos"):
+            assert batched == per_entry, name
+        else:
+            # the domain check names the whole batch, a call per entry its entry
+            assert batched[0] is per_entry[0] is DomainError, name
+
+
+@st.composite
+def _batched_jet(draw):
+    """A batched jet of order 0..4 in one or two variables whose base values
+    may be huge, subnormal, zero or negative."""
+    nvars, order, size = draw(st.integers(1, 2)), draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    sp = jets.space_for(nvars, order, batched=True)
+    c = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=sp.size * size,
+                               max_size=sp.size * size))).reshape(sp.size, size)
+    c[0] = draw(st.lists(st.one_of(EXTREMES, ORDINARY), min_size=size, max_size=size))
+    return jets.JetScalar(sp, c)
+
+
+@SETTINGS
+@given(_batched_jet(), POWERS)
+def test_batched_jet_functions_equal_the_unbatched_jet_of_each_column(u, q):
+    sp = u.space
+    scalar_sp = jets.space_for(sp.nvars, sp.order)
+    columns = [jets.JetScalar(scalar_sp, u.c[:, e].copy()) for e in range(u.c.shape[1])]
+    ordinary = all(0.05 <= abs(t) <= 4.0 for t in u.value.tolist())
+    functions = {"powr": lambda v: jets.powr(v, q), "log": jets.log, "exp": jets.exp,
+                 "sin": jets.sin, "cos": jets.cos}
+    for name, f in functions.items():
+        # the floating-point signals of a batched evaluation in pbh.mapcalc
+        with np.errstate(all="raise", under="ignore"):
+            batched = _bits(lambda: f(u))
+            assert batched == _with_comprehensions(lambda: _bits(lambda: f(u))), name
+            per_column = [_bits(lambda: f(col)) for col in columns]
+        if isinstance(batched, list):
+            coefficients = np.array(batched).view(np.float64)
+            for e, column in enumerate(per_column):
+                # bit for bit, but for the sign of a NaN: numpy's loops may
+                # return either NaN operand of a sum
+                assert isinstance(column, list), (name, e, column)
+                assert (repr(coefficients[:, e].tolist())
+                        == repr(np.array(column).view(np.float64).tolist())), (name, e)
+        else:
+            # the batch raised: so does a column, or a base value is extreme
+            assert not (ordinary and all(isinstance(col, list) for col in per_column)), name
+
+
+def _generator_gauss_legendre_box(box, order):
+    """The tensor-product grid as a nested-loop generator (the grid's oracle)."""
+    nodes_1d, weights_1d = np.polynomial.legendre.leggauss(order)
+    axes = []
+    for lo, hi in box:
+        lo, hi = float(lo), float(hi)
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        axes.append([(float(mid + half * t), float(half * w))
+                     for t, w in zip(nodes_1d, weights_1d)])
+    for combo in itertools.product(*axes):
+        point = tuple(c[0] for c in combo)
+        weight = 1.0
+        for c in combo:
+            weight *= c[1]
+        yield point, weight
+
+
+BOUNDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]),
+                   st.floats(-100.0, 100.0))
+
+
+@SETTINGS
+@given(st.lists(st.tuples(BOUNDS, BOUNDS), min_size=0, max_size=3), st.integers(1, 8))
+def test_gauss_legendre_box_equals_the_nested_loops(box, order):
+    nodes = mapcalc.gauss_legendre_box(box, order)
+    assert isinstance(nodes, list)
+    assert repr(nodes) == repr(list(_generator_gauss_legendre_box(box, order)))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbh.jets import JetScalar, lift_point
+from pbh.scenarios import builtin, run
 from pbh.stress import _stress_matrix
 from pbh.verify import corpus_immersions, corpus_maps
 
@@ -157,3 +158,21 @@ def test_fields_equal_the_oracle_coefficient_for_coefficient(name, obj, box, is_
             # the rule only keeps floats floats; a jet of the oracle may be a float here
             assert isinstance(v, JetScalar) <= isinstance(w, JetScalar), field
             assert _coefficients(v, w) == _coefficients(w, w), field
+
+
+def test_a_cylinder_run_adds_no_int_to_a_jet(monkeypatch):
+    """Sums of jets start from the float 0.0, which the rule hands through;
+    sum()'s default start, the int 0, would copy the first term."""
+    int_adds = []
+    radd = JetScalar.__radd__
+
+    def spying(self, other):
+        if type(other) is int:
+            int_adds.append(other)
+        return radd(self, other)
+
+    monkeypatch.setattr(JetScalar, "__radd__", spying)
+    assert len(run(builtin("proper_pbh_cylinder"), {"p": 3.0}).rows) == 24
+    assert int_adds == []
+    sum(lift_point((0.5, 0.7), 1))  # the spy sees an int start
+    assert int_adds == [0]

@@ -220,11 +220,11 @@ def test_jet_products_and_node_evaluations_stay_within_budget(monkeypatch):
                if "_diff" in cls.__dict__)
 
     assert criterion_bitension_cross_check().passed
-    assert counts["products"] <= 13_900
+    assert counts["products"] <= 13_500
     counts.update(products=0, nodes=0)
     assert verify.criterion_infrastructure().passed
     assert counts["products"] <= 4_200
-    assert counts["nodes"] <= 112_510
+    assert counts["nodes"] <= 86_742
     counts.update(products=0, nodes=0)
     assert len(run_scenario(builtin("proper_pbh_cylinder"), {"p": 3.0}).rows) == 24
     assert counts["products"] <= 355
