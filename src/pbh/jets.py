@@ -398,11 +398,16 @@ def partial(u, v: int):
     return 0.0
 
 
+def _first(u, mask):
+    """A batch's first entry where mask holds, as a float (a scalar u itself)."""
+    return float(u[mask][0]) if isinstance(u, np.ndarray) else u
+
+
 def sqrt(u):
     if isinstance(u, JetScalar):
         return powr(u, 0.5)
     if any_entry(u < 0.0):
-        raise DomainError(f"sqrt of negative value {u}")
+        raise DomainError(f"sqrt of negative value {_first(u, u < 0.0)}")
     return _libm(math.sqrt, u)
 
 
@@ -418,14 +423,14 @@ def log(u):
     if isinstance(u, JetScalar):
         u0 = u.value
         if any_entry(u0 <= 0.0):
-            raise DomainError(f"log of non-positive value {u0}")
+            raise DomainError(f"log of non-positive value {_first(u0, u0 <= 0.0)}")
         order = u.space.order
         taylor = [_libm(math.log, u0)]
         for k, u0k in zip(range(1, order + 1), _powers(u0, range(1, order + 1))):
             taylor.append((-1.0) ** (k - 1) / (k * u0k))
         return _compose(u, taylor)
     if any_entry(u <= 0.0):
-        raise DomainError(f"log of non-positive value {u}")
+        raise DomainError(f"log of non-positive value {_first(u, u <= 0.0)}")
     return _libm(math.log, u)
 
 
@@ -479,7 +484,8 @@ def powr(u, q):
         if any_entry(u0 == 0.0):
             raise DomainError(f"zero base raised to exponent {q}")
         if not is_int and any_entry(u0 < 0.0):
-            raise DomainError(f"negative base {u0} raised to fractional exponent {q}")
+            raise DomainError(f"negative base {_first(u0, u0 < 0.0)} raised to "
+                              f"fractional exponent {q}")
         taylor = []
         coeff = 1.0
         order = u.space.order

@@ -41,14 +41,17 @@ jet and float evaluation of one expression can differ in the last bit.
 chunk of points and on the values of the parameters that the component and
 metric expressions read, so a step that changes only other parameters (p,
 unless a metric reads it) reuses the chunks of the step before, with every
-p-independent term they cached. A step that changes a parameter the
+p-independent term they cached and the rows of `_P_FREE_CHECKS`, which a
+check that raised does not leave. A step that changes a parameter the
 expressions read builds new contexts and drops the old ones. Between steps a
-context keeps its cached properties only, not the subtree values and per-p
-fields it computed on the way. A chunk whose batched evaluation raised at one
-step goes straight to its halves at every later step, without a new batched
-attempt; the halves give the rows the batch would. The contexts belong to one
-`sweep` call and are gone when it returns; `run` builds fresh ones and holds
-one chunk's at a time.
+context keeps its cached properties and p-free rows only, not the subtree
+values and per-p fields it computed on the way. A chunk whose batched
+evaluation raised at one step goes straight to its halves at every later
+step, without a new batched attempt; the halves give the rows the batch
+would. The sample points are drawn again only at a step that changes a
+parameter the exclude expressions read. The contexts belong to one `sweep`
+call and are gone when it returns; `run` builds fresh ones and holds one
+chunk's at a time.
 """
 
 from __future__ import annotations
@@ -80,6 +83,8 @@ ALL_CHECKS = MAP_CHECKS + IMMERSION_CHECKS
 # jet order each point check needs: the shifts its readers perform
 CHECK_ORDER = {"p_harmonic": 1, "trace_identity": 2, "theorem_2_1": 2, "theorem_2_3": 2,
                "cmc_proper_p": 2, "p_biharmonic": 3, "stress_divergence": 3}
+# checks whose rows do not read the swept p: cmc_proper_p runs at each point's own p*
+_P_FREE_CHECKS = frozenset({"cmc_proper_p"})
 
 DEFAULT_TOLERANCE = 1e-7
 QUADRATURE_ORDER = 8
@@ -321,8 +326,9 @@ class Scenario:
 
     # -- construction ------------------------------------------------------ #
     def _parsed(self):
-        """(map or immersion, exclude trees, `_params_read` of its map): parsed
-        and assembled once; later builds only rebind parameters."""
+        """(map or immersion, exclude trees, `_params_read` of its map, sorted
+        names of the parameters the exclude trees read): parsed and assembled
+        once; later builds only rebind parameters."""
         base = getattr(self, "_base", None)
         if base is not None:
             return base
@@ -341,8 +347,9 @@ class Scenario:
                 source_metric = chart.components
             obj = Immersion(m, target, components, params=params,
                             source_metric=source_metric, name=self.name)
-        base = (obj, [parse(t, m, declared) for t in self.exclude_text],
-                _params_read(obj.map if isinstance(obj, Immersion) else obj))
+        exclude = [parse(t, m, declared) for t in self.exclude_text]
+        base = (obj, exclude, _params_read(obj.map if isinstance(obj, Immersion) else obj),
+                sorted(set().union(*(e.params_used() for e in exclude))))
         object.__setattr__(self, "_base", base)
         return base
 
@@ -440,8 +447,9 @@ def _json_float(v: float):
 # ---------------------------------------------------------------------- #
 
 def _norm(metric, v) -> float:
+    """|v| in a float context's metric (`h` or `g`), whose entries are floats."""
     n = len(v)
-    return math.sqrt(max(sum(value(metric[a][b]) * v[a] * v[b]
+    return math.sqrt(max(sum(metric[a][b] * v[a] * v[b]
                              for a in range(n) for b in range(n)), 0.0))
 
 
@@ -529,13 +537,22 @@ class _ChunkContexts:
     """The evaluation contexts of one chunk of sample points: a float context
     per point and one jet context for the whole chunk, batched unless the
     chunk is one point, built on first use. `replayed` is set once the
-    chunk's batched evaluation has raised."""
+    chunk's batched evaluation has raised. `p_free` keeps the results of the
+    `_P_FREE_CHECKS` that have run on the chunk without raising."""
 
     def __init__(self, obj, chunk, order):
         self.obj, self.chunk, self.order = obj, chunk, order
         self.flts = [obj.at(x) for x in chunk]
         self._jet = None
         self.replayed = False
+        self.p_free = {}
+
+    def results(self, check, p, tol):
+        """`_check_results` of a check on the chunk; a p-free check's, once."""
+        out = self.p_free.get(check) or _check_results(check, self.jet(), self.flts, p, tol)
+        if check in _P_FREE_CHECKS:
+            self.p_free[check] = out
+        return out
 
     def jet(self):
         if self._jet is None:
@@ -548,8 +565,15 @@ class _ChunkContexts:
             (c.mp if isinstance(c, ImmersionPoint) else c).forget_scratch()
 
 
+class _SweepContexts(dict):
+    """`_ChunkContexts` by (key, chunk) (see `_run`); `points` holds the values
+    of the parameters the exclude trees read and the sample points drawn at them."""
+
+    points = (None, None)
+
+
 def _run(scenario, overrides, tolerance, strict, contexts) -> ResidualReport:
-    """`run`, reusing point contexts from `contexts` if it is a dict.
+    """`run`, reusing what `contexts`, a `_SweepContexts`, kept from earlier steps.
 
     Sample points are evaluated in batched chunks, and by halves down to
     single points where a chunk raises (see the module docstring). The dict
@@ -557,7 +581,10 @@ def _run(scenario, overrides, tolerance, strict, contexts) -> ResidualReport:
     where key holds the values of the parameters the expressions read
     (`_params_read`). Entries under another key are dropped first, so the
     dict holds the contexts of one parameter binding at most, and each keeps
-    only its cached properties between calls (`forget_scratch`). With
+    only its cached properties and its rows of `_P_FREE_CHECKS` between
+    calls (`forget_scratch`); every other check is evaluated again. The
+    sample points are drawn again only when a parameter that the exclude
+    trees read has changed. All steps must share one tolerance. With
     contexts None, as in `run`, a chunk's contexts are dropped when the next
     chunk starts, so one chunk's contexts are alive at a time.
     """
@@ -575,14 +602,18 @@ def _run(scenario, overrides, tolerance, strict, contexts) -> ResidualReport:
     _require_p(p, scenario.checks)
     obj = scenario.build(params)
     phi = obj.map if isinstance(obj, Immersion) else obj
-    points = scenario.sample_points(params)
+    read, read_by_exclude = scenario._parsed()[2:]
+    cache = _SweepContexts() if contexts is None else contexts
+    drawn_at = tuple((k, params[k]) for k in read_by_exclude)
+    if cache.points[0] != drawn_at:
+        cache.points = (drawn_at, scenario.sample_points(params))
+    points = cache.points[1]
     row_params = tuple(sorted((k, v) for k, v in params.items() if k != "p"))
     checks = [c for c in scenario.checks if c in CHECK_ORDER]
     order = max((CHECK_ORDER[c] for c in checks), default=0)
-    key = tuple((k, params[k]) for k in scenario._parsed()[2])
-    if contexts is not None and any(k != key for k, _chunk in contexts):
-        contexts.clear()
-    cache = {} if contexts is None else contexts
+    key = tuple((k, params[k]) for k in read)
+    if any(k != key for k, _chunk in cache):
+        cache.clear()
 
     def chunk_contexts(chunk):
         ctx = cache.get((key, chunk))
@@ -598,7 +629,7 @@ def _run(scenario, overrides, tolerance, strict, contexts) -> ResidualReport:
         if ctx.replayed:  # it raised at an earlier sweep step; its halves give the same rows
             return None
         ctx.replayed = True  # stays set if the batch raises
-        results = [_check_results(check, ctx.jet(), ctx.flts, p, tol) for check in checks]
+        results = [ctx.results(check, p, tol) for check in checks]
         ctx.replayed = False
         return list(zip(*results))
 
@@ -607,7 +638,7 @@ def _run(scenario, overrides, tolerance, strict, contexts) -> ResidualReport:
         out = []
         for check in checks:
             try:
-                out.append(_check_results(check, ctx.jet(), ctx.flts, p, tol)[0])
+                out.append(ctx.results(check, p, tol)[0])
             except POINT_FAILURES as exc:
                 _point_failure(exc, strict, x)
                 # without its traceback: the frames would hold `out`, a cycle
@@ -678,9 +709,11 @@ def sweep(scenario: Scenario, param: str, lo=None, hi=None, steps=None,
     Each step gives the report `run` would give. The steps share one set of
     point contexts (see `_run`): while the parameters that the component and
     metric expressions read keep their values, each chunk of sample points is
-    lifted once and its p-independent terms are computed once, for the whole
-    sweep.
-    The contexts live only for this call.
+    lifted once, and its p-independent terms and its cmc_proper_p rows are
+    computed once, for the whole sweep; a step evaluates only the checks that
+    read p. The sample points are drawn once, and again only at a step that
+    changes a parameter the exclude expressions read. The contexts live only
+    for this call.
 
     Crossing locations come from linear interpolation of the mean signed
     normal residual between adjacent grid values; no root polishing.
@@ -701,7 +734,7 @@ def sweep(scenario: Scenario, param: str, lo=None, hi=None, steps=None,
 
     reports = []
     means = {}
-    contexts = {}
+    contexts = _SweepContexts()
     for v in values:
         rep = _run(scenario, {**(overrides or {}), param: v}, tolerance, strict, contexts)
         reports.append(rep)

@@ -305,9 +305,10 @@ class ImmersionPoint:
         h2 = self.mean_curvature_norm2
         lap = self.laplacian_perp_H
         trB, trA, grad = self._general_terms
-        normal = [-lap[al] + trB[al] - m * (c - (p - 2.0) * h2) * H[al]
-                  for al in range(self.n)]
-        tangent = [2.0 * trA[k] + (p - 2.0 + 0.5 * m) * grad[k] for k in range(m)]
+        h_coeff = m * (c - (p - 2.0) * h2)
+        grad_coeff = p - 2.0 + 0.5 * m
+        normal = [-lap[al] + trB[al] - h_coeff * H[al] for al in range(self.n)]
+        tangent = [2.0 * trA[k] + grad_coeff * grad[k] for k in range(m)]
         return normal, tangent
 
     @cached_property
@@ -335,8 +336,8 @@ class ImmersionPoint:
             raise DomainError("hypersurface system needs nowhere-zero mean curvature")
         hnorm, A2, neg_lap_eta, grad_absH, A_grad = self._hypersurface_terms
         normal_scalar = neg_lap_eta + (A2 + m * (p - 2.0) * h2 - m * c) * hnorm
-        tangent = [2.0 * A_grad[k] + (2.0 * (p - 2.0) + m) * hnorm * grad_absH[k]
-                   for k in range(m)]
+        grad_coeff = (2.0 * (p - 2.0) + m) * hnorm
+        tangent = [2.0 * A_grad[k] + grad_coeff * grad_absH[k] for k in range(m)]
         return normal_scalar, tangent
 
 

@@ -440,12 +440,13 @@ def test_failure_mid_chunk_replays_each_point(monkeypatch, check_sizes, tmp_path
 
 def test_sweep_attempts_a_failing_batch_once(monkeypatch, check_sizes):
     # every batch of the cusp raises at every p; after the first step the
-    # sweep goes straight to the halves of each, down to single points
+    # sweep goes straight to the halves of each, down to single points, where
+    # cmc_proper_p runs again only at the 3 rank-deficient points, which raise
     sc = Scenario.from_dict(cusp_immersion_dict(
         checks=["theorem_2_1", "theorem_2_3", "cmc_proper_p"]))
     npoints = len(sc.sample_points())
     swept = sweep(sc, "p", 2.0, 6.0, 41)
-    assert check_sizes == _CUSP_HALVING + [1] * (40 * 3 * npoints)
+    assert check_sizes == _CUSP_HALVING + [1] * (40 * (2 * npoints + 3))
     ref = _one_point_chunks(monkeypatch, lambda: sweep(sc, "p", 2.0, 6.0, 41))
     assert swept.to_csv() == ref.to_csv()
     assert swept.to_json() == ref.to_json() and swept.crossings == ref.crossings

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -340,6 +341,10 @@ class TestSharedSweepContexts:
         ("inversion(3)", "l", 1.8, 2.2, 3, {"p": 3.0}),
         # contexts reused; p-dependent fields and the target curvature per step
         ("curved_target", "p", 2.0, 4.0, 3, None),
+        # the exclude tree reads r: other sample points at each step
+        ("excluded_disc", "r", 0.4, 1.2, 3, {"p": 3.0}),
+        # every batch raises; single-point contexts and their cmc_proper_p rows reused
+        ("cusp", "p", 2.0, 4.0, 4, None),
     ])
     def test_sweep_equals_independent_runs(self, monkeypatch, name, param, lo, hi,
                                            steps, overrides):
@@ -349,6 +354,14 @@ class TestSharedSweepContexts:
                 components=["0.3*x1 + 0.1*x2^2", "0.2*x2 + 0.1*x1*x2"],
                 checks=["p_harmonic", "p_biharmonic", "stress_divergence",
                         "trace_identity"]))
+        elif name == "excluded_disc":
+            sc = Scenario.from_dict(make_scenario_dict(
+                params={"p": 2.0, "r": 1.0}, checks=["p_harmonic", "p_biharmonic"],
+                samples={"box": [[0.2, 1.0], [0.2, 1.0]], "points_per_axis": 3,
+                         "exclude": ["x1^2 + x2^2 - r"]}))
+        elif name == "cusp":
+            sc = Scenario.from_dict(cusp_immersion_dict(
+                checks=["theorem_2_1", "theorem_2_3", "cmc_proper_p"]))
         else:
             sc = builtin(name)
         shared = sweep(sc, param, lo, hi, steps, overrides=overrides)
@@ -363,6 +376,30 @@ class TestSharedSweepContexts:
         assert shared.crossings == independent.crossings
         if name.startswith("small_hypersphere") and param == "p":
             assert shared.crossings
+        if name == "excluded_disc":
+            assert len({len(rep.rows) for rep in shared.reports}) == steps
+        if name == "cusp":
+            assert any(math.isnan(r.residual) for r in shared.reports[-1].rows)
+
+    def test_p_sweep_evaluates_p_free_rows_and_draws_points_once(self, monkeypatch):
+        sc = builtin("small_hypersphere(2, 0.8)")
+        calls = Counter()
+        check_results, sample_points = scenarios._check_results, Scenario.sample_points
+
+        def counting(check, *args):
+            calls[check] += 1
+            return check_results(check, *args)
+
+        def counting_points(self, params=None):
+            calls["sample_points"] += 1
+            return sample_points(self, params)
+
+        monkeypatch.setattr(scenarios, "_check_results", counting)
+        monkeypatch.setattr(Scenario, "sample_points", counting_points)
+        sweep(sc, "p", 2.0, 6.0, 41)
+        # one chunk: cmc_proper_p reads each point's own p*, not the swept p
+        assert calls == {"theorem_2_1": 41, "theorem_2_3": 41, "cmc_proper_p": 1,
+                         "sample_points": 1}
 
     def test_p_sweep_builds_each_point_once(self, monkeypatch):
         built = _count_immersion_points(monkeypatch)
