@@ -31,7 +31,9 @@ class Expression:
     """Base node. Subclasses implement `_eval`, `_diff` (leaves: `diff`),
     `_subst` and `to_string`. An inner node's `_eval` looks itself up in the
     memo and otherwise applies its class's `OPERATION` to its operands' values,
-    in one frame per node."""
+    in one frame per node. The factor of a node's partials that does not
+    depend on the axis (`Pow`: q*u^(q-1); `Div`: r*r; `Sin`, `Cos`, `Sqrt`,
+    `AbsPow`) is built once (`_factor`), and all its partials hold it."""
 
     __slots__ = ("_dcache",)
 
@@ -53,6 +55,14 @@ class Expression:
         if d is None:
             d = cache[i] = self._diff(i)
         return d
+
+    def _factor(self, build):
+        """build(), the axis-independent factor of this node's partials, built
+        at the first partial and kept with them (key None), one object for all."""
+        f = self._dcache.get(None)
+        if f is None:
+            f = self._dcache[None] = build()
+        return f
 
     def substitute(self, replacements) -> "Expression":
         """Expression with Coord(i) replaced by replacements[i] (composition)."""
@@ -195,7 +205,9 @@ class Param(Expression):
 # marked (`_once` True) skips the memo: its one reader computes it once per
 # memo anyway, and at a batched point of 512 entries the memo entries of
 # single-use nodes would hold most of the memory. A node never marked (None)
-# or read twice in some marked forest (False) memoizes.
+# or read twice in some marked forest (False) memoizes. The axis-independent
+# factor of a node's partials (`_factor`) is one node read by all of them, so a
+# point computes it, and each of its own derivatives, once.
 
 class _Unary(Expression):
     __slots__ = ("arg", "_once")
@@ -239,7 +251,7 @@ class Sqrt(_Unary):
     OPERATION = staticmethod(jets.sqrt)
 
     def _diff(self, i):
-        return div(self.arg.diff(i), mul(Const(2.0), self))
+        return div(self.arg.diff(i), self._factor(lambda: mul(Const(2.0), self)))
 
     def _subst(self, repl):
         return sqrt_(self.arg._subst(repl))
@@ -275,7 +287,7 @@ class Sin(_Unary):
     OPERATION = staticmethod(jets.sin)
 
     def _diff(self, i):
-        return mul(cos_(self.arg), self.arg.diff(i))
+        return mul(self._factor(lambda: cos_(self.arg)), self.arg.diff(i))
 
     def _subst(self, repl):
         return sin_(self.arg._subst(repl))
@@ -287,7 +299,7 @@ class Cos(_Unary):
     OPERATION = staticmethod(jets.cos)
 
     def _diff(self, i):
-        return neg(mul(sin_(self.arg), self.arg.diff(i)))
+        return neg(mul(self._factor(lambda: sin_(self.arg)), self.arg.diff(i)))
 
     def _subst(self, repl):
         return cos_(self.arg._subst(repl))
@@ -374,7 +386,7 @@ class Div(_Binary):
 
     def _diff(self, i):
         num = sub(mul(self.left.diff(i), self.right), mul(self.left, self.right.diff(i)))
-        return div(num, mul(self.right, self.right))
+        return div(num, self._factor(lambda: mul(self.right, self.right)))
 
     def _subst(self, repl):
         return div(self.left._subst(repl), self.right._subst(repl))
@@ -415,8 +427,8 @@ class Pow(_Power):
     PRECEDENCE = 3
 
     def _diff(self, i):
-        qm1 = sub(self.exponent, _ONE)
-        return mul(mul(self.exponent, pow_(self.arg, qm1)), self.arg.diff(i))
+        q = self.exponent
+        return mul(self._factor(lambda: mul(q, pow_(self.arg, sub(q, _ONE)))), self.arg.diff(i))
 
     def _subst(self, repl):
         return pow_(self.arg._subst(repl), self.exponent)
@@ -443,8 +455,8 @@ class AbsPow(_Power):
 
     def _diff(self, i):
         # d|u|^q = q |u|^(q-2) u du, valid away from u = 0
-        qm2 = sub(self.exponent, Const(2.0))
-        return mul(mul(self.exponent, mul(abspow_(self.arg, qm2), self.arg)), self.arg.diff(i))
+        q, u = self.exponent, self.arg
+        return mul(self._factor(lambda: mul(q, mul(abspow_(u, sub(q, Const(2.0))), u))), u.diff(i))
 
     def _subst(self, repl):
         return abspow_(self.arg._subst(repl), self.exponent)

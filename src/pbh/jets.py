@@ -30,8 +30,10 @@ P) array each), multiplies them in place and sums the terms with one
 ``bincount`` over the flattened bins ``k * P + entry``, weights laid out
 term-major. Each entry's terms are the unbatched kernel's products, summed in
 its order, so every column equals the product of that column alone, bit for
-bit. Scalar and batched jets live in different spaces, so mixing them fails
-loudly instead of broadcasting. Domain checks fail when any entry is out of
+bit up to the sign of a NaN, which numpy's vectorized loops may propagate
+otherwise than its scalar operations do (both print as nan). Scalar and
+batched jets live in different spaces, so mixing them fails loudly instead
+of broadcasting. Domain checks fail when any entry is out of
 domain. For bit identity with the unbatched path, elementary functions,
 :func:`powr` and :func:`abspow` compute their base values with the same
 scalar libm call per entry (``math.exp``, ``pow``, ...), driven from C with no

@@ -49,7 +49,8 @@ values and per-p fields it computed on the way. A chunk whose batched
 evaluation raised at one step goes straight to its halves at every later
 step, without a new batched attempt; the halves give the rows the batch
 would. The sample points are drawn again only at a step that changes a
-parameter the exclude expressions read. The contexts belong to one `sweep`
+parameter the exclude expressions read; if other points are drawn, the
+contexts of the old ones are dropped. The contexts belong to one `sweep`
 call and are gone when it returns; `run` builds fresh ones and holds one
 chunk's at a time.
 """
@@ -584,7 +585,8 @@ def _run(scenario, overrides, tolerance, strict, contexts) -> ResidualReport:
     only its cached properties and its rows of `_P_FREE_CHECKS` between
     calls (`forget_scratch`); every other check is evaluated again. The
     sample points are drawn again only when a parameter that the exclude
-    trees read has changed. All steps must share one tolerance. With
+    trees read has changed, and the dict is emptied when they differ from
+    the points drawn before. All steps must share one tolerance. With
     contexts None, as in `run`, a chunk's contexts are dropped when the next
     chunk starts, so one chunk's contexts are alive at a time.
     """
@@ -606,7 +608,10 @@ def _run(scenario, overrides, tolerance, strict, contexts) -> ResidualReport:
     cache = _SweepContexts() if contexts is None else contexts
     drawn_at = tuple((k, params[k]) for k in read_by_exclude)
     if cache.points[0] != drawn_at:
-        cache.points = (drawn_at, scenario.sample_points(params))
+        points = scenario.sample_points(params)
+        if points != cache.points[1]:
+            cache.clear()  # the chunks of points no longer drawn
+        cache.points = (drawn_at, points)
     points = cache.points[1]
     row_params = tuple(sorted((k, v) for k, v in params.items() if k != "p"))
     checks = [c for c in scenario.checks if c in CHECK_ORDER]

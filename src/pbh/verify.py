@@ -15,8 +15,8 @@ reported value is the one a fresh context per point and call gives. Only one
 object's batch is alive at a time.
 The cylinder's metric reads p, so it gets a batch per p; the inversion maps are
 read at float points at p = 2, as `p_tension` does. The p = 2 reductions
-compare the public float-point wrappers with an independent p = 2 coding, one
-point at a time.
+compare the public wrappers with an independent p = 2 coding, each called on
+the batched float point of one map's sample points.
 
 The bitension/residual cross-check uses the proportionality factor m^(p-1)
 between the p-bitension of an inclusion and the residual pair of the general
@@ -424,19 +424,24 @@ def criterion_stress_trace() -> CriterionResult:
 def criterion_p2_reductions() -> CriterionResult:
     """p = 2 collapses the p-tension to the tension and S_{2,p} to the classical tensor."""
     rng = np.random.default_rng(107)
+
+    def gaps(mp, p, size):
+        """Per point, the gap of the p-tension to the tension and of S_{2,p}
+        to the classical tensor (entries row by row), each read by a public
+        wrapper at the context's point."""
+        phi, X = mp.map, mp.X
+        tau, tau_p = _split(tension(phi, X), size), _split(p_tension(phi, X, p), size)
+        S, S2 = (_split([s for row in M for s in row], size)
+                 for M in (stress_tensor(phi, X, p), classical_bienergy_stress(phi, X)))
+        return [(max(abs(a - b) for a, b in zip(*pair_tau)),
+                 max(abs(a - b) for a, b in zip(*pair_S)))
+                for pair_tau, pair_S in zip(zip(tau, tau_p), zip(S, S2))]
+
     worst_tau, worst_S = 0.0, 0.0
     for name, phi, box in corpus_maps():
-        mapp = phi(2.0) if callable(phi) else phi
-        pts = _points(rng, box, 4)
-        for x in pts:
-            t = tension(mapp, x)
-            tp = p_tension(mapp, x, 2.0)
-            worst_tau = max(worst_tau, max(abs(a - b) for a, b in zip(t, tp)))
-            S = stress_tensor(mapp, x, 2.0)
-            S2 = classical_bienergy_stress(mapp, x)
-            worst_S = max(worst_S,
-                          max(abs(S[i][j] - S2[i][j])
-                              for i in range(len(S)) for j in range(len(S))))
+        for gap_tau, gap_S in _point_floats(phi, _points(rng, box, 4), 0, gaps, (2.0,))[0]:
+            worst_tau = max(worst_tau, gap_tau)
+            worst_S = max(worst_S, gap_S)
     passed = worst_tau < 1e-9 and worst_S < 1e-9
     return CriterionResult(
         "p2_reductions", passed,

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_scenarios import cusp_immersion_dict
 
-from pbh import jets, linalg, mapcalc, scenarios
+from pbh import expr, jets, linalg, mapcalc, scenarios
 from pbh.cli import main as cli_main
 from pbh.errors import BatchSplit, PbhError, SingularityError
 from pbh.expr import parse
@@ -454,7 +454,7 @@ def test_sweep_attempts_a_failing_batch_once(monkeypatch, check_sizes):
 
 def test_quadrature_makes_no_python_frame_per_node():
     """Counts, not times: the energy and bienergy of inversion(3) (l = 2, p = 3)
-    over its 512 Gauss nodes start about 7200 Python frames (generator
+    over its 512 Gauss nodes start about 6000 Python frames (generator
     resumptions included). A Python loop per node or per batch entry shows as
     thousands more: with per-entry comprehensions for the libm calls and the
     Gauss grid it read 41 066."""
@@ -479,4 +479,29 @@ def test_quadrature_makes_no_python_frame_per_node():
     finally:
         sys.setprofile(None)
     assert repr(got) == repr(warm)
-    assert calls <= 7_300
+    assert calls <= 6_100
+
+
+def test_quadrature_run_computes_each_shared_factor_once(monkeypatch):
+    """Counts, not times: a run of inversion(3) (l = 2, p = 3), its 8 sample
+    points and its energy quadrature, makes 32 per-entry libm passes
+    (`np.fromiter`) and 1041 node computations. A power, quotient or trig
+    factor built again for each axis of a derivative table is computed once
+    per copy: with a copy per axis the run made 134 passes and 1473 nodes."""
+    counts = {"passes": 0, "nodes": 0}
+    fromiter = np.fromiter
+
+    def counting_fromiter(*args):
+        counts["passes"] += 1
+        return fromiter(*args)
+
+    monkeypatch.setattr(np, "fromiter", counting_fromiter)
+    for cls in [c for c in vars(expr).values() if isinstance(c, type) and "OPERATION" in vars(c)]:
+        def counting(*operands, _operation=cls.OPERATION):
+            counts["nodes"] += 1
+            return _operation(*operands)
+        monkeypatch.setattr(cls, "OPERATION", staticmethod(counting))
+    rows = run(builtin("inversion(3)"), overrides={"l": 2.0, "p": 3.0}).rows
+    assert len(rows) == 9 and all(r.passed for r in rows)
+    assert counts["passes"] <= 32
+    assert counts["nodes"] <= 1_041

@@ -119,6 +119,22 @@ class TestDifferentiate:
         with pytest.raises(DomainError):
             d.evaluate((0.0,))
 
+    @pytest.mark.parametrize("text, factor", [
+        ("(x1*x2)^q", "q * (x1 * x2)^(q - 1.0)"),
+        ("x1 / (x1*x2 + 1)", "(x1 * x2 + 1.0) * (x1 * x2 + 1.0)"),
+        ("sin(x1*x2)", "cos(x1 * x2)"),
+        ("cos(x1*x2)", "sin(x1 * x2)"),
+        ("sqrt(x1*x2)", "2.0 * sqrt(x1 * x2)"),
+        ("abspow(x1*x2, 3.5)", "3.5 * abspow(x1 * x2, 1.5) * x1 * x2"),
+    ])
+    def test_partials_share_one_factor(self, text, factor):
+        """The axis-independent factor of a node's partials is one object,
+        which both partials hold."""
+        e = parse(text, 2, ["q"])
+        found = [{id(n) for n in differentiate(e, i).walk() if n.to_string() == factor}
+                 for i in (0, 1)]
+        assert len(found[0]) == 1 and found[0] == found[1]
+
     def test_linearity(self):
         rng = np.random.default_rng(4)
         for _ in range(20):

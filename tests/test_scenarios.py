@@ -424,6 +424,27 @@ class TestSharedSweepContexts:
             call()
             assert built == {x: 2 * calls for x in points}
 
+    def test_a_sweep_holds_the_contexts_of_one_point_set(self, monkeypatch):
+        # the exclude tree reads r: the steps draw other sample points, and
+        # the chunks held after each step are those of its own points
+        sc = Scenario.from_dict(make_scenario_dict(
+            params={"p": 3.0, "r": 1.0}, checks=["p_harmonic", "p_biharmonic"],
+            samples={"box": [[0.2, 1.0], [0.2, 1.0]], "points_per_axis": 3,
+                     "exclude": ["x1^2 + x2^2 - r"]}))
+        held = []
+        step_run = scenarios._run
+
+        def recording(scenario, overrides, tol, strict, contexts):
+            rep = step_run(scenario, overrides, tol, strict, contexts)
+            held.append((sorted(x for _key, chunk in contexts for x in chunk),
+                         sorted({r.point for r in rep.rows})))
+            return rep
+
+        monkeypatch.setattr(scenarios, "_run", recording)
+        sweep(sc, "r", 0.4, 1.2, 41)
+        assert len(held) == 41 and len({len(points) for _, points in held}) > 1
+        assert all(chunks == points for chunks, points in held)
+
     def test_point_failures_repeat_at_every_step(self, tmp_path):
         sc = Scenario.from_dict(cusp_immersion_dict())
         result = sweep(sc, "p", 2.0, 4.0, 5)

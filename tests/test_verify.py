@@ -23,8 +23,9 @@ from pbh.submanifold import (ImmersionPoint, bitension_split, theorem21_residual
                              theorem23_residuals)
 from pbh.verify import (P_VALUES, _points, corpus_immersions, corpus_maps,
                         criterion_bitension_cross_check, criterion_cylinder_proper_p_biharmonicity,
-                        criterion_inversion_p_harmonicity, criterion_small_hypersphere,
-                        criterion_stress_divergence, criterion_stress_trace)
+                        criterion_inversion_p_harmonicity, criterion_p2_reductions,
+                        criterion_small_hypersphere, criterion_stress_divergence,
+                        criterion_stress_trace)
 
 IMMERSIONS = corpus_immersions()
 FIXED_MAPS = [entry for entry in corpus_maps() if not callable(entry[1])]
@@ -89,7 +90,8 @@ def test_bitension_cross_check_lifts_each_point_once(monkeypatch):
 
 BATCHED_CRITERIA = (criterion_inversion_p_harmonicity, criterion_cylinder_proper_p_biharmonicity,
                     criterion_bitension_cross_check, criterion_stress_divergence,
-                    criterion_stress_trace, criterion_small_hypersphere)
+                    criterion_stress_trace, criterion_small_hypersphere,
+                    criterion_p2_reductions)
 
 
 def _recorded(criterion, *patches):
@@ -135,10 +137,12 @@ def _raise_batch_split(points):
 
 
 # one criterion per kind of batch: float and order-1 points read at one p, a
-# map factory batched per p, an immersion read at its own p values
+# map factory batched per p, an immersion read at its own p values, public
+# wrappers called at the batched point
 @pytest.mark.parametrize("criterion", (criterion_inversion_p_harmonicity,
                                        criterion_cylinder_proper_p_biharmonicity,
-                                       criterion_small_hypersphere),
+                                       criterion_small_hypersphere,
+                                       criterion_p2_reductions),
                          ids=lambda fn: fn.__name__)
 def test_a_raising_batch_is_replayed_point_by_point(criterion, batched):
     assert (_recorded(criterion, (mapcalc, "_stack", _raise_batch_split))
@@ -220,11 +224,11 @@ def test_jet_products_and_node_evaluations_stay_within_budget(monkeypatch):
                if "_diff" in cls.__dict__)
 
     assert criterion_bitension_cross_check().passed
-    assert counts["products"] <= 13_500
+    assert counts["products"] <= 13_250
     counts.update(products=0, nodes=0)
     assert verify.criterion_infrastructure().passed
-    assert counts["products"] <= 4_200
-    assert counts["nodes"] <= 86_742
+    assert counts["products"] <= 3_800
+    assert counts["nodes"] <= 77_063
     counts.update(products=0, nodes=0)
     assert len(run_scenario(builtin("proper_pbh_cylinder"), {"p": 3.0}).rows) == 24
-    assert counts["products"] <= 355
+    assert counts["products"] <= 335
