@@ -9,7 +9,8 @@ plus the two-argument ``abspow(u, q)`` for ``|u|^q``.
 They evaluate over any scalar type supported by :mod:`pbh.jets` (floats or
 jets) and are closed under exact symbolic differentiation. The only rewriting
 ever performed is constant folding and the unit/zero identities that come
-with it; no canonicalization is attempted.
+with it. Where trees enter a map or a chart, structurally equal subtrees
+become one object (`share_subtrees`); nothing else is rewritten.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import struct
 
 from . import jets
 from .errors import ExprSyntaxError, UnknownIdentifierError
@@ -492,6 +494,37 @@ def mark_reads(roots):
                 node._once = False
             elif node._once is None:
                 node._once = True
+
+
+def share_subtrees(roots) -> list:
+    """`roots` with structurally equal inner subtrees merged into one object,
+    by a table local to this call. A node is keyed on its class and children,
+    a leaf on its exact value (a Const's bit pattern keeps 0.0 and -0.0
+    apart). Leaves are never replaced, and a node is rebuilt only when an
+    inner child was merged, so an unchanged subtree keeps its objects and
+    their derivative caches. A merged node prints and evaluates as before."""
+    table, seen = {}, {}
+
+    def share(node):
+        """(the object kept for `node`, its key)"""
+        got = seen.get(id(node))
+        if got is None:
+            if type(node) is Const:
+                got = (node, struct.pack("<d", node.value))
+            elif not isinstance(node, _INNER):  # a Coord by its index, a Param by its name
+                got = (node, (type(node), node.index if type(node) is Coord else node.name))
+            else:
+                kids = [share(ch) for ch in node._children()]
+                key = (type(node),) + tuple(k for _kept, k in kids)
+                kept = table.get(key)
+                if kept is None:
+                    changed = any(k is not ch for (k, _key), ch in zip(kids, node._children()))
+                    kept = table[key] = type(node)(*(k for k, _key in kids)) if changed else node
+                got = (kept, id(kept))
+            seen[id(node)] = got
+        return got
+
+    return [share(e)[0] for e in roots]
 
 
 # ---------------------------------------------------------------------- #

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
-from .expr import Const, parse
+from .expr import Const, parse, share_subtrees
 from .jets import partial, value
 
 __all__ = [
@@ -45,7 +45,8 @@ class ChartMetric:
                 else:
                     sym = Const(0.5) * (a + b)
                 comps[i][j] = comps[j][i] = sym
-        self.components = comps
+        flat = iter(share_subtrees([e for row in comps for e in row]))
+        self.components = [[next(flat) for _j in range(self.dim)] for _i in range(self.dim)]
         self.params = dict(params or {})
         self.space_form_c = space_form_c
         self.domain = domain

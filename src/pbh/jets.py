@@ -284,9 +284,9 @@ class JetScalar:
             return JetScalar(self.space, self.c * other)
         sp = self.space
         if sp.order <= 1:
-            a0, b0 = self.c[0], o.c[0]
-            prod = self.c * b0 + o.c * a0
-            prod[0] = a0 * b0
+            a0 = self.c[0]  # row 0: a0*b0; row k >= 1: a_k*b0 + b_k*a0
+            prod = self.c * o.c[0]
+            prod[1:] += o.c[1:] * a0
             return JetScalar(sp, prod)
         if not sp.batched:
             terms = self.c[sp._mul_i] * o.c[sp._mul_j]

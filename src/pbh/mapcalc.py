@@ -5,10 +5,11 @@ of the p-energy and p-bienergy.
 Every quantity at a point is read from :class:`MapPoint`, the per-point
 evaluation context `SmoothMap.at(lift_point(x, k))`, generic over
 float-or-jet points. Derivatives of map components and metric components are
-symbolic; derivatives of computed fields (the p-tension as a field along the
-map, scalars like |dphi|) are jet shifts, so the trace formulas carry
-explicit Christoffel corrections and hold at every chart point, not just at
-centers of normal coordinates.
+symbolic (of d^2 phi only the upper triangle, j >= i, is built and evaluated,
+and `d2phi` mirrors it); derivatives of computed fields (the p-tension as a
+field along the map, scalars like |dphi|) are jet shifts, so the trace
+formulas carry explicit Christoffel corrections and hold at every chart
+point, not just at centers of normal coordinates.
 
 Jet budget per operation (shifts consumed internally): tension 0, p_tension 1,
 pull-back derivative of a field adds 1, p_bitension 3. A point lifted to the
@@ -36,13 +37,13 @@ from __future__ import annotations
 
 import copy
 import itertools
-from functools import cached_property, wraps
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
 from . import linalg
 from .errors import BatchSplit, JetOrderError, PbhError, SingularityError
-from .expr import Const, Expression, mark_reads
+from .expr import Const, Expression, mark_reads, share_subtrees
 from .geometry import ChartMetric
 from .jets import JetScalar, any_entry, lift_point, partial, point_value, powr, sqrt, value
 
@@ -70,7 +71,7 @@ class SmoothMap:
         self.params = dict(params or {})
         self.source = source.with_params(**self.params) if self.params else source
         self.target = target.with_params(**self.params) if self.params else target
-        self.components = list(components)
+        self.components = share_with_metric(self.source.components, components)
         self.name = name
         # derivative tables, shared with every with_params copy
         self._tables = {}
@@ -93,11 +94,12 @@ class SmoothMap:
         return d1
 
     def _second(self):
+        """d2[a][i][j - i] = d^2 phi^a / dx_i dx_j for j >= i, all `MapPoint.d2phi` reads."""
         d2 = self._tables.get("d2")
         if d2 is None:
             m = self.source.dim
             d1 = self._first()
-            d2 = self._tables["d2"] = [[[d1[a][i].diff(j) for j in range(m)] for i in range(m)]
+            d2 = self._tables["d2"] = [[[d1[a][i].diff(j) for j in range(i, m)] for i in range(m)]
                                        for a in range(len(self.components))]
         return d2
 
@@ -120,6 +122,14 @@ class SmoothMap:
 
     def __repr__(self):
         return f"SmoothMap({self.name or 'unnamed'}: dim {self.source.dim} -> {self.target.dim})"
+
+
+def share_with_metric(metric, trees) -> list:
+    """`trees` with equal subtrees merged (`expr.share_subtrees`), among
+    themselves and with the kept trees of the metric matrix `metric`: a
+    MapPoint evaluates a map's trees and its source metric on one memo."""
+    known = [e for row in metric for e in row]
+    return share_subtrees(known + list(trees))[len(known):]
 
 
 def _roots(tables) -> list:
@@ -191,10 +201,14 @@ class MapPoint:
 
     @cached_property
     def d2phi(self):
-        p = self.map.params
-        d2 = self.map._second()
-        return [[[d2[a][i][j].evaluate(self.X, p, self._src_memo) for j in range(self.m)]
-                 for i in range(self.m)] for a in range(self.n)]
+        """d2phi[a][i][j] = d^2 phi^a / dx_i dx_j: entries j >= i evaluated, the rest mirrored."""
+        p, m = self.map.params, self.m
+        out = [[[None] * m for _ in range(m)] for _ in range(self.n)]
+        for d2, rows in zip(out, self.map._second()):
+            for i, row in enumerate(rows):
+                for j, e in enumerate(row, i):
+                    d2[i][j] = d2[j][i] = e.evaluate(self.X, p, self._src_memo)
+        return out
 
     @cached_property
     def dphi_cols(self):
@@ -444,6 +458,14 @@ def p_bitension(phi: SmoothMap, x, p: float):
 # box quadrature of the energy functionals
 # ---------------------------------------------------------------------- #
 
+@lru_cache(maxsize=None)
+def _gauss_legendre_rule(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order, read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def gauss_legendre_box(box, order: int = 8) -> list:
     """Tensor-product Gauss-Legendre nodes and weights over an axis-aligned box.
 
@@ -451,7 +473,7 @@ def gauss_legendre_box(box, order: int = 8) -> list:
     axes' nodes (the last axis varies fastest). A weight is the product of
     its axis weights, taken axis by axis starting from 1.0; the grid is built
     by numpy broadcasting."""
-    nodes_1d, weights_1d = np.polynomial.legendre.leggauss(order)
+    nodes_1d, weights_1d = _gauss_legendre_rule(order)
     dim = len(box)
     points = np.empty((order,) * dim + (dim,))
     weights = np.ones((order,) * dim)

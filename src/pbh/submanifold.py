@@ -25,7 +25,7 @@ from .errors import DomainError, RankDeficiencyError
 from .expr import Const, Expression, parse
 from .geometry import ChartMetric, space_form_chart
 from .jets import any_entry, lift_point, partial, point_value, same_in_every_entry, sqrt, value
-from .mapcalc import SmoothMap
+from .mapcalc import SmoothMap, share_with_metric
 
 __all__ = [
     "Immersion", "ImmersionPoint", "theorem21_residuals", "theorem23_residuals",
@@ -67,9 +67,12 @@ class Immersion:
         self.codim = ambient.dim - source_dim
         if self.codim < 1:
             raise ValueError("ambient dimension must exceed source dimension")
+        source = None if source_metric is None else ChartMetric(source_dim, source_metric,
+                                                                params=params)
+        # shared, with a declared metric's trees, before the pull-back differentiates them
+        components = share_with_metric(source.components if source else [], components)
         self.pullback_components = pullback_metric_components(ambient, components, source_dim)
-        metric = source_metric if source_metric is not None else self.pullback_components
-        source = ChartMetric(source_dim, metric, params=params)
+        source = source or ChartMetric(source_dim, self.pullback_components, params=params)
         self.map = SmoothMap(source, ambient, components, params=params, name=name)
         self.name = name
 

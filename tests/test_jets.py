@@ -265,3 +265,20 @@ def test_drawn_expressions_read_structural_zero_subtrees(monkeypatch):
     e, x, J = random_expression_with_point(np.random.default_rng(0), 2)
     assert e.to_string() == "0.0 / x1 + x2"
     assert J.c.tobytes() == lift_point(x, 4)[1].c.tobytes()
+
+
+@BATCHED
+def test_order_one_product_equals_the_two_term_formula(batched):
+    """Row 0 of an order-1 product is a0*b0 and row k >= 1 is a_k*b0 + b_k*a0,
+    bit for bit, signed zeros and coefficients far apart in scale included."""
+    rng = np.random.default_rng(23)
+    J = lift_point(_point(batched), 1)[0]
+    sp, shape = J.space, J.c.shape
+    for _ in range(20):
+        a, b = (rng.normal(size=shape) * 10.0 ** rng.integers(-150, 150, size=shape)
+                for _ in range(2))
+        a[rng.random(shape) < 0.2] = -0.0
+        b[rng.random(shape) < 0.2] = 0.0
+        old = a * b[0] + b * a[0]
+        old[0] = a[0] * b[0]
+        assert (JetScalar(sp, a) * JetScalar(sp, b)).c.tobytes() == old.tobytes()

@@ -224,11 +224,11 @@ def test_jet_products_and_node_evaluations_stay_within_budget(monkeypatch):
                if "_diff" in cls.__dict__)
 
     assert criterion_bitension_cross_check().passed
-    assert counts["products"] <= 13_250
+    assert counts["products"] <= 13_085
     counts.update(products=0, nodes=0)
     assert verify.criterion_infrastructure().passed
-    assert counts["products"] <= 3_800
-    assert counts["nodes"] <= 77_063
+    assert counts["products"] <= 3_604
+    assert counts["nodes"] <= 76_143
     counts.update(products=0, nodes=0)
     assert len(run_scenario(builtin("proper_pbh_cylinder"), {"p": 3.0}).rows) == 24
-    assert counts["products"] <= 335
+    assert counts["products"] <= 298
