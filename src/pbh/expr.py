@@ -201,15 +201,15 @@ class Param(Expression):
 
 # Inner nodes memoize their values on node identity: derivative trees share
 # subtree objects, and the memo keeps evaluation linear in the number of
-# distinct nodes. Keys are the nodes themselves (nodes hash by identity): no
-# int per entry, and a node cannot be freed and its address reused while a
-# memo holds it. A node that `mark_reads` found read once in every forest it
-# marked (`_once` True) skips the memo: its one reader computes it once per
-# memo anyway, and at a batched point of 512 entries the memo entries of
-# single-use nodes would hold most of the memory. A node never marked (None)
-# or read twice in some marked forest (False) memoizes. The axis-independent
-# factor of a node's partials (`_factor`) is one node read by all of them, so a
-# point computes it, and each of its own derivatives, once.
+# distinct nodes. Keys are the nodes themselves (nodes hash by identity): no int
+# per entry, and a node cannot be freed and its address reused while a memo
+# holds it. A `SmoothMap` marks its two forests (`mark_reads`) when it is
+# constructed. A node read once in every forest marked (`_once` True) skips the
+# memo: its one reader computes it once per memo anyway, and at a batched point
+# of 512 entries such memo entries would hold most of the memory. A node never
+# marked (None) or read twice in some marked forest (False) memoizes. The
+# axis-independent factor of a node's partials (`_factor`) is one node read by
+# all of them, so a point computes it, and each of its derivatives, once.
 
 class _Unary(Expression):
     __slots__ = ("arg", "_once")

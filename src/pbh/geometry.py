@@ -3,7 +3,8 @@ operators on a chart.
 
 All evaluation methods are generic over float-or-jet points. Metric
 derivatives are taken symbolically (the components are expressions), so
-Christoffel symbols and the curvature tensor are exact at any point type.
+Christoffel symbols and the curvature tensor are exact at any point type; a
+chart builds its derivative tables (`dg`, `d2g`) when it is constructed.
 The divergence operators take the Christoffel symbols (and inverse metric) and
 the field's components at a jet point, and differentiate the components by one
 jet shift; a caller lifts its point to the order its field consumes plus one.
@@ -33,58 +34,40 @@ class ChartMetric:
     """
 
     def __init__(self, dim, components, params=None, space_form_c=None, domain=None):
-        self.dim = int(dim)
-        if len(components) != self.dim or any(len(r) != self.dim for r in components):
-            raise ValueError(f"metric components must form a {self.dim}x{self.dim} matrix")
-        comps = [[None] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i, self.dim):
+        d = self.dim = int(dim)
+        if len(components) != d or any(len(r) != d for r in components):
+            raise ValueError(f"metric components must form a {d}x{d} matrix")
+        comps = [[None] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
                 a, b = components[i][j], components[j][i]
-                if a is b or a.to_string() == b.to_string():
-                    sym = a
-                else:
-                    sym = Const(0.5) * (a + b)
-                comps[i][j] = comps[j][i] = sym
+                same = a is b or a.to_string() == b.to_string()
+                comps[i][j] = comps[j][i] = a if same else Const(0.5) * (a + b)
         flat = iter(share_subtrees([e for row in comps for e in row]))
-        self.components = [[next(flat) for _j in range(self.dim)] for _i in range(self.dim)]
+        g = self.components = [[next(flat) for _j in range(d)] for _i in range(d)]
+        # dg[k][i][j] = d g_ij / d x_k, d2g[l][k][i][j] = d dg[k][i][j] / d x_l
+        self.dg = [[[g[i][j].diff(k) for j in range(d)] for i in range(d)] for k in range(d)]
+        self.d2g = [[[[self.dg[k][i][j].diff(l) for j in range(d)] for i in range(d)]
+                     for k in range(d)] for l in range(d)]
         self.params = dict(params or {})
         self.space_form_c = space_form_c
         self.domain = domain
-        # derivative tables, shared with every with_params copy
-        self._tables = {}
 
     def with_params(self, **updates) -> "ChartMetric":
-        """Copy of this chart with parameter bindings updated (expressions shared)."""
-        chart = ChartMetric.__new__(ChartMetric)
-        chart.dim = self.dim
-        chart.components = self.components
+        """Copy of this chart with parameter bindings updated (trees and tables shared)."""
+        chart = object.__new__(ChartMetric)
+        chart.__dict__.update(self.__dict__)  # copy.copy's result at a quarter of its cost
         chart.params = {**self.params, **updates}
-        chart.space_form_c = self.space_form_c
-        chart.domain = self.domain
-        chart._tables = self._tables
         return chart
 
     def contains(self, x) -> bool:
         return True if self.domain is None else bool(self.domain(tuple(x)))
 
-    # -- symbolic derivative caches ------------------------------------- #
     def _first_derivs(self):
-        dg = self._tables.get("dg")
-        if dg is None:
-            d = self.dim
-            dg = self._tables["dg"] = [[[self.components[i][j].diff(k) for j in range(d)]
-                                        for i in range(d)] for k in range(d)]
-        return dg
+        return self.dg
 
     def _second_derivs(self):
-        d2g = self._tables.get("d2g")
-        if d2g is None:
-            d = self.dim
-            dg = self._first_derivs()
-            d2g = self._tables["d2g"] = [[[[dg[k][i][j].diff(l) for j in range(d)]
-                                           for i in range(d)] for k in range(d)]
-                                         for l in range(d)]
-        return d2g
+        return self.d2g
 
     # -- pointwise evaluation ------------------------------------------- #
     def metric_at(self, X, memo=None):
@@ -97,17 +80,13 @@ class ChartMetric:
 
     def dmetric_at(self, X, memo=None):
         """dg[k][i][j] = d g_ij / d x_k."""
-        p = self.params
-        dg = self._first_derivs()
-        d = self.dim
+        p, dg, d = self.params, self.dg, self.dim
         return [[[dg[k][i][j].evaluate(X, p, memo) for j in range(d)] for i in range(d)]
                 for k in range(d)]
 
     def d2metric_at(self, X, memo=None):
         """d2g[l][k][i][j] = d^2 g_ij / (d x_l d x_k)."""
-        p = self.params
-        d2g = self._second_derivs()
-        d = self.dim
+        p, d2g, d = self.params, self.d2g, self.dim
         return [[[[d2g[l][k][i][j].evaluate(X, p, memo) for j in range(d)] for i in range(d)]
                  for k in range(d)] for l in range(d)]
 
@@ -129,15 +108,14 @@ class ChartMetric:
                 gamma[k][j][i] = s
         return gamma
 
-    def christoffel_derivative_at(self, X, ginv=None, dg=None, d2g=None, memo=None):
+    def christoffel_derivative_at(self, X, ginv=None, dg=None, memo=None):
         """dGamma[m][k][i][j] = d Gamma^k_ij / d x_m, from symbolic metric derivatives."""
         d = self.dim
         if ginv is None:
             ginv = self.inverse_metric_at(X, memo)
         if dg is None:
             dg = self.dmetric_at(X, memo)
-        if d2g is None:
-            d2g = self.d2metric_at(X, memo)
+        d2g = self.d2metric_at(X, memo)
         # d(g^{kl})/dx_m = -g^{ka} dg_ab/dx_m g^{bl}
         dginv = [[[None] * d for _ in range(d)] for _ in range(d)]
         for m in range(d):

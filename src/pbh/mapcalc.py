@@ -6,10 +6,13 @@ Every quantity at a point is read from :class:`MapPoint`, the per-point
 evaluation context `SmoothMap.at(lift_point(x, k))`, generic over
 float-or-jet points. Derivatives of map components and metric components are
 symbolic (of d^2 phi only the upper triangle, j >= i, is built and evaluated,
-and `d2phi` mirrors it); derivatives of computed fields (the p-tension as a
-field along the map, scalars like |dphi|) are jet shifts, so the trace
-formulas carry explicit Christoffel corrections and hold at every chart
-point, not just at centers of normal coordinates.
+and `d2phi` mirrors it). A `SmoothMap` builds its derivative tables and marks
+the nodes of its two forests (`expr.mark_reads`) when it is constructed, so
+a point marks and builds nothing; its `with_params` copies share both.
+Derivatives of computed fields (the p-tension as a field along the map,
+scalars like |dphi|) are jet shifts, so the trace formulas carry explicit
+Christoffel corrections and hold at every chart point, not just at centers
+of normal coordinates.
 
 Jet budget per operation (shifts consumed internally): tension 0, p_tension 1,
 pull-back derivative of a field adds 1, p_bitension 3. A point lifted to the
@@ -35,7 +38,6 @@ chunk reader on top of it, `_read_points`.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from functools import cached_property, lru_cache, wraps
 
@@ -73,13 +75,21 @@ class SmoothMap:
         self.target = target.with_params(**self.params) if self.params else target
         self.components = share_with_metric(self.source.components, components)
         self.name = name
-        # derivative tables, shared with every with_params copy
-        self._tables = {}
+        m = source.dim
+        # d1[a][i] = d phi^a / dx_i; d2[a][i][j - i] = d^2 phi^a / dx_i dx_j
+        # for j >= i, all `MapPoint.d2phi` reads
+        self.d1 = [[c.diff(i) for i in range(m)] for c in self.components]
+        self.d2 = [[[row[i].diff(j) for j in range(i, m)] for i in range(m)] for row in self.d1]
+        # one marked forest per memo of a MapPoint (`expr.mark_reads`); the
+        # source one holds the source metric, for an immersion built from d1
+        src, tgt = self.source, self.target
+        mark_reads(_roots([self.components, self.d1, self.d2, src.components, src.dg, src.d2g]))
+        mark_reads(_roots([tgt.components, tgt.dg, tgt.d2g]))
 
     def with_params(self, **updates) -> "SmoothMap":
-        """Copy with rebound parameters; trees, derivative tables and their
-        marking are shared."""
-        phi = copy.copy(self)
+        """Copy with rebound parameters; trees, tables and their marks are shared."""
+        phi = object.__new__(SmoothMap)
+        phi.__dict__.update(self.__dict__)  # copy.copy's result at a quarter of its cost
         phi.params = {**self.params, **updates}
         if phi.params:
             phi.source = self.source.with_params(**phi.params)
@@ -87,35 +97,10 @@ class SmoothMap:
         return phi
 
     def _first(self):
-        d1 = self._tables.get("d1")
-        if d1 is None:
-            m = self.source.dim
-            d1 = self._tables["d1"] = [[c.diff(i) for i in range(m)] for c in self.components]
-        return d1
+        return self.d1
 
     def _second(self):
-        """d2[a][i][j - i] = d^2 phi^a / dx_i dx_j for j >= i, all `MapPoint.d2phi` reads."""
-        d2 = self._tables.get("d2")
-        if d2 is None:
-            m = self.source.dim
-            d1 = self._first()
-            d2 = self._tables["d2"] = [[[d1[a][i].diff(j) for j in range(i, m)] for i in range(m)]
-                                       for a in range(len(self.components))]
-        return d2
-
-    def _mark_reads(self):
-        """Mark the nodes that one reader reads (`expr.mark_reads`), once per
-        family of with_params copies and before any point evaluates: every
-        tree a MapPoint evaluates on its source memo is one forest, every tree
-        it evaluates on its target memo another. The source forest holds the
-        source metric, which for an immersion is the pull-back metric built
-        from the map's first derivative trees."""
-        if "marked" not in self._tables:
-            src, tgt = self.source, self.target
-            mark_reads(_roots([self.components, self._first(), self._second(), src.components,
-                               src._first_derivs(), src._second_derivs()]))
-            mark_reads(_roots([tgt.components, tgt._first_derivs(), tgt._second_derivs()]))
-            self._tables["marked"] = True
+        return self.d2
 
     def at(self, X) -> "MapPoint":
         return MapPoint(self, X)
@@ -163,10 +148,9 @@ class MapPoint:
             raise ValueError(f"a point of the source needs {self.m} coordinates, "
                              f"got {len(self.X)}")
         self.n = smooth_map.target.dim
-        smooth_map._mark_reads()
         # subtree values shared across every expression evaluated at this
         # point (source trees) and at its image (target trees); each table of
-        # trees is evaluated once per memo, as `_mark_reads` counts it
+        # trees is evaluated once per memo, as `SmoothMap` marks it
         self._src_memo = {}
         self._tgt_memo = {}
         self._shared = {}
@@ -194,8 +178,7 @@ class MapPoint:
     @cached_property
     def dphi(self):
         """dphi[a][i] = d phi^a / d x_i (symbolic, exact)."""
-        p = self.map.params
-        d1 = self.map._first()
+        p, d1 = self.map.params, self.map.d1
         return [[d1[a][i].evaluate(self.X, p, self._src_memo) for i in range(self.m)]
                 for a in range(self.n)]
 
@@ -204,7 +187,7 @@ class MapPoint:
         """d2phi[a][i][j] = d^2 phi^a / dx_i dx_j: entries j >= i evaluated, the rest mirrored."""
         p, m = self.map.params, self.m
         out = [[[None] * m for _ in range(m)] for _ in range(self.n)]
-        for d2, rows in zip(out, self.map._second()):
+        for d2, rows in zip(out, self.map.d2):
             for i, row in enumerate(rows):
                 for j, e in enumerate(row, i):
                     d2[i][j] = d2[j][i] = e.evaluate(self.X, p, self._src_memo)
@@ -555,6 +538,14 @@ def _halving(chunk, batched, single) -> list:
     return results
 
 
+def _require_in_domain(obj, points, what: str):
+    """Raise SingularityError at the first of `points` outside the source domain of `obj`."""
+    source = getattr(obj, "map", obj).source
+    for x in points:
+        if not source.contains(x):
+            raise SingularityError(f"{what} outside source domain", point=x)
+
+
 def _read_points(obj, points, order, read):
     """Yield one result per point, in order, read from the points in batched chunks.
 
@@ -566,12 +557,8 @@ def _read_points(obj, points, order, read):
     (`replay_chunks`), so the exception and its message are those of a
     per-point loop.
     """
-    source = obj.source if isinstance(obj, SmoothMap) else obj.map.source
-
     def at(chunk):
-        for x in chunk:
-            if not source.contains(x):
-                raise SingularityError("quadrature node outside source domain", point=x)
+        _require_in_domain(obj, chunk, "quadrature node")
         X = _stack(chunk) if len(chunk) > 1 else chunk[0]
         return read(obj.at(lift_point(X, order) if order else X), X, len(chunk))
 

@@ -30,7 +30,8 @@ rows are reduced from floats alone, in point-major order. If anything in a
 chunk raises (a point failure, a floating-point exception, a
 `pbh.errors.BatchSplit` where points need different branches), each half of
 the chunk is evaluated the same way in turn, down to single points, where
-each check runs on its own and a failure becomes that check's row. So the
+each check runs on its own and a failure becomes that check's row (a point
+outside the source chart's domain fails every check). So the
 NaN rows, their notes and the exit under `--strict` are those of a per-point
 run; a chunk of one point is that per-point run, on unbatched contexts
 (`_run`, `mapcalc.replay_chunks`). Float readers (map value, metric norms,
@@ -69,9 +70,9 @@ from .errors import (DomainError, PbhError, RankDeficiencyError, SchemaError,
 from .expr import parse
 from .geometry import ChartMetric, space_form_chart
 from .jets import lift_point, value
-from .mapcalc import (SmoothMap, _entries, _split, _stack, p_bienergy_box,
-                      p_energy_box, replay_chunks)
-from .stress import divergence_gap, stress_divergence_sides, trace_identity_at
+from .mapcalc import (SmoothMap, _entries, _require_in_domain, _split, _stack,
+                      p_bienergy_box, p_energy_box, replay_chunks)
+from .stress import _scaled_divergence_gap, stress_divergence_sides, trace_identity_at
 from .submanifold import Immersion, ImmersionPoint
 
 SCHEMA_VERSION = "pbh/1"
@@ -479,10 +480,8 @@ def _check_results(check, jet, flts, p, tol) -> list:
     elif check == "p_biharmonic":
         res = [_norm(f.h, v) for f, v in zip(fmps, _split(mp.p_bitension(p), size))]
     elif check == "stress_divergence":
-        res = []
-        for lhs, rhs in zip(*(_split(side, size) for side in stress_divergence_sides(mp, p))):
-            scale = max(max(abs(v) for v in lhs), max(abs(v) for v in rhs), 1.0)
-            res.append(divergence_gap(lhs, rhs) / scale)
+        sides = zip(*(_split(side, size) for side in stress_divergence_sides(mp, p)))
+        res = [_scaled_divergence_gap(lhs, rhs) for lhs, rhs in sides]
     elif check == "trace_identity":
         tr, _, form_alg, form_div = trace_identity_at(mp, p)
         res = [max(abs(t - a), abs(t - d)) for t, a, d in
@@ -550,6 +549,7 @@ class _ChunkContexts:
 
     def results(self, check, p, tol):
         """`_check_results` of a check on the chunk; a p-free check's, once."""
+        _require_in_domain(self.obj, self.chunk, "sample point")
         out = self.p_free.get(check) or _check_results(check, self.jet(), self.flts, p, tol)
         if check in _P_FREE_CHECKS:
             self.p_free[check] = out

@@ -92,6 +92,12 @@ def divergence_gap(lhs, rhs) -> float:
     return max(abs(a - b) for a, b in zip(lhs, rhs))
 
 
+def _scaled_divergence_gap(lhs, rhs) -> float:
+    """`divergence_gap` over max(1, the largest side magnitude), as checks report it."""
+    scale = max(max(abs(v) for v in lhs), max(abs(v) for v in rhs), 1.0)
+    return divergence_gap(lhs, rhs) / scale
+
+
 # ---------------------------------------------------------------------- #
 # public wrappers over float points
 # ---------------------------------------------------------------------- #

@@ -214,6 +214,36 @@ class TestPointFailures:
         path.write_text(json.dumps(cusp_immersion_dict()))
         assert cli_main(["run", str(path), "--strict"]) == 3
 
+    def test_sample_points_outside_the_source_domain_yield_nan_rows(self, tmp_path):
+        # the hyperbolic chart is the ball |x|^2 < 4; of the 4 x 4 grid only
+        # (1.4, 1.4) lies inside it
+        data = make_scenario_dict(
+            source={"dim": 2, "space_form": -1.0}, params={"p": 3.0},
+            samples={"box": [[1.0, 3.0], [1.0, 3.0]], "points_per_axis": 4,
+                     "random_points": 4, "seed": 2},
+            checks=["p_harmonic", "stress_divergence", "energy_quadrature"])
+        sc = Scenario.from_dict(data)
+        rep = run(sc)
+        rows = [r for r in rep.rows if r.check != "energy_quadrature"]
+        inside = [r for r in rows if sum(v * v for v in r.point) < 4.0]
+        assert inside and len(inside) < len(rows)
+        for r in rows:
+            if r in inside:
+                assert math.isfinite(r.residual) and not r.note
+            else:
+                assert math.isnan(r.residual) and not r.passed
+                assert r.note == f"sample point outside source domain at point {r.point}"
+        result = sweep(sc, "p", 2.0, 4.0, 3)
+        for v, step in zip(result.values, result.reports):
+            assert step.to_csv() == run(sc, overrides={"p": v}).to_csv()
+        with pytest.raises(SingularityError, match="sample point outside source domain"):
+            run(sc, strict=True)
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["run", str(path), "--strict"]) == 3
+        assert cli_main(["sweep", str(path), "--param", "p", "--from", "2", "--to", "4",
+                         "--steps", "3", "--strict"]) == 3
+
     def test_all_points_excluded_fails(self, tmp_path, capsys):
         data = make_scenario_dict(samples={"box": [[0.2, 1.0], [0.2, 1.0]],
                                            "points_per_axis": 2, "exclude": ["-1"]})

@@ -165,3 +165,22 @@ def test_leaves_key_on_their_exact_value():
              Sin(Const(float.fromhex("0x1.0000000000001p+0"))), Sin(Param("a"))]
     shared = share_subtrees(trees)
     assert len({id(s) for s in shared}) == 6 and shared[6] is shared[2]
+
+
+def test_with_params_copies_share_their_tables_and_own_their_params():
+    phi = builtin("inversion(3)")._parsed()[0]
+    imm = builtin("small_hypersphere(2, 0.8)")._parsed()[0]
+    phi2, imm2 = phi.with_params(l=2.5), imm.with_params(a=0.7)
+    cases = [(phi.source, phi.source.with_params(l=2.5), ("components", "dg", "d2g")),
+             (imm, imm2, ("pullback_components",))]
+    for orig, copy in ((phi, phi2), (imm.map, imm2.map)):
+        cases.append((orig, copy, ("components", "d1", "d2")))
+        for side in ("source", "target"):
+            cases.append((getattr(orig, side), getattr(copy, side), ("components", "dg", "d2g")))
+    for orig, copy, tables in cases:
+        assert all(getattr(copy, name) is getattr(orig, name) for name in tables)
+        if hasattr(orig, "params"):
+            assert copy.params is not orig.params and copy.params != orig.params
+    before = dict(phi.params)
+    phi2.params["l"] = 9.0
+    assert phi.params == before

@@ -84,27 +84,57 @@ def test_marking_computes_no_node_twice(name, monkeypatch):
     assert marked == counts["nodes"]
 
 
-def _single_use(phi):
+def _forests(phi):
+    """The two forests a map marks: the trees a MapPoint evaluates on its
+    source memo, and those it evaluates on its target memo."""
     src, tgt = phi.source, phi.target
-    roots = _roots([phi.components, phi._first(), phi._second(), src.components,
-                    src._first_derivs(), src._second_derivs(), tgt.components,
-                    tgt._first_derivs(), tgt._second_derivs()])
+    return (_roots([phi.components, phi._first(), phi._second(), src.components,
+                    src._first_derivs(), src._second_derivs()]),
+            _roots([tgt.components, tgt._first_derivs(), tgt._second_derivs()]))
+
+
+def _single_use(phi):
+    roots = [e for forest in _forests(phi) for e in forest]
     return {n for n in _inner_nodes(roots) if n._once}, roots
+
+
+def _marks(phi):
+    """The mark of every inner node of the map's tables."""
+    return {n: n._once for n in _inner_nodes(_single_use(phi)[1])}
 
 
 def test_marking_is_idempotent():
     sc = builtin("inversion(3)")
     overrides = {"l": 2.0, "p": 3.0}
     phi = sc.build({**sc.params, **overrides})
-    run(sc, overrides=overrides)
     first, roots = _single_use(phi)
     assert first
     run(sc, overrides=overrides)
     assert _single_use(phi)[0] == first
-    phi._tables.pop("marked")
-    phi._mark_reads()
+    for forest in _forests(phi):
+        expr.mark_reads(forest)
+    assert _single_use(phi)[0] == first
+    # a second map over the same trees marks the same forests again
+    again = mapcalc.SmoothMap(phi.source, phi.target, phi.components, phi.params)
+    assert _single_use(again) == (first, roots)
     expr.mark_reads(roots)
     assert _single_use(phi)[0] == first
+
+
+@pytest.mark.parametrize("name", ["inversion(3)", "proper_pbh_cylinder",
+                                  "small_hypersphere(2, 0.8)"])
+def test_marks_are_set_when_the_map_is_built(name):
+    """A map's marks are final once it is constructed: a run and a 41-step
+    sweep over its with_params copies mark nothing more."""
+    sc = builtin(name)
+    obj = sc._parsed()[0]
+    phi = getattr(obj, "map", obj)
+    built = _marks(phi)
+    assert any(built.values())
+    run(sc)
+    assert _marks(phi) == built
+    sweep(sc, "p", 2.0, 6.0, 41)
+    assert _marks(phi) == built
 
 
 def _quadrature():
