@@ -54,6 +54,14 @@ def _check_out(out):
         raise SchemaError("--out", f"{parent!r} is not an existing directory")
 
 
+def _print(*args, end="\n"):
+    """print, flushed; once the reader has closed stdout, output goes to os.devnull."""
+    try:
+        print(*args, end=end, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _write_report(report, out, fmt):
     text = report.to_csv() if fmt == "csv" else report.to_json()
     if out:
@@ -63,12 +71,12 @@ def _write_report(report, out, fmt):
         except OSError as exc:
             raise SchemaError("--out", f"cannot write the report: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        _print(text, end="")
 
 
 def _cmd_builtin(args) -> int:
     for name, desc in BUILTIN_TEMPLATES.items():  # the only action is "list"
-        print(f"{name:30s} {desc}")
+        _print(f"{name:30s} {desc}")
     return EXIT_PASS
 
 
@@ -92,9 +100,9 @@ def _cmd_run(args) -> int:
         rows = [r for r in report.rows if r.check == check]
         nan_rows = sum(math.isnan(r.residual) for r in rows)
         nan_note = f", {nan_rows} of {len(rows)} rows NaN" if nan_rows else ""
-        print(f"{scenario.name}: {check}: {status} "
+        _print(f"{scenario.name}: {check}: {status} "
               f"(max residual {entry['max_residual']:.3e}{nan_note})")
-    print(f"{scenario.name}: verdict {summary['verdict']}")
+    _print(f"{scenario.name}: verdict {summary['verdict']}")
     if args.out or args.format:
         _write_report(report, args.out, args.format or "csv")
     return EXIT_PASS if report.verdict else EXIT_FAIL
@@ -108,10 +116,10 @@ def _cmd_sweep(args) -> int:
                    overrides=overrides, tolerance=args.tol, strict=args.strict)
     _warn_if_unchecked(scenario, result.reports)
     for crossing in result.crossings:
-        print(f"{scenario.name}: {crossing['check']}: signed residual crosses zero "
+        _print(f"{scenario.name}: {crossing['check']}: signed residual crosses zero "
               f"at {args.param} = {crossing['value']!r}")
     if not result.crossings:
-        print(f"{scenario.name}: no sign crossings detected")
+        _print(f"{scenario.name}: no sign crossings detected")
     ok = all(rep.verdict for rep in result.reports)
     if args.out or args.format:
         _write_report(result, args.out, args.format or "csv")
@@ -120,7 +128,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify_paper(_args) -> int:
     from .verify import run_all
-    ok, _results = run_all(emit=print)
+    ok, _results = run_all(emit=_print)
     return EXIT_PASS if ok else EXIT_FAIL
 
 

@@ -19,6 +19,7 @@ import math
 import operator
 import re
 import struct
+import weakref
 
 from . import jets
 from .errors import ExprSyntaxError, UnknownIdentifierError
@@ -34,8 +35,8 @@ class Expression:
     `_subst` and `to_string`. An inner node's `_eval` looks itself up in the
     memo and otherwise applies its class's `OPERATION` to its operands' values,
     in one frame per node. The factor of a node's partials that does not
-    depend on the axis (`Pow`: q*u^(q-1); `Div`: r*r; `Sin`, `Cos`, `Sqrt`,
-    `AbsPow`) is built once (`_factor`), and all its partials hold it."""
+    depend on the axis (`Pow`: q*u^(q-1); `Sin`, `Cos`, `Sqrt`, `AbsPow`) is
+    built once (`_factor`), and all its partials hold it; so is r*r (`_square`)."""
 
     __slots__ = ("_dcache",)
 
@@ -65,6 +66,15 @@ class Expression:
         if f is None:
             f = self._dcache[None] = build()
         return f
+
+    def _square(self):
+        """self * self for an inner node, one for all quotients over it: they hold
+        it, and the node holds a weak reference (a cycle would outlive them)."""
+        ref = self._dcache.get("square")
+        square = ref and ref()
+        if square is None:
+            self._dcache["square"] = weakref.ref(square := Mul(self, self))
+        return square
 
     def substitute(self, replacements) -> "Expression":
         """Expression with Coord(i) replaced by replacements[i] (composition)."""
@@ -208,8 +218,8 @@ class Param(Expression):
 # memo: its one reader computes it once per memo anyway, and at a batched point
 # of 512 entries such memo entries would hold most of the memory. A node never
 # marked (None) or read twice in some marked forest (False) memoizes. The
-# axis-independent factor of a node's partials (`_factor`) is one node read by
-# all of them, so a point computes it, and each of its derivatives, once.
+# axis-independent factor of a node's partials (`_factor`, `_square`) is one node
+# read by all of them, so a point computes it, and each of its derivatives, once.
 
 class _Unary(Expression):
     __slots__ = ("arg", "_once")
@@ -368,7 +378,7 @@ class Sub(_Binary):
 
 
 class Mul(_Binary):
-    __slots__ = ()
+    __slots__ = ("__weakref__",)  # a square (`_square`)
     OP = "*"
     OPERATION = operator.mul
     PRECEDENCE = 2
@@ -387,8 +397,9 @@ class Div(_Binary):
     PRECEDENCE = 2
 
     def _diff(self, i):
-        num = sub(mul(self.left.diff(i), self.right), mul(self.left, self.right.diff(i)))
-        return div(num, self._factor(lambda: mul(self.right, self.right)))
+        r = self.right
+        num = sub(mul(self.left.diff(i), r), mul(self.left, r.diff(i)))
+        return div(num, r._square() if isinstance(r, _INNER) else mul(r, r))
 
     def _subst(self, repl):
         return div(self.left._subst(repl), self.right._subst(repl))

@@ -177,11 +177,11 @@ class JetSpace:
 
 
 class JetScalar:
-    """One truncated Taylor scalar. Immutable by convention: arithmetic may
-    return an operand itself (``u + 0.0`` is ``u``), so code writes in place
-    only the coefficients of a jet it made."""
+    """One truncated Taylor scalar, never changed once returned, so it keeps its
+    reciprocal once formed (``_inv``): arithmetic may return an operand itself
+    (``u + 0.0`` is ``u``), so code writes only into a jet it made, before returning it."""
 
-    __slots__ = ("space", "c")
+    __slots__ = ("space", "c", "_inv")
 
     # numpy operands defer to the jet's reflected operators (array * jet)
     __array_ufunc__ = None
@@ -312,6 +312,8 @@ class JetScalar:
     def __rtruediv__(self, other):
         if self._coerce(other) is not None:
             return NotImplemented
+        if type(other) is float and other == 0.0 and not any_entry(self.value == 0.0):
+            return 0.0  # reciprocal * 0.0, without forming the reciprocal
         return _reciprocal(self) * other
 
     def __neg__(self):
@@ -374,14 +376,16 @@ def _powers(x, exponents) -> list:
 
 
 def _reciprocal(u: JetScalar) -> JetScalar:
-    u0 = u.value
-    if any_entry(u0 == 0.0):
-        raise ZeroDivisionError("jet division by zero base value")
-    inv = 1.0 / u0
-    taylor = [inv]
-    for _ in range(u.space.order):
-        taylor.append(-taylor[-1] * inv)
-    return _compose(u, taylor)
+    # `_compose` by its module-global name: the benchmark's tracer wraps it there
+    if getattr(u, "_inv", None) is None:
+        u0 = u.value
+        if any_entry(u0 == 0.0):
+            raise ZeroDivisionError("jet division by zero base value")
+        taylor = [1.0 / u0]
+        for _ in range(u.space.order):
+            taylor.append(-taylor[-1] * taylor[0])
+        u._inv = _compose(u, taylor)
+    return u._inv
 
 
 def value(u):

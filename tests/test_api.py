@@ -1,7 +1,7 @@
 """The public surface of pbh: the names a fresh `import pbh` exports, the
-`python -m pbh` entry point, every module's `__all__` (each entry exists and
-something outside the tests uses it), and the methods the benchmark tracer
-wraps by name."""
+`python -m pbh` entry point (also with a closed stdout pipe), every module's
+`__all__` (each entry exists and something outside the tests uses it), and
+the methods the benchmark tracer wraps by name."""
 
 import ast
 import importlib
@@ -10,6 +10,8 @@ import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import pbh
 
@@ -45,13 +47,17 @@ def _modules():
             for info in pkgutil.iter_modules(pbh.__path__)]
 
 
+def _env():
+    """The environment of a fresh interpreter that imports pbh from this checkout."""
+    src = str(Path(pbh.__file__).resolve().parent.parent)
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _fresh_python(*args) -> str:
     """stdout of a fresh interpreter that imports pbh from this checkout."""
-    src = str(Path(pbh.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          check=True, timeout=60, env=env).stdout
+                          check=True, timeout=60, env=_env()).stdout
 
 
 def test_public_names_of_a_fresh_import():
@@ -67,6 +73,28 @@ def test_python_m_pbh_runs_the_cli():
     out = _fresh_python("-m", "pbh", "builtin", "list")
     assert out.splitlines()[0].startswith("inversion(n)")
     assert "proper_pbh_cylinder" in out
+
+
+@pytest.mark.parametrize("args, status", [
+    (["run", "inversion(3)"], 0),
+    (["run", "inversion(3)", "--format", "json"], 0),
+    (["sweep", "small_hypersphere(2, 0.8)", "--param", "p", "--from", "2", "--to", "6",
+      "--steps", "3"], 1),
+    (["verify-paper"], 0),
+    (["builtin", "list"], 0),
+])
+def test_a_closed_stdout_pipe_ends_the_output_not_the_command(args, status):
+    """A reader that has closed stdout (`pbh run ... | head -0`) gets no more
+    output; the command ends without a traceback or a shutdown message, with
+    the exit status of its verdict."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "pbh", *args], stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=120, env=_env())
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (status, "")
 
 
 def test_every_all_entry_resolves():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_scenarios import cusp_immersion_dict
 
-from pbh import expr, jets, linalg, mapcalc, scenarios
+from pbh import jets, linalg, mapcalc, scenarios
 from pbh.cli import main as cli_main
 from pbh.errors import BatchSplit, PbhError, SingularityError
 from pbh.expr import parse
@@ -482,14 +482,16 @@ def test_quadrature_makes_no_python_frame_per_node():
     assert calls <= 5_100
 
 
-def test_quadrature_run_computes_each_shared_factor_once(monkeypatch):
+def test_quadrature_run_computes_each_shared_factor_once(monkeypatch, operation_counts):
     """Counts, not times: a run of inversion(3) (l = 2, p = 3), its 8 sample
     points and its energy quadrature, makes 14 per-entry libm passes
-    (`np.fromiter`) and 617 node computations. A power, quotient or trig
-    factor built again for each axis of a derivative table is computed once
-    per copy: with a copy per axis the run made 134 passes and 1473 nodes,
-    and with equal subtrees of the map's trees kept apart 32 and 1041."""
-    counts = {"passes": 0, "nodes": 0}
+    (`np.fromiter`), 559 node computations and 10 composes. A power, quotient
+    or trig factor built again for each axis of a derivative table is computed
+    once per copy: with a copy per axis the run made 134 passes and 1473
+    nodes, and with equal subtrees of the map's trees kept apart 32 and 1041;
+    with an r*r per quotient and a reciprocal per division, 617 nodes and 64
+    composes."""
+    counts = operation_counts
     fromiter = np.fromiter
 
     def counting_fromiter(*args):
@@ -497,12 +499,8 @@ def test_quadrature_run_computes_each_shared_factor_once(monkeypatch):
         return fromiter(*args)
 
     monkeypatch.setattr(np, "fromiter", counting_fromiter)
-    for cls in [c for c in vars(expr).values() if isinstance(c, type) and "OPERATION" in vars(c)]:
-        def counting(*operands, _operation=cls.OPERATION):
-            counts["nodes"] += 1
-            return _operation(*operands)
-        monkeypatch.setattr(cls, "OPERATION", staticmethod(counting))
     rows = run(builtin("inversion(3)"), overrides={"l": 2.0, "p": 3.0}).rows
     assert len(rows) == 9 and all(r.passed for r in rows)
     assert counts["passes"] <= 14
-    assert counts["nodes"] <= 617
+    assert counts["nodes"] <= 559
+    assert counts["composes"] <= 10

@@ -1,12 +1,14 @@
 """Parser, evaluation, symbolic differentiation, and round-trip properties."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from pbh.errors import DomainError, ExprSyntaxError, UnknownIdentifierError
-from pbh.expr import Const, differentiate, parse
+from pbh.expr import Const, differentiate, parse, share_subtrees
 from pbh.verify import random_expression_with_point
 
 
@@ -134,6 +136,34 @@ class TestDifferentiate:
         found = [{id(n) for n in differentiate(e, i).walk() if n.to_string() == factor}
                  for i in (0, 1)]
         assert len(found[0]) == 1 and found[0] == found[1]
+
+    @pytest.mark.parametrize("text, square", [
+        ("x1 / (x1*x2 + 1) + x2 / (x1*x2 + 1)", "(x1 * x2 + 1.0) * (x1 * x2 + 1.0)"),
+        ("sqrt(x1*x2)", "2.0 * sqrt(x1 * x2) * 2.0 * sqrt(x1 * x2)"),
+        ("log(x1*x2 + 1)", "(x1 * x2 + 1.0) * (x1 * x2 + 1.0)"),
+    ])
+    def test_quotients_over_one_denominator_share_its_square(self, text, square):
+        """Every second partial divides by one r * r for each denominator r,
+        whichever quotient and axis it comes from."""
+        e = share_subtrees([parse(text, 2)])[0]
+        found = {id(n) for i in (0, 1) for j in (0, 1)
+                 for n in differentiate(differentiate(e, i), j).walk() if str(n) == square}
+        assert len(found) == 1
+
+    def test_a_square_dies_with_its_quotients(self):
+        """The denominator keeps only a weak reference to its square, so the
+        two form no reference cycle: the square goes with the last quotient
+        that holds it, without the cyclic garbage collector."""
+        gc.disable()
+        try:
+            e = parse("x1 / (x1*x2 + 1)", 2)
+            square = weakref.ref(differentiate(e, 0).right)
+            assert str(square()) == "(x1 * x2 + 1.0) * (x1 * x2 + 1.0)"
+            assert differentiate(e, 1).right is square()
+            del e
+            assert square() is None
+        finally:
+            gc.enable()
 
     def test_linearity(self):
         rng = np.random.default_rng(4)

@@ -282,3 +282,36 @@ def test_order_one_product_equals_the_two_term_formula(batched):
         old = a * b[0] + b * a[0]
         old[0] = a[0] * b[0]
         assert (JetScalar(sp, a) * JetScalar(sp, b)).c.tobytes() == old.tobytes()
+
+
+@BATCHED
+def test_zero_over_a_jet_is_the_float_zero_without_a_reciprocal(batched, operation_counts):
+    """0.0 / J is what reciprocal * 0.0 gives, the float 0.0 (also for -0.0),
+    and forms no reciprocal; a zero base still raises."""
+    J = lift_point(_point(batched), 3)[0]
+    for zero in (0.0, -0.0):
+        quotient = zero / J
+        assert type(quotient) is float and repr(quotient) == "0.0"
+    assert operation_counts["composes"] == 0
+    Z = J - J.value  # base value zero in every entry
+    with pytest.raises(ZeroDivisionError, match="zero base value"):
+        0.0 / Z
+    if batched:  # one zero entry is enough
+        Z = J - np.array([0.5, 0.0, 0.0])
+        with pytest.raises(ZeroDivisionError, match="zero base value"):
+            0.0 / Z
+
+
+@BATCHED
+def test_a_jet_keeps_its_reciprocal(batched, operation_counts):
+    """Every quotient over one jet reads one reciprocal, composed once, with
+    the coefficients a fresh reciprocal has."""
+    x1, x2 = lift_point(_point(batched), 3)
+    J = x1 * x2 + 1.5
+    fresh = JetScalar(J.space, J.c.copy())
+    operation_counts.reset()
+    r = 1.0 / J
+    assert 1.0 / J is r and (x1 / J).c.tobytes() == (x1 * r).c.tobytes()
+    assert (2.5 / J).c.tobytes() == (r * 2.5).c.tobytes()
+    assert operation_counts["composes"] == 1
+    assert r.c.tobytes() == (1.0 / fresh).c.tobytes()

@@ -49,18 +49,12 @@ def _inner_nodes(roots):
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_marking_computes_no_node_twice(name, monkeypatch):
+def test_marking_computes_no_node_twice(name, monkeypatch, operation_counts):
     """A node counts each time it is computed (its class applies its
     `OPERATION`); with every mark cleared every inner node memoizes, and the
     marked run must compute exactly as many."""
     monkeypatch.setattr(mapcalc, "_CHUNK", 64)
-    counts = {"nodes": 0, "single_use": 0}
-    for cls in vars(expr).values():
-        if isinstance(cls, type) and "OPERATION" in cls.__dict__:
-            def counting(*operands, _operation=cls.OPERATION):
-                counts["nodes"] += 1
-                return _operation(*operands)
-            monkeypatch.setattr(cls, "OPERATION", staticmethod(counting))
+    counts = operation_counts
     mark = mapcalc.mark_reads
 
     def marking(roots):
@@ -77,7 +71,7 @@ def test_marking_computes_no_node_twice(name, monkeypatch):
             node._once = None
         counts["cleared"] += 1
 
-    counts.update(nodes=0, cleared=0)
+    counts.reset()
     monkeypatch.setattr(mapcalc, "mark_reads", clearing)
     WORKLOADS[name]()
     assert counts["cleared"] > 0

@@ -6,16 +6,18 @@ whether the batch is never tried (one-point chunks) or raises and is replayed.
 Sampling random expressions with one memo draws what a memo per subtree
 draws and returns the drawn expression's jet at the point, and the two
 heaviest criteria and a cylinder run stay within a fixed count of jet
-products and node evaluations."""
+products and node evaluations; a batched point inverts no jet twice."""
+
+import math
 
 import numpy as np
 import pytest
 
-from pbh import mapcalc, verify
+from pbh import mapcalc, scenarios, verify
 from pbh.errors import BatchSplit, DomainError
-from pbh.expr import Expression, eval_jet
+from pbh.expr import eval_jet
 from pbh.geometry import ChartMetric
-from pbh.jets import JetScalar, lift_point, value
+from pbh.jets import lift_point, value
 from pbh.scenarios import builtin, run as run_scenario
 from pbh.stress import (divergence_gap, stress_divergence_check, stress_divergence_sides,
                         trace_identity_at)
@@ -194,41 +196,40 @@ def test_the_drawn_jet_is_the_expressions_jet_at_the_point(seed):
         assert J.c.tobytes() == eval_jet(e, x, 4).c.tobytes()
 
 
-def _expression_classes(cls=Expression):
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from _expression_classes(sub)
-
-
-def test_jet_products_and_node_evaluations_stay_within_budget(monkeypatch):
+def test_jet_products_and_node_evaluations_stay_within_budget(operation_counts):
     """Counts, not times: losing a hoisted product or a shared memo shows here
     without machine noise. A node counts each time it is computed, that is
     each time its class applies its `OPERATION`."""
-    counts = {"products": 0, "nodes": 0}
-    mul = JetScalar.__mul__
-
-    def counting_mul(a, b):
-        if isinstance(b, JetScalar):
-            counts["products"] += 1
-        return mul(a, b)
-
-    monkeypatch.setattr(JetScalar, "__mul__", counting_mul)
-    for cls in _expression_classes():
-        if "OPERATION" in cls.__dict__:
-            def counting(*operands, _operation=cls.OPERATION):
-                counts["nodes"] += 1
-                return _operation(*operands)
-            monkeypatch.setattr(cls, "OPERATION", staticmethod(counting))
-    # every node class with derivative rules (all but the leaves) is counted
-    assert all(cls.OPERATION.__name__ == "counting" for cls in _expression_classes()
-               if "_diff" in cls.__dict__)
-
+    counts = operation_counts
     assert criterion_bitension_cross_check().passed
-    assert counts["products"] <= 13_085
-    counts.update(products=0, nodes=0)
+    assert counts["products"] <= 11_609
+    counts.reset()
     assert verify.criterion_infrastructure().passed
-    assert counts["products"] <= 3_604
-    assert counts["nodes"] <= 76_143
-    counts.update(products=0, nodes=0)
+    assert counts["products"] <= 3_384
+    assert counts["nodes"] <= 73_612
+    counts.reset()
     assert len(run_scenario(builtin("proper_pbh_cylinder"), {"p": 3.0}).rows) == 24
-    assert counts["products"] <= 298
+    assert counts["products"] <= 200
+
+
+@pytest.mark.parametrize("name, p, order, checks", [
+    ("proper_pbh_cylinder", 3.0, 3, ["p_biharmonic", "stress_divergence", "trace_identity"]),
+    ("small_hypersphere(2, 0.8)", 3.0, 2, ["theorem_2_1", "theorem_2_3", "cmc_proper_p"]),
+])
+def test_a_point_inverts_no_jet_twice_and_repeats_no_geometry_product(
+        name, p, order, checks, operation_counts):
+    """At one batched jet point, every check of the scenario forms each
+    reciprocal once per jet, and the kernels of `pbh.geometry` multiply each
+    ordered pair of jets once: a quotient over a shared denominator, a pivot
+    inverted again in back-substitution, or a Christoffel, curvature or
+    divergence product formed again for a symmetric index pair shows here."""
+    scenario = builtin(name)
+    obj = scenario.build({"p": p})
+    contexts = scenarios._ChunkContexts(obj, scenario.sample_points()[:4], order)
+    operation_counts.reset()
+    for check in checks:
+        assert not any(math.isnan(r) for r, _ok, _s, _x in contexts.results(check, p, 1e-6))
+    counts = operation_counts
+    assert counts["products"] > 0 and counts["composes"] > 0
+    assert counts["repeated_inversions"] == 0
+    assert counts["repeated_products:pbh.geometry"] == 0
