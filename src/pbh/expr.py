@@ -31,8 +31,8 @@ __all__ = [
 
 
 class Expression:
-    """Base node. Subclasses implement `_eval`, `_diff` (leaves: `diff`),
-    `_subst` and `to_string`. An inner node's `_eval` looks itself up in the
+    """Base node. Subclasses implement `_eval`, `_diff` (leaves: `diff` and
+    `_subst`) and `to_string`. An inner node's `_eval` looks itself up in the
     memo and otherwise applies its class's `OPERATION` to its operands' values,
     in one frame per node. The factor of a node's partials that does not
     depend on the axis (`Pow`: q*u^(q-1); `Sin`, `Cos`, `Sqrt`, `AbsPow`) is
@@ -79,6 +79,11 @@ class Expression:
     def substitute(self, replacements) -> "Expression":
         """Expression with Coord(i) replaced by replacements[i] (composition)."""
         return self._subst(list(replacements))
+
+    def _subst(self, repl):
+        # an inner node, rebuilt by its smart constructor; a power's exponent
+        # has no coordinates, so it comes back equal
+        return _SMART[type(self)](*(ch._subst(repl) for ch in self._children()))
 
     def has_coords(self) -> bool:
         return any(isinstance(n, Coord) for n in self.walk())
@@ -253,9 +258,6 @@ class Neg(_Unary):
     def _diff(self, i):
         return neg(self.arg.diff(i))
 
-    def _subst(self, repl):
-        return neg(self.arg._subst(repl))
-
 
 class Sqrt(_Unary):
     __slots__ = ()
@@ -264,9 +266,6 @@ class Sqrt(_Unary):
 
     def _diff(self, i):
         return div(self.arg.diff(i), self._factor(lambda: mul(Const(2.0), self)))
-
-    def _subst(self, repl):
-        return sqrt_(self.arg._subst(repl))
 
 
 class Exp(_Unary):
@@ -277,9 +276,6 @@ class Exp(_Unary):
     def _diff(self, i):
         return mul(self, self.arg.diff(i))
 
-    def _subst(self, repl):
-        return exp_(self.arg._subst(repl))
-
 
 class Log(_Unary):
     __slots__ = ()
@@ -288,9 +284,6 @@ class Log(_Unary):
 
     def _diff(self, i):
         return div(self.arg.diff(i), self.arg)
-
-    def _subst(self, repl):
-        return log_(self.arg._subst(repl))
 
 
 class Sin(_Unary):
@@ -301,9 +294,6 @@ class Sin(_Unary):
     def _diff(self, i):
         return mul(self._factor(lambda: cos_(self.arg)), self.arg.diff(i))
 
-    def _subst(self, repl):
-        return sin_(self.arg._subst(repl))
-
 
 class Cos(_Unary):
     __slots__ = ()
@@ -312,9 +302,6 @@ class Cos(_Unary):
 
     def _diff(self, i):
         return neg(mul(self._factor(lambda: sin_(self.arg)), self.arg.diff(i)))
-
-    def _subst(self, repl):
-        return cos_(self.arg._subst(repl))
 
 
 class _Binary(Expression):
@@ -360,9 +347,6 @@ class Add(_Binary):
     def _diff(self, i):
         return add(self.left.diff(i), self.right.diff(i))
 
-    def _subst(self, repl):
-        return add(self.left._subst(repl), self.right._subst(repl))
-
 
 class Sub(_Binary):
     __slots__ = ()
@@ -373,9 +357,6 @@ class Sub(_Binary):
     def _diff(self, i):
         return sub(self.left.diff(i), self.right.diff(i))
 
-    def _subst(self, repl):
-        return sub(self.left._subst(repl), self.right._subst(repl))
-
 
 class Mul(_Binary):
     __slots__ = ("__weakref__",)  # a square (`_square`)
@@ -385,9 +366,6 @@ class Mul(_Binary):
 
     def _diff(self, i):
         return add(mul(self.left.diff(i), self.right), mul(self.left, self.right.diff(i)))
-
-    def _subst(self, repl):
-        return mul(self.left._subst(repl), self.right._subst(repl))
 
 
 class Div(_Binary):
@@ -400,9 +378,6 @@ class Div(_Binary):
         r = self.right
         num = sub(mul(self.left.diff(i), r), mul(self.left, r.diff(i)))
         return div(num, r._square() if isinstance(r, _INNER) else mul(r, r))
-
-    def _subst(self, repl):
-        return div(self.left._subst(repl), self.right._subst(repl))
 
 
 class _Power(Expression):
@@ -443,9 +418,6 @@ class Pow(_Power):
         q = self.exponent
         return mul(self._factor(lambda: mul(q, pow_(self.arg, sub(q, _ONE)))), self.arg.diff(i))
 
-    def _subst(self, repl):
-        return pow_(self.arg._subst(repl), self.exponent)
-
     def to_string(self, prec=0):
         b = self.arg.to_string(self.PRECEDENCE + 1)
         e = self.exponent
@@ -470,9 +442,6 @@ class AbsPow(_Power):
         # d|u|^q = q |u|^(q-2) u du, valid away from u = 0
         q, u = self.exponent, self.arg
         return mul(self._factor(lambda: mul(q, mul(abspow_(u, sub(q, Const(2.0))), u))), u.diff(i))
-
-    def _subst(self, repl):
-        return abspow_(self.arg._subst(repl), self.exponent)
 
     def to_string(self, prec=0):
         return f"abspow({self.arg.to_string()}, {self.exponent.to_string()})"
@@ -642,6 +611,11 @@ def abspow_(a, q):
     if type(a) is Const and type(q) is Const:
         return Const(jets.abspow(a.value, q.value))
     return AbsPow(a, q)
+
+
+# the smart constructor of each inner node class (`Expression._subst`)
+_SMART = {Neg: neg, Sqrt: sqrt_, Exp: exp_, Log: log_, Sin: sin_, Cos: cos_, Add: add,
+          Sub: sub, Mul: mul, Div: div, Pow: pow_, AbsPow: abspow_}
 
 
 def differentiate(e: Expression, coord_index: int) -> Expression:

@@ -8,15 +8,15 @@ chart builds its derivative tables (`dg`, `d2g`) when it is constructed.
 The divergence operators take the Christoffel symbols (and inverse metric) and
 the field's components at a jet point, and differentiate the components by one
 jet shift; a caller lifts its point to the order its field consumes plus one.
-`sectional_curvature` is the one reader over a float point. The kernels form
-each distinct product of two jets once (`_products`), with the operands and
-the summation order of a plain loop over every index, so the floats are its.
+`sectional_curvature` is the one reader over a float point. The kernels are
+plain loops over every index that multiply through one memo per call
+(`_product_memo`), so an ordered pair of jets that several entries read is
+multiplied once, and the floats are those of the loops.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 
 from . import linalg
 from .expr import Const, parse, share_subtrees
@@ -100,7 +100,7 @@ class ChartMetric:
     def christoffel_at(self, X, ginv=None, dg=None, memo=None):
         """Gamma[k][i][j] = Gamma^k_ij of the Levi-Civita connection."""
         ginv, dg = self._ginv_dg(X, ginv, dg, memo)
-        return _lowered_sums(self.dim, [(ginv, _brackets(dg))])
+        return _lowered_sums(self.dim, [(ginv, _brackets(dg))], _product_memo())
 
     def christoffel_derivative_at(self, X, ginv=None, dg=None, memo=None):
         """dGamma[m][k][i][j] = d Gamma^k_ij / d x_m, from symbolic metric derivatives."""
@@ -110,8 +110,9 @@ class ChartMetric:
         # d(g^{kl})/dx_m = -g^{ka} dg_ab/dx_m g^{bl}
         dginv = [[[-t for t in row] for row in linalg.mat_mul(ginv, linalg.mat_mul(dg[m], ginv))]
                  for m in range(d)]
-        br = _brackets(dg)
-        return [_lowered_sums(d, [(dginv[m], br), (ginv, _brackets(d2g[m]))]) for m in range(d)]
+        br, mul = _brackets(dg), _product_memo()
+        return [_lowered_sums(d, [(dginv[m], br), (ginv, _brackets(d2g[m]))], mul)
+                for m in range(d)]
 
     def curvature_at(self, X, ginv=None, dg=None, gamma=None, memo=None):
         """R[l][i][j][k] with R(d_i, d_j) d_k = R^l_ijk d_l."""
@@ -120,14 +121,13 @@ class ChartMetric:
         if gamma is None:
             gamma = self.christoffel_at(X, ginv=ginv, dg=dg)
         dgamma = self.christoffel_derivative_at(X, ginv=ginv, dg=dg, memo=memo)
-        order = list(itertools.product(range(d), repeat=5))
-        R = [[[[dgamma[i][l][j][k] - dgamma[j][l][i][k] for k in range(d)] for j in range(d)]
-              for i in range(d)] for l in range(d)]
-        # R^l_ijk subtracts the product R^l_jik adds; each sum still adds in m order
-        prods = _products([pair for l, m, i, j, k in order for pair in
-                           ((gamma[l][i][m], gamma[m][j][k]), (gamma[l][j][m], gamma[m][i][k]))])
-        for l, m, i, j, k in order:
-            R[l][i][j][k] = R[l][i][j][k] + next(prods) - next(prods)
+        mul = _product_memo()  # R^l_ijk subtracts the product R^l_jik adds
+        R = [[[[None] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
+        for l, i, j, k in itertools.product(range(d), repeat=4):
+            s = dgamma[i][l][j][k] - dgamma[j][l][i][k]
+            for m in range(d):
+                s = s + mul(gamma[l][i][m], gamma[m][j][k]) - mul(gamma[l][j][m], gamma[m][i][k])
+            R[l][i][j][k] = s
         return R
 
     def __repr__(self):
@@ -180,32 +180,32 @@ def divergence_at(gamma, comps):
 
 def divergence_2tensor_at(ginv, gamma, T):
     """(div T)(d_k) = g^{ij} (nabla_i T)(d_j, d_k) for a symmetric 2-tensor at a jet point."""
-    d = len(T)  # a term whose g^{ij} is the float 0.0 adds nothing and is skipped
-    terms = [(k, i, j) for k, i, j in itertools.product(range(d), repeat=3)
-             if not (type(ginv[i][j]) is float and ginv[i][j] == 0.0)]
-    # where T[j][l] is T[l][j], the second product of (k, i, j) is the first of (j, i, k)
-    prods = _products([pair for k, i, j in terms for l in range(d) for pair in
-                       ((gamma[l][i][j], T[l][k]), (gamma[l][i][k], T[j][l]))])
+    d = len(T)
     out = [0.0] * d
-    for k, i, j in terms:
-        cov = partial(T[j][k], i)
-        for _l in range(d):
-            cov = cov - next(prods) - next(prods)
-        out[k] = out[k] + ginv[i][j] * cov
+    for i in range(d):  # each out[k] adds its terms in (i, j) order, as a loop over k, i, j
+        # where T[j][l] is T[l][j], the second product of (k, i, j) is the first of
+        # (j, i, k), so a memo per i holds every product read twice
+        mul = _product_memo()
+        for k, j in itertools.product(range(d), repeat=2):
+            if type(ginv[i][j]) is float and ginv[i][j] == 0.0:
+                continue  # the term adds nothing
+            cov = partial(T[j][k], i)
+            for l in range(d):
+                cov = cov - mul(gamma[l][i][j], T[l][k]) - mul(gamma[l][i][k], T[j][l])
+            out[k] = out[k] + ginv[i][j] * cov
     return out
 
 
-def _lowered_sums(d, factors):
+def _lowered_sums(d, factors, mul):
     """[k][i][j] = [k][j][i] = 0.5 * sum over l, then factors (f, br), of f[k][l] * br[i][j][l]."""
-    order = [t for t in itertools.product(range(d), repeat=3) if t[2] >= t[1]]
-    prods = _products([(f[k][l], br[i][j][l]) for k, i, j in order for l in range(d)
-                       for f, br in factors])
     out = [[[None] * d for _ in range(d)] for _ in range(d)]
-    for k, i, j in order:
-        s = 0.0
-        for _p in range(d * len(factors)):
-            s = s + next(prods)
-        out[k][i][j] = out[k][j][i] = 0.5 * s
+    for k, i in itertools.product(range(d), repeat=2):
+        for j in range(i, d):
+            s = 0.0
+            for l in range(d):
+                for f, br in factors:
+                    s = s + mul(f[k][l], br[i][j][l])
+            out[k][i][j] = out[k][j][i] = 0.5 * s
     return out
 
 
@@ -216,19 +216,22 @@ def _brackets(dg):
              for j in r] for i in r]
 
 
-def _products(pairs):
-    """x * y for each (x, y) of the list `pairs`; an ordered pair of jets read again is
-    multiplied once and kept until its last read (ids are keys: the list holds them)."""
-    reads = Counter((id(x), id(y)) for x, y in pairs if type(x) is type(y) is JetScalar)
+def _product_memo():
+    """mul(x, y) = x * y, each ordered pair of jets multiplied once per memo. The
+    keys are the operands themselves (jets hash by identity), so the memo keeps
+    them alive and a freed temporary cannot alias one. A float or array operand
+    goes straight to x * y."""
     kept = {}
-    for x, y in pairs:
-        key = (id(x), id(y))
-        n = reads.get(key)
-        p = kept.pop(key) if n and key in kept else x * y
-        if n and n > 1:
-            reads[key] = n - 1
-            kept[key] = p
-        yield p
+
+    def mul(x, y):
+        if type(x) is not JetScalar or type(y) is not JetScalar:
+            return x * y
+        p = kept.get((x, y))
+        if p is None:
+            p = kept[(x, y)] = x * y
+        return p
+
+    return mul
 
 
 # ---------------------------------------------------------------------- #

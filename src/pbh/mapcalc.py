@@ -20,8 +20,9 @@ highest order of several readers serves all of them; p-dependent fields are
 computed once per point and p, the target curvature once per point. So are
 the products Gamma^N{}^a_{mu sigma} * dphi^mu_i that every Christoffel term of
 `sff` and `pullback_derivative` starts with (`_gamma_dphi`, p-independent, so
-kept across the steps of a sweep); the p-bitension's curvature term forms
-R * tau_p * dphi_i once per index and i, not once per (i, j). Structural
+kept across the steps of a sweep). The p-bitension's curvature term, like the
+kernels of :mod:`pbh.geometry`, multiplies through one memo per call, so its
+R * tau_p * dphi_i is multiplied for each index and i, not each (i, j). Structural
 zeros stay the float 0.0 at jet points (:mod:`pbh.jets`), so `ginv_terms` and
 `_gamma_dphi` drop the zeros of g^{-1} and Gamma^N there too. Hoisted
 products keep the left-to-right order and every sum its order, so each float
@@ -46,7 +47,7 @@ import numpy as np
 from . import linalg
 from .errors import BatchSplit, JetOrderError, PbhError, SingularityError
 from .expr import Const, Expression, mark_reads, share_subtrees
-from .geometry import ChartMetric
+from .geometry import ChartMetric, _product_memo
 from .jets import JetScalar, any_entry, lift_point, partial, point_value, powr, sqrt, value
 
 __all__ = [
@@ -386,21 +387,15 @@ class MapPoint:
         # curvature term: -|dphi|^{p-2} g^{ij} R^N(tau_p, dphi_i) dphi_j
         result = [0.0] * n
         if self.map.target.space_form_c != 0.0:
-            Rn, dphi = self.target_curvature, self.dphi
-            # per d: (gamma, [R^d_{al be ga} * taup^al * dphi^be_i for each i]),
-            # the left factors of the (i, j) sums, formed once
-            left = [[] for _ in range(n)]
-            for d, al, be, ga in itertools.product(range(n), repeat=4):
-                R = Rn[d][al][be][ga]
-                if isinstance(R, float) and R == 0.0:
-                    continue
-                R_taup = R * taup[al]
-                left[d].append((ga, [R_taup * dphi[be][i] for i in range(m)]))
+            # R^d_{al be ga} * taup^al * dphi^be_i is formed once per index and i
+            Rn, dphi, mul = self.target_curvature, self.dphi, _product_memo()
             for i, j, gij in self.ginv_terms:
                 for d in range(n):
                     s = 0.0
-                    for ga, R_taup_dphi in left[d]:
-                        s = s + R_taup_dphi[i] * dphi[ga][j]
+                    for al, be, ga in itertools.product(range(n), repeat=3):
+                        R = Rn[d][al][be][ga]
+                        if not (isinstance(R, float) and R == 0.0):
+                            s = s + mul(mul(R, taup[al]), dphi[be][i]) * dphi[ga][j]
                     result[d] = result[d] - fac * gij * s
 
         # second-order term: -trace_g nabla^phi |dphi|^{p-2} nabla^phi tau_p

@@ -73,7 +73,7 @@ from .jets import lift_point, value
 from .mapcalc import (SmoothMap, _entries, _require_in_domain, _split, _stack,
                       p_bienergy_box, p_energy_box, replay_chunks)
 from .stress import _scaled_divergence_gap, stress_divergence_sides, trace_identity_at
-from .submanifold import Immersion, ImmersionPoint
+from .submanifold import Immersion, ImmersionPoint, _latitude_sphere_text
 
 SCHEMA_VERSION = "pbh/1"
 
@@ -855,14 +855,8 @@ def _small_hypersphere_scenario(m: int, a: float) -> Scenario:
     if not 0.0 < a < 1.0:
         raise SchemaError("name", f"small_hypersphere needs a in (0, 1), got {a}")
     b = math.sqrt(1.0 - a * a)
-    t2 = " + ".join(f"x{i + 1}^2" for i in range(m))
-    den = f"(1 + ({t2})/4)"
-    scale = "(2*a/(1 + b))"
-    comps = [f"{scale} * x{i + 1} / {den}" for i in range(m)]
-    comps.append(f"{scale} * (1 - ({t2})/4) / {den}")
-    round_factor = f"a^2 * {den}^(-2)"
-    zero = "0"
-    metric = [[round_factor if i == j else zero for j in range(m)] for i in range(m)]
+    comps, round_factor = _latitude_sphere_text(m)
+    metric = [[round_factor if i == j else "0" for j in range(m)] for i in range(m)]
     data = {
         "schema": SCHEMA_VERSION,
         "name": f"small_hypersphere({m},{a})",

@@ -60,8 +60,7 @@ def _theta_divergence(mp: MapPoint, p: float) -> float:
     the pairing one-form theta(d_i) = h(|dphi|^{p-2} dphi(d_i), tau_p)."""
     taup, fac = mp.p_tension(p), mp.norm_power(p - 2.0)
     low = [fac * mp.h_inner(col, taup) for col in mp.dphi_cols]
-    sharp = [sum((mp.ginv[i][j] * low[j] for j in range(mp.m)), 0.0) for i in range(mp.m)]
-    return value(divergence_at(mp.gammaM, sharp))
+    return value(divergence_at(mp.gammaM, mp.grad_scalar(low)))
 
 
 def trace_identity_at(mp: MapPoint, p: float):

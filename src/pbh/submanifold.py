@@ -255,10 +255,10 @@ class ImmersionPoint:
         """Normal / tangential decomposition of the p-bitension of the inclusion
         (3 shifts). Returns floats: (normal ambient components, tangential source
         components t with tangential part = dphi(t))."""
-        mp, m = self.mp, self.m
+        mp = self.mp
         tau2p = mp.p_bitension(p)
         low = [mp.h_inner(tau2p, col) for col in mp.dphi_cols]
-        t = [value(sum((mp.ginv[i][j] * low[j] for j in range(m)), 0.0)) for i in range(m)]
+        t = [value(v) for v in mp.grad_scalar(low)]
         pushed = mp.push(t)
         normal = [value(tau2p[a]) - value(pushed[a]) for a in range(self.n)]
         return normal, t
@@ -398,6 +398,17 @@ def bitension_split(imm: Immersion, x, p: float):
 # standard immersions
 # ---------------------------------------------------------------------- #
 
+def _latitude_sphere_text(m: int):
+    """The m + 1 ambient components of the latitude m-sphere and the factor of
+    its round metric, as expression text in the parameters a and b."""
+    t2 = " + ".join(f"x{i + 1}^2" for i in range(m))
+    den = f"(1 + ({t2})/4)"
+    scale = "(2*a/(1 + b))"
+    comps = [f"{scale} * x{i + 1} / {den}" for i in range(m)]
+    comps.append(f"{scale} * (1 - ({t2})/4) / {den}")
+    return comps, f"a^2 * {den}^(-2)"
+
+
 def small_hypersphere_immersion(m: int, a: float) -> Immersion:
     """The radius-a latitude m-sphere inside the unit (m+1)-sphere.
 
@@ -411,12 +422,9 @@ def small_hypersphere_immersion(m: int, a: float) -> Immersion:
         raise ValueError(f"radius parameter must lie in (0, 1), got {a}")
     b = math.sqrt(1.0 - a * a)
     ambient = space_form_chart(1.0, m + 1)
-    t2 = " + ".join(f"x{i + 1}^2" for i in range(m))
-    den = f"(1 + ({t2})/4)"
-    scale = f"(2*a/(1 + b))"
-    comps = [parse(f"{scale} * x{i + 1} / {den}", m, ["a", "b"]) for i in range(m)]
-    comps.append(parse(f"{scale} * (1 - ({t2})/4) / {den}", m, ["a", "b"]))
-    round_factor = parse(f"a^2 * {den}^(-2)", m, ["a", "b"])
+    texts, round_text = _latitude_sphere_text(m)
+    comps = [parse(t, m, ["a", "b"]) for t in texts]
+    round_factor = parse(round_text, m, ["a", "b"])
     zero = Const(0.0)
     source_metric = [[round_factor if i == j else zero for j in range(m)] for i in range(m)]
     return Immersion(m, ambient, comps, params={"a": a, "b": b},

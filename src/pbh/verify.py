@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .expr import Const, Coord, Expression, differentiate, parse
+from .expr import Const, Coord, Expression, _FUNCS, differentiate, parse
 from .geometry import euclidean_chart, sectional_curvature, space_form_chart
 from .jets import JetScalar, lift_point, value
 from .mapcalc import (SmoothMap, _box_sum, _entries, _read_points, _split, p_energy_box,
@@ -202,10 +202,7 @@ def random_expression(rng, dim: int, depth: int) -> Expression:
         return random_expression(rng, dim, depth - 1) ** Const(q)
     funcs = ("sqrt", "exp", "log", "sin", "cos", "neg")
     fname = funcs[int(rng.integers(len(funcs)))]
-    arg = random_expression(rng, dim, depth - 1)
-    from . import expr as _expr
-    return {"sqrt": _expr.sqrt_, "exp": _expr.exp_, "log": _expr.log_,
-            "sin": _expr.sin_, "cos": _expr.cos_, "neg": _expr.neg}[fname](arg)
+    return _FUNCS[fname](random_expression(rng, dim, depth - 1))
 
 
 def random_expression_with_point(rng, dim: int, depth: int = 6):

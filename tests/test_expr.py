@@ -201,3 +201,17 @@ class TestRoundTrip:
             back = parse(str(e), 2)
             assert back.evaluate(x) == pytest.approx(e.evaluate(x), rel=1e-14, abs=1e-14)
             checked += 1
+
+
+def test_substitute_rebuilds_each_inner_node_through_its_smart_constructor():
+    """Composition: every inner node class takes the substituted children, a
+    power's coordinate-free exponent comes back equal, and constants fold."""
+    text = "neg(sqrt(x1)) + exp(x2) - log(x1) * sin(x2) / cos(x1) + x1^(q - 1) + abspow(x2, q)"
+    x1, x2 = "(x1 + 2*x2)", "(x1*x2)"
+    composed = parse(text.replace("x1", "X").replace("x2", x2).replace("X", x1), 2, ["q"])
+    got = parse(text, 2, ["q"]).substitute([parse(x1, 2), parse(x2, 2)])
+    assert got.to_string() == composed.to_string()
+    x, params = (0.7, 1.3), {"q": 2.5}
+    assert repr(got.evaluate(x, params)) == repr(composed.evaluate(x, params))
+    folded = parse("sqrt(x1) * x2^2", 2).substitute([Const(4.0), Const(3.0)])
+    assert type(folded) is Const and folded.value == 18.0

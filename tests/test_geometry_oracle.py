@@ -3,7 +3,8 @@ each distinct jet product once, with the operands, operand order and
 summation order of a plain loop over every index. The plain loops are copied
 here as the oracle: every entry must have the same bits (`tobytes` of a jet's
 coefficients or of an array, `repr` of a float) at float points, order-3 jet
-points and batched points of every chart the corpus maps and immersions use."""
+points and batched points of every chart the corpus maps and immersions use.
+The kernels multiply through `_product_memo`, tested last."""
 
 import itertools
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from pbh import linalg
-from pbh.geometry import divergence_2tensor_at, euclidean_chart, space_form_chart
+from pbh.geometry import _product_memo, divergence_2tensor_at, euclidean_chart, space_form_chart
 from pbh.jets import JetScalar, lift_point, partial
 from pbh.verify import corpus_immersions, corpus_maps
 
@@ -176,3 +177,37 @@ def test_tensor_divergence_equals_the_plain_loop(name, chart, box, kind):
         for g in (ginv, signed):
             assert _bits(divergence_2tensor_at(g, gamma, T)) == \
                 _bits(divergence_2tensor(g, gamma, T)), label
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_the_product_memo_multiplies_each_ordered_pair_of_jets_once(batched, operation_counts):
+    point = (np.array([0.3, 0.4]), np.array([0.7, 0.9])) if batched else (0.3, 0.7)
+    x, y = lift_point(point, 2)
+    y_copy = _copy(y)  # equal coefficients, another object
+    expected = {pair: (a * b).c.tobytes() for pair, (a, b) in
+                {"xy": (x, y), "yx": (y, x), "x_copy": (x, y_copy)}.items()}
+    mul = _product_memo()
+    operation_counts.reset()
+    xy = mul(x, y)
+    assert mul(x, y) is xy
+    assert operation_counts["products"] == 1
+    yx, x_copy = mul(y, x), mul(x, y_copy)
+    assert operation_counts["products"] == 3
+    assert operation_counts["repeated_products"] == 0
+    assert {"xy": xy.c.tobytes(), "yx": yx.c.tobytes(), "x_copy": x_copy.c.tobytes()} == expected
+    # a memo of its own multiplies the pair again
+    assert _product_memo()(x, y) is not xy
+
+
+def test_the_product_memo_passes_floats_and_arrays_to_the_product(operation_counts):
+    x, _y = lift_point((0.3, 0.7), 2)
+    mul = _product_memo()
+    operation_counts.reset()
+    # structural zeros and ones: 0.0 stays the float, 1.0 returns the jet itself
+    assert _bits(mul(x, 0.0)) == _bits(mul(0.0, x)) == ("float", "0.0")
+    assert mul(x, 1.0) is x and mul(1.0, x) is x
+    assert _bits(mul(x, 2.5)) == _bits(x * 2.5)
+    assert _bits(mul(-0.0, 0.5)) == ("float", "-0.0")
+    a, b = np.array([0.25, -1.5]), np.array([3.0, 0.0])
+    assert _bits(mul(a, b)) == _bits(a * b) and mul(a, b) is not mul(a, b)
+    assert operation_counts["products"] == 0

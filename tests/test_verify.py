@@ -212,20 +212,32 @@ def test_jet_products_and_node_evaluations_stay_within_budget(operation_counts):
     assert counts["products"] <= 200
 
 
+def _object_and_points(name, p):
+    """A corpus map and four points of its box, or a built-in scenario's object
+    and its first four sample points."""
+    corpus = {n: (phi, box) for n, phi, box in corpus_maps()}
+    if name in corpus:
+        phi, box = corpus[name]
+        return phi, _points(np.random.default_rng(3), box, 4)
+    scenario = builtin(name)
+    return scenario.build({"p": p}), scenario.sample_points()[:4]
+
+
 @pytest.mark.parametrize("name, p, order, checks", [
     ("proper_pbh_cylinder", 3.0, 3, ["p_biharmonic", "stress_divergence", "trace_identity"]),
     ("small_hypersphere(2, 0.8)", 3.0, 2, ["theorem_2_1", "theorem_2_3", "cmc_proper_p"]),
+    # into the 2-sphere: the target curvature and its Christoffel derivatives at jets
+    ("curved_target", 3.0, 3, ["p_biharmonic", "stress_divergence"]),
 ])
 def test_a_point_inverts_no_jet_twice_and_repeats_no_geometry_product(
         name, p, order, checks, operation_counts):
-    """At one batched jet point, every check of the scenario forms each
-    reciprocal once per jet, and the kernels of `pbh.geometry` multiply each
-    ordered pair of jets once: a quotient over a shared denominator, a pivot
-    inverted again in back-substitution, or a Christoffel, curvature or
-    divergence product formed again for a symmetric index pair shows here."""
-    scenario = builtin(name)
-    obj = scenario.build({"p": p})
-    contexts = scenarios._ChunkContexts(obj, scenario.sample_points()[:4], order)
+    """At one batched jet point, every check forms each reciprocal once per
+    jet, and the kernels of `pbh.geometry` multiply each ordered pair of jets
+    once: a quotient over a shared denominator, a pivot inverted again in
+    back-substitution, or a Christoffel, curvature or divergence product
+    formed again for a symmetric index pair shows here."""
+    obj, points = _object_and_points(name, p)
+    contexts = scenarios._ChunkContexts(obj, points, order)
     operation_counts.reset()
     for check in checks:
         assert not any(math.isnan(r) for r, _ok, _s, _x in contexts.results(check, p, 1e-6))
