@@ -38,21 +38,15 @@ run; a chunk of one point is that per-point run, on unbatched contexts
 signed normal residual, proper p) stay on the per-point float contexts, since
 jet and float evaluation of one expression can differ in the last bit.
 
-`sweep` shares these contexts across its steps. Contexts are keyed on their
-chunk of points and on the values of the parameters that the component and
-metric expressions read, so a step that changes only other parameters (p,
-unless a metric reads it) reuses the chunks of the step before, with every
-p-independent term they cached and the rows of `_P_FREE_CHECKS`, which a
-check that raised does not leave. A step that changes a parameter the
-expressions read builds new contexts and drops the old ones. Between steps a
-context keeps its cached properties and p-free rows only, not the subtree
-values and per-p fields it computed on the way. A chunk whose batched
-evaluation raised at one step goes straight to its halves at every later
-step, without a new batched attempt; the halves give the rows the batch
-would. The sample points are drawn again only at a step that changes a
-parameter the exclude expressions read; if other points are drawn, the
-contexts of the old ones are dropped. The contexts belong to one `sweep`
-call and are gone when it returns; `run` builds fresh ones and holds one
+`sweep` shares these contexts across its steps unless a component, metric or
+exclude expression reads the swept parameter (p, unless a metric reads it).
+Then the sample points are drawn once, by the first step, and each chunk's
+contexts are built once; between steps they keep only their cached
+properties, with every p-independent term, and the rows of `_P_FREE_CHECKS`,
+which a check that raised does not leave. A chunk whose batched evaluation
+raised at one step goes straight to its halves at every later step; the
+halves give the rows the batch would. Otherwise each step is a `run`. The
+contexts belong to one `sweep` call; `run` builds fresh ones and holds one
 chunk's at a time.
 """
 
@@ -328,9 +322,9 @@ class Scenario:
 
     # -- construction ------------------------------------------------------ #
     def _parsed(self):
-        """(map or immersion, exclude trees, `_params_read` of its map, sorted
-        names of the parameters the exclude trees read): parsed and assembled
-        once; later builds only rebind parameters."""
+        """(map or immersion, exclude trees, names of the parameters that the
+        component, metric and exclude trees read): parsed and assembled once;
+        later builds only rebind parameters."""
         base = getattr(self, "_base", None)
         if base is not None:
             return base
@@ -350,8 +344,10 @@ class Scenario:
             obj = Immersion(m, target, components, params=params,
                             source_metric=source_metric, name=self.name)
         exclude = [parse(t, m, declared) for t in self.exclude_text]
-        base = (obj, exclude, _params_read(obj.map if isinstance(obj, Immersion) else obj),
-                sorted(set().union(*(e.params_used() for e in exclude))))
+        phi = obj.map if isinstance(obj, Immersion) else obj
+        trees = [*phi.components, *exclude, *(e for chart in (phi.source, phi.target)
+                                              for row in chart.components for e in row)]
+        base = (obj, exclude, set().union(*(e.params_used() for e in trees)))
         object.__setattr__(self, "_base", base)
         return base
 
@@ -525,12 +521,20 @@ def run(scenario: Scenario, overrides=None, tolerance=None, strict=False) -> Res
     return _run(scenario, overrides, tolerance, strict, None)
 
 
-def _params_read(phi) -> list:
-    """Sorted names of the parameters that the map's component and metric
-    expressions read; evaluation contexts depend on these and on the point only."""
-    exprs = [*phi.components, *(e for chart in (phi.source, phi.target)
-                                for row in chart.components for e in row)]
-    return sorted(set().union(*(e.params_used() for e in exprs)))
+def _run_params(scenario, overrides, tolerance):
+    """(parameters, tolerance) of a run, after checking its overrides, its
+    tolerance and p; nothing is built before these input errors are raised."""
+    overrides = dict(overrides or {})
+    unknown = set(overrides) - set(scenario.params)
+    if unknown:
+        raise SchemaError("params", f"override of undeclared parameters {sorted(unknown)}")
+    for k, v in overrides.items():
+        _require_finite(v, f"params.{k}")
+    params = {**scenario.params, **overrides}
+    if tolerance is not None:
+        _require_tolerance(tolerance)
+    _require_p(params.get("p", 2.0), scenario.checks)
+    return params, tolerance if tolerance is not None else scenario.tolerance
 
 
 class _ChunkContexts:
@@ -566,67 +570,37 @@ class _ChunkContexts:
             (c.mp if isinstance(c, ImmersionPoint) else c).forget_scratch()
 
 
-class _SweepContexts(dict):
-    """`_ChunkContexts` by (key, chunk) (see `_run`); `points` holds the values
-    of the parameters the exclude trees read and the sample points drawn at them."""
+def _run(scenario, overrides, tolerance, strict, shared) -> ResidualReport:
+    """`run`, on the sample points and chunk contexts of `shared` when the
+    steps of a sweep share them (see the module docstring).
 
-    points = (None, None)
-
-
-def _run(scenario, overrides, tolerance, strict, contexts) -> ResidualReport:
-    """`run`, reusing what `contexts`, a `_SweepContexts`, kept from earlier steps.
-
-    Sample points are evaluated in batched chunks, and by halves down to
-    single points where a chunk raises (see the module docstring). The dict
-    maps (key, chunk) to the `_ChunkContexts` of a chunk of sample points,
-    where key holds the values of the parameters the expressions read
-    (`_params_read`). Entries under another key are dropped first, so the
-    dict holds the contexts of one parameter binding at most, and each keeps
-    only its cached properties and its rows of `_P_FREE_CHECKS` between
-    calls (`forget_scratch`); every other check is evaluated again. The
-    sample points are drawn again only when a parameter that the exclude
-    trees read has changed, and the dict is emptied when they differ from
-    the points drawn before. All steps must share one tolerance. With
-    contexts None, as in `run`, a chunk's contexts are dropped when the next
-    chunk starts, so one chunk's contexts are alive at a time.
+    With shared None, as in `run`, the points are drawn and each chunk's
+    contexts are built for this call, one chunk's at a time. Otherwise shared
+    is a dict, empty at the first step, which draws the points into it under
+    "points"; "chunks" maps each chunk of points to its `_ChunkContexts`,
+    which keeps only its cached properties and `_P_FREE_CHECKS` rows between
+    steps (`forget_scratch`). All steps must share one tolerance.
     """
-    overrides = dict(overrides or {})
-    unknown = set(overrides) - set(scenario.params)
-    if unknown:
-        raise SchemaError("params", f"override of undeclared parameters {sorted(unknown)}")
-    for k, v in overrides.items():
-        _require_finite(v, f"params.{k}")
-    params = {**scenario.params, **overrides}
-    if tolerance is not None:
-        _require_tolerance(tolerance)
-    tol = tolerance if tolerance is not None else scenario.tolerance
+    params, tol = _run_params(scenario, overrides, tolerance)
     p = params.get("p", 2.0)
-    _require_p(p, scenario.checks)
     obj = scenario.build(params)
     phi = obj.map if isinstance(obj, Immersion) else obj
-    read, read_by_exclude = scenario._parsed()[2:]
-    cache = _SweepContexts() if contexts is None else contexts
-    drawn_at = tuple((k, params[k]) for k in read_by_exclude)
-    if cache.points[0] != drawn_at:
-        points = scenario.sample_points(params)
-        if points != cache.points[1]:
-            cache.clear()  # the chunks of points no longer drawn
-        cache.points = (drawn_at, points)
-    points = cache.points[1]
+    if shared is None:
+        points, chunks = scenario.sample_points(params), None
+    else:
+        if not shared:
+            shared.update(points=scenario.sample_points(params), chunks={})
+        points, chunks = shared["points"], shared["chunks"]
     row_params = tuple(sorted((k, v) for k, v in params.items() if k != "p"))
     checks = [c for c in scenario.checks if c in CHECK_ORDER]
     order = max((CHECK_ORDER[c] for c in checks), default=0)
-    key = tuple((k, params[k]) for k in read)
-    if any(k != key for k, _chunk in cache):
-        cache.clear()
 
     def chunk_contexts(chunk):
-        ctx = cache.get((key, chunk))
-        if ctx is None:
-            if contexts is None:
-                cache.clear()
-            ctx = cache[key, chunk] = _ChunkContexts(obj, chunk, order)
-        return ctx
+        if chunks is None:
+            return _ChunkContexts(obj, chunk, order)
+        if chunk not in chunks:
+            chunks[chunk] = _ChunkContexts(obj, chunk, order)
+        return chunks[chunk]
 
     # per point, one outcome per check: a result tuple or the exception raised
     def batched(chunk):
@@ -664,9 +638,8 @@ def _run(scenario, overrides, tolerance, strict, contexts) -> ResidualReport:
             rows.append(CheckRow(scenario.name, check, p, row_params, x, res, ok, signed))
             for k, v in extra.items():
                 extras.setdefault(check, {})[k] = v
-    if contexts is not None:
-        for ctx in contexts.values():
-            ctx.forget_scratch()
+    for ctx in (chunks or {}).values():
+        ctx.forget_scratch()
     if "energy_quadrature" in scenario.checks:
         try:
             ep = p_energy_box(phi, scenario.box, p, order=QUADRATURE_ORDER)
@@ -711,17 +684,17 @@ def sweep(scenario: Scenario, param: str, lo=None, hi=None, steps=None,
           overrides=None, tolerance=None, strict=False) -> SweepResult:
     """Run the scenario over a parameter grid; report sign crossings of signed residuals.
 
-    Each step gives the report `run` would give. The steps share one set of
-    point contexts (see `_run`): while the parameters that the component and
-    metric expressions read keep their values, each chunk of sample points is
-    lifted once, and its p-independent terms and its cmc_proper_p rows are
-    computed once, for the whole sweep; a step evaluates only the checks that
-    read p. The sample points are drawn once, and again only at a step that
-    changes a parameter the exclude expressions read. The contexts live only
-    for this call.
+    Each step gives the report `run` would give. Unless a component, metric
+    or exclude expression reads `param`, the steps share their sample points,
+    drawn once, and their point contexts (see `_run`): each chunk of sample
+    points is lifted once, and its p-independent terms and its cmc_proper_p
+    rows are computed once, for the whole sweep; a step evaluates only the
+    checks that read p. Otherwise each step is a `run`. The contexts live
+    only for this call.
 
     Crossing locations come from linear interpolation of the mean signed
-    normal residual between adjacent grid values; no root polishing.
+    normal residual between adjacent grid values, and a grid value where
+    that mean is zero is a crossing itself; no root polishing.
     """
     if param not in scenario.params:
         raise SchemaError("params", f"cannot sweep undeclared parameter {param!r}")
@@ -739,25 +712,21 @@ def sweep(scenario: Scenario, param: str, lo=None, hi=None, steps=None,
 
     reports = []
     means = {}
-    contexts = _SweepContexts()
+    # the first step's input errors come before any error in building the scenario
+    _run_params(scenario, {**(overrides or {}), param: values[0]}, tolerance)
+    shared = None if param in scenario._parsed()[2] else {}
     for v in values:
-        rep = _run(scenario, {**(overrides or {}), param: v}, tolerance, strict, contexts)
+        rep = _run(scenario, {**(overrides or {}), param: v}, tolerance, strict, shared)
         reports.append(rep)
         for check in scenario.checks:
             signed = [r.signed for r in rep.rows if r.check == check and r.signed is not None]
-            if signed:
-                means.setdefault(check, []).append(sum(signed) / len(signed))
-            else:
-                means.setdefault(check, []).append(None)
+            means.setdefault(check, []).append(sum(signed) / len(signed) if signed else None)
     crossings = []
     for check, series in means.items():
-        for k in range(len(values) - 1):
-            a, b = series[k], series[k + 1]
-            if a is None or b is None or math.isnan(a) or math.isnan(b):
-                continue
+        for k, (a, b) in enumerate(zip(series, series[1:] + [None])):
             if a == 0.0:
                 crossings.append({"check": check, "param": param, "value": values[k]})
-            elif a * b < 0.0:
+            elif a is not None and b is not None and a * b < 0.0:  # False for a NaN
                 t = a / (a - b)
                 crossings.append({"check": check, "param": param,
                                   "value": values[k] + t * (values[k + 1] - values[k])})

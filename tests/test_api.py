@@ -9,6 +9,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -110,32 +111,57 @@ def _assigned(tree, name):
                  and any(getattr(t, "id", None) == name for t in node.targets)), None)
 
 
-def _identifiers(tree, outside=None) -> set:
-    """Every name and attribute name used in tree, except inside the node `outside`."""
-    skipped = set(map(id, ast.walk(outside))) if outside is not None else set()
-    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in skipped}
+def _identifiers(tree) -> Counter:
+    """How often each name and attribute name is used in tree."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
 
 
-def test_every_all_entry_is_used_outside_the_tests():
-    # the package itself (not the re-exports of its __init__) or the benchmark
-    # must use each exported name; a name only the tests reach is dead code
+def _package_uses():
+    """{path: `_identifiers`} of the pbh modules and the benchmark scripts, and
+    {path: syntax tree} of the pbh modules. The package itself (not the
+    re-exports of its __init__) or the benchmark must use each name: a name
+    only the tests reach is dead code."""
     modules = sorted((ROOT / "src" / "pbh").glob("*.py"))
     trees = {path: ast.parse(path.read_text())
              for path in [*modules, *sorted((ROOT / "perfbench").glob("*.py"))]
              if path.name != "__init__.py"}
+    return ({path: _identifiers(tree) for path, tree in trees.items()},
+            {path: tree for path, tree in trees.items() if path.parent.name == "pbh"})
+
+
+def _unused(uses, path, tree, names) -> list:
+    """The `names` of module `path` that no other tree uses, and its own tree
+    only inside the definition of that name."""
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    others = set().union(*(u for p, u in uses.items() if p != path))
+    return [f"{path.stem}.{name}" for name in names if name not in others
+            and uses[path][name] <= (_identifiers(defs[name])[name] if name in defs else 0)]
+
+
+def test_every_all_entry_is_used_outside_the_tests():
+    uses, modules = _package_uses()
     exported, unused = 0, []
-    for path in modules:
-        names = _assigned(trees[path], "__all__") if path in trees else None
-        if not names:
-            continue
-        exported += len(names)
-        defs = {node.name: node for node in trees[path].body
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-        others = set().union(*(_identifiers(t) for p, t in trees.items() if p != path))
-        unused += [f"{path.stem}.{name}" for name in names
-                   if name not in others | _identifiers(trees[path], defs.get(name))]
+    for path, tree in modules.items():
+        names = _assigned(tree, "__all__")
+        if names:
+            exported += len(names)
+            unused += _unused(uses, path, tree, names)
     assert exported > 0
+    assert unused == []
+
+
+def test_every_module_level_function_and_class_is_used_outside_the_tests():
+    # private names too: a helper that only its tests call is dead code
+    uses, modules = _package_uses()
+    defined, unused = 0, []
+    for path, tree in modules.items():
+        names = [node.name for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defined += len(names)
+        unused += _unused(uses, path, tree, names)
+    assert defined > 100
     assert unused == []
 
 

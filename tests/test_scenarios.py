@@ -257,8 +257,9 @@ class TestPointFailures:
         assert "no rows checked" in capsys.readouterr().err
 
 
-def _public_residual(check, obj, x, p):
-    """A report row's residual, recomputed from the float-point public wrappers."""
+def _public_residual(check, obj, x, p, part=None):
+    """A report row's residual, recomputed from the float-point public wrappers;
+    of an immersion check, `part` "normal" or "tangent" gives that norm alone."""
     imm = obj if isinstance(obj, Immersion) else None
     phi = imm.map if imm is not None else obj
 
@@ -284,20 +285,33 @@ def _public_residual(check, obj, x, p):
         return max(abs(tr - form_alg), abs(tr - form_div))
     if check == "theorem_2_3":
         scalar, tangent = theorem23_residuals(imm, x, p)
-        return max(abs(scalar), g_norm(tangent))
-    if check == "cmc_proper_p":
-        p = cmc_proper_p(imm, x).p_star
-    normal, tangent = theorem21_residuals(imm, x, p)
-    return max(h_norm(normal), g_norm(tangent))
+        norms = {"normal": abs(scalar), "tangent": g_norm(tangent)}
+    else:
+        if check == "cmc_proper_p":
+            p = cmc_proper_p(imm, x).p_star
+        normal, tangent = theorem21_residuals(imm, x, p)
+        norms = {"normal": h_norm(normal), "tangent": g_norm(tangent)}
+    return norms[part] if part else max(norms.values())
+
+
+# a graph over the induced metric whose mean curvature is not constant
+PARABOLOID = {
+    "schema": SCHEMA_VERSION, "name": "paraboloid", "kind": "immersion",
+    "source": {"dim": 2}, "target": {"dim": 3, "space_form": 0.0},
+    "components": ["x1", "x2", "0.3*x1^2 + 0.2*x1*x2 + 0.4*x2^2 + 0.1*x1"],
+    "params": {"p": 3.0},
+    "samples": {"box": [[-0.7, 0.7], [-0.7, 0.7]], "points_per_axis": 2},
+    "checks": ["theorem_2_1", "theorem_2_3"],
+}
 
 
 class TestEvaluationContexts:
     @pytest.mark.parametrize("name, p", [
         ("proper_pbh_cylinder", 2.0), ("proper_pbh_cylinder", 3.0),
         ("proper_pbh_cylinder", 4.0), ("small_hypersphere(2, 0.8)", 3.0),
-        ("inversion(3)", 2.0), ("inversion(3)", 3.0)])
+        ("inversion(3)", 2.0), ("inversion(3)", 3.0), ("paraboloid", 3.0)])
     def test_run_rows_equal_public_wrappers(self, name, p):
-        sc = builtin(name)
+        sc = Scenario.from_dict(PARABOLOID) if name == "paraboloid" else builtin(name)
         obj = sc.build({"p": p})
         rep = run(sc, overrides={"p": p})
         point_rows = [r for r in rep.rows if r.point]
@@ -305,6 +319,24 @@ class TestEvaluationContexts:
             [c for c in sc.checks if c != "energy_quadrature"])
         for r in point_rows:
             assert repr(r.residual) == repr(_public_residual(r.check, obj, r.point, p)), r
+        if name == "paraboloid":
+            # the tangential part decides a theorem_2_3 row, so a residual
+            # without it would differ
+            assert any(_public_residual("theorem_2_3", obj, x, p, part="tangent")
+                       > _public_residual("theorem_2_3", obj, x, p, part="normal")
+                       for x in sc.sample_points())
+
+    @pytest.mark.parametrize("a", [0.6, 0.8])
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
+    def test_signed_normal_residual_of_a_latitude_sphere(self, a, p):
+        # on the radius-a latitude m-sphere of the unit sphere (b^2 = 1 - a^2)
+        # the normal residual along H/|H| is m (b/a) ((p - 1) b^2/a^2 - 1)
+        m, b = 2, math.sqrt(1.0 - a * a)
+        rep = run(builtin(f"small_hypersphere({m}, {a})"), overrides={"p": p})
+        signed = [r.signed for r in rep.rows if r.check == "theorem_2_1"]
+        assert signed
+        assert signed == pytest.approx([m * (b / a) * ((p - 1.0) * b * b / (a * a) - 1.0)]
+                                       * len(signed), rel=0, abs=1e-10)
 
     def test_one_jet_lift_per_sample_point(self, monkeypatch):
         lifted = []
@@ -331,6 +363,26 @@ class TestSweep:
         assert crossings, "expected a sign crossing of the normal residual"
         assert crossings[0]["value"] == pytest.approx(1.0 / b2, abs=0.1)
 
+    @pytest.mark.parametrize("series, zeros", [
+        ([-1.0, -0.5, 0.0], [2]), ([-1.0, 0.0, None], [1]), ([0.0, 1.0, 2.0], [0]),
+        ([0.0, -1.0, 0.0], [0, 2])])
+    def test_each_zero_mean_is_one_crossing_at_its_grid_value(self, monkeypatch, series,
+                                                              zeros):
+        # each step's mean signed residual is given; None: no signed rows
+        means = iter(series)
+
+        def step(scenario, overrides, tol, strict, _shared):
+            mean = next(means)
+            rows = [] if mean is None else [scenarios.CheckRow(
+                scenario.name, "theorem_2_1", overrides["p"], (), (0.0, 0.0), abs(mean),
+                False, mean)]
+            return scenarios.ResidualReport(scenario.name, 1e-7, rows, {})
+
+        monkeypatch.setattr(scenarios, "_run", step)
+        result = sweep(builtin("small_hypersphere(2, 0.8)"), "p", 2.0, 4.0, len(series))
+        assert result.crossings == [{"check": "theorem_2_1", "param": "p",
+                                     "value": result.values[k]} for k in zeros]
+
     def test_sweep_uses_declared_range(self):
         data = make_scenario_dict(params={"p": {"from": 2.0, "to": 3.0, "steps": 3}})
         sc = Scenario.from_dict(data)
@@ -340,6 +392,18 @@ class TestSweep:
     def test_sweep_undeclared_parameter(self):
         with pytest.raises(SchemaError):
             sweep(builtin("inversion(3)"), "zeta", 0.0, 1.0, 3)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"tolerance": -1.0}, "tolerance"), ({"overrides": {"zz": 1.0}}, "params"),
+        ({}, "source.metric[0][0]")])
+    def test_input_errors_come_before_the_chart_errors_of_a_scenario(self, kwargs, field):
+        # the metric is parsed only when the scenario is first built
+        sc = Scenario.from_dict(make_scenario_dict(
+            source={"dim": 2, "metric": [["x1 +", "0"], ["0", "1"]]}))
+        for call in (lambda: run(sc, **kwargs), lambda: sweep(sc, "p", 2.0, 3.0, 2, **kwargs)):
+            with pytest.raises(SchemaError) as err:
+                call()
+            assert err.value.field == field
 
     def test_sweep_csv_has_single_header(self):
         sc = builtin("inversion(3)")
@@ -454,9 +518,10 @@ class TestSharedSweepContexts:
             call()
             assert built == {x: 2 * calls for x in points}
 
-    def test_a_sweep_holds_the_contexts_of_one_point_set(self, monkeypatch):
-        # the exclude tree reads r: the steps draw other sample points, and
-        # the chunks held after each step are those of its own points
+    def test_a_sweep_shares_contexts_unless_a_tree_reads_its_parameter(self, monkeypatch):
+        # the exclude tree reads r: each step of an r sweep is a `run` on the
+        # points drawn at its own r; the steps of a p sweep share one holder,
+        # whose points and chunks are those the first step drew
         sc = Scenario.from_dict(make_scenario_dict(
             params={"p": 3.0, "r": 1.0}, checks=["p_harmonic", "p_biharmonic"],
             samples={"box": [[0.2, 1.0], [0.2, 1.0]], "points_per_axis": 3,
@@ -464,16 +529,21 @@ class TestSharedSweepContexts:
         held = []
         step_run = scenarios._run
 
-        def recording(scenario, overrides, tol, strict, contexts):
-            rep = step_run(scenario, overrides, tol, strict, contexts)
-            held.append((sorted(x for _key, chunk in contexts for x in chunk),
-                         sorted({r.point for r in rep.rows})))
+        def recording(scenario, overrides, tol, strict, shared):
+            rep = step_run(scenario, overrides, tol, strict, shared)
+            held.append((shared, sorted({r.point for r in rep.rows})))
             return rep
 
         monkeypatch.setattr(scenarios, "_run", recording)
         sweep(sc, "r", 0.4, 1.2, 41)
         assert len(held) == 41 and len({len(points) for _, points in held}) > 1
-        assert all(chunks == points for chunks, points in held)
+        assert all(shared is None for shared, _ in held)
+        held.clear()
+        sweep(sc, "p", 2.0, 4.0, 5)
+        shared, points = held[0]
+        assert len(held) == 5 and all(s is shared and ps == points for s, ps in held)
+        assert sorted(shared["points"]) == points
+        assert sorted(x for chunk in shared["chunks"] for x in chunk) == points
 
     def test_point_failures_repeat_at_every_step(self, tmp_path):
         sc = Scenario.from_dict(cusp_immersion_dict())
