@@ -51,7 +51,7 @@ class Expression:
 
     def diff(self, i: int) -> "Expression":
         """Exact partial derivative with respect to coordinate i (cached)."""
-        cache = getattr(self, "_dcache", None)
+        cache = self._dcache
         if cache is None:
             cache = self._dcache = {}
         d = cache.get(i)
@@ -233,7 +233,7 @@ class _Unary(Expression):
 
     def __init__(self, arg: Expression):
         self.arg = arg
-        self._once = None
+        self._once = self._dcache = None
 
     def _eval(self, coords, params, memo):
         if self._once:
@@ -313,7 +313,7 @@ class _Binary(Expression):
     def __init__(self, left: Expression, right: Expression):
         self.left = left
         self.right = right
-        self._once = None
+        self._once = self._dcache = None
 
     def _eval(self, coords, params, memo):
         if self._once:
@@ -390,7 +390,7 @@ class _Power(Expression):
             raise ExprSyntaxError(self.EXPONENT_ERROR, 0)
         self.arg = arg
         self.exponent = exponent
-        self._once = None
+        self._once = self._dcache = None
 
     def _eval(self, coords, params, memo):
         # the exponent first: an unbound parameter there raises before a

@@ -119,6 +119,15 @@ def _require_p(p, checks):
 
 def _chart_from_spec(spec: dict, field_name: str, params: dict,
                      declared: list) -> ChartMetric:
+    dim, c, comps = _chart_spec(spec, field_name, declared)
+    if comps is None:
+        return space_form_chart(c, dim).with_params(**params)
+    return ChartMetric(dim, comps, params=params)
+
+
+def _chart_spec(spec: dict, field_name: str, declared: list):
+    """(dim, curvature, metric expressions) of a valid chart spec: a space form
+    has no metric expressions (None), a metric no curvature (None)."""
     _require(isinstance(spec, dict), field_name, "must be an object")
     _require("dim" in spec, f"{field_name}.dim", "is required")
     dim = spec["dim"]
@@ -126,8 +135,7 @@ def _chart_from_spec(spec: dict, field_name: str, params: dict,
              "must be a positive integer")
     if "space_form" in spec:
         _require_finite(spec["space_form"], f"{field_name}.space_form")
-        c = spec["space_form"]
-        return space_form_chart(float(c), dim).with_params(**params)
+        return dim, float(spec["space_form"]), None
     _require("metric" in spec, field_name, "needs either 'space_form' or 'metric'")
     rows = spec["metric"]
     _require(isinstance(rows, list) and len(rows) == dim
@@ -142,7 +150,7 @@ def _chart_from_spec(spec: dict, field_name: str, params: dict,
             except PbhError as exc:
                 raise SchemaError(f"{field_name}.metric[{i}][{j}]", str(exc)) from exc
         comps.append(out)
-    return ChartMetric(dim, comps, params=params)
+    return dim, None, comps
 
 
 @dataclass
@@ -219,6 +227,10 @@ class Scenario:
             used |= e.params_used()
         missing = used - set(declared)
         _require(not missing, "params", f"unbound parameters {sorted(missing)}")
+        # checked now, built at the first run; an immersion's source may be a bare dim
+        if kind == "map" or "metric" in source_spec:
+            _chart_spec(source_spec, "source", declared)
+        _chart_spec(target_spec, "target", declared)
 
         samples = data.get("samples", {})
         _require(isinstance(samples, dict), "samples", "must be an object")

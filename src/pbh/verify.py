@@ -4,6 +4,12 @@ both from pytest and from `pbh verify-paper`.
 Each criterion function returns a :class:`CriterionResult`; `run_all` prints
 one pass/fail line per criterion. Tolerances are fixed here, not tunable.
 
+The corpus (`corpus_maps`, `corpus_immersions`, and the built-in scenarios
+whose `with_params` copies `cylinder_map` and `inversion_map` return) is built
+once per process and read by every criterion and pass. Built at each pass: the
+perturbed maps of the first variation, and the two `inversion(3)` runs of the
+byte-identical-report check, which is about independent builds.
+
 The point-wise criteria evaluate the sample points of one map or immersion as
 one batched point (see :mod:`pbh.jets`), lifted to the jet order their checks
 need, and read every p and both pipelines from it (`_point_floats`). A batch
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -57,48 +64,68 @@ class CriterionResult:
 # corpus
 # ---------------------------------------------------------------------- #
 
+@cache
+def _builtin(name: str):
+    """The built-in scenario `name`, parsed once; its builds are with_params copies."""
+    return builtin(name)
+
+
 def cylinder_map(p: float) -> SmoothMap:
-    return builtin("proper_pbh_cylinder").build({"p": p})
+    return _builtin("proper_pbh_cylinder").build({"p": p})
 
 
 def inversion_map(n: int, l: float) -> SmoothMap:
-    return builtin(f"inversion({n})").build({"l": l})
+    return _builtin(f"inversion({n})").build({"l": l})
 
 
 def corpus_maps():
     """(name, map or p->map factory, sample box) triples used by the stress criteria."""
+    return _corpus_maps()
+
+
+@cache
+def _corpus_maps():
     e2 = euclidean_chart(2)
     e3 = euclidean_chart(3)
     sphere2 = space_form_chart(1.0, 2)
     ball2 = space_form_chart(-1.0, 2)
-    entries = [
+    return (
         ("identity2",
          SmoothMap(e2, e2, [parse("x1", 2), parse("x2", 2)], name="identity2"),
-         [(0.4, 1.6)] * 2),
+         ((0.4, 1.6),) * 2),
         ("cubic2",
          SmoothMap(e2, e2, [parse("x1 + 0.1*x2^3 + 0.05*x1^2", 2),
                             parse("x2 - 0.07*x1^3 + 0.04*x1*x2", 2)], name="cubic2"),
-         [(0.4, 1.4)] * 2),
+         ((0.4, 1.4),) * 2),
         ("quadratic32",
          SmoothMap(e3, e2, [parse("x1 + 0.2*x2*x3", 3),
                             parse("x2 - 0.1*x1^2 + 0.1*x3^2", 3)], name="quadratic32"),
-         [(0.5, 1.5)] * 3),
+         ((0.5, 1.5),) * 3),
         ("curved_target",
          SmoothMap(e2, sphere2, [parse("x1 + 0.1*x2^2", 2),
                                  parse("x2 - 0.2*x1*x2", 2)], name="curved_target"),
-         [(0.3, 1.2)] * 2),
+         ((0.3, 1.2),) * 2),
         ("curved_source",
          SmoothMap(ball2, e2, [parse("x1 + 0.3*x2", 2),
                                parse("x1*x2 + 2", 2)], name="curved_source"),
-         [(0.4, 0.9)] * 2),
-        ("cylinder", cylinder_map, [(0.5, 2.0)] * 3),
-        ("inversion_critical_p3", inversion_map(3, 2.0), [(0.5, 2.0)] * 3),
-    ]
-    return entries
+         ((0.4, 0.9),) * 2),
+        ("cylinder", cylinder_map, ((0.5, 2.0),) * 3),
+        ("inversion_critical_p3", inversion_map(3, 2.0), ((0.5, 2.0),) * 3),
+    )
+
+
+# the latitude spheres of the corpus: (name, radius a)
+_SPHERES = (("sphere_a0.6", 0.6), ("sphere_critical", 1.0 / math.sqrt(2.0)),
+            ("sphere_a0.8", 0.8))
 
 
 def corpus_immersions():
     """(name, immersion, sample box) triples used by the submanifold criteria."""
+    return _corpus_immersions()
+
+
+@cache
+def _corpus_immersions():
     rho = 1.0
     t2 = "x1^2 + x2^2"
     hfac = f"{rho ** 2!r} * (1 - {rho ** 2 / 4.0!r})^(-2) * (1 + ({t2})/4)^(-2)"
@@ -109,19 +136,22 @@ def corpus_immersions():
          parse(f"{rho!r} * (1 - ({t2})/4) / (1 + ({t2})/4)", 2)],
         source_metric=[[parse(hfac, 2), Const(0.0)], [Const(0.0), parse(hfac, 2)]],
         name="hyperbolic_sphere")
-    entries = [
-        ("sphere_a0.6", small_hypersphere_immersion(2, 0.6), [(-0.6, 0.7)] * 2),
-        ("sphere_critical", small_hypersphere_immersion(2, 1.0 / math.sqrt(2.0)),
-         [(-0.6, 0.7)] * 2),
-        ("sphere_a0.8", small_hypersphere_immersion(2, 0.8), [(-0.6, 0.7)] * 2),
-        ("circle", circle_immersion(0.8), [(0.3, 2.8)]),
+    return (
+        *((name, small_hypersphere_immersion(2, a), ((-0.6, 0.7),) * 2)
+          for name, a in _SPHERES),
+        ("circle", circle_immersion(0.8), ((0.3, 2.8),)),
         ("paraboloid",
          graph_hypersurface_immersion(
              parse("0.3*x1^2 + 0.2*x1*x2 + 0.4*x2^2 + 0.1*x1", 2), 2, name="paraboloid"),
-         [(-0.7, 0.7)] * 2),
-        ("hyperbolic_sphere", hyper, [(-0.5, 0.6)] * 2),
-    ]
-    return entries
+         ((-0.7, 0.7),) * 2),
+        ("hyperbolic_sphere", hyper, ((-0.5, 0.6),) * 2),
+    )
+
+
+def _corpus(name: str):
+    """The corpus map (or factory) or immersion called `name`."""
+    return next(obj for table in (corpus_maps, corpus_immersions)
+                for entry, obj, _box in table() if entry == name)
 
 
 def _points(rng, box, count):
@@ -306,9 +336,9 @@ def criterion_small_hypersphere() -> CriterionResult:
 
     failures = []
     worst = 0.0
-    for a in (0.6, 1.0 / math.sqrt(2.0), 0.8):
+    for name, a in _SPHERES:
         b = math.sqrt(1.0 - a * a)
-        imm = small_hypersphere_immersion(m, a)
+        imm = _corpus(name)
         pts = _points(rng, [(-0.6, 0.7)] * m, 4)
         x = pts[0]
         result = cmc_proper_p(imm, x, sample_points=pts)
@@ -481,9 +511,7 @@ def criterion_first_variation() -> CriterionResult:
     Variations are chosen to pair non-trivially with tau_p, so the relative
     comparison is well-posed.
     """
-    e2 = euclidean_chart(2)
-    cubic = SmoothMap(e2, e2, [parse("x1 + 0.1*x2^3 + 0.05*x1^2", 2),
-                               parse("x2 - 0.07*x1^3 + 0.04*x1*x2", 2)], name="cubic2")
+    cubic = _corpus("cubic2")
     cases = [(cubic, [(0.4, 1.4)] * 2, 3.0, (0.8, 0.3)),
              (cubic, [(0.4, 1.4)] * 2, 2.0, (-0.4, 1.1)),
              (cylinder_map(3.0), [(0.7, 1.5)] * 3, 3.0, (0.5, -0.7))]
@@ -527,7 +555,7 @@ def criterion_infrastructure() -> CriterionResult:
         (space_form_chart(1.0, 3), [(-0.5, 0.5)] * 3),
         (space_form_chart(-1.0, 2), [(-0.6, 0.6)] * 2),
         (cylinder_map(3.0).source, [(0.5, 2.0)] * 3),
-        (small_hypersphere_immersion(2, 0.8).map.source, [(-0.6, 0.7)] * 2),
+        (_corpus("sphere_a0.8").map.source, [(-0.6, 0.7)] * 2),
     ]
     worst_compat = 0.0
     for chart, box in charts:

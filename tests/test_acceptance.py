@@ -6,6 +6,10 @@ is its own test. The printed
 `verify-paper` lines are also held to the ones the benchmark keeps in
 `perfbench/golden/paper.json` (read only), so a drift in a criterion's detail
 fails here and not only in the benchmark.
+
+The corpus maps and immersions are built once per process and kept by
+`pbh.verify`: later passes print the same lines and construct only the
+objects that stay fresh.
 """
 
 import json
@@ -13,9 +17,14 @@ from pathlib import Path
 
 import pytest
 
+from pbh import mapcalc, submanifold, verify
 from pbh.verify import CRITERIA, run_all
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "paper.json"
+
+# the parsed scenarios and the corpus that the criteria keep for the process
+VERIFY_CACHES = [fn for fn in vars(verify).values()
+                 if hasattr(fn, "cache_clear") and fn.__module__ == verify.__name__]
 
 
 @pytest.fixture(scope="module")
@@ -37,3 +46,41 @@ def test_verify_paper_output_equals_golden(results):
     golden = json.loads(GOLDEN.read_text())
     assert ([(r.name, r.passed, r.detail) for r in results.values()]
             == [(c["name"], c["passed"], c["detail"]) for c in golden])
+
+
+@pytest.fixture(scope="module")
+def passes():
+    """(printed lines, (SmoothMap, Immersion) constructions) of each of three
+    consecutive `run_all` calls, the first with the verify caches emptied."""
+    built = []
+    out = []
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in (mapcalc.SmoothMap, submanifold.Immersion):
+            def counting(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+                built.append(_cls)
+                _init(self, *args, **kwargs)
+            patch.setattr(cls, "__init__", counting)
+        for cache in VERIFY_CACHES:
+            cache.cache_clear()
+        for _ in range(3):
+            built.clear()
+            lines = []
+            run_all(lines.append)
+            out.append((lines, (built.count(mapcalc.SmoothMap),
+                                built.count(submanifold.Immersion))))
+    return out
+
+
+def test_consecutive_passes_print_the_golden_lines(passes):
+    golden = [f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}"
+              for c in json.loads(GOLDEN.read_text())]
+    golden.append(f"PASS overall: {len(golden)}/{len(golden)} criteria passed")
+    assert [lines for lines, _built in passes] == [golden] * 3
+
+
+def test_later_passes_build_only_the_fresh_objects(passes):
+    """The first pass builds the corpus (the inversion and cylinder scenarios
+    once each); every pass builds the two independent `inversion(3)` runs and
+    the six perturbed maps of the first variation, and no immersion after
+    the first."""
+    assert [counts for _lines, counts in passes] == [(21, 6), (8, 0), (8, 0)]

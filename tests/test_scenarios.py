@@ -61,6 +61,11 @@ class TestSchema:
         ({"samples": {"box": [[0.2, 1.0], [0.2, 1.0]]}}, "samples"),
         ({"params": {"p": "two"}}, "params.p"),
         ({"checks": ["theorem_2_1"]}, "checks"),
+        # the chart specs are checked at load, though the charts are built at a run
+        ({"source": {"dim": 2}}, "source"),
+        ({"source": {"dim": 2, "space_form": "flat"}}, "source.space_form"),
+        ({"target": {"dim": 2, "metric": [["1", "0"], ["0"]]}}, "target.metric"),
+        ({"target": {"dim": 2, "metric": [["1", "0"], ["0", "exp("]]}}, "target.metric[1][1]"),
     ])
     def test_rejection_names_offending_field(self, mutation, field):
         data = make_scenario_dict(**mutation)
@@ -394,16 +399,24 @@ class TestSweep:
             sweep(builtin("inversion(3)"), "zeta", 0.0, 1.0, 3)
 
     @pytest.mark.parametrize("kwargs, field", [
-        ({"tolerance": -1.0}, "tolerance"), ({"overrides": {"zz": 1.0}}, "params"),
-        ({}, "source.metric[0][0]")])
+        ({"tolerance": -1.0}, "tolerance"), ({"overrides": {"zz": 1.0}}, "params")])
     def test_input_errors_come_before_the_chart_errors_of_a_scenario(self, kwargs, field):
-        # the metric is parsed only when the scenario is first built
+        # a run's own inputs are checked before its charts are built
         sc = Scenario.from_dict(make_scenario_dict(
-            source={"dim": 2, "metric": [["x1 +", "0"], ["0", "1"]]}))
+            source={"dim": 2, "metric": [["1 + x1^2", "0"], ["0", "1"]]}))
         for call in (lambda: run(sc, **kwargs), lambda: sweep(sc, "p", 2.0, 3.0, 2, **kwargs)):
             with pytest.raises(SchemaError) as err:
                 call()
             assert err.value.field == field
+        assert "_base" not in vars(sc)
+
+    def test_a_metric_that_does_not_parse_is_an_error_at_load(self, tmp_path):
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps(make_scenario_dict(
+            source={"dim": 2, "metric": [["x1 +", "0"], ["0", "1"]]})))
+        with pytest.raises(SchemaError) as err:
+            load_scenario(str(path))
+        assert err.value.field == "source.metric[0][0]"
 
     def test_sweep_csv_has_single_header(self):
         sc = builtin("inversion(3)")

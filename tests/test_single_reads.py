@@ -7,6 +7,7 @@ import gc
 import weakref
 
 import pytest
+from test_acceptance import VERIFY_CACHES
 from test_scenarios import cusp_immersion_dict
 
 from pbh import expr, mapcalc, verify
@@ -25,7 +26,8 @@ CUSTOM_CHARTS = {
     "checks": ["p_harmonic", "p_biharmonic", "stress_divergence", "trace_identity",
                "energy_quadrature"]}
 
-# each builds its maps afresh, so a run marks its own trees
+# each builds its maps afresh (the criteria with the verify caches emptied
+# before and after), so a run marks its own trees
 WORKLOADS = {
     "custom_charts": lambda: run(Scenario.from_dict(CUSTOM_CHARTS)),
     "cylinder": lambda: [run(builtin("proper_pbh_cylinder"), overrides={"p": p})
@@ -61,8 +63,17 @@ def test_marking_computes_no_node_twice(name, monkeypatch, operation_counts):
         mark(roots)
         counts["single_use"] += sum(n._once is True for n in _inner_nodes(roots))
 
+    def fresh_run():
+        for cache in VERIFY_CACHES:
+            cache.cache_clear()
+        try:
+            WORKLOADS[name]()
+        finally:
+            for cache in VERIFY_CACHES:
+                cache.cache_clear()
+
     monkeypatch.setattr(mapcalc, "mark_reads", marking)
-    WORKLOADS[name]()
+    fresh_run()
     marked = counts["nodes"]
     assert counts["single_use"] > 0  # the marking did mark nodes single-use
 
@@ -73,7 +84,7 @@ def test_marking_computes_no_node_twice(name, monkeypatch, operation_counts):
 
     counts.reset()
     monkeypatch.setattr(mapcalc, "mark_reads", clearing)
-    WORKLOADS[name]()
+    fresh_run()
     assert counts["cleared"] > 0
     assert marked == counts["nodes"]
 
