@@ -117,9 +117,9 @@ def _require_p(p, checks):
         _require(p >= 2.0, "p", f"must be >= 2 for the checks {map_checks}, got {p!r}")
 
 
-def _chart_from_spec(spec: dict, field_name: str, params: dict,
-                     declared: list) -> ChartMetric:
-    dim, c, comps = _chart_spec(spec, field_name, declared)
+def _chart_from_spec(chart, params: dict) -> ChartMetric:
+    """The chart of a `_chart_spec` triple, bound to params."""
+    dim, c, comps = chart
     if comps is None:
         return space_form_chart(c, dim).with_params(**params)
     return ChartMetric(dim, comps, params=params)
@@ -227,10 +227,10 @@ class Scenario:
             used |= e.params_used()
         missing = used - set(declared)
         _require(not missing, "params", f"unbound parameters {sorted(missing)}")
-        # checked now, built at the first run; an immersion's source may be a bare dim
-        if kind == "map" or "metric" in source_spec:
-            _chart_spec(source_spec, "source", declared)
-        _chart_spec(target_spec, "target", declared)
+        # parsed now, assembled at the first build; None: an induced source metric
+        charts = (_chart_spec(source_spec, "source", declared)
+                  if kind == "map" or "metric" in source_spec else None,
+                  _chart_spec(target_spec, "target", declared))
 
         samples = data.get("samples", {})
         _require(isinstance(samples, dict), "samples", "must be an object")
@@ -273,11 +273,13 @@ class Scenario:
         for p in sweeps["p"][:2] if "p" in sweeps else [params.get("p", 2.0)]:
             _require_p(p, checks)
 
-        return Scenario(
+        sc = Scenario(
             name=name, kind=kind, source_spec=source_spec, target_spec=target_spec,
             component_text=list(comp_text), params=params, sweeps=sweeps, box=box,
             points_per_axis=ppa, random_points=rnd, seed=seed,
             exclude_text=list(exclude), checks=list(checks), tolerance=float(tol))
+        object.__setattr__(sc, "_charts", charts)
+        return sc
 
     def to_dict(self) -> dict:
         params = {}
@@ -335,26 +337,23 @@ class Scenario:
     # -- construction ------------------------------------------------------ #
     def _parsed(self):
         """(map or immersion, exclude trees, names of the parameters that the
-        component, metric and exclude trees read): parsed and assembled once;
-        later builds only rebind parameters."""
+        component, metric and exclude trees read): assembled once, around the
+        charts parsed at load; later builds only rebind parameters."""
         base = getattr(self, "_base", None)
         if base is not None:
             return base
         params = dict(self.params)
         declared = sorted(self.params.keys())
         m = self.source_spec["dim"]
-        target = _chart_from_spec(self.target_spec, "target", params, declared)
+        source, target = (None if chart is None else _chart_from_spec(chart, params)
+                          for chart in self._charts)
         components = [parse(t, m, declared) for t in self.component_text]
         if self.kind == "map":
-            source = _chart_from_spec(self.source_spec, "source", params, declared)
             obj = SmoothMap(source, target, components, params=params, name=self.name)
         else:
-            source_metric = None
-            if "metric" in self.source_spec:
-                chart = _chart_from_spec(self.source_spec, "source", params, declared)
-                source_metric = chart.components
             obj = Immersion(m, target, components, params=params,
-                            source_metric=source_metric, name=self.name)
+                            source_metric=None if source is None else source.components,
+                            name=self.name)
         exclude = [parse(t, m, declared) for t in self.exclude_text]
         phi = obj.map if isinstance(obj, Immersion) else obj
         trees = [*phi.components, *exclude, *(e for chart in (phi.source, phi.target)

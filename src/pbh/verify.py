@@ -149,9 +149,9 @@ def _corpus_immersions():
 
 
 def _corpus(name: str):
-    """The corpus map (or factory) or immersion called `name`."""
-    return next(obj for table in (corpus_maps, corpus_immersions)
-                for entry, obj, _box in table() if entry == name)
+    """(map or factory, or immersion; sample box) of the corpus entry `name`."""
+    return next((obj, box) for table in (corpus_maps, corpus_immersions)
+                for entry, obj, box in table() if entry == name)
 
 
 def _points(rng, box, count):
@@ -338,8 +338,8 @@ def criterion_small_hypersphere() -> CriterionResult:
     worst = 0.0
     for name, a in _SPHERES:
         b = math.sqrt(1.0 - a * a)
-        imm = _corpus(name)
-        pts = _points(rng, [(-0.6, 0.7)] * m, 4)
+        imm, box = _corpus(name)
+        pts = _points(rng, box, 4)
         x = pts[0]
         result = cmc_proper_p(imm, x, sample_points=pts)
         gaps = [abs(result.mean_curvature_norm - b / a),
@@ -511,9 +511,9 @@ def criterion_first_variation() -> CriterionResult:
     Variations are chosen to pair non-trivially with tau_p, so the relative
     comparison is well-posed.
     """
-    cubic = _corpus("cubic2")
-    cases = [(cubic, [(0.4, 1.4)] * 2, 3.0, (0.8, 0.3)),
-             (cubic, [(0.4, 1.4)] * 2, 2.0, (-0.4, 1.1)),
+    cubic, cubic_box = _corpus("cubic2")
+    cases = [(cubic, cubic_box, 3.0, (0.8, 0.3)),
+             (cubic, cubic_box, 2.0, (-0.4, 1.1)),
              (cylinder_map(3.0), [(0.7, 1.5)] * 3, 3.0, (0.5, -0.7))]
     worst = 0.0
     for phi, box, p, weights in cases:
@@ -551,11 +551,12 @@ def criterion_infrastructure() -> CriterionResult:
 
     # metric compatibility nabla g = 0 on a few charts
     rng2 = np.random.default_rng(109)
+    sphere, sphere_box = _corpus("sphere_a0.8")
     charts = [
         (space_form_chart(1.0, 3), [(-0.5, 0.5)] * 3),
         (space_form_chart(-1.0, 2), [(-0.6, 0.6)] * 2),
         (cylinder_map(3.0).source, [(0.5, 2.0)] * 3),
-        (_corpus("sphere_a0.8").map.source, [(-0.6, 0.7)] * 2),
+        (sphere.map.source, sphere_box),
     ]
     worst_compat = 0.0
     for chart, box in charts:

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from test_acceptance import VERIFY_CACHES
 
 from pbh import geometry, mapcalc, verify
 from pbh.expr import Add, Const, Coord, Mul, Param, Sin, parse, share_subtrees
@@ -19,7 +20,9 @@ BUILTINS = [("inversion(3)", {"l": 2.0, "p": 3.0}), ("proper_pbh_cylinder", {"p"
 
 
 def _objects():
-    """(name, map or immersion, box) of the corpora and the built-ins, built afresh."""
+    """(name, map or immersion, box) of the corpora and the built-ins. The
+    corpus is built once per process: `_unshared` empties the verify caches
+    to build it afresh."""
     out = [(name, phi(3.0) if callable(phi) else phi, box)
            for name, phi, box in verify.corpus_maps()]
     out += list(verify.corpus_immersions())
@@ -33,11 +36,17 @@ NAMES = [name for name, _obj, _box in _objects()]
 
 
 def _unshared(monkeypatch):
-    """_objects() built with sharing switched off."""
+    """_objects() built afresh with sharing switched off."""
     with monkeypatch.context() as m:
         for module in (geometry, mapcalc):
             m.setattr(module, "share_subtrees", list)
-        return _objects()
+        for cache in VERIFY_CACHES:
+            cache.cache_clear()
+        try:
+            return _objects()
+        finally:
+            for cache in VERIFY_CACHES:
+                cache.cache_clear()
 
 
 def _tables(obj):
