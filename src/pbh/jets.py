@@ -404,6 +404,15 @@ def partial(u, v: int):
     return 0.0
 
 
+def partial_value(u, v: int):
+    """value(partial(u, v)), read off u's table without the shift: its x_v coefficient."""
+    if not isinstance(u, JetScalar):
+        return 0.0
+    if not (0 <= v < u.space.nvars and u.space.order):
+        return value(u.partial(v))  # a bad seed index raises; order 0 has no x_v
+    return u._row(u.c[u.space._shift_src[v][0]])  # the row the shift moves to the base
+
+
 def _first(u, mask):
     """A batch's first entry where mask holds, as a float (a scalar u itself)."""
     return float(u[mask][0]) if isinstance(u, np.ndarray) else u

@@ -20,13 +20,13 @@ highest order of several readers serves all of them; p-dependent fields are
 computed once per point and p, the target curvature once per point. So are
 the products Gamma^N{}^a_{mu sigma} * dphi^mu_i that every Christoffel term of
 `sff` and `pullback_derivative` starts with (`_gamma_dphi`, p-independent, so
-kept across the steps of a sweep). The p-bitension's curvature term, like the
-kernels of :mod:`pbh.geometry`, multiplies through one memo per call, so its
-R * tau_p * dphi_i is multiplied for each index and i, not each (i, j). Structural
-zeros stay the float 0.0 at jet points (:mod:`pbh.jets`), so `ginv_terms` and
-`_gamma_dphi` drop the zeros of g^{-1} and Gamma^N there too. Hoisted
-products keep the left-to-right order and every sum its order, so each float
-equals the one the unhoisted loops give. The
+kept across the steps of a sweep). The p-bitension's third shift leaves only
+order 0 valid, so its curvature term and last trace multiply base values
+(floats, or (P,) arrays at a batched point), R * tau_p * dphi_i once per i.
+Structural zeros stay the float 0.0 at jet points (:mod:`pbh.jets`) and in
+those base values (`_times`); `ginv_terms` and `_gamma_dphi` drop them.
+Hoisted products keep the left-to-right order and every sum its order, so
+each float equals the one the unhoisted jet loops give. The
 functions `tension`, `p_tension` and `p_bitension` take a float point, lift
 it to their own minimum order and call the same reader. A MapPoint may also
 hold a batch of points (see :mod:`pbh.jets`), at any jet order;
@@ -40,15 +40,17 @@ chunk reader on top of it, `_read_points`.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache, reduce, wraps
+from operator import add
 
 import numpy as np
 
 from . import linalg
 from .errors import BatchSplit, JetOrderError, PbhError, SingularityError
 from .expr import Const, Expression, mark_reads, share_subtrees
-from .geometry import ChartMetric, _product_memo
-from .jets import JetScalar, any_entry, lift_point, partial, point_value, powr, sqrt, value
+from .geometry import ChartMetric
+from .jets import (JetScalar, any_entry, lift_point, partial, partial_value, point_value, powr,
+                   sqrt, value)
 
 __all__ = [
     "SmoothMap", "MapPoint", "tension", "p_tension", "p_bitension",
@@ -211,7 +213,7 @@ class MapPoint:
     def ginv_terms(self):
         """(i, j, g^{ij}) for the entries of g^{-1} that are not structurally zero."""
         return [(i, j, gij) for i, row in enumerate(self.ginv) for j, gij in enumerate(row)
-                if not (isinstance(gij, float) and gij == 0.0)]
+                if not _zero(gij)]
 
     @cached_property
     def gammaM(self):
@@ -241,7 +243,7 @@ class MapPoint:
         `pullback_derivative`, formed once per point."""
         n, gn, dphi = self.n, self.gammaN, self.dphi
         nonzero = [[(mu, sg, gn[a][mu][sg]) for mu, sg in itertools.product(range(n), repeat=2)
-                    if not (isinstance(gn[a][mu][sg], float) and gn[a][mu][sg] == 0.0)]
+                    if not _zero(gn[a][mu][sg])]
                    for a in range(n)]
         return [[[(sg, gam * dphi[mu][i]) for mu, sg, gam in row] for row in nonzero]
                 for i in range(self.m)]
@@ -358,26 +360,33 @@ class MapPoint:
         return out
 
     def trace_pullback_gradient(self, W):
-        """trace_g of the pull-back gradient of a dphi-indexed family W.
-
-        W[j] is a target vector (the one-form slot j); returns
-        g^{ij} [ nabla^phi_i W_j - Gamma^M{}^k_{ij} W_k ].
-        """
-        m, n = self.m, self.n
-        out = [0.0] * n
+        """g^{ij} [nabla^phi_i W_j - Gamma^M{}^k_{ij} W_k] for a dphi-indexed family
+        of target vectors W[j]. Its shift of W is the p-bitension's third, which leaves
+        only order 0 valid: it returns base values, with d_i W read off W's order 1."""
+        self._require_jets("trace_pullback_gradient")
+        w, gm = _base(W), _base(self.gammaM)
+        out = [0.0] * self.n
         for i, j, gij in self.ginv_terms:
-            cov = self.pullback_derivative(W[j], i)
-            for a in range(n):
-                corr = cov[a]
-                for k in range(m):
-                    corr = corr - self.gammaM[k][i][j] * W[k][a]
-                out[a] = out[a] + gij * corr
+            for a, row in enumerate(self._gamma_dphi[i]):
+                s = partial_value(W[j][a], i)
+                for sg, gam_dphi in row:
+                    s = s + _times(value(gam_dphi), w[j][sg])
+                for k in range(self.m):
+                    s = s - _times(gm[k][i][j], w[k][a])
+                out[a] = out[a] + _times(value(gij), s)
         return out
+
+    def lower_base(self, v):
+        """[h(v, dphi(d_i)) for each i] for a target vector v of base values, in base values."""
+        h, dphi, r = _base(self.h), _base(self.dphi), range(self.n)
+        return [_sum(_times(_times(h[a][b], v[a]), dphi[b][i]) for a in r for b in r)
+                for i in range(self.m)]
 
     # -- the p-bitension field --------------------------------------------- #
     @once_per_p
     def p_bitension(self, p: float):
-        """Euler-Lagrange field of the p-bienergy, as three trace terms."""
+        """Euler-Lagrange field of the p-bienergy, as three trace terms. A third shift
+        leaves only order 0 valid, so it returns base values: floats, or (P,) arrays."""
         self._require_jets("p_bitension")
         m, n = self.m, self.n
         taup = self.p_tension(p)
@@ -387,16 +396,15 @@ class MapPoint:
         # curvature term: -|dphi|^{p-2} g^{ij} R^N(tau_p, dphi_i) dphi_j
         result = [0.0] * n
         if self.map.target.space_form_c != 0.0:
-            # R^d_{al be ga} * taup^al * dphi^be_i is formed once per index and i
-            Rn, dphi, mul = self.target_curvature, self.dphi, _product_memo()
+            Rn, t, dphi = self.target_curvature, _base(taup), _base(self.dphi)
+            # [i][d]: (ga, R^d_{al be ga} * taup^al * dphi^be_i), formed once per i
+            rt = [[[(ga, _times(_times(value(Rn[d][al][be][ga]), t[al]), dphi[be][i]))
+                    for al, be, ga in itertools.product(range(n), repeat=3)
+                    if not _zero(Rn[d][al][be][ga])] for d in range(n)] for i in range(m)]
             for i, j, gij in self.ginv_terms:
-                for d in range(n):
-                    s = 0.0
-                    for al, be, ga in itertools.product(range(n), repeat=3):
-                        R = Rn[d][al][be][ga]
-                        if not (isinstance(R, float) and R == 0.0):
-                            s = s + mul(mul(R, taup[al]), dphi[be][i]) * dphi[ga][j]
-                    result[d] = result[d] - fac * gij * s
+                for d, row in enumerate(rt[i]):
+                    s = _sum(_times(r, dphi[ga][j]) for ga, r in row)
+                    result[d] = result[d] - _times(_times(value(fac), value(gij)), s)
 
         # second-order term: -trace_g nabla^phi |dphi|^{p-2} nabla^phi tau_p
         W = [[fac * dtaup[j][a] for a in range(n)] for j in range(m)]
@@ -413,6 +421,26 @@ class MapPoint:
             for a in range(n):
                 result[a] = result[a] - (p - 2.0) * tr3[a]
         return result
+
+
+def _zero(u) -> bool:
+    """A structural zero: the float 0.0 (:mod:`pbh.jets`)."""
+    return isinstance(u, float) and u == 0.0
+
+
+def _times(a, b):
+    """a * b of base values; a structural zero factor gives the float 0.0, as at jet points."""
+    return 0.0 if _zero(a) or _zero(b) else a * b
+
+
+def _sum(terms):
+    """0.0 + t1 + t2 + ... left to right, as the jet loops add (no compensated float sum)."""
+    return reduce(add, terms, 0.0)
+
+
+def _base(t):
+    """The base values of a nested list of float-or-jet scalars."""
+    return [_base(u) for u in t] if isinstance(t, list) else value(t)
 
 
 # ---------------------------------------------------------------------- #

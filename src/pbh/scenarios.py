@@ -398,11 +398,13 @@ class ResidualReport:
         return bool(self.rows) and all(r.passed for r in self.rows)
 
     def summary(self) -> dict:
+        """The verdict, and per check its pass flag and largest non-NaN residual (NaN if none)."""
         checks = {}
         for r in self.rows:
-            entry = checks.setdefault(r.check, {"max_residual": 0.0, "pass": True})
+            entry = checks.setdefault(r.check, {"max_residual": math.nan, "pass": True})
             if not math.isnan(r.residual):
-                entry["max_residual"] = max(entry["max_residual"], r.residual)
+                worst = entry["max_residual"]
+                entry["max_residual"] = max(0.0 if math.isnan(worst) else worst, r.residual)
             entry["pass"] = entry["pass"] and r.passed
         return {"verdict": "pass" if self.verdict else "fail", "checks": checks,
                 **({"extras": self.extras} if self.extras else {})}
@@ -430,11 +432,14 @@ class ResidualReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        summary = self.summary()
+        for entry in summary["checks"].values():
+            entry["max_residual"] = _json_float(entry["max_residual"])
         doc = {
             "schema": SCHEMA_VERSION,
             "scenario": self.scenario,
             "tolerance": self.tolerance,
-            "summary": self.summary(),
+            "summary": summary,
             "rows": [
                 {"check": r.check, "p": r.p, "params": dict(r.params),
                  "point": list(r.point), "residual": _json_float(r.residual),

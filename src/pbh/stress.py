@@ -81,9 +81,7 @@ def stress_divergence_sides(mp: MapPoint, p: float):
     point (3 shifts); arrays of shape (P,) at a batched point."""
     S = _stress_matrix(mp, p)[0]
     lhs = [value(s) for s in divergence_2tensor_at(mp.ginv, mp.gammaM, S)]
-    tau2p = mp.p_bitension(p)
-    rhs = [value(-mp.h_inner(tau2p, col)) for col in mp.dphi_cols]
-    return lhs, rhs
+    return lhs, [-v for v in mp.lower_base(mp.p_bitension(p))]
 
 
 def divergence_gap(lhs, rhs) -> float:

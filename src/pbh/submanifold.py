@@ -257,10 +257,8 @@ class ImmersionPoint:
         components t with tangential part = dphi(t))."""
         mp = self.mp
         tau2p = mp.p_bitension(p)
-        low = [mp.h_inner(tau2p, col) for col in mp.dphi_cols]
-        t = [value(v) for v in mp.grad_scalar(low)]
-        pushed = mp.push(t)
-        normal = [value(tau2p[a]) - value(pushed[a]) for a in range(self.n)]
+        t = [value(v) for v in mp.grad_scalar(mp.lower_base(tau2p))]
+        normal = [b - value(v) for b, v in zip(tau2p, mp.push(t))]
         return normal, t
 
     # -- residual systems ------------------------------------------------- #

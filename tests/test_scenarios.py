@@ -675,6 +675,20 @@ class TestCli:
         assert "NaN" not in out
         assert "inversion(3): p_harmonic: pass (max residual " in out
 
+    def test_a_check_whose_rows_are_all_nan_has_a_nan_max_residual(self, tmp_path, capsys):
+        # p = 1e308 overflows every field of the cylinder
+        out = tmp_path / "report.json"
+        assert cli_main(["run", "proper_pbh_cylinder", "--p", "1e308",
+                         "--out", str(out), "--format", "json"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("proper_pbh_cylinder: p_biharmonic: FAIL "
+                            "(max residual nan, 8 of 8 rows NaN)")
+        text = out.read_text()
+        assert "NaN" not in text
+        checks = json.loads(text)["summary"]["checks"]
+        assert len(checks) == 3
+        assert all(entry["max_residual"] is None for entry in checks.values())
+
     def test_bad_set_syntax(self, capsys):
         assert cli_main(["run", "inversion(3)", "--set", "l"]) == 2
 

@@ -202,14 +202,14 @@ def test_jet_products_and_node_evaluations_stay_within_budget(operation_counts):
     each time its class applies its `OPERATION`."""
     counts = operation_counts
     assert criterion_bitension_cross_check().passed
-    assert counts["products"] <= 11_609
+    assert counts["products"] <= 5_050
     counts.reset()
     assert verify.criterion_infrastructure().passed
     assert counts["products"] <= 3_384
     assert counts["nodes"] <= 73_612
     counts.reset()
     assert len(run_scenario(builtin("proper_pbh_cylinder"), {"p": 3.0}).rows) == 24
-    assert counts["products"] <= 200
+    assert counts["products"] <= 170
 
 
 def _object_and_points(name, p):
