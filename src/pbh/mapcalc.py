@@ -90,8 +90,8 @@ class SmoothMap:
         mark_reads(_roots([tgt.components, tgt.dg, tgt.d2g]))
 
     def with_params(self, **updates) -> "SmoothMap":
-        """Copy with rebound parameters; trees, tables and their marks are shared."""
-        phi = object.__new__(SmoothMap)
+        """Copy, of the same class, with rebound parameters; trees, tables and marks shared."""
+        phi = object.__new__(type(self))
         phi.__dict__.update(self.__dict__)  # copy.copy's result at a quarter of its cost
         phi.params = {**self.params, **updates}
         if phi.params:
@@ -534,10 +534,10 @@ def replay_chunks(items, batched, single):
     If it raises (a point failure, a floating-point exception, a BatchSplit)
     or returns None, each half of the chunk is tried the same way in turn,
     down to single items. single(item) evaluates one item without a batch
-    axis: it is the unbatched path, and a chunk of one item goes to it
-    directly. Results and exceptions are those of a per-item loop, in item
-    order; a chunk with one bad item late in it costs about 2 log2(size)
-    batched attempts instead of size single ones.
+    axis, under np.errstate(all="ignore"): it is the unbatched path, and a
+    chunk of one item goes to it directly. Results and exceptions are those
+    of a per-item loop, in item order; a chunk with one bad item late in it
+    costs about 2 log2(size) batched attempts instead of size single ones.
     """
     for start in range(0, len(items), _CHUNK):
         yield from _halving(items[start:start + _CHUNK], batched, single)
@@ -548,7 +548,9 @@ def _halving(chunk, batched, single) -> list:
     each half in turn. (At module level: a closure calling itself would be a
     reference cycle holding every run's contexts until the cyclic GC runs.)"""
     if len(chunk) == 1:
-        return [single(chunk[0])]
+        # unbatched, overflow gives inf and invalid gives NaN silently, as with floats
+        with np.errstate(all="ignore"):
+            return [single(chunk[0])]
     try:
         with np.errstate(all="raise", under="ignore"):
             results = batched(chunk)
@@ -563,7 +565,7 @@ def _halving(chunk, batched, single) -> list:
 
 def _require_in_domain(obj, points, what: str):
     """Raise SingularityError at the first of `points` outside the source domain of `obj`."""
-    source = getattr(obj, "map", obj).source
+    source = obj.source
     for x in points:
         if not source.contains(x):
             raise SingularityError(f"{what} outside source domain", point=x)
@@ -572,7 +574,7 @@ def _require_in_domain(obj, points, what: str):
 def _read_points(obj, points, order, read):
     """Yield one result per point, in order, read from the points in batched chunks.
 
-    obj is a SmoothMap or an Immersion. A chunk is one batched point X (one
+    obj is a SmoothMap (an Immersion is one). A chunk is one batched point X (one
     point alone is the unbatched point X), and read(obj.at(X lifted to `order`;
     0: floats), X, size) returns the results of its `size` points. Every point
     of a chunk is checked against the source domain before any is evaluated;

@@ -67,7 +67,7 @@ from .jets import lift_point, value
 from .mapcalc import (SmoothMap, _entries, _require_in_domain, _split, _stack,
                       p_bienergy_box, p_energy_box, replay_chunks)
 from .stress import _scaled_divergence_gap, stress_divergence_sides, trace_identity_at
-from .submanifold import Immersion, ImmersionPoint, _latitude_sphere_text
+from .submanifold import Immersion, _latitude_sphere_text
 
 SCHEMA_VERSION = "pbh/1"
 
@@ -355,8 +355,7 @@ class Scenario:
                             source_metric=None if source is None else source.components,
                             name=self.name)
         exclude = [parse(t, m, declared) for t in self.exclude_text]
-        phi = obj.map if isinstance(obj, Immersion) else obj
-        trees = [*phi.components, *exclude, *(e for chart in (phi.source, phi.target)
+        trees = [*obj.components, *exclude, *(e for chart in (obj.source, obj.target)
                                               for row in chart.components for e in row)]
         base = (obj, exclude, set().union(*(e.params_used() for e in trees)))
         object.__setattr__(self, "_base", base)
@@ -480,29 +479,26 @@ def _check_results(check, jet, flts, p, tol) -> list:
     a row does not depend on the batch its point was evaluated in.
     """
     size = len(flts)
-    imm = isinstance(jet, ImmersionPoint)
-    mp = jet.mp if imm else jet
-    fmps = [f.mp for f in flts] if imm else flts
     signed, extras = [None] * size, [{}] * size
     if check == "p_harmonic":
         # at p = 2 the p-tension is the tension, a float reader
-        vecs = ([_values(f.p_tension(p)) for f in fmps] if p == 2.0
-                else _split(mp.p_tension(p), size))
-        res = [_norm(f.h, v) for f, v in zip(fmps, vecs)]
+        vecs = ([_values(f.p_tension(p)) for f in flts] if p == 2.0
+                else _split(jet.p_tension(p), size))
+        res = [_norm(f.h, v) for f, v in zip(flts, vecs)]
     elif check == "p_biharmonic":
-        res = [_norm(f.h, v) for f, v in zip(fmps, _split(mp.p_bitension(p), size))]
+        res = [_norm(f.h, v) for f, v in zip(flts, _split(jet.p_bitension(p), size))]
     elif check == "stress_divergence":
-        sides = zip(*(_split(side, size) for side in stress_divergence_sides(mp, p)))
+        sides = zip(*(_split(side, size) for side in stress_divergence_sides(jet, p)))
         res = [_scaled_divergence_gap(lhs, rhs) for lhs, rhs in sides]
     elif check == "trace_identity":
-        tr, _, form_alg, form_div = trace_identity_at(mp, p)
+        tr, _, form_alg, form_div = trace_identity_at(jet, p)
         res = [max(abs(t - a), abs(t - d)) for t, a, d in
                zip(*(_entries(v, size) for v in (tr, form_alg, form_div)))]
     elif check == "theorem_2_3":
         scalar, tangent = jet.hypersurface_residuals(p)
         signed = _entries(value(scalar), size)
         res = [max(abs(s), _norm(f.g, t))
-               for s, f, t in zip(signed, fmps, _split(tangent, size))]
+               for s, f, t in zip(signed, flts, _split(tangent, size))]
     else:  # theorem_2_1, and cmc_proper_p at the p it solves for
         if check == "cmc_proper_p":
             solved = [f.proper_p for f in flts]
@@ -510,13 +506,13 @@ def _check_results(check, jet, flts, p, tol) -> list:
             # one p per point: an array of shape (P,) at a batched point
             p = solved[0].p_star if size == 1 else np.array([r.p_star for r in solved])
         normal, tangent = (_split(v, size) for v in jet.general_residuals(p))
-        res = [max(_norm(f.h, n), _norm(f.g, t)) for f, n, t in zip(fmps, normal, tangent)]
+        res = [max(_norm(f.h, n), _norm(f.g, t)) for f, n, t in zip(flts, normal, tangent)]
         if check == "theorem_2_1":  # projection of the normal residual on H/|H|
             for e, (fip, n) in enumerate(zip(flts, normal)):
                 h2 = value(fip.mean_curvature_norm2)
                 if h2 > 1e-18:
                     H = _values(fip.mean_curvature)
-                    signed[e] = value(fip.mp.h_inner(n, H)) / math.sqrt(h2)
+                    signed[e] = value(fip.h_inner(n, H)) / math.sqrt(h2)
     return [(r, r < tol, s, x) for r, s, x in zip(res, signed, extras)]
 
 
@@ -583,7 +579,7 @@ class _ChunkContexts:
 
     def forget_scratch(self):
         for c in self.flts if self._jet is None else [*self.flts, self._jet]:
-            (c.mp if isinstance(c, ImmersionPoint) else c).forget_scratch()
+            c.forget_scratch()
 
 
 def _run(scenario, overrides, tolerance, strict, shared) -> ResidualReport:
@@ -600,7 +596,6 @@ def _run(scenario, overrides, tolerance, strict, shared) -> ResidualReport:
     params, tol = _run_params(scenario, overrides, tolerance)
     p = params.get("p", 2.0)
     obj = scenario.build(params)
-    phi = obj.map if isinstance(obj, Immersion) else obj
     if shared is None:
         points, chunks = scenario.sample_points(params), None
     else:
@@ -658,8 +653,8 @@ def _run(scenario, overrides, tolerance, strict, shared) -> ResidualReport:
         ctx.forget_scratch()
     if "energy_quadrature" in scenario.checks:
         try:
-            ep = p_energy_box(phi, scenario.box, p, order=QUADRATURE_ORDER)
-            e2p = p_bienergy_box(phi, scenario.box, p, order=QUADRATURE_ORDER)
+            ep = p_energy_box(obj, scenario.box, p, order=QUADRATURE_ORDER)
+            e2p = p_bienergy_box(obj, scenario.box, p, order=QUADRATURE_ORDER)
             extras["energy_quadrature"] = {"E_p": ep, "E_2p": e2p}
             rows.append(CheckRow(scenario.name, "energy_quadrature", p, row_params,
                                  (), e2p, e2p < tol))

@@ -1,6 +1,7 @@
 """Extrinsic geometry of isometric immersions into space forms.
 
-`ImmersionPoint` (`Immersion.at`) holds the per-point extrinsic data: the
+An `Immersion` is its inclusion map, a `SmoothMap`, and its point context
+`ImmersionPoint` (`Immersion.at`) a `MapPoint` with the extrinsic data: the
 tangent and normal frames, the second fundamental form, shape operators, mean
 curvature, the normal connection and normal Laplacian, and the residuals of
 the coupled normal/tangential systems characterizing p-biharmonic
@@ -25,7 +26,7 @@ from .errors import DomainError, RankDeficiencyError
 from .expr import Const, Expression, parse
 from .geometry import ChartMetric, space_form_chart
 from .jets import any_entry, lift_point, partial, point_value, same_in_every_entry, sqrt, value
-from .mapcalc import SmoothMap, share_with_metric
+from .mapcalc import MapPoint, SmoothMap, share_with_metric
 
 __all__ = [
     "Immersion", "ImmersionPoint", "theorem21_residuals", "theorem23_residuals",
@@ -54,8 +55,9 @@ def pullback_metric_components(ambient: ChartMetric, components, source_dim: int
     return pull
 
 
-class Immersion:
-    """An isometric immersion of an m-chart into an n-dimensional ambient chart.
+class Immersion(SmoothMap):
+    """An isometric immersion of an m-chart into an n-dimensional ambient
+    chart, as the `SmoothMap` of the inclusion.
 
     The source chart carries the induced (pull-back) metric unless an
     equivalent metric is supplied explicitly; `isometry_defect` measures the
@@ -73,27 +75,19 @@ class Immersion:
         components = share_with_metric(source.components if source else [], components)
         self.pullback_components = pullback_metric_components(ambient, components, source_dim)
         source = source or ChartMetric(source_dim, self.pullback_components, params=params)
-        self.map = SmoothMap(source, ambient, components, params=params, name=name)
-        self.name = name
-
-    def with_params(self, **updates) -> "Immersion":
-        """Copy with rebound parameters; trees and derivative tables are shared."""
-        imm = object.__new__(Immersion)
-        imm.__dict__.update(self.__dict__)  # copy.copy's result at a quarter of its cost
-        imm.map = self.map.with_params(**updates)
-        return imm
+        super().__init__(source, ambient, components, params=params, name=name)
 
     @property
     def m(self):
-        return self.map.source.dim
+        return self.source.dim
 
     @property
     def n(self):
-        return self.map.target.dim
+        return self.target.dim
 
     @property
     def ambient_curvature(self) -> float:
-        c = self.map.target.space_form_c
+        c = self.target.space_form_c
         if c is None:
             raise DomainError("ambient chart is not tagged as a space form")
         return c
@@ -104,9 +98,9 @@ class Immersion:
     def isometry_defect(self, points) -> float:
         """Max componentwise gap between the declared source metric and the pull-back."""
         worst = 0.0
-        params = self.map.params
+        params = self.params
         for x in points:
-            g = self.map.source.metric_at(tuple(x))
+            g = self.source.metric_at(tuple(x))
             for i in range(self.m):
                 for j in range(self.m):
                     pb = self.pullback_components[i][j].evaluate(tuple(x), params)
@@ -117,34 +111,31 @@ class Immersion:
         return f"Immersion({self.name or 'unnamed'}: {self.m} -> {self.n})"
 
 
-class ImmersionPoint:
-    """Per-point extrinsic data; generic over float-or-jet points."""
+class ImmersionPoint(MapPoint):
+    """The `MapPoint` of an immersion, with its per-point extrinsic data;
+    generic over float-or-jet points."""
 
     def __init__(self, immersion: Immersion, X):
-        self.immersion = immersion
-        self.mp = immersion.map.at(tuple(X))
-        self.m = immersion.m
-        self.n = immersion.n
+        super().__init__(immersion, X)
         self.k = immersion.codim
 
     @cached_property
     def frames(self):
         """(tangent frame, normal frame): Gram-Schmidt over dphi columns then ambient axes."""
-        mp = self.mp
-        candidates = [[mp.dphi[a][i] for a in range(self.n)] for i in range(self.m)]
+        candidates = [[self.dphi[a][i] for a in range(self.n)] for i in range(self.m)]
         candidates += [[1.0 if a == e else 0.0 for a in range(self.n)] for e in range(self.n)]
         basis = []
         for idx, v in enumerate(candidates):
             u = list(v)
             for b in basis:
-                c = mp.h_inner(u, b)
+                c = self.h_inner(u, b)
                 u = [ui - c * bi for ui, bi in zip(u, b)]
-            n2 = mp.h_inner(u, u)
-            scale = value(mp.h_inner(v, v))
+            n2 = self.h_inner(u, u)
+            scale = value(self.h_inner(v, v))
             if same_in_every_entry(value(n2) <= _PIVOT_REL_TOL * np.maximum(scale, 1.0)):
                 if idx < self.m:
                     raise RankDeficiencyError(
-                        f"differential drops rank at {point_value(self.mp.X)}")
+                        f"differential drops rank at {point_value(self.X)}")
                 continue
             basis.append([ui * (1.0 / sqrt(n2)) for ui in u])
             if len(basis) == self.n:
@@ -163,17 +154,16 @@ class ImmersionPoint:
 
     def normal_projection(self, V):
         """Component of an ambient vector orthogonal to the tangent space."""
-        mp = self.mp
         out = list(V)
         for t in self.tangent_frame:
-            c = mp.h_inner(V, t)
+            c = self.h_inner(V, t)
             out = [o - c * ti for o, ti in zip(out, t)]
         return out
 
     def sff_pairing(self, xi):
         """[h((nabla dphi)(d_i, d_j), xi)]_ij for an ambient vector xi."""
-        mp, n = self.mp, self.n
-        return [[mp.h_inner([mp.sff[a][i][j] for a in range(n)], xi) for j in range(self.m)]
+        sff, n = self.sff, self.n
+        return [[self.h_inner([sff[a][i][j] for a in range(n)], xi) for j in range(self.m)]
                 for i in range(self.m)]
 
     @cached_property
@@ -183,13 +173,12 @@ class ImmersionPoint:
 
     def shape_matrix(self, xi):
         """Matrix of A_xi: g(A_xi d_i, d_j) = h(B(d_i, d_j), xi)."""
-        return linalg.solve(self.mp.g, self.sff_pairing(xi))
+        return linalg.solve(self.g, self.sff_pairing(xi))
 
     @cached_property
     def mean_curvature_frame(self):
         """H^a = (1/m) g^{ij} B^a_ij."""
-        mp = self.mp
-        return [sum((mp.ginv[i][j] * B[i][j] for i in range(self.m) for j in range(self.m)), 0.0)
+        return [sum((self.ginv[i][j] * B[i][j] for i in range(self.m) for j in range(self.m)), 0.0)
                 * (1.0 / self.m)
                 for B in self.second_fundamental]
 
@@ -205,11 +194,11 @@ class ImmersionPoint:
 
     @cached_property
     def mean_curvature_norm2(self):
-        return self.mp.h_inner(self.mean_curvature, self.mean_curvature)
+        return self.h_inner(self.mean_curvature, self.mean_curvature)
 
     def nabla_perp(self, i, V):
         """Normal connection: normal projection of the pull-back derivative."""
-        return self.normal_projection(self.mp.pullback_derivative(V, i))
+        return self.normal_projection(self.pullback_derivative(V, i))
 
     @cached_property
     def nabla_perp_H(self):
@@ -220,13 +209,12 @@ class ImmersionPoint:
     @cached_property
     def laplacian_perp_H(self):
         """Rough normal Laplacian g^{ij}(nabla_perp_i nabla_perp_j - Gamma-corrected) H."""
-        mp = self.mp
         W = self.nabla_perp_H
         out = [0.0] * self.n
-        for i, j, gij in mp.ginv_terms:
+        for i, j, gij in self.ginv_terms:
             term = self.nabla_perp(i, W[j])
             for k in range(self.m):
-                gam = mp.gammaM[k][i][j]
+                gam = self.gammaM[k][i][j]
                 term = [t - gam * wk for t, wk in zip(term, W[k])]
             for al in range(self.n):
                 out[al] = out[al] + gij * term[al]
@@ -238,7 +226,7 @@ class ImmersionPoint:
         if self.k != 1:
             raise DomainError("proper-p computation needs a hypersurface")
         m = self.m
-        c = self.immersion.ambient_curvature
+        c = self.map.ambient_curvature
         h2 = value(self.mean_curvature_norm2)
         if h2 <= 0.0:
             raise DomainError("zero mean curvature: no proper p exists")
@@ -255,10 +243,9 @@ class ImmersionPoint:
         """Normal / tangential decomposition of the p-bitension of the inclusion
         (3 shifts). Returns floats: (normal ambient components, tangential source
         components t with tangential part = dphi(t))."""
-        mp = self.mp
-        tau2p = mp.p_bitension(p)
-        t = [value(v) for v in mp.grad_scalar(mp.lower_base(tau2p))]
-        normal = [b - value(v) for b, v in zip(tau2p, mp.push(t))]
+        tau2p = self.p_bitension(p)
+        t = [value(v) for v in self.grad_scalar(self.lower_base(tau2p))]
+        normal = [b - value(v) for b, v in zip(tau2p, self.push(t))]
         return normal, t
 
     # -- residual systems ------------------------------------------------- #
@@ -267,12 +254,12 @@ class ImmersionPoint:
     # once; a term that raises is not cached and raises again when read.
     def trace_B_shape_H(self):
         """trace_g B(., A_H(.)) as an ambient (normal) vector."""
-        mp, r = self.mp, range(self.m)
+        ginv, r = self.ginv, range(self.m)
         M = self.shape_matrix(self.mean_curvature)
         out = [0.0] * self.n
         for a, xi in enumerate(self.normal_frame):
             B = self.second_fundamental[a]
-            coeff = sum((mp.ginv[i][j] * M[k][j] * B[i][k] for i in r for j in r for k in r), 0.0)
+            coeff = sum((ginv[i][j] * M[k][j] * B[i][k] for i in r for j in r for k in r), 0.0)
             for al in range(self.n):
                 out[al] = out[al] + coeff * xi[al]
         return out
@@ -280,17 +267,17 @@ class ImmersionPoint:
     def grad_H_norm2(self):
         """grad^M |H|^2 as a source vector (one jet shift)."""
         h2 = self.mean_curvature_norm2
-        return self.mp.grad_scalar([partial(h2, j) for j in range(self.m)])
+        return self.grad_scalar([partial(h2, j) for j in range(self.m)])
 
     @cached_property
     def _general_terms(self):
         """(trace_g B(., A_H(.)), trace_g A_{nabla_perp H}, grad^M |H|^2)."""
-        mp, m = self.mp, self.m
+        m = self.m
         trB = self.trace_B_shape_H()
         W = self.nabla_perp_H
         trA = [0.0] * m
         A_W = [self.shape_matrix(W[i]) for i in range(m)]
-        for i, j, gij in mp.ginv_terms:
+        for i, j, gij in self.ginv_terms:
             for k in range(m):
                 trA[k] = trA[k] + gij * A_W[i][k][j]
         return trB, trA, self.grad_H_norm2()
@@ -298,7 +285,7 @@ class ImmersionPoint:
     def general_residuals(self, p: float):
         """Normal and tangential residuals of the general p-biharmonic system."""
         m = self.m
-        c = self.immersion.ambient_curvature
+        c = self.map.ambient_curvature
         H = self.mean_curvature
         h2 = self.mean_curvature_norm2
         lap = self.laplacian_perp_H
@@ -313,13 +300,13 @@ class ImmersionPoint:
     def _hypersurface_terms(self):
         """(|H|, |A|^2, -h(Laplacian_perp H, eta), grad |H|, A(grad |H|)) for
         eta = H / |H| and A = A_eta; needs |H| > 0."""
-        mp, m = self.mp, self.m
+        m = self.m
         hnorm = sqrt(self.mean_curvature_norm2)
         eta = [Hc / hnorm for Hc in self.mean_curvature]
         A = self.shape_matrix(eta)
         A2 = sum((A[i][j] * A[j][i] for i in range(m) for j in range(m)), 0.0)
-        neg_lap_eta = -mp.h_inner(self.laplacian_perp_H, eta)
-        grad_absH = mp.grad_scalar([partial(hnorm, j) for j in range(m)])
+        neg_lap_eta = -self.h_inner(self.laplacian_perp_H, eta)
+        grad_absH = self.grad_scalar([partial(hnorm, j) for j in range(m)])
         A_grad = [sum((A[k][j] * grad_absH[j] for j in range(m)), 0.0) for k in range(m)]
         return hnorm, A2, neg_lap_eta, grad_absH, A_grad
 
@@ -328,7 +315,7 @@ class ImmersionPoint:
         if self.k != 1:
             raise DomainError("hypersurface system needs codimension 1")
         m = self.m
-        c = self.immersion.ambient_curvature
+        c = self.map.ambient_curvature
         h2 = self.mean_curvature_norm2
         if any_entry(value(h2) <= 0.0):
             raise DomainError("hypersurface system needs nowhere-zero mean curvature")

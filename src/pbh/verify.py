@@ -556,7 +556,7 @@ def criterion_infrastructure() -> CriterionResult:
         (space_form_chart(1.0, 3), [(-0.5, 0.5)] * 3),
         (space_form_chart(-1.0, 2), [(-0.6, 0.6)] * 2),
         (cylinder_map(3.0).source, [(0.5, 2.0)] * 3),
-        (sphere.map.source, sphere_box),
+        (sphere.source, sphere_box),
     ]
     worst_compat = 0.0
     for chart, box in charts:

@@ -5,6 +5,7 @@ the methods the benchmark tracer wraps by name."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -174,3 +175,22 @@ def test_traced_methods_exist():
             cls = getattr(mod, cls_name)
             missing = [attr for attr in attrs if attr not in vars(cls)]
             assert missing == [], f"pbh.{layer}.{cls_name} lacks {missing}"
+
+
+def test_tracer_counts_lifted_points_and_uninstalls():
+    """The benchmark's counters, installed and removed around one run."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    hooked = [(pbh.mapcalc.MapPoint, "__init__"), (pbh.submanifold.ImmersionPoint, "__init__"),
+              (pbh.jets.JetScalar, "__mul__")]
+    originals = [cls.__dict__[attr] for cls, attr in hooked]
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        pbh.run(pbh.builtin("small_hypersphere(2, 0.8)"))
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert counts["mapcalc.points_lifted"] == counts["submanifold.points_lifted"] == 5
+    assert [cls.__dict__[attr] for cls, attr in hooked] == originals

@@ -97,7 +97,7 @@ def _charts():
     and space-form charts; a target chart is sampled on (0.3, 0.9)^d."""
     out, seen = [], set()
     maps = [(name, phi(3.0) if callable(phi) else phi, box) for name, phi, box in corpus_maps()]
-    maps += [(name, imm.map, box) for name, imm, box in corpus_immersions()]
+    maps += corpus_immersions()
     for name, phi, box in maps:
         for side, chart, chart_box in (("source", phi.source, box),
                                        ("target", phi.target, [(0.3, 0.9)] * phi.target.dim)):

@@ -63,7 +63,7 @@ class TestDifferential:
 
     def test_inclusion_norm_is_dimension(self):
         imm = small_hypersphere_immersion(2, 0.7)
-        assert value(imm.map.at((0.2, -0.3)).norm2) == pytest.approx(2.0, rel=1e-12)
+        assert value(imm.at((0.2, -0.3)).norm2) == pytest.approx(2.0, rel=1e-12)
 
     def test_cylinder_norm_against_index_sum(self):
         # independent oracle: explicit g^{ij} h_ab dphi^a_i dphi^b_j sum
@@ -168,7 +168,7 @@ class TestPullbackDerivative:
     def test_direction_outside_the_source_rejected(self, field):
         # a negative index would silently read the last direction, and a
         # constant field never reaches JetScalar.partial: the method checks
-        mp = small_hypersphere_immersion(2, 0.8).map.at(lift_point((0.1, 0.2), 1))
+        mp = small_hypersphere_immersion(2, 0.8).at(lift_point((0.1, 0.2), 1))
         V = mp.dphi_cols[0] if field == "tangent" else [1.0, 0.0, 0.0]
         for i in (-1, 2):
             with pytest.raises(ValueError, match=f"direction {i} is not one of the 2"):
@@ -191,8 +191,7 @@ class TestPullbackDerivative:
                         sff[a][i][j], abs=1e-9)
 
     def test_metric_compatibility_of_pullback_connection(self):
-        imm = small_hypersphere_immersion(2, 0.75)
-        phi = imm.map
+        phi = small_hypersphere_immersion(2, 0.75)
         x = (0.25, -0.35)
         X = lift_point(x, 1)
         mp = phi.at(X)
@@ -383,9 +382,9 @@ class TestArguments:
     def test_point_with_too_many_coordinates(self):
         imm = small_hypersphere_immersion(2, 0.7)
         with pytest.raises(ValueError, match="needs 2 coordinates, got 3"):
-            p_tension(imm.map, (0.1, 0.2, 0.3), 3.0)
+            p_tension(imm, (0.1, 0.2, 0.3), 3.0)
         with pytest.raises(ValueError, match="needs 2 coordinates, got 3"):
-            imm.map.at((np.array([0.1, 0.2]),) * 3)
+            imm.at((np.array([0.1, 0.2]),) * 3)
 
     def test_point_with_too_few_coordinates(self):
         imm = small_hypersphere_immersion(2, 0.7)
@@ -507,8 +506,7 @@ def _base_bits(v):
     return [_base_bits(t) for t in v] if isinstance(v, list) else _bits(value(v))
 
 
-HOIST_CASES = ([(name, phi, box) for name, phi, box in corpus_maps()]
-               + [(name, imm.map, box) for name, imm, box in corpus_immersions()])
+HOIST_CASES = [*corpus_maps(), *corpus_immersions()]
 
 
 @pytest.mark.parametrize("name, phi, box", HOIST_CASES, ids=[c[0] for c in HOIST_CASES])

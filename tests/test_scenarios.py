@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from collections import Counter
 
 import pytest
@@ -14,8 +15,8 @@ from pbh.mapcalc import MapPoint, p_bitension, p_tension
 from pbh.scenarios import (SCHEMA_VERSION, Scenario, builtin, load_scenario,
                            run, sweep)
 from pbh.stress import stress_divergence_check, trace_identity_at
-from pbh.submanifold import (Immersion, ImmersionPoint, cmc_proper_p,
-                             theorem21_residuals, theorem23_residuals)
+from pbh.submanifold import (ImmersionPoint, cmc_proper_p, theorem21_residuals,
+                             theorem23_residuals)
 
 
 def entry_points(X):
@@ -262,11 +263,9 @@ class TestPointFailures:
         assert "no rows checked" in capsys.readouterr().err
 
 
-def _public_residual(check, obj, x, p, part=None):
+def _public_residual(check, phi, x, p, part=None):
     """A report row's residual, recomputed from the float-point public wrappers;
     of an immersion check, `part` "normal" or "tangent" gives that norm alone."""
-    imm = obj if isinstance(obj, Immersion) else None
-    phi = imm.map if imm is not None else obj
 
     def h_norm(v):
         h = phi.target.metric_at(tuple(value(c) for c in phi.at(x).phiX))
@@ -289,12 +288,12 @@ def _public_residual(check, obj, x, p, part=None):
         tr, _, form_alg, form_div = trace_identity_at(phi.at(lift_point(x, 2)), p)
         return max(abs(tr - form_alg), abs(tr - form_div))
     if check == "theorem_2_3":
-        scalar, tangent = theorem23_residuals(imm, x, p)
+        scalar, tangent = theorem23_residuals(phi, x, p)
         norms = {"normal": abs(scalar), "tangent": g_norm(tangent)}
     else:
         if check == "cmc_proper_p":
-            p = cmc_proper_p(imm, x).p_star
-        normal, tangent = theorem21_residuals(imm, x, p)
+            p = cmc_proper_p(phi, x).p_star
+        normal, tangent = theorem21_residuals(phi, x, p)
         norms = {"normal": h_norm(normal), "tangent": g_norm(tangent)}
     return norms[part] if part else max(norms.values())
 
@@ -688,6 +687,16 @@ class TestCli:
         checks = json.loads(text)["summary"]["checks"]
         assert len(checks) == 3
         assert all(entry["max_residual"] is None for entry in checks.values())
+
+    def test_an_overflowing_run_warns_nothing(self, tmp_path, capsys):
+        # the single-point path overflows to inf and NaN silently, as floats do
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["run", "proper_pbh_cylinder", "--p", "1e308",
+                             "--out", str(out), "--format", "json"]) == 1
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["summary"]["verdict"] == "fail"
 
     def test_bad_set_syntax(self, capsys):
         assert cli_main(["run", "inversion(3)", "--set", "l"]) == 2

@@ -182,7 +182,7 @@ def test_with_params_copies_share_their_tables_and_own_their_params():
     phi2, imm2 = phi.with_params(l=2.5), imm.with_params(a=0.7)
     cases = [(phi.source, phi.source.with_params(l=2.5), ("components", "dg", "d2g")),
              (imm, imm2, ("pullback_components",))]
-    for orig, copy in ((phi, phi2), (imm.map, imm2.map)):
+    for orig, copy in ((phi, phi2), (imm, imm2)):
         cases.append((orig, copy, ("components", "d1", "d2")))
         for side in ("source", "target"):
             cases.append((getattr(orig, side), getattr(copy, side), ("components", "dg", "d2g")))

@@ -91,14 +91,13 @@ IMMERSIONS = [(name, obj, box, True) for name, obj, box in corpus_immersions()]
 
 def _fields(obj, is_immersion, X, p):
     """Each field at the batched point X, or the class of the exception it raised."""
-    ip = obj.at(X) if is_immersion else None
-    mp = ip.mp if is_immersion else (obj(p) if callable(obj) else obj).at(X)
+    mp = (obj(p) if callable(obj) else obj).at(X)
     readers = {"sff": lambda: mp.sff, "p_tension": lambda: mp.p_tension(p),
                "dp_tension": lambda: mp.dp_tension(p), "p_bitension": lambda: mp.p_bitension(p),
                "stress_matrix": lambda: _stress_matrix(mp, p)}
     if is_immersion:
-        readers.update(bitension_split=lambda: ip.bitension_split(p),
-                       general_residuals=lambda: ip.general_residuals(p))
+        readers.update(bitension_split=lambda: mp.bitension_split(p),
+                       general_residuals=lambda: mp.general_residuals(p))
     out = {}
     for name, read in readers.items():
         try:

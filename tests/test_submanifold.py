@@ -9,11 +9,13 @@ from pbh.errors import DomainError, RankDeficiencyError
 from pbh.expr import parse
 from pbh.geometry import sectional_curvature, space_form_chart
 from pbh.jets import lift_point, value
-from pbh.mapcalc import p_tension, tension
+from pbh.mapcalc import SmoothMap, p_bitension, p_tension, tension
+from pbh.stress import stress_divergence_check, stress_tensor
 from pbh.submanifold import (Immersion, bitension_split, circle_immersion,
                              cmc_proper_p, graph_hypersurface_immersion,
                              small_hypersphere_immersion, theorem21_residuals,
                              theorem23_residuals)
+from pbh.verify import corpus_immersions
 
 SPHERE_BOX = [(-0.6, 0.7)] * 2
 
@@ -49,7 +51,7 @@ class TestImmersionBasics:
         # induced round metric of the radius-a sphere has curvature 1/a^2
         for a in (0.6, 0.8):
             imm = small_hypersphere_immersion(2, a)
-            K = sectional_curvature(imm.map.source, (0.3, -0.2), [1, 0], [0, 1])
+            K = sectional_curvature(imm.source, (0.3, -0.2), [1, 0], [0, 1])
             assert K == pytest.approx(1.0 / a ** 2, abs=1e-8)
 
     def test_rank_deficiency_detected(self):
@@ -71,10 +73,27 @@ class TestImmersionBasics:
         assert len(F) == 1
         ip = imm.at(x)
         xi = F[0]
-        assert value(ip.mp.h_inner(xi, xi)) == pytest.approx(1.0, abs=1e-12)
+        assert value(ip.h_inner(xi, xi)) == pytest.approx(1.0, abs=1e-12)
         for i in range(2):
-            col = [value(ip.mp.dphi[a][i]) for a in range(3)]
-            assert value(ip.mp.h_inner(xi, col)) == pytest.approx(0.0, abs=1e-12)
+            col = [value(ip.dphi[a][i]) for a in range(3)]
+            assert value(ip.h_inner(xi, col)) == pytest.approx(0.0, abs=1e-12)
+
+
+MAP_WRAPPERS = {"tension": lambda phi, x, p: tension(phi, x), "p_tension": p_tension,
+                "p_bitension": p_bitension, "stress_tensor": stress_tensor,
+                "stress_divergence_check": stress_divergence_check}
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("name, imm, box", corpus_immersions(),
+                         ids=[name for name, _imm, _box in corpus_immersions()])
+def test_map_wrappers_accept_an_immersion(name, imm, box, p):
+    """An immersion is its inclusion map: every map wrapper reads it as it
+    reads the SmoothMap of the same components, to the last bit."""
+    phi = SmoothMap(imm.source, imm.target, imm.components, params=imm.params)
+    x = tuple(0.5 * (lo + hi) for lo, hi in box)
+    for wrapper, read in MAP_WRAPPERS.items():
+        assert repr(read(imm, x, p)) == repr(read(phi, x, p)), wrapper
 
 
 class TestSecondFundamentalForm:
@@ -90,7 +109,7 @@ class TestSecondFundamentalForm:
         imm = small_hypersphere_immersion(2, a)
         x = (0.2, -0.4)
         B = floats(imm.at(x).second_fundamental)[0]
-        g = [[value(v) for v in row] for row in imm.map.source.metric_at(x)]
+        g = [[value(v) for v in row] for row in imm.source.metric_at(x)]
         ratio = B[0][0] / g[0][0]
         assert abs(ratio) == pytest.approx(b / a, rel=1e-10)
         for i in range(2):
@@ -101,7 +120,7 @@ class TestSecondFundamentalForm:
         rho = 0.8
         imm = circle_immersion(rho)
         B = floats(imm.at((1.1,)).second_fundamental)[0]
-        g = value(imm.map.source.metric_at((1.1,))[0][0])
+        g = value(imm.source.metric_at((1.1,))[0][0])
         assert abs(B[0][0]) / g == pytest.approx(1.0 / rho, rel=1e-10)
 
 
@@ -118,7 +137,7 @@ class TestShapeOperator:
         imm = small_hypersphere_immersion(2, a)
         x = (0.15, 0.3)
         H = floats(imm.at(x).mean_curvature)
-        hn = math.sqrt(sum(value(imm.at(x).mp.h_inner(H, H)) for _ in [0]))
+        hn = math.sqrt(sum(value(imm.at(x).h_inner(H, H)) for _ in [0]))
         eta = [c / hn for c in H]
         A = floats(imm.at(x).shape_matrix(eta))
         for i in range(2):
@@ -130,7 +149,7 @@ class TestShapeOperator:
         x = (0.3, -0.2)
         xi = floats(imm.at(x).normal_frame)[0]
         A = floats(imm.at(x).shape_matrix(xi))
-        g = [[value(v) for v in row] for row in imm.map.source.metric_at(x)]
+        g = [[value(v) for v in row] for row in imm.source.metric_at(x)]
         gA = [[sum(g[i][k] * A[k][j] for k in range(2)) for j in range(2)]
               for i in range(2)]
         assert gA[0][1] == pytest.approx(gA[1][0], abs=1e-12)
@@ -143,7 +162,7 @@ class TestShapeOperator:
             ip = imm.at(x)
             eta = [value(c) for c in ip.normal_frame[0]]
             H = [value(c) for c in ip.mean_curvature]
-            h_eta = value(ip.mp.h_inner(H, eta))
+            h_eta = value(ip.h_inner(H, eta))
             A_eta = floats(imm.at(x).shape_matrix(eta))
             A_H = floats(imm.at(x).shape_matrix(H))
             for i in range(2):
@@ -171,7 +190,7 @@ class TestMeanCurvature:
                          (circle_immersion(1.3), [(0.3, 2.8)])]:
             m = imm.m
             for x in sample(rng, box, 3):
-                tau = tension(imm.map, x)
+                tau = tension(imm, x)
                 H = floats(imm.at(x).mean_curvature)
                 assert max(abs(t - m * h) for t, h in zip(tau, H)) < 1e-9
 
@@ -180,7 +199,7 @@ class TestMeanCurvature:
         x = (0.2, 0.4)
         H = floats(imm.at(x).mean_curvature)
         for p in (2.0, 3.0, 4.0):
-            tp = p_tension(imm.map, x, p)
+            tp = p_tension(imm, x, p)
             assert max(abs(t - 2 ** (p / 2.0) * h) for t, h in zip(tp, H)) < 1e-9
 
 
@@ -206,8 +225,8 @@ class TestNormalConnection:
                 lap = floats(imm.at(lift_point(x, 2)).laplacian_perp_H)
                 ip = imm.at(x)
                 for i in range(imm.m):
-                    col = [value(ip.mp.dphi[a][i]) for a in range(imm.n)]
-                    assert value(ip.mp.h_inner(lap, col)) == pytest.approx(
+                    col = [value(ip.dphi[a][i]) for a in range(imm.n)]
+                    assert value(ip.h_inner(lap, col)) == pytest.approx(
                         0.0, abs=1e-10)
 
     def test_scalar_laplacian_oracle_on_hypersurface(self):
@@ -219,16 +238,16 @@ class TestNormalConnection:
 
         def f(X):
             ip = imm.at(X)
-            return ip.mp.h_inner(ip.mean_curvature, ip.normal_frame[0])
+            return ip.h_inner(ip.mean_curvature, ip.normal_frame[0])
 
         def grad_f(X):
             ip = imm.at(X)
             from pbh.jets import partial
             fx = f(X)
-            return ip.mp.grad_scalar([partial(fx, j) for j in range(2)])
+            return ip.grad_scalar([partial(fx, j) for j in range(2)])
 
         X = lift_point(x, 2)  # grad_f consumes one shift, the divergence one more
-        lap_scalar = value(divergence_at(imm.map.source.christoffel_at(X), grad_f(X)))
+        lap_scalar = value(divergence_at(imm.source.christoffel_at(X), grad_f(X)))
         ip = imm.at(x)
         eta = [value(c) for c in ip.normal_frame[0]]
         lap = floats(imm.at(lift_point(x, 2)).laplacian_perp_H)
@@ -280,7 +299,7 @@ class TestResidualSystems:
                     h2 = value(ip.mean_curvature_norm2)
                     H = [value(c) for c in ip.mean_curvature]
                     eta = [c / math.sqrt(h2) for c in H]
-                    proj = value(ip.mp.h_inner(normal, eta))
+                    proj = value(ip.h_inner(normal, eta))
                     assert proj == pytest.approx(ns, abs=1e-8)
                     assert tangent == pytest.approx(ts, abs=1e-8)
 
@@ -356,9 +375,9 @@ class TestBitensionCrossCheck:
         from pbh.mapcalc import p_bitension
         for p in (2.0, 3.0):
             normal, t = bitension_split(imm, x, p)
-            mp = imm.map.at(lift_point(x, 1))
+            mp = imm.at(lift_point(x, 1))
             pushed = [value(c) for c in mp.push(t)]
-            total = p_bitension(imm.map, x, p)
+            total = p_bitension(imm, x, p)
             assert [n + q for n, q in zip(normal, pushed)] == pytest.approx(
                 total, abs=1e-9)
 
