@@ -668,7 +668,6 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text: str, dim: int, params):
-        self.text = text
         self.dim = dim
         self.params = set(params)
         self.tokens = _tokenize(text)

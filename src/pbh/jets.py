@@ -108,7 +108,6 @@ class JetSpace:
         self.monomials = _monomials(nvars, order)
         self.size = len(self.monomials)
         self.index = {alpha: i for i, alpha in enumerate(self.monomials)}
-        self._orders = np.array([sum(a) for a in self.monomials])
 
         # dense multiplication table: c[kk] += a[ii] * b[jj]
         ii, jj, kk = [], [], []

@@ -34,7 +34,10 @@ hold a batch of points (see :mod:`pbh.jets`), at any jet order;
 a chunk that raises again by halves, down to single items. `pbh.scenarios`
 uses it for its sample points; the box quadrature (its Gauss nodes) and the
 acceptance criteria of `pbh.verify` (their sample points) read through one
-chunk reader on top of it, `_read_points`.
+chunk reader on top of it, `_read_points`. A reader of a batched point
+returns what the library readers return there, arrays of per-entry values
+inside lists and tuples; one function, `_per_point`, splits such a result
+into the base values of each point, so no reader handles the batch axis.
 """
 
 from __future__ import annotations
@@ -495,8 +498,7 @@ def gauss_legendre_box(box, order: int = 8) -> list:
 
 
 def _volume_density(pt: MapPoint):
-    from .linalg import det
-    return sqrt(value(det(pt.g)))
+    return sqrt(value(linalg.det(pt.g)))
 
 
 # points (sample points, Gauss nodes) evaluated together as one batched point:
@@ -515,15 +517,24 @@ def _stack(points):
     return tuple(np.array(axis) for axis in zip(*points))
 
 
-def _entries(v, size) -> list:
-    """The `size` per-point floats of a base value: an array holds one per
-    batch entry, a float is shared by all."""
-    return v.tolist() if isinstance(v, np.ndarray) else [v] * size
-
-
-def _split(vec, size) -> list:
-    """Per point, the base values of a vector of float-or-jet scalars."""
-    return [list(col) for col in zip(*(_entries(value(c), size) for c in vec))]
+def _per_point(t, size) -> list:
+    """Per point of a context of `size` points, the list or tuple `t` with
+    every float-or-jet scalar replaced by its base value at that point. Inner
+    lists and tuples keep their nesting; an array holds one value per batch
+    entry, and a float is shared by all entries. (It runs on every check of
+    every chunk, so a jet, the common case, is tested for first and read
+    without a call to `value`.)"""
+    cols = []
+    for u in t:
+        if isinstance(u, JetScalar):
+            u = u.value
+        elif isinstance(u, (list, tuple)):
+            cols.append(_per_point(u, size))
+            continue
+        else:
+            u = value(u)
+        cols.append(u.tolist() if isinstance(u, np.ndarray) else [u] * size)
+    return list(zip(*cols)) if type(t) is tuple else [list(col) for col in zip(*cols)]
 
 
 def replay_chunks(items, batched, single):
@@ -575,17 +586,18 @@ def _read_points(obj, points, order, read):
     """Yield one result per point, in order, read from the points in batched chunks.
 
     obj is a SmoothMap (an Immersion is one). A chunk is one batched point X (one
-    point alone is the unbatched point X), and read(obj.at(X lifted to `order`;
-    0: floats), X, size) returns the results of its `size` points. Every point
-    of a chunk is checked against the source domain before any is evaluated;
-    a chunk that raises is evaluated again by halves, down to single points
+    point alone is the unbatched point X), read(obj.at(X lifted to `order`;
+    0: floats), X) reads it as a whole, and `_per_point` splits what it
+    returns into the base values of each point. Every point of a chunk is
+    checked against the source domain before any is evaluated; a chunk that
+    raises is evaluated again by halves, down to single points
     (`replay_chunks`), so the exception and its message are those of a
     per-point loop.
     """
     def at(chunk):
         _require_in_domain(obj, chunk, "quadrature node")
         X = _stack(chunk) if len(chunk) > 1 else chunk[0]
-        return read(obj.at(lift_point(X, order) if order else X), X, len(chunk))
+        return _per_point(read(obj.at(lift_point(X, order) if order else X), X), len(chunk))
 
     return replay_chunks(points, at, lambda x: at((x,))[0])
 
@@ -595,16 +607,16 @@ def _box_sum(phi, box, order, jet_order, integrand, factor=1.0):
     factor * w * integrand(pt, x) * sqrt(det g) at pt = phi.at(x lifted to jet_order).
 
     Nodes are read in batched chunks (`_read_points`: coordinate arrays in
-    float mode, (size, P) jets at order 1), and a chunk that raises is
+    float mode, (size, P) jets at order 1), each as one (integrand, density)
+    pair that `_read_points` splits per node, and a chunk that raises is
     evaluated again by halves, down to single nodes. Terms are added one node
     at a time, in node order and with the per-node association, so the sum is
     bit-identical to a per-node loop.
     """
     nodes = list(gauss_legendre_box(box, order))
 
-    def terms(pt, X, size):
-        return list(zip(*(np.broadcast_to(t, size).tolist()
-                          for t in (integrand(pt, X), _volume_density(pt)))))
+    def terms(pt, X):
+        return integrand(pt, X), _volume_density(pt)
 
     points = [x for x, _w in nodes]
     total = 0.0

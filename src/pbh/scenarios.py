@@ -25,18 +25,19 @@ float context per point and one jet context for all its points, a batched
 point (see :mod:`pbh.jets`) lifted to the highest jet order its checks need
 (`CHECK_ORDER`; a higher order is always valid); every check reads these
 contexts. All checks run on the batch under np.errstate(all="raise",
-under="ignore"), each check's fields are split per point, and each point's
-rows are reduced from floats alone, in point-major order. If anything in a
-chunk raises (a point failure, a floating-point exception, a
-`pbh.errors.BatchSplit` where points need different branches), each half of
-the chunk is evaluated the same way in turn, down to single points, where
-each check runs on its own and a failure becomes that check's row (a point
-outside the source chart's domain fails every check). So the
-NaN rows, their notes and the exit under `--strict` are those of a per-point
-run; a chunk of one point is that per-point run, on unbatched contexts
-(`_run`, `mapcalc.replay_chunks`). Float readers (map value, metric norms,
-signed normal residual, proper p) stay on the per-point float contexts, since
-jet and float evaluation of one expression can differ in the last bit.
+under="ignore"); one function, `mapcalc._per_point`, splits each check's
+fields per point, and each point's rows are reduced from floats alone, in
+point-major order. If anything in a chunk raises (a point failure, a
+floating-point exception, a `pbh.errors.BatchSplit` where points need
+different branches), each half of the chunk is evaluated the same way in
+turn, down to single points, where each check runs on its own and a failure
+becomes that check's row (a point outside the source chart's domain fails
+every check). So the NaN rows, their notes and the exit under `--strict` are
+those of a per-point run; a chunk of one point is that per-point run, on
+unbatched contexts (`_run`, `mapcalc.replay_chunks`). Float readers (map
+value, metric norms, signed normal residual, proper p) stay on the per-point
+float contexts, since jet and float evaluation of one expression can differ
+in the last bit.
 
 `sweep` shares these contexts across its steps unless a component, metric or
 exclude expression reads the swept parameter (p, unless a metric reads it).
@@ -64,8 +65,8 @@ from .errors import (DomainError, PbhError, RankDeficiencyError, SchemaError,
 from .expr import parse
 from .geometry import ChartMetric, space_form_chart
 from .jets import lift_point, value
-from .mapcalc import (SmoothMap, _entries, _require_in_domain, _split, _stack,
-                      p_bienergy_box, p_energy_box, replay_chunks)
+from .mapcalc import (SmoothMap, _per_point, _require_in_domain, _stack, p_bienergy_box,
+                      p_energy_box, replay_chunks)
 from .stress import _scaled_divergence_gap, stress_divergence_sides, trace_identity_at
 from .submanifold import Immersion, _latitude_sphere_text
 
@@ -117,6 +118,14 @@ def _require_p(p, checks):
         _require(p >= 2.0, "p", f"must be >= 2 for the checks {map_checks}, got {p!r}")
 
 
+def _parse_field(text, field_name, dim, declared):
+    """The tree of one expression field of a scenario; a SchemaError if it does not parse."""
+    try:
+        return parse(text, dim, declared)
+    except PbhError as exc:
+        raise SchemaError(field_name, str(exc)) from exc
+
+
 def _chart_from_spec(chart, params: dict) -> ChartMetric:
     """The chart of a `_chart_spec` triple, bound to params."""
     dim, c, comps = chart
@@ -141,15 +150,8 @@ def _chart_spec(spec: dict, field_name: str, declared: list):
     _require(isinstance(rows, list) and len(rows) == dim
              and all(isinstance(r, list) and len(r) == dim for r in rows),
              f"{field_name}.metric", f"must be a {dim}x{dim} matrix of expression strings")
-    comps = []
-    for i, row in enumerate(rows):
-        out = []
-        for j, text in enumerate(row):
-            try:
-                out.append(parse(text, dim, declared))
-            except PbhError as exc:
-                raise SchemaError(f"{field_name}.metric[{i}][{j}]", str(exc)) from exc
-        comps.append(out)
+    comps = [[_parse_field(text, f"{field_name}.metric[{i}][{j}]", dim, declared)
+              for j, text in enumerate(row)] for i, row in enumerate(rows)]
     return dim, None, comps
 
 
@@ -218,16 +220,11 @@ class Scenario:
         comp_text = data.get("components")
         _require(isinstance(comp_text, list) and len(comp_text) == n, "components",
                  f"must list {n} expression strings")
-        used = set()
-        for k, text in enumerate(comp_text):
-            try:
-                e = parse(text, m, declared)
-            except PbhError as exc:
-                raise SchemaError(f"components[{k}]", str(exc)) from exc
-            used |= e.params_used()
-        missing = used - set(declared)
+        components = [_parse_field(text, f"components[{k}]", m, declared)
+                      for k, text in enumerate(comp_text)]
+        missing = set().union(*(e.params_used() for e in components)) - set(declared)
         _require(not missing, "params", f"unbound parameters {sorted(missing)}")
-        # parsed now, assembled at the first build; None: an induced source metric
+        # None: an induced source metric
         charts = (_chart_spec(source_spec, "source", declared)
                   if kind == "map" or "metric" in source_spec else None,
                   _chart_spec(target_spec, "target", declared))
@@ -254,11 +251,8 @@ class Scenario:
         _require(_is_int(seed), "samples.seed", "must be an integer")
         exclude = samples.get("exclude", [])
         _require(isinstance(exclude, list), "samples.exclude", "must be a list")
-        for k, text in enumerate(exclude):
-            try:
-                parse(text, m, declared)
-            except PbhError as exc:
-                raise SchemaError(f"samples.exclude[{k}]", str(exc)) from exc
+        exclude_trees = [_parse_field(text, f"samples.exclude[{k}]", m, declared)
+                         for k, text in enumerate(exclude)]
 
         checks = data.get("checks")
         _require(isinstance(checks, list) and checks, "checks",
@@ -278,7 +272,8 @@ class Scenario:
             component_text=list(comp_text), params=params, sweeps=sweeps, box=box,
             points_per_axis=ppa, random_points=rnd, seed=seed,
             exclude_text=list(exclude), checks=list(checks), tolerance=float(tol))
-        object.__setattr__(sc, "_charts", charts)
+        # parsed once, here; assembled at the first build (`_parsed`)
+        object.__setattr__(sc, "_trees", (charts, components, exclude_trees))
         return sc
 
     def to_dict(self) -> dict:
@@ -337,24 +332,22 @@ class Scenario:
     # -- construction ------------------------------------------------------ #
     def _parsed(self):
         """(map or immersion, exclude trees, names of the parameters that the
-        component, metric and exclude trees read): assembled once, around the
-        charts parsed at load; later builds only rebind parameters."""
+        component, metric and exclude trees read): assembled once, from the
+        trees parsed at load; later builds only rebind parameters."""
         base = getattr(self, "_base", None)
         if base is not None:
             return base
         params = dict(self.params)
-        declared = sorted(self.params.keys())
         m = self.source_spec["dim"]
+        charts, components, exclude = self._trees
         source, target = (None if chart is None else _chart_from_spec(chart, params)
-                          for chart in self._charts)
-        components = [parse(t, m, declared) for t in self.component_text]
+                          for chart in charts)
         if self.kind == "map":
             obj = SmoothMap(source, target, components, params=params, name=self.name)
         else:
             obj = Immersion(m, target, components, params=params,
                             source_metric=None if source is None else source.components,
                             name=self.name)
-        exclude = [parse(t, m, declared) for t in self.exclude_text]
         trees = [*obj.components, *exclude, *(e for chart in (obj.source, obj.target)
                                               for row in chart.components for e in row)]
         base = (obj, exclude, set().union(*(e.params_used() for e in trees)))
@@ -466,52 +459,47 @@ def _norm(metric, v) -> float:
                              for a in range(n) for b in range(n)), 0.0))
 
 
-def _values(vec):
-    return [value(c) for c in vec]
-
-
 def _check_results(check, jet, flts, p, tol) -> list:
     """[(residual, passed, signed, extras)] of one check, one per point.
 
     `flts` holds one float context per point, and `jet` the same points as one
-    jet context, batched when there are several. The fields computed on `jet`
-    are split per point, and each point's row is reduced from floats alone, so
-    a row does not depend on the batch its point was evaluated in.
+    jet context, batched when there are several. Every field computed on `jet`
+    is split per point (`mapcalc._per_point`), and each point's row is reduced
+    from floats alone, so a row does not depend on the batch its point was
+    evaluated in.
     """
     size = len(flts)
     signed, extras = [None] * size, [{}] * size
     if check == "p_harmonic":
         # at p = 2 the p-tension is the tension, a float reader
-        vecs = ([_values(f.p_tension(p)) for f in flts] if p == 2.0
-                else _split(jet.p_tension(p), size))
+        vecs = ([[value(c) for c in f.p_tension(p)] for f in flts] if p == 2.0
+                else _per_point(jet.p_tension(p), size))
         res = [_norm(f.h, v) for f, v in zip(flts, vecs)]
     elif check == "p_biharmonic":
-        res = [_norm(f.h, v) for f, v in zip(flts, _split(jet.p_bitension(p), size))]
+        res = [_norm(f.h, v) for f, v in zip(flts, _per_point(jet.p_bitension(p), size))]
     elif check == "stress_divergence":
-        sides = zip(*(_split(side, size) for side in stress_divergence_sides(jet, p)))
-        res = [_scaled_divergence_gap(lhs, rhs) for lhs, rhs in sides]
+        res = [_scaled_divergence_gap(lhs, rhs)
+               for lhs, rhs in _per_point(stress_divergence_sides(jet, p), size)]
     elif check == "trace_identity":
-        tr, _, form_alg, form_div = trace_identity_at(jet, p)
-        res = [max(abs(t - a), abs(t - d)) for t, a, d in
-               zip(*(_entries(v, size) for v in (tr, form_alg, form_div)))]
+        res = [max(abs(t - a), abs(t - d))
+               for t, _, a, d in _per_point(trace_identity_at(jet, p), size)]
     elif check == "theorem_2_3":
-        scalar, tangent = jet.hypersurface_residuals(p)
-        signed = _entries(value(scalar), size)
-        res = [max(abs(s), _norm(f.g, t))
-               for s, f, t in zip(signed, flts, _split(tangent, size))]
+        rows = _per_point(jet.hypersurface_residuals(p), size)
+        signed = [s for s, _t in rows]
+        res = [max(abs(s), _norm(f.g, t)) for f, (s, t) in zip(flts, rows)]
     else:  # theorem_2_1, and cmc_proper_p at the p it solves for
         if check == "cmc_proper_p":
             solved = [f.proper_p for f in flts]
             extras = [{"p_star": r.p_star, "admissible": r.admissible} for r in solved]
             # one p per point: an array of shape (P,) at a batched point
             p = solved[0].p_star if size == 1 else np.array([r.p_star for r in solved])
-        normal, tangent = (_split(v, size) for v in jet.general_residuals(p))
-        res = [max(_norm(f.h, n), _norm(f.g, t)) for f, n, t in zip(flts, normal, tangent)]
+        rows = _per_point(jet.general_residuals(p), size)
+        res = [max(_norm(f.h, n), _norm(f.g, t)) for f, (n, t) in zip(flts, rows)]
         if check == "theorem_2_1":  # projection of the normal residual on H/|H|
-            for e, (fip, n) in enumerate(zip(flts, normal)):
+            for e, (fip, (n, _t)) in enumerate(zip(flts, rows)):
                 h2 = value(fip.mean_curvature_norm2)
                 if h2 > 1e-18:
-                    H = _values(fip.mean_curvature)
+                    H = [value(c) for c in fip.mean_curvature]
                     signed[e] = value(fip.h_inner(n, H)) / math.sqrt(h2)
     return [(r, r < tol, s, x) for r, s, x in zip(res, signed, extras)]
 

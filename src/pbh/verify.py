@@ -15,10 +15,12 @@ one batched point (see :mod:`pbh.jets`), lifted to the jet order their checks
 need, and read every p and both pipelines from it (`_point_floats`). A batch
 that raises is evaluated again by halves, down to single points
 (`mapcalc._read_points`, the chunk reader the energy quadrature uses for its
-Gauss nodes). The fields are split into per-point floats, and the criteria
-fold these in the order of a loop over p, point and component, so every
-reported value is the one a fresh context per point and call gives. Only one
-object's batch is alive at a time.
+Gauss nodes). A criterion's reader is a library reader, such as
+`stress_divergence_sides`, or a tuple of fields; `_read_points` splits what it
+returns into per-point floats. The criteria take norms and gaps of these
+floats in the order of a loop over p, point and component, so every reported
+value is the one a fresh context per point and call gives. Only one object's
+batch is alive at a time.
 The cylinder's metric reads p, so it gets a batch per p; the inversion maps are
 read at float points at p = 2, as `p_tension` does. The p = 2 reductions
 compare the public wrappers with an independent p = 2 coding, each called on
@@ -42,8 +44,8 @@ from .errors import DomainError
 from .expr import Const, Coord, Expression, _FUNCS, differentiate, parse
 from .geometry import euclidean_chart, sectional_curvature, space_form_chart
 from .jets import JetScalar, lift_point, value
-from .mapcalc import (SmoothMap, _box_sum, _entries, _read_points, _split, p_energy_box,
-                      p_tension, perturbed_map, tension)
+from .mapcalc import (MapPoint, SmoothMap, _box_sum, _read_points, p_energy_box, p_tension,
+                      perturbed_map, tension)
 from .scenarios import builtin, run as run_scenario
 from .stress import (_scaled_divergence_gap, stress_divergence_sides, stress_tensor,
                      trace_identity_at)
@@ -159,21 +161,19 @@ def _points(rng, box, count):
 
 
 def _point_floats(obj, pts, order, read, ps=P_VALUES):
-    """[[read(ctx, p, size)[k] for each point k] for p in ps]: the per-point
-    floats that read splits from a context of `size` points of obj.
+    """[[read(ctx, p) at each point] for p in ps], in base values: read(ctx, p)
+    reads a context of all the points of obj, and `mapcalc._read_points`
+    splits its result per point.
 
     The points are evaluated as one batched point lifted to `order` (0: float
     points) and evaluated again by halves, down to single points, if that
-    raises (`mapcalc._read_points`). An obj that is a factory obj(p), a map whose
-    metric reads p, gets a batch per p.
+    raises. An obj that is a factory obj(p), a map whose metric reads p, gets
+    a batch per p.
     """
     if callable(obj):
         return [_point_floats(obj(p), pts, order, read, (p,))[0] for p in ps]
-
-    def floats(ctx, X, size):
-        return list(zip(*(read(ctx, p, size) for p in ps)))
-
-    return [list(col) for col in zip(*_read_points(obj, pts, order, floats))]
+    per_point = _read_points(obj, pts, order, lambda ctx, X: [read(ctx, p) for p in ps])
+    return [list(col) for col in zip(*per_point)]
 
 
 def _norm(v):
@@ -282,12 +282,10 @@ def criterion_inversion_p_harmonicity() -> CriterionResult:
     rng = np.random.default_rng(101)
     pts = _points(rng, [(0.5, 2.0)] * n, 10)
 
-    def norms(mp, p, size):
-        return [_norm(v) for v in _split(mp.p_tension(p), size)]
-
     def residual(phi, p):
         # at p = 2 the p-tension is the tension, a float reader (`p_tension`)
-        return max(_point_floats(phi, pts, 0 if p == 2.0 else 1, norms, (p,))[0])
+        taus = _point_floats(phi, pts, 0 if p == 2.0 else 1, MapPoint.p_tension, (p,))[0]
+        return max(_norm(v) for v in taus)
 
     worst_crit, worst_off = 0.0, math.inf
     for p in P_VALUES:
@@ -307,15 +305,14 @@ def criterion_cylinder_proper_p_biharmonicity() -> CriterionResult:
     rng = np.random.default_rng(102)
     pts = _points(rng, [(0.5, 2.0)] * 3, 10)
 
-    def norms(mp, p, size):
-        return list(zip(*([_norm(v) for v in _split(field, size)]
-                          for field in (mp.p_bitension(p), mp.p_tension(p)))))
+    def fields(mp, p):
+        return mp.p_bitension(p), mp.p_tension(p)
 
     worst_bi, least_tension = 0.0, math.inf
-    for per_point in _point_floats(cylinder_map, pts, 3, norms):
-        for bi, tension_norm in per_point:
-            worst_bi = max(worst_bi, bi)
-            least_tension = min(least_tension, tension_norm)
+    for per_point in _point_floats(cylinder_map, pts, 3, fields):
+        for bi, tau in per_point:
+            worst_bi = max(worst_bi, _norm(bi))
+            least_tension = min(least_tension, _norm(tau))
     passed = worst_bi < 1e-6 and least_tension > 1e-3
     return CriterionResult(
         "cylinder_proper_p_biharmonicity", passed,
@@ -327,12 +324,9 @@ def criterion_small_hypersphere() -> CriterionResult:
     rng = np.random.default_rng(103)
     m = 2
 
-    def norms(ip, p, size):
-        """Per point, the norms of both residual pairs of the two systems."""
-        normal, tangent = (_split(v, size) for v in ip.general_residuals(p))
-        ns, ts = ip.hypersurface_residuals(p)
-        return [(_norm(n), _norm(t), abs(s), _norm(st)) for n, t, s, st
-                in zip(normal, tangent, _entries(value(ns), size), _split(ts, size))]
+    def residuals(ip, p):
+        """Both residual pairs of the two systems."""
+        return (*ip.general_residuals(p), *ip.hypersurface_residuals(p))
 
     failures = []
     worst = 0.0
@@ -349,15 +343,15 @@ def criterion_small_hypersphere() -> CriterionResult:
         if max(gaps) > 1e-8:
             failures.append(f"a={a}: invariant gap {max(gaps):.2e}")
         p_star = 1.0 / (b * b)
-        at_star, *off_star = _point_floats(imm, pts, 2, norms,
+        at_star, *off_star = _point_floats(imm, pts, 2, residuals,
                                            (p_star, *(p_star + dp for dp in (-0.5, 0.5))))
-        for k, (n_normal, n_tangent, n_scalar, n_ts) in enumerate(at_star):
-            residual = max(n_normal, n_tangent, n_scalar, n_ts)
+        for k, (normal, tangent, scalar, scalar_tangent) in enumerate(at_star):
+            residual = max(_norm(normal), _norm(tangent), abs(scalar), _norm(scalar_tangent))
             if residual > 1e-7:
                 failures.append(f"a={a}: residual {residual:.2e} at p*")
             for per_point in off_star:
-                n_normal, _, n_scalar, _ = per_point[k]
-                off = max(n_normal, n_scalar)
+                normal, _, scalar, _ = per_point[k]
+                off = max(_norm(normal), abs(scalar))
                 if off < 1e-4:
                     failures.append(f"a={a}: off-critical residual {off:.2e}")
         if abs(a - 1.0 / math.sqrt(2.0)) < 1e-12 and abs(result.p_star - 2.0) > 1e-8:
@@ -376,10 +370,8 @@ def criterion_bitension_cross_check() -> CriterionResult:
     """
     rng = np.random.default_rng(104)
 
-    def pairs(ip, p, size):
-        normal_b, tangent_b = ip.bitension_split(p)
-        normal_r, tangent_r = ip.general_residuals(p)
-        return list(zip(_split(normal_b + tangent_b, size), _split(normal_r + tangent_r, size)))
+    def pairs(ip, p):
+        return ip.bitension_split(p), ip.general_residuals(p)
 
     worst = 0.0
     ratios = []
@@ -387,8 +379,8 @@ def criterion_bitension_cross_check() -> CriterionResult:
         per_p = _point_floats(imm, _points(rng, box, 5), 3, pairs)
         for p, per_point in zip(P_VALUES, per_p):
             factor = imm.m ** (p - 1.0)
-            for bitension, residual in per_point:
-                for bb, rr in zip(bitension, residual):
+            for (normal_b, tangent_b), (normal_r, tangent_r) in per_point:
+                for bb, rr in zip(normal_b + tangent_b, normal_r + tangent_r):
                     worst = max(worst, abs(bb - factor * rr))
                     if abs(rr) > 1e-6:
                         ratios.append(bb / rr / factor)
@@ -404,14 +396,11 @@ def criterion_stress_divergence() -> CriterionResult:
     """div S_{2,p}(d_k) = -h(tau_2p, dphi(d_k)) across the map corpus."""
     rng = np.random.default_rng(105)
 
-    def sides(mp, p, size):
-        return list(zip(*(_split(side, size) for side in stress_divergence_sides(mp, p))))
-
     worst = 0.0
     checked = 0
     cubic_scale = 0.0
     for name, phi, box in corpus_maps():
-        per_p = _point_floats(phi, _points(rng, box, 5), 3, sides)
+        per_p = _point_floats(phi, _points(rng, box, 5), 3, stress_divergence_sides)
         for p, per_point in zip(P_VALUES, per_p):
             for lhs, rhs in per_point:
                 worst = max(worst, _scaled_divergence_gap(lhs, rhs))
@@ -429,20 +418,15 @@ def criterion_stress_trace() -> CriterionResult:
     """Trace of S_{2,p} against both closed forms, and the p = m reduction."""
     rng = np.random.default_rng(106)
 
-    def gaps(mp, p, size):
-        """Per point, the gaps to both trace forms and, at p = m, to -(m/2)|tau_p|^2."""
-        return [(abs(tr - form_alg), abs(tr - form_div),
-                 abs(tr + (mp.m / 2.0) * tau2) if p == float(mp.m) else None)
-                for tr, tau2, form_alg, form_div
-                in zip(*(_entries(v, size) for v in trace_identity_at(mp, p)))]
-
     worst, worst_pm = 0.0, 0.0
     for name, phi, box in corpus_maps():
-        for per_point in _point_floats(phi, _points(rng, box, 4), 2, gaps):
-            for gap_alg, gap_div, gap_pm in per_point:
-                worst = max(worst, gap_alg, gap_div)
-                if gap_pm is not None:
-                    worst_pm = max(worst_pm, gap_pm)
+        m = len(box)  # the source dimension
+        per_p = _point_floats(phi, _points(rng, box, 4), 2, trace_identity_at)
+        for p, per_point in zip(P_VALUES, per_p):
+            for tr, tau2, form_alg, form_div in per_point:
+                worst = max(worst, abs(tr - form_alg), abs(tr - form_div))
+                if p == float(m):  # the p = m reduction to -(m/2)|tau_p|^2
+                    worst_pm = max(worst_pm, abs(tr + (m / 2.0) * tau2))
     passed = worst < 1e-7 and worst_pm < 1e-8
     return CriterionResult(
         "stress_trace_identities", passed,
@@ -453,23 +437,20 @@ def criterion_p2_reductions() -> CriterionResult:
     """p = 2 collapses the p-tension to the tension and S_{2,p} to the classical tensor."""
     rng = np.random.default_rng(107)
 
-    def gaps(mp, p, size):
-        """Per point, the gap of the p-tension to the tension and of S_{2,p}
-        to the classical tensor (entries row by row), each read by a public
-        wrapper at the context's point."""
+    def wrappers(mp, p):
+        """The tension, the p-tension, S_{2,p} and the classical tensor, each
+        read by a public wrapper at the context's point."""
         phi, X = mp.map, mp.X
-        tau, tau_p = _split(tension(phi, X), size), _split(p_tension(phi, X, p), size)
-        S, S2 = (_split([s for row in M for s in row], size)
-                 for M in (stress_tensor(phi, X, p), classical_bienergy_stress(phi, X)))
-        return [(max(abs(a - b) for a, b in zip(*pair_tau)),
-                 max(abs(a - b) for a, b in zip(*pair_S)))
-                for pair_tau, pair_S in zip(zip(tau, tau_p), zip(S, S2))]
+        return (tension(phi, X), p_tension(phi, X, p), stress_tensor(phi, X, p),
+                classical_bienergy_stress(phi, X))
 
     worst_tau, worst_S = 0.0, 0.0
     for name, phi, box in corpus_maps():
-        for gap_tau, gap_S in _point_floats(phi, _points(rng, box, 4), 0, gaps, (2.0,))[0]:
-            worst_tau = max(worst_tau, gap_tau)
-            worst_S = max(worst_S, gap_S)
+        per_point = _point_floats(phi, _points(rng, box, 4), 0, wrappers, (2.0,))[0]
+        for tau, tau_p, S, S2 in per_point:
+            worst_tau = max(worst_tau, max(abs(a - b) for a, b in zip(tau, tau_p)))
+            worst_S = max(worst_S, max(abs(a - b) for row, row2 in zip(S, S2)
+                                       for a, b in zip(row, row2)))
     passed = worst_tau < 1e-9 and worst_S < 1e-9
     return CriterionResult(
         "p2_reductions", passed,

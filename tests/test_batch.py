@@ -23,6 +23,8 @@ from pbh.geometry import ChartMetric, euclidean_chart, space_form_chart
 from pbh.jets import JetScalar, lift_point, point_value, space_for, sqrt, value
 from pbh.mapcalc import SmoothMap, gauss_legendre_box, p_bienergy_box, p_energy_box
 from pbh.scenarios import SCHEMA_VERSION, Scenario, builtin, run, sweep
+from pbh.stress import stress_tensor, trace_identity_at
+from pbh.submanifold import small_hypersphere_immersion
 from pbh.verify import corpus_maps, random_expression_with_point
 
 FIRST_PARTIALS = [(1, 0), (0, 1)]
@@ -88,6 +90,68 @@ def test_batched_partial_and_constant_keep_the_batch_shape():
 
 
 # ---------------------------------------------------------------------- #
+# splitting a batched result per point
+# ---------------------------------------------------------------------- #
+
+def _oracle_entries(v, size):
+    """The per-point floats of a base value, as the readers split them before
+    `mapcalc._per_point`: an array holds one per batch entry, a float is shared."""
+    return v.tolist() if isinstance(v, np.ndarray) else [v] * size
+
+
+def _oracle_split(vec, size):
+    """Per point, the base values of a vector of float-or-jet scalars (the old split)."""
+    return [list(col) for col in zip(*(_oracle_entries(value(c), size) for c in vec))]
+
+
+PER_POINT_MAP_POINTS = [(0.6, 0.9), (0.8, 1.1), (1.2, 0.7)]
+PER_POINT_SPHERE_POINTS = [(0.1, 0.2), (-0.3, 0.4), (0.5, -0.2)]
+
+
+def _per_point_case(name):
+    """(a reader's result, the size of its context, its per-point split by the oracle)."""
+    size = len(PER_POINT_MAP_POINTS)
+    X = _batch(PER_POINT_MAP_POINTS)
+    cubic = next(phi for entry, phi, _box in corpus_maps() if entry == "cubic2")
+    if name == "unbatched jets":
+        j = lift_point(PER_POINT_MAP_POINTS[0], 2)
+        vec = [j[0] * j[1], j[1], 0.0, -0.0]
+        return vec, 1, _oracle_split(vec, 1)
+    if name == "batched jets":
+        J = lift_point(X, 2)
+        vec = [J[0] * J[1], J[0], 0.0, -0.0, J[1] - J[1]]
+        return vec, size, _oracle_split(vec, size)
+    if name == "float arrays":
+        vec = [*X, 0.0]
+        return vec, size, _oracle_split(vec, size)
+    if name == "shared zeros":
+        vec = [0.0, -0.0]
+        return vec, size, _oracle_split(vec, size)
+    if name == "general_residuals":
+        ip = small_hypersphere_immersion(2, 0.8).at(lift_point(_batch(PER_POINT_SPHERE_POINTS), 2))
+        normal, tangent = ip.general_residuals(3.0)
+        return ((normal, tangent), size,
+                list(zip(_oracle_split(normal, size), _oracle_split(tangent, size))))
+    if name == "trace_identity_at":
+        fields = trace_identity_at(cubic.at(lift_point(X, 2)), 3.0)
+        return fields, size, list(zip(*(_oracle_entries(value(v), size) for v in fields)))
+    assert name == "stress_tensor"
+    S = stress_tensor(cubic, X, 3.0)
+    rows = [_oracle_split(row, size) for row in S]
+    return S, size, [[row[k] for row in rows] for k in range(size)]
+
+
+@pytest.mark.parametrize("name", ["unbatched jets", "batched jets", "float arrays",
+                                  "shared zeros", "general_residuals", "trace_identity_at",
+                                  "stress_tensor"])
+def test_per_point_equals_the_split_it_replaces(name):
+    result, size, expected = _per_point_case(name)
+    got = mapcalc._per_point(result, size)
+    assert len(got) == size
+    assert repr(got) == repr(expected)
+
+
+# ---------------------------------------------------------------------- #
 # the quadrature against a per-node loop
 # ---------------------------------------------------------------------- #
 
@@ -130,9 +194,9 @@ def node_calls(monkeypatch):
     inner = mapcalc._read_points
 
     def spying(obj, points, order, read):
-        def counting(ctx, X, size):
+        def counting(ctx, X):
             calls["batched" if isinstance(X[0], np.ndarray) else "single"] += 1
-            return read(ctx, X, size)
+            return read(ctx, X)
         return inner(obj, points, order, counting)
 
     monkeypatch.setattr(mapcalc, "_read_points", spying)
