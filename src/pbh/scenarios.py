@@ -1,7 +1,9 @@
 """Scenario files, built-in examples, the check runner, and report generation.
 
 A scenario bundles a map or immersion (as expression text plus chart specs),
-parameter bindings, a sampling plan, and a list of named checks. Reports are
+parameter bindings, a sampling plan, and a list of named checks. Its texts are
+parsed when it is constructed, whichever way it is made, and its map or
+immersion is assembled from them at the first build. Reports are
 deterministic: same scenario and overrides give byte-identical CSV/JSON.
 
 Check vocabulary:
@@ -119,7 +121,8 @@ def _require_p(p, checks):
 
 
 def _parse_field(text, field_name, dim, declared):
-    """The tree of one expression field of a scenario; a SchemaError if it does not parse."""
+    """The tree of one expression field of a scenario; a SchemaError unless a string that parses."""
+    _require(isinstance(text, str), field_name, "must be an expression string")
     try:
         return parse(text, dim, declared)
     except PbhError as exc:
@@ -157,7 +160,9 @@ def _chart_spec(spec: dict, field_name: str, declared: list):
 
 @dataclass
 class Scenario:
-    """Validated scenario: charts, components, params, sampling plan, checks."""
+    """Validated scenario: charts, components, params, sampling plan, checks.
+    However it is made, it parses its texts at construction; `_parsed`
+    assembles its map or immersion from them at the first build."""
 
     name: str
     kind: str
@@ -173,6 +178,22 @@ class Scenario:
     exclude_text: list
     checks: list
     tolerance: float
+
+    def __post_init__(self):
+        m, declared = self.source_spec["dim"], sorted(self.params)
+        self._components = [_parse_field(text, f"components[{k}]", m, declared)
+                            for k, text in enumerate(self.component_text)]
+        # None: an induced source metric
+        self._charts = (_chart_spec(self.source_spec, "source", declared)
+                        if self.kind == "map" or "metric" in self.source_spec else None,
+                        _chart_spec(self.target_spec, "target", declared))
+        self._exclude = [_parse_field(text, f"samples.exclude[{k}]", m, declared)
+                         for k, text in enumerate(self.exclude_text)]
+        # the parameters the component, metric and exclude trees read
+        metrics = [e for chart in self._charts if chart and chart[2] for row in chart[2]
+                   for e in row]
+        self._params_read = set().union(
+            *(e.params_used() for e in [*self._components, *self._exclude, *metrics]))
 
     @staticmethod
     def from_dict(data: dict) -> "Scenario":
@@ -202,7 +223,6 @@ class Scenario:
                 params[key] = float(val["from"])
             else:
                 raise SchemaError(f"params.{key}", "must be a number or a sweep range")
-        declared = sorted(params.keys())
 
         _require("source" in data, "source", "is required")
         _require("target" in data, "target", "is required")
@@ -220,14 +240,6 @@ class Scenario:
         comp_text = data.get("components")
         _require(isinstance(comp_text, list) and len(comp_text) == n, "components",
                  f"must list {n} expression strings")
-        components = [_parse_field(text, f"components[{k}]", m, declared)
-                      for k, text in enumerate(comp_text)]
-        missing = set().union(*(e.params_used() for e in components)) - set(declared)
-        _require(not missing, "params", f"unbound parameters {sorted(missing)}")
-        # None: an induced source metric
-        charts = (_chart_spec(source_spec, "source", declared)
-                  if kind == "map" or "metric" in source_spec else None,
-                  _chart_spec(target_spec, "target", declared))
 
         samples = data.get("samples", {})
         _require(isinstance(samples, dict), "samples", "must be an object")
@@ -251,8 +263,6 @@ class Scenario:
         _require(_is_int(seed), "samples.seed", "must be an integer")
         exclude = samples.get("exclude", [])
         _require(isinstance(exclude, list), "samples.exclude", "must be a list")
-        exclude_trees = [_parse_field(text, f"samples.exclude[{k}]", m, declared)
-                         for k, text in enumerate(exclude)]
 
         checks = data.get("checks")
         _require(isinstance(checks, list) and checks, "checks",
@@ -267,14 +277,11 @@ class Scenario:
         for p in sweeps["p"][:2] if "p" in sweeps else [params.get("p", 2.0)]:
             _require_p(p, checks)
 
-        sc = Scenario(
+        return Scenario(
             name=name, kind=kind, source_spec=source_spec, target_spec=target_spec,
             component_text=list(comp_text), params=params, sweeps=sweeps, box=box,
             points_per_axis=ppa, random_points=rnd, seed=seed,
             exclude_text=list(exclude), checks=list(checks), tolerance=float(tol))
-        # parsed once, here; assembled at the first build (`_parsed`)
-        object.__setattr__(sc, "_trees", (charts, components, exclude_trees))
-        return sc
 
     def to_dict(self) -> dict:
         params = {}
@@ -302,10 +309,9 @@ class Scenario:
     def sample_points(self, params=None) -> list:
         """Deterministic sample points: interior grid, then seeded uniform draws."""
         params = {**self.params, **(params or {})}
-        exclude = self._parsed()[1]
 
         def excluded(x):
-            return any(e.evaluate(x, params) < 0.0 for e in exclude)
+            return any(e.evaluate(x, params) < 0.0 for e in self._exclude)
 
         points = []
         if self.points_per_axis:
@@ -331,33 +337,27 @@ class Scenario:
 
     # -- construction ------------------------------------------------------ #
     def _parsed(self):
-        """(map or immersion, exclude trees, names of the parameters that the
-        component, metric and exclude trees read): assembled once, from the
-        trees parsed at load; later builds only rebind parameters."""
-        base = getattr(self, "_base", None)
-        if base is not None:
-            return base
-        params = dict(self.params)
-        m = self.source_spec["dim"]
-        charts, components, exclude = self._trees
-        source, target = (None if chart is None else _chart_from_spec(chart, params)
-                          for chart in charts)
-        if self.kind == "map":
-            obj = SmoothMap(source, target, components, params=params, name=self.name)
-        else:
-            obj = Immersion(m, target, components, params=params,
-                            source_metric=None if source is None else source.components,
-                            name=self.name)
-        trees = [*obj.components, *exclude, *(e for chart in (obj.source, obj.target)
-                                              for row in chart.components for e in row)]
-        base = (obj, exclude, set().union(*(e.params_used() for e in trees)))
-        object.__setattr__(self, "_base", base)
-        return base
+        """The map or immersion, assembled once, at the first build, from the
+        trees parsed at construction; later builds only rebind parameters."""
+        obj = getattr(self, "_base", None)
+        if obj is None:
+            params = dict(self.params)
+            source, target = (None if chart is None else _chart_from_spec(chart, params)
+                              for chart in self._charts)
+            if self.kind == "map":
+                obj = SmoothMap(source, target, self._components, params=params,
+                                name=self.name)
+            else:
+                obj = Immersion(self.source_spec["dim"], target, self._components,
+                                params=params, name=self.name,
+                                source_metric=None if source is None else source.components)
+            self._base = obj
+        return obj
 
     def build(self, overrides=None):
         """Instantiate the scenario's map or immersion with bound parameters."""
         params = {**self.params, **(overrides or {})}
-        return self._parsed()[0].with_params(**params)
+        return self._parsed().with_params(**params)
 
 
 # ---------------------------------------------------------------------- #
@@ -711,9 +711,7 @@ def sweep(scenario: Scenario, param: str, lo=None, hi=None, steps=None,
 
     reports = []
     means = {}
-    # the first step's input errors come before any error in building the scenario
-    _run_params(scenario, {**(overrides or {}), param: values[0]}, tolerance)
-    shared = None if param in scenario._parsed()[2] else {}
+    shared = None if param in scenario._params_read else {}
     for v in values:
         rep = _run(scenario, {**(overrides or {}), param: v}, tolerance, strict, shared)
         reports.append(rep)

@@ -1,5 +1,6 @@
 """Scenario schema, built-ins, run/sweep engine, reports, and the CLI."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -55,6 +56,8 @@ class TestSchema:
         ({"kind": "flow"}, "kind"),
         ({"components": ["x1"]}, "components"),
         ({"components": ["x1 + unknown_param", "x2"]}, "components[0]"),
+        ({"components": ["x1", 2]}, "components[1]"),
+        ({"source": {"dim": 2, "metric": [["1", "0"], ["0", 1.0]]}}, "source.metric[1][1]"),
         ({"checks": ["not_a_check"]}, "checks"),
         ({"checks": []}, "checks"),
         ({"tolerance": -1.0}, "tolerance"),
@@ -84,6 +87,45 @@ class TestSchema:
         data = make_scenario_dict(params={"p": {"from": 2.0, "to": 4.0, "steps": 3}})
         sc = Scenario.from_dict(data)
         assert sc.sweeps["p"] == (2.0, 4.0, 3)
+
+
+def _fields(sc):
+    """The constructor arguments that remake `sc`."""
+    return {f.name: getattr(sc, f.name) for f in dataclasses.fields(Scenario)}
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("name", ["inversion(3)", "small_hypersphere(2, 0.8)"])
+    def test_a_constructor_made_scenario_runs_to_the_builtin_report(self, name):
+        made, ref = run(Scenario(**_fields(builtin(name)))), run(builtin(name))
+        assert (made.to_csv(), made.to_json()) == (ref.to_csv(), ref.to_json())
+
+    def test_every_way_of_making_a_scenario_parses_its_texts(self):
+        sc = builtin("inversion(3)")
+        for make in (lambda texts: Scenario(**{**_fields(sc), "component_text": texts}),
+                     lambda texts: dataclasses.replace(sc, component_text=texts)):
+            with pytest.raises(SchemaError) as err:
+                make(["x1 +", "x2", "x3"])
+            assert err.value.field == "components[0]"
+
+    def test_sampling_assembles_no_map(self):
+        sc = builtin("proper_pbh_cylinder")
+        assert sc.sample_points()
+        assert "_base" not in vars(sc)
+
+    def test_a_subclass_with_fixed_points_gives_the_base_rows_there(self):
+        @dataclasses.dataclass
+        class FixedPoints(Scenario):
+            points: list = dataclasses.field(default_factory=list)
+
+            def sample_points(self, params=None):
+                return list(self.points)
+
+        base = builtin("proper_pbh_cylinder")
+        points = base.sample_points()[1::2]
+        fixed = FixedPoints(**_fields(base), points=points)
+        want = [r for r in run(base, overrides={"p": 3.0}).rows if r.point in points]
+        assert want and run(fixed, overrides={"p": 3.0}).rows == want
 
 
 class TestBuiltins:
@@ -330,11 +372,12 @@ class TestEvaluationContexts:
                        > _public_residual("theorem_2_3", obj, x, p, part="normal")
                        for x in sc.sample_points())
 
-    @pytest.mark.parametrize("a", [0.6, 0.8])
+    @pytest.mark.parametrize("a", [0.6, 0.8, 0.999999999999])
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
     def test_signed_normal_residual_of_a_latitude_sphere(self, a, p):
         # on the radius-a latitude m-sphere of the unit sphere (b^2 = 1 - a^2)
-        # the normal residual along H/|H| is m (b/a) ((p - 1) b^2/a^2 - 1)
+        # the normal residual along H/|H| is m (b/a) ((p - 1) b^2/a^2 - 1);
+        # at a = 1 - 1e-12, |H|^2 = b^2/a^2 is about 2e-12, still signed
         m, b = 2, math.sqrt(1.0 - a * a)
         rep = run(builtin(f"small_hypersphere({m}, {a})"), overrides={"p": p})
         signed = [r.signed for r in rep.rows if r.check == "theorem_2_1"]
@@ -363,9 +406,11 @@ class TestSweep:
         b2 = 1.0 - a * a
         sc = builtin(f"small_hypersphere(2, {a})")
         result = sweep(sc, "p", 2.0, 6.0, 41)
-        crossings = [c for c in result.crossings if c["check"] == "theorem_2_1"]
-        assert crossings, "expected a sign crossing of the normal residual"
-        assert crossings[0]["value"] == pytest.approx(1.0 / b2, abs=0.1)
+        # both signed residuals are affine in p, so interpolation finds the
+        # root to rounding
+        for check in ("theorem_2_1", "theorem_2_3"):
+            crossings = [c["value"] for c in result.crossings if c["check"] == check]
+            assert crossings == [pytest.approx(1.0 / b2, rel=0, abs=1e-12)], check
 
     @pytest.mark.parametrize("series, zeros", [
         ([-1.0, -0.5, 0.0], [2]), ([-1.0, 0.0, None], [1]), ([0.0, 1.0, 2.0], [0]),

@@ -177,8 +177,8 @@ def test_leaves_key_on_their_exact_value():
 
 
 def test_with_params_copies_share_their_tables_and_own_their_params():
-    phi = builtin("inversion(3)")._parsed()[0]
-    imm = builtin("small_hypersphere(2, 0.8)")._parsed()[0]
+    phi = builtin("inversion(3)")._parsed()
+    imm = builtin("small_hypersphere(2, 0.8)")._parsed()
     phi2, imm2 = phi.with_params(l=2.5), imm.with_params(a=0.7)
     cases = [(phi.source, phi.source.with_params(l=2.5), ("components", "dg", "d2g")),
              (imm, imm2, ("pullback_components",))]

@@ -132,7 +132,7 @@ def test_marks_are_set_when_the_map_is_built(name):
     """A map's marks are final once it is constructed: a run and a 41-step
     sweep over its with_params copies mark nothing more."""
     sc = builtin(name)
-    obj = sc._parsed()[0]
+    obj = sc._parsed()
     phi = getattr(obj, "map", obj)
     built = _marks(phi)
     assert any(built.values())

@@ -12,7 +12,8 @@ from pbh.geometry import euclidean_chart, space_form_chart
 from pbh.jets import lift_point, value
 from pbh.mapcalc import SmoothMap, p_tension
 from pbh.scenarios import builtin
-from pbh.stress import stress_divergence_check, stress_tensor, stress_trace, theta_divergence
+from pbh.stress import (_scaled_divergence_gap, divergence_gap, stress_divergence_check,
+                        stress_tensor, stress_trace, theta_divergence)
 from pbh.verify import classical_bienergy_stress
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -215,3 +216,8 @@ class TestDivergenceIdentity:
             assert max(abs(v) for v in p_tension(phi, x, 3.0)) < 1e-10
             S = stress_tensor(phi, x, 3.0)
             assert max(abs(v) for row in S for v in row) < 1e-8
+
+    def test_a_gap_is_scaled_by_the_larger_side(self):
+        # the right side is the larger, and larger than 1: it alone sets the scale
+        lhs, rhs = [1.0, -0.5], [3.0, 0.0]
+        assert _scaled_divergence_gap(lhs, rhs) == divergence_gap(lhs, rhs) / 3.0 == 2.0 / 3.0
