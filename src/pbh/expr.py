@@ -19,7 +19,6 @@ import math
 import operator
 import re
 import struct
-import weakref
 
 from . import jets
 from .errors import ExprSyntaxError, UnknownIdentifierError
@@ -34,11 +33,14 @@ class Expression:
     """Base node. Subclasses implement `_eval`, `_diff` (leaves: `diff` and
     `_subst`) and `to_string`. An inner node's `_eval` looks itself up in the
     memo and otherwise applies its class's `OPERATION` to its operands' values,
-    in one frame per node. The factor of a node's partials that does not
-    depend on the axis (`Pow`: q*u^(q-1); `Sin`, `Cos`, `Sqrt`, `AbsPow`) is
-    built once (`_factor`), and all its partials hold it; so is r*r (`_square`)."""
+    in one frame per node. No node refers to its derivatives: partials are kept
+    per axis, then by node, in a derivative table, a dict that its owner (a
+    chart, a map, the caller of `differentiate`) passes to `diff`. The factor
+    of a node's partials that does not depend on the axis (`Pow`: q*u^(q-1);
+    `Sin`, `Cos`, `Sqrt`, `AbsPow`) is built once per table (`_factor`), and all
+    its partials hold it; so is r*r (`_square`)."""
 
-    __slots__ = ("_dcache",)
+    __slots__ = ()
 
     PRECEDENCE = 0
 
@@ -49,32 +51,33 @@ class Expression:
         """
         return self._eval(coords, params or {}, {} if memo is None else memo)
 
-    def diff(self, i: int) -> "Expression":
-        """Exact partial derivative with respect to coordinate i (cached)."""
-        cache = self._dcache
-        if cache is None:
-            cache = self._dcache = {}
-        d = cache.get(i)
+    def diff(self, i: int, table=None) -> "Expression":
+        """Exact partial derivative with respect to coordinate i, kept in the
+        derivative `table` (a new one when None)."""
+        if table is None:
+            table = {}
+        partials = table.get(i)
+        if partials is None:
+            partials = table[i] = {}
+        d = partials.get(self)
         if d is None:
-            d = cache[i] = self._diff(i)
+            d = partials[self] = self._diff(i, table)
         return d
 
-    def _factor(self, build):
+    def _factor(self, table, build, kind="factor"):
         """build(), the axis-independent factor of this node's partials, built
-        at the first partial and kept with them (key None), one object for all."""
-        f = self._dcache.get(None)
+        at the first partial in `table` and held by all of them, one object."""
+        kept = table.get(kind)
+        if kept is None:
+            kept = table[kind] = {}
+        f = kept.get(self)
         if f is None:
-            f = self._dcache[None] = build()
+            f = kept[self] = build()
         return f
 
-    def _square(self):
-        """self * self for an inner node, one for all quotients over it: they hold
-        it, and the node holds a weak reference (a cycle would outlive them)."""
-        ref = self._dcache.get("square")
-        square = ref and ref()
-        if square is None:
-            self._dcache["square"] = weakref.ref(square := Mul(self, self))
-        return square
+    def _square(self, table):
+        """self * self for an inner node, one object in `table` for all quotients over it."""
+        return self._factor(table, lambda: Mul(self, self), "square")
 
     def substitute(self, replacements) -> "Expression":
         """Expression with Coord(i) replaced by replacements[i] (composition)."""
@@ -150,7 +153,7 @@ def _as_expr(x):
     return Const(float(x))
 
 
-# leaves are not memoized, and their constant derivatives need no cache
+# leaves are not memoized, and their constant derivatives need no table
 
 class Const(Expression):
     __slots__ = ("value",)
@@ -161,7 +164,7 @@ class Const(Expression):
     def _eval(self, coords, params, memo):
         return self.value
 
-    def diff(self, i):
+    def diff(self, i, table=None):
         return _ZERO
 
     def _subst(self, repl):
@@ -182,7 +185,7 @@ class Coord(Expression):
     def _eval(self, coords, params, memo):
         return coords[self.index]
 
-    def diff(self, i):
+    def diff(self, i, table=None):
         return _ONE if i == self.index else _ZERO
 
     def _subst(self, repl):
@@ -204,7 +207,7 @@ class Param(Expression):
         except KeyError:
             raise UnknownIdentifierError(f"parameter '{self.name}' has no bound value") from None
 
-    def diff(self, i):
+    def diff(self, i, table=None):
         return _ZERO
 
     def _subst(self, repl):
@@ -224,7 +227,9 @@ class Param(Expression):
 # of 512 entries such memo entries would hold most of the memory. A node never
 # marked (None) or read twice in some marked forest (False) memoizes. The
 # axis-independent factor of a node's partials (`_factor`, `_square`) is one node
-# read by all of them, so a point computes it, and each of its derivatives, once.
+# per derivative table read by all of them, so a point computes it, and each of
+# its derivatives, once. A node refers only to its operands, never to its
+# derivatives: their tables belong to a chart, a map or a caller (`Expression`).
 
 class _Unary(Expression):
     __slots__ = ("arg", "_once")
@@ -233,7 +238,7 @@ class _Unary(Expression):
 
     def __init__(self, arg: Expression):
         self.arg = arg
-        self._once = self._dcache = None
+        self._once = None
 
     def _eval(self, coords, params, memo):
         if self._once:
@@ -255,8 +260,8 @@ class Neg(_Unary):
     FUNC = "neg"
     OPERATION = operator.neg
 
-    def _diff(self, i):
-        return neg(self.arg.diff(i))
+    def _diff(self, i, table):
+        return neg(self.arg.diff(i, table))
 
 
 class Sqrt(_Unary):
@@ -264,8 +269,8 @@ class Sqrt(_Unary):
     FUNC = "sqrt"
     OPERATION = staticmethod(jets.sqrt)
 
-    def _diff(self, i):
-        return div(self.arg.diff(i), self._factor(lambda: mul(Const(2.0), self)))
+    def _diff(self, i, table):
+        return div(self.arg.diff(i, table), self._factor(table, lambda: mul(Const(2.0), self)))
 
 
 class Exp(_Unary):
@@ -273,8 +278,8 @@ class Exp(_Unary):
     FUNC = "exp"
     OPERATION = staticmethod(jets.exp)
 
-    def _diff(self, i):
-        return mul(self, self.arg.diff(i))
+    def _diff(self, i, table):
+        return mul(self, self.arg.diff(i, table))
 
 
 class Log(_Unary):
@@ -282,8 +287,8 @@ class Log(_Unary):
     FUNC = "log"
     OPERATION = staticmethod(jets.log)
 
-    def _diff(self, i):
-        return div(self.arg.diff(i), self.arg)
+    def _diff(self, i, table):
+        return div(self.arg.diff(i, table), self.arg)
 
 
 class Sin(_Unary):
@@ -291,8 +296,8 @@ class Sin(_Unary):
     FUNC = "sin"
     OPERATION = staticmethod(jets.sin)
 
-    def _diff(self, i):
-        return mul(self._factor(lambda: cos_(self.arg)), self.arg.diff(i))
+    def _diff(self, i, table):
+        return mul(self._factor(table, lambda: cos_(self.arg)), self.arg.diff(i, table))
 
 
 class Cos(_Unary):
@@ -300,8 +305,8 @@ class Cos(_Unary):
     FUNC = "cos"
     OPERATION = staticmethod(jets.cos)
 
-    def _diff(self, i):
-        return neg(mul(self._factor(lambda: sin_(self.arg)), self.arg.diff(i)))
+    def _diff(self, i, table):
+        return neg(mul(self._factor(table, lambda: sin_(self.arg)), self.arg.diff(i, table)))
 
 
 class _Binary(Expression):
@@ -313,7 +318,7 @@ class _Binary(Expression):
     def __init__(self, left: Expression, right: Expression):
         self.left = left
         self.right = right
-        self._once = self._dcache = None
+        self._once = None
 
     def _eval(self, coords, params, memo):
         if self._once:
@@ -344,8 +349,8 @@ class Add(_Binary):
     OPERATION = operator.add
     PRECEDENCE = 1
 
-    def _diff(self, i):
-        return add(self.left.diff(i), self.right.diff(i))
+    def _diff(self, i, table):
+        return add(self.left.diff(i, table), self.right.diff(i, table))
 
 
 class Sub(_Binary):
@@ -354,18 +359,19 @@ class Sub(_Binary):
     OPERATION = operator.sub
     PRECEDENCE = 1
 
-    def _diff(self, i):
-        return sub(self.left.diff(i), self.right.diff(i))
+    def _diff(self, i, table):
+        return sub(self.left.diff(i, table), self.right.diff(i, table))
 
 
 class Mul(_Binary):
-    __slots__ = ("__weakref__",)  # a square (`_square`)
+    __slots__ = ()
     OP = "*"
     OPERATION = operator.mul
     PRECEDENCE = 2
 
-    def _diff(self, i):
-        return add(mul(self.left.diff(i), self.right), mul(self.left, self.right.diff(i)))
+    def _diff(self, i, table):
+        return add(mul(self.left.diff(i, table), self.right),
+                   mul(self.left, self.right.diff(i, table)))
 
 
 class Div(_Binary):
@@ -374,10 +380,10 @@ class Div(_Binary):
     OPERATION = operator.truediv
     PRECEDENCE = 2
 
-    def _diff(self, i):
+    def _diff(self, i, table):
         r = self.right
-        num = sub(mul(self.left.diff(i), r), mul(self.left, r.diff(i)))
-        return div(num, r._square() if isinstance(r, _INNER) else mul(r, r))
+        num = sub(mul(self.left.diff(i, table), r), mul(self.left, r.diff(i, table)))
+        return div(num, r._square(table) if isinstance(r, _INNER) else mul(r, r))
 
 
 class _Power(Expression):
@@ -390,7 +396,7 @@ class _Power(Expression):
             raise ExprSyntaxError(self.EXPONENT_ERROR, 0)
         self.arg = arg
         self.exponent = exponent
-        self._once = self._dcache = None
+        self._once = None
 
     def _eval(self, coords, params, memo):
         # the exponent first: an unbound parameter there raises before a
@@ -414,9 +420,10 @@ class Pow(_Power):
     EXPONENT_ERROR = "exponent must be coordinate-free"
     PRECEDENCE = 3
 
-    def _diff(self, i):
+    def _diff(self, i, table):
         q = self.exponent
-        return mul(self._factor(lambda: mul(q, pow_(self.arg, sub(q, _ONE)))), self.arg.diff(i))
+        return mul(self._factor(table, lambda: mul(q, pow_(self.arg, sub(q, _ONE)))),
+                   self.arg.diff(i, table))
 
     def to_string(self, prec=0):
         b = self.arg.to_string(self.PRECEDENCE + 1)
@@ -438,10 +445,11 @@ class AbsPow(_Power):
     OPERATION = staticmethod(jets.abspow)
     EXPONENT_ERROR = "abspow exponent must be coordinate-free"
 
-    def _diff(self, i):
+    def _diff(self, i, table):
         # d|u|^q = q |u|^(q-2) u du, valid away from u = 0
         q, u = self.exponent, self.arg
-        return mul(self._factor(lambda: mul(q, mul(abspow_(u, sub(q, Const(2.0))), u))), u.diff(i))
+        return mul(self._factor(table, lambda: mul(q, mul(abspow_(u, sub(q, Const(2.0))), u))),
+                   u.diff(i, table))
 
     def to_string(self, prec=0):
         return f"abspow({self.arg.to_string()}, {self.exponent.to_string()})"
@@ -482,29 +490,31 @@ def share_subtrees(roots) -> list:
     a leaf on its exact value (a Const's bit pattern keeps 0.0 and -0.0
     apart). Leaves are never replaced, and a node is rebuilt only when an
     inner child was merged, so an unchanged subtree keeps its objects and
-    their derivative caches. A merged node prints and evaluates as before."""
+    their entries in any derivative table. A merged node prints and
+    evaluates as before."""
     table, seen = {}, {}
+    return [_share(e, table, seen)[0] for e in roots]
 
-    def share(node):
-        """(the object kept for `node`, its key)"""
-        got = seen.get(id(node))
-        if got is None:
-            if type(node) is Const:
-                got = (node, struct.pack("<d", node.value))
-            elif not isinstance(node, _INNER):  # a Coord by its index, a Param by its name
-                got = (node, (type(node), node.index if type(node) is Coord else node.name))
-            else:
-                kids = [share(ch) for ch in node._children()]
-                key = (type(node),) + tuple(k for _kept, k in kids)
-                kept = table.get(key)
-                if kept is None:
-                    changed = any(k is not ch for (k, _key), ch in zip(kids, node._children()))
-                    kept = table[key] = type(node)(*(k for k, _key in kids)) if changed else node
-                got = (kept, id(kept))
-            seen[id(node)] = got
-        return got
 
-    return [share(e)[0] for e in roots]
+def _share(node, table, seen):
+    """(the object kept for `node`, its key) for share_subtrees; not a closure,
+    which calling itself would be a cycle holding its tables until the cyclic GC."""
+    got = seen.get(id(node))
+    if got is None:
+        if type(node) is Const:
+            got = (node, struct.pack("<d", node.value))
+        elif not isinstance(node, _INNER):  # a Coord by its index, a Param by its name
+            got = (node, (type(node), node.index if type(node) is Coord else node.name))
+        else:
+            kids = [_share(ch, table, seen) for ch in node._children()]
+            key = (type(node),) + tuple(k for _kept, k in kids)
+            kept = table.get(key)
+            if kept is None:
+                changed = any(k is not ch for (k, _key), ch in zip(kids, node._children()))
+                kept = table[key] = type(node)(*(k for k, _key in kids)) if changed else node
+            got = (kept, id(kept))
+        seen[id(node)] = got
+    return got
 
 
 # ---------------------------------------------------------------------- #
@@ -618,9 +628,10 @@ _SMART = {Neg: neg, Sqrt: sqrt_, Exp: exp_, Log: log_, Sin: sin_, Cos: cos_, Add
           Sub: sub, Mul: mul, Div: div, Pow: pow_, AbsPow: abspow_}
 
 
-def differentiate(e: Expression, coord_index: int) -> Expression:
-    """Exact symbolic partial derivative of `e` with respect to a coordinate."""
-    return e.diff(coord_index)
+def differentiate(e: Expression, coord_index: int, table=None) -> Expression:
+    """Exact symbolic partial derivative of `e` with respect to a coordinate, kept
+    in the caller's derivative `table` (`Expression.diff`; a new one when None)."""
+    return e.diff(coord_index, table)
 
 
 def eval_jet(e: Expression, point, order: int):

@@ -33,10 +33,12 @@ class ChartMetric:
 
     Components are expressions over the chart's own coordinates; the
     constructor symmetrizes them. `params` holds the bound values for any
-    named parameters appearing in the component expressions.
+    named parameters appearing in the component expressions. The chart keeps
+    `table`, the derivative table it builds dg and d2g in (a new one when None).
     """
 
-    def __init__(self, dim, components, params=None, space_form_c=None, domain=None):
+    def __init__(self, dim, components, params=None, space_form_c=None, domain=None,
+                 table=None):
         d = self.dim = int(dim)
         if len(components) != d or any(len(r) != d for r in components):
             raise ValueError(f"metric components must form a {d}x{d} matrix")
@@ -48,9 +50,10 @@ class ChartMetric:
                 comps[i][j] = comps[j][i] = a if same else Const(0.5) * (a + b)
         flat = iter(share_subtrees([e for row in comps for e in row]))
         g = self.components = [[next(flat) for _j in range(d)] for _i in range(d)]
+        t = self.table = {} if table is None else table
         # dg[k][i][j] = d g_ij / d x_k, d2g[l][k][i][j] = d dg[k][i][j] / d x_l
-        self.dg = [[[g[i][j].diff(k) for j in range(d)] for i in range(d)] for k in range(d)]
-        self.d2g = [[[[self.dg[k][i][j].diff(l) for j in range(d)] for i in range(d)]
+        self.dg = [[[g[i][j].diff(k, t) for j in range(d)] for i in range(d)] for k in range(d)]
+        self.d2g = [[[[self.dg[k][i][j].diff(l, t) for j in range(d)] for i in range(d)]
                      for k in range(d)] for l in range(d)]
         self.params = dict(params or {})
         self.space_form_c = space_form_c

@@ -64,10 +64,12 @@ _NORM2_FLOOR = 1e-30
 
 
 class SmoothMap:
-    """A map between charts given by component expressions over source coordinates."""
+    """A map between charts given by component expressions over source coordinates.
+    It keeps `table`, the derivative table it builds d1 and d2 in: by default a copy of
+    its source chart's, whose trees its components share, so the chart's stays as built."""
 
     def __init__(self, source: ChartMetric, target: ChartMetric, components,
-                 params=None, name: str = ""):
+                 params=None, name: str = "", table=None):
         if len(components) != target.dim:
             raise ValueError(
                 f"map needs {target.dim} component expressions, got {len(components)}")
@@ -82,10 +84,11 @@ class SmoothMap:
         self.components = share_with_metric(self.source.components, components)
         self.name = name
         m = source.dim
+        t = self.table = _copy_table(source.table) if table is None else table
         # d1[a][i] = d phi^a / dx_i; d2[a][i][j - i] = d^2 phi^a / dx_i dx_j
         # for j >= i, all `MapPoint.d2phi` reads
-        self.d1 = [[c.diff(i) for i in range(m)] for c in self.components]
-        self.d2 = [[[row[i].diff(j) for j in range(i, m)] for i in range(m)] for row in self.d1]
+        self.d1 = [[c.diff(i, t) for i in range(m)] for c in self.components]
+        self.d2 = [[[r[i].diff(j, t) for j in range(i, m)] for i in range(m)] for r in self.d1]
         # one marked forest per memo of a MapPoint (`expr.mark_reads`); the
         # source one holds the source metric, for an immersion built from d1
         src, tgt = self.source, self.target
@@ -121,6 +124,11 @@ def share_with_metric(metric, trees) -> list:
     MapPoint evaluates a map's trees and its source metric on one memo."""
     known = [e for row in metric for e in row]
     return share_subtrees(known + list(trees))[len(known):]
+
+
+def _copy_table(table) -> dict:
+    """A derivative table (`Expression.diff`) with the entries of `table`."""
+    return {kind: dict(kept) for kind, kept in table.items()}
 
 
 def _roots(tables) -> list:
@@ -450,15 +458,30 @@ def _base(t):
 # public wrappers over float points
 # ---------------------------------------------------------------------- #
 
+def _float_wrapper(wrapper):
+    """`wrapper` under np.errstate(all="ignore"), as `replay_chunks` runs a single
+    item, unless the caller has numpy raise (as a batched attempt there does)."""
+    @wraps(wrapper)
+    def quiet(*args, **kwargs):
+        if "raise" in np.geterr().values():
+            return wrapper(*args, **kwargs)
+        with np.errstate(all="ignore"):
+            return wrapper(*args, **kwargs)
+    return quiet
+
+
+@_float_wrapper
 def tension(phi: SmoothMap, x):
     return [value(t) for t in phi.at(tuple(x)).tension]
 
 
+@_float_wrapper
 def p_tension(phi: SmoothMap, x, p: float):
     # at p = 2 the p-tension is the tension, which needs no jets
     return [value(t) for t in phi.at(tuple(x) if p == 2.0 else lift_point(x, 1)).p_tension(p)]
 
 
+@_float_wrapper
 def p_bitension(phi: SmoothMap, x, p: float):
     return [value(t) for t in phi.at(lift_point(x, 3)).p_bitension(p)]
 
@@ -653,4 +676,4 @@ def perturbed_map(phi: SmoothMap, variation, t: float) -> SmoothMap:
     """The map with components phi^a + t * v^a (a straight-line variation in chart coordinates)."""
     comps = [c + Const(float(t)) * v for c, v in zip(phi.components, variation)]
     return SmoothMap(phi.source, phi.target, comps, phi.params,
-                     name=f"{phi.name}+{t}*v")
+                     name=f"{phi.name}+{t}*v", table=_copy_table(phi.table))

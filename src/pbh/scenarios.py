@@ -181,6 +181,35 @@ class Scenario:
 
     def __post_init__(self):
         m, declared = self.source_spec["dim"], sorted(self.params)
+        # the sampling plan, checks, tolerance and p are checked here, so that
+        # `from_dict`, the constructor and dataclasses.replace check them alike
+        _require(isinstance(self.box, list) and len(self.box) == m
+                 and all(isinstance(b, list) and len(b) == 2 for b in self.box),
+                 "samples.box", f"must list {m} [lo, hi] pairs")
+        _require(all(_is_number(v) and math.isfinite(v) for b in self.box for v in b),
+                 "samples.box", "bounds must be finite numbers")
+        self.box = [[float(lo), float(hi)] for lo, hi in self.box]
+        _require(all(lo < hi for lo, hi in self.box), "samples.box", "needs lo < hi per axis")
+        for key in ("points_per_axis", "random_points"):
+            count = getattr(self, key)
+            _require(_is_int(count) and count >= 0, f"samples.{key}",
+                     "must be a non-negative integer")
+        _require(self.points_per_axis > 0 or self.random_points > 0, "samples",
+                 "needs points_per_axis or random_points")
+        _require(_is_int(self.seed), "samples.seed", "must be an integer")
+        _require(isinstance(self.exclude_text, list), "samples.exclude", "must be a list")
+        _require(isinstance(self.checks, list) and self.checks, "checks",
+                 "must be a non-empty list")
+        self.exclude_text, self.checks = list(self.exclude_text), list(self.checks)
+        for c in self.checks:
+            _require(c in ALL_CHECKS, "checks", f"unknown check {c!r}")
+            if c in IMMERSION_CHECKS:
+                _require(self.kind == "immersion", "checks",
+                         f"{c!r} applies to immersions only")
+        _require_tolerance(self.tolerance)
+        self.tolerance = float(self.tolerance)
+        for p in self.sweeps["p"][:2] if "p" in self.sweeps else [self.params.get("p", 2.0)]:
+            _require_p(p, self.checks)
         self._components = [_parse_field(text, f"components[{k}]", m, declared)
                             for k, text in enumerate(self.component_text)]
         # None: an induced source metric
@@ -243,45 +272,14 @@ class Scenario:
 
         samples = data.get("samples", {})
         _require(isinstance(samples, dict), "samples", "must be an object")
-        box = samples.get("box")
-        _require(isinstance(box, list) and len(box) == m
-                 and all(isinstance(b, list) and len(b) == 2 for b in box),
-                 "samples.box", f"must list {m} [lo, hi] pairs")
-        _require(all(_is_number(v) and math.isfinite(v) for b in box for v in b),
-                 "samples.box", "bounds must be finite numbers")
-        box = [[float(b[0]), float(b[1])] for b in box]
-        _require(all(b[0] < b[1] for b in box), "samples.box", "needs lo < hi per axis")
-        ppa = samples.get("points_per_axis", 0)
-        rnd = samples.get("random_points", 0)
-        _require(_is_int(ppa) and ppa >= 0, "samples.points_per_axis",
-                 "must be a non-negative integer")
-        _require(_is_int(rnd) and rnd >= 0, "samples.random_points",
-                 "must be a non-negative integer")
-        _require(ppa > 0 or rnd > 0, "samples",
-                 "needs points_per_axis or random_points")
-        seed = samples.get("seed", 0)
-        _require(_is_int(seed), "samples.seed", "must be an integer")
-        exclude = samples.get("exclude", [])
-        _require(isinstance(exclude, list), "samples.exclude", "must be a list")
-
-        checks = data.get("checks")
-        _require(isinstance(checks, list) and checks, "checks",
-                 "must be a non-empty list")
-        for c in checks:
-            _require(c in ALL_CHECKS, "checks", f"unknown check {c!r}")
-            if c in IMMERSION_CHECKS:
-                _require(kind == "immersion", "checks",
-                         f"{c!r} applies to immersions only")
-        tol = data.get("tolerance", DEFAULT_TOLERANCE)
-        _require_tolerance(tol)
-        for p in sweeps["p"][:2] if "p" in sweeps else [params.get("p", 2.0)]:
-            _require_p(p, checks)
-
+        # the constructor checks the sampling plan, the checks, the tolerance and p
         return Scenario(
             name=name, kind=kind, source_spec=source_spec, target_spec=target_spec,
-            component_text=list(comp_text), params=params, sweeps=sweeps, box=box,
-            points_per_axis=ppa, random_points=rnd, seed=seed,
-            exclude_text=list(exclude), checks=list(checks), tolerance=float(tol))
+            component_text=list(comp_text), params=params, sweeps=sweeps,
+            box=samples.get("box"), points_per_axis=samples.get("points_per_axis", 0),
+            random_points=samples.get("random_points", 0), seed=samples.get("seed", 0),
+            exclude_text=samples.get("exclude", []), checks=data.get("checks"),
+            tolerance=data.get("tolerance", DEFAULT_TOLERANCE))
 
     def to_dict(self) -> dict:
         params = {}
@@ -342,15 +340,15 @@ class Scenario:
         obj = getattr(self, "_base", None)
         if obj is None:
             params = dict(self.params)
-            source, target = (None if chart is None else _chart_from_spec(chart, params)
-                              for chart in self._charts)
+            source, target = self._charts
+            target = _chart_from_spec(target, params)
             if self.kind == "map":
-                obj = SmoothMap(source, target, self._components, params=params,
-                                name=self.name)
-            else:
+                obj = SmoothMap(_chart_from_spec(source, params), target, self._components,
+                                params=params, name=self.name)
+            else:  # the immersion builds its source chart from the metric trees
                 obj = Immersion(self.source_spec["dim"], target, self._components,
                                 params=params, name=self.name,
-                                source_metric=None if source is None else source.components)
+                                source_metric=None if source is None else source[2])
             self._base = obj
         return obj
 

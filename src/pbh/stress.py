@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .geometry import divergence_at, divergence_2tensor_at
 from .jets import lift_point, value
-from .mapcalc import MapPoint, SmoothMap, once_per_p
+from .mapcalc import MapPoint, SmoothMap, _float_wrapper, once_per_p
 
 __all__ = [
     "stress_tensor", "stress_trace", "theta_divergence", "stress_divergence_check",
@@ -99,22 +99,26 @@ def _scaled_divergence_gap(lhs, rhs) -> float:
 # public wrappers over float points
 # ---------------------------------------------------------------------- #
 
+@_float_wrapper
 def stress_tensor(phi: SmoothMap, x, p: float):
     """Stress p-bienergy tensor S_ij at a float point."""
     return [[value(s) for s in row] for row in _stress_matrix(phi.at(lift_point(x, 2)), p)[0]]
 
 
+@_float_wrapper
 def stress_trace(phi: SmoothMap, x, p: float) -> float:
     """g^{ij} S_ij; equals -(m/2)|tau_p|^2 + (p-m)|dphi|^{p-2}<dphi, nabla tau_p>."""
     mp = phi.at(lift_point(x, 2))
     return value(_trace(mp, _stress_matrix(mp, p)[0]))
 
 
+@_float_wrapper
 def theta_divergence(phi: SmoothMap, x, p: float) -> float:
     """div of the sharped theta form; equals |tau_p|^2 + |dphi|^{p-2}<dphi, nabla tau_p>."""
     return _theta_divergence(phi.at(lift_point(x, 2)), p)
 
 
+@_float_wrapper
 def stress_divergence_check(phi: SmoothMap, x, p: float):
     """Both sides of div S(d_k) = -h(tau_2p, dphi(d_k)) at x, plus the max gap."""
     lhs, rhs = stress_divergence_sides(phi.at(lift_point(x, 3)), p)

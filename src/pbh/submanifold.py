@@ -26,7 +26,7 @@ from .errors import DomainError, RankDeficiencyError
 from .expr import Const, Expression, parse
 from .geometry import ChartMetric, space_form_chart
 from .jets import any_entry, lift_point, partial, point_value, same_in_every_entry, sqrt, value
-from .mapcalc import MapPoint, SmoothMap, share_with_metric
+from .mapcalc import MapPoint, SmoothMap, _float_wrapper, share_with_metric
 
 __all__ = [
     "Immersion", "ImmersionPoint", "theorem21_residuals", "theorem23_residuals",
@@ -37,10 +37,10 @@ __all__ = [
 _PIVOT_REL_TOL = 1e-12
 
 
-def pullback_metric_components(ambient: ChartMetric, components, source_dim: int):
-    """Induced metric expressions h_ab(phi) dphi^a_i dphi^b_j via symbolic substitution."""
+def pullback_metric_components(ambient: ChartMetric, components, source_dim: int, table):
+    """Induced metric h_ab(phi) dphi^a_i dphi^b_j by substitution, dphi built in `table`."""
     n = ambient.dim
-    dcomp = [[components[a].diff(i) for i in range(source_dim)] for a in range(n)]
+    dcomp = [[components[a].diff(i, table) for i in range(source_dim)] for a in range(n)]
     pull = [[Const(0.0)] * source_dim for _ in range(source_dim)]
     for i in range(source_dim):
         for j in range(i, source_dim):
@@ -61,7 +61,7 @@ class Immersion(SmoothMap):
 
     The source chart carries the induced (pull-back) metric unless an
     equivalent metric is supplied explicitly; `isometry_defect` measures the
-    agreement when one is.
+    agreement when one is. Its pull-back, source chart and map share one derivative table.
     """
 
     def __init__(self, source_dim: int, ambient: ChartMetric, components,
@@ -71,11 +71,14 @@ class Immersion(SmoothMap):
             raise ValueError("ambient dimension must exceed source dimension")
         source = None if source_metric is None else ChartMetric(source_dim, source_metric,
                                                                 params=params)
+        table = {} if source is None else source.table
         # shared, with a declared metric's trees, before the pull-back differentiates them
         components = share_with_metric(source.components if source else [], components)
-        self.pullback_components = pullback_metric_components(ambient, components, source_dim)
-        source = source or ChartMetric(source_dim, self.pullback_components, params=params)
-        super().__init__(source, ambient, components, params=params, name=name)
+        self.pullback_components = pullback_metric_components(ambient, components, source_dim,
+                                                              table)
+        source = source or ChartMetric(source_dim, self.pullback_components, params=params,
+                                       table=table)
+        super().__init__(source, ambient, components, params=params, name=name, table=table)
 
     @property
     def m(self):
@@ -330,12 +333,14 @@ class ImmersionPoint(MapPoint):
 # public wrappers
 # ---------------------------------------------------------------------- #
 
+@_float_wrapper
 def theorem21_residuals(imm: Immersion, x, p: float):
     """(normal residual vector, tangential residual vector) of the general system."""
     normal, tangent = imm.at(lift_point(x, 2)).general_residuals(p)
     return [value(v) for v in normal], [value(v) for v in tangent]
 
 
+@_float_wrapper
 def theorem23_residuals(imm: Immersion, x, p: float):
     """(scalar normal residual, tangential residual vector) of the hypersurface system."""
     normal, tangent = imm.at(lift_point(x, 2)).hypersurface_residuals(p)
@@ -356,6 +361,7 @@ class CmcResult:
         return "" if self.admissible else "no admissible p >= 2"
 
 
+@_float_wrapper
 def cmc_proper_p(imm: Immersion, x, sample_points=None) -> CmcResult:
     """Solve |A|^2 = m c - m (p - 2) |H|^2 for p on a CMC hypersurface.
 
@@ -374,6 +380,7 @@ def cmc_proper_p(imm: Immersion, x, sample_points=None) -> CmcResult:
     return imm.at(tuple(x)).proper_p
 
 
+@_float_wrapper
 def bitension_split(imm: Immersion, x, p: float):
     """`ImmersionPoint.bitension_split` at a float point x."""
     return imm.at(lift_point(x, 3)).bitension_split(p)

@@ -2,13 +2,12 @@
 
 import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
 
 from pbh.errors import DomainError, ExprSyntaxError, UnknownIdentifierError
-from pbh.expr import Const, differentiate, parse, share_subtrees
+from pbh.expr import Const, Expression, differentiate, parse, share_subtrees
 from pbh.verify import random_expression_with_point
 
 
@@ -130,10 +129,10 @@ class TestDifferentiate:
         ("abspow(x1*x2, 3.5)", "3.5 * abspow(x1 * x2, 1.5) * x1 * x2"),
     ])
     def test_partials_share_one_factor(self, text, factor):
-        """The axis-independent factor of a node's partials is one object,
-        which both partials hold."""
-        e = parse(text, 2, ["q"])
-        found = [{id(n) for n in differentiate(e, i).walk() if n.to_string() == factor}
+        """The axis-independent factor of a node's partials is one object in
+        a derivative table, which both partials built in it hold."""
+        e, table = parse(text, 2, ["q"]), {}
+        found = [{id(n) for n in differentiate(e, i, table).walk() if n.to_string() == factor}
                  for i in (0, 1)]
         assert len(found[0]) == 1 and found[0] == found[1]
 
@@ -143,25 +142,31 @@ class TestDifferentiate:
         ("log(x1*x2 + 1)", "(x1 * x2 + 1.0) * (x1 * x2 + 1.0)"),
     ])
     def test_quotients_over_one_denominator_share_its_square(self, text, square):
-        """Every second partial divides by one r * r for each denominator r,
-        whichever quotient and axis it comes from."""
-        e = share_subtrees([parse(text, 2)])[0]
+        """Every second partial built in one derivative table divides by one
+        r * r for each denominator r, whichever quotient and axis it comes from."""
+        e, table = share_subtrees([parse(text, 2)])[0], {}
         found = {id(n) for i in (0, 1) for j in (0, 1)
-                 for n in differentiate(differentiate(e, i), j).walk() if str(n) == square}
+                 for n in differentiate(differentiate(e, i, table), j, table).walk()
+                 if str(n) == square}
         assert len(found) == 1
 
-    def test_a_square_dies_with_its_quotients(self):
-        """The denominator keeps only a weak reference to its square, so the
-        two form no reference cycle: the square goes with the last quotient
-        that holds it, without the cyclic garbage collector."""
+    def test_a_table_and_its_trees_die_without_the_cyclic_gc(self):
+        """No node refers to its derivatives, so a derivative table, its
+        partials and the square its quotients share form no reference cycle:
+        they go with the table and the trees, without the cyclic collector."""
+        def live_nodes():
+            return sum(isinstance(o, Expression) for o in gc.get_objects())
+
+        gc.collect()
         gc.disable()
         try:
-            e = parse("x1 / (x1*x2 + 1)", 2)
-            square = weakref.ref(differentiate(e, 0).right)
-            assert str(square()) == "(x1 * x2 + 1.0) * (x1 * x2 + 1.0)"
-            assert differentiate(e, 1).right is square()
-            del e
-            assert square() is None
+            before = live_nodes()
+            e, table = parse("x1 / (x1*x2 + 1) * exp(x2) + sqrt(x1)", 2), {}
+            partials = [differentiate(differentiate(e, i, table), j, table)
+                        for i in (0, 1) for j in (0, 1)]
+            assert live_nodes() > before
+            del e, table, partials
+            assert live_nodes() == before
         finally:
             gc.enable()
 

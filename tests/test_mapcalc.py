@@ -4,6 +4,7 @@ its loops give, bit for bit, what loops forming them at every use give."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -378,6 +379,17 @@ class TestArguments:
     def test_p_below_two_rejected_by_every_p_field(self, read):
         with pytest.raises(ValueError, match="p must be >= 2"):
             read()
+
+    def test_float_point_wrappers_give_a_result_without_numpy_warnings(self):
+        """An overflowing float point gives NaN silently, as a single item of
+        `replay_chunks` does; a caller that has numpy raise still gets the raise."""
+        phi = builtin("proper_pbh_cylinder").build()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = p_bitension(phi, (1.0, 1.0, 1.0), 1e308)
+        assert len(result) == 2 and all(math.isnan(v) for v in result)
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            p_bitension(phi, (1.0, 1.0, 1.0), 1e308)
 
     def test_point_with_too_many_coordinates(self):
         imm = small_hypersphere_immersion(2, 0.7)

@@ -108,6 +108,22 @@ class TestConstruction:
                 make(["x1 +", "x2", "x3"])
             assert err.value.field == "components[0]"
 
+    @pytest.mark.parametrize("changes, edit, field", [
+        ({"checks": ["p_harmonc"]}, lambda d: d.update(checks=["p_harmonc"]), "checks"),
+        ({"points_per_axis": 0, "random_points": 0},
+         lambda d: d["samples"].update(points_per_axis=0, random_points=0), "samples"),
+    ], ids=["misspelt_check", "no_sample_points"])
+    def test_every_way_of_making_a_scenario_checks_its_fields(self, changes, edit, field):
+        sc = builtin("inversion(3)")
+        data = sc.to_dict()
+        edit(data)
+        for make in (lambda: Scenario(**{**_fields(sc), **changes}),
+                     lambda: dataclasses.replace(sc, **changes),
+                     lambda: Scenario.from_dict(data)):
+            with pytest.raises(SchemaError) as err:
+                make()
+            assert err.value.field == field
+
     def test_sampling_assembles_no_map(self):
         sc = builtin("proper_pbh_cylinder")
         assert sc.sample_points()

@@ -14,6 +14,7 @@ from pbh.expr import Add, Const, Coord, Mul, Param, Sin, parse, share_subtrees
 from pbh.jets import JetScalar, lift_point
 from pbh.mapcalc import _roots, _stack
 from pbh.scenarios import builtin
+from pbh.submanifold import graph_hypersurface_immersion, small_hypersphere_immersion
 
 BUILTINS = [("inversion(3)", {"l": 2.0, "p": 3.0}), ("proper_pbh_cylinder", {"p": 3.0}),
             ("small_hypersphere(2, 0.8)", {})]
@@ -151,10 +152,11 @@ def test_inner_subtrees_merge_and_leaves_stay():
 
 
 def test_unchanged_trees_keep_their_objects_and_derivative_caches():
-    e = parse("sin(x1) * exp(x2) + p", 2, ["p"])
-    d = e.diff(0)
+    """An unchanged tree is the same object, so its partials stay in any derivative table."""
+    e, table = parse("sin(x1) * exp(x2) + p", 2, ["p"]), {}
+    d = e.diff(0, table)
     (same,) = share_subtrees([e])
-    assert same is e and same.diff(0) is d
+    assert same is e and same.diff(0, table) is d
 
 
 @pytest.mark.parametrize("zero, other", [(0.0, -0.0), (-0.0, 0.0)])
@@ -193,3 +195,32 @@ def test_with_params_copies_share_their_tables_and_own_their_params():
     before = dict(phi.params)
     phi2.params["l"] = 9.0
     assert phi.params == before
+
+
+def test_a_map_writes_nothing_into_the_table_of_its_chart_or_base_map():
+    """A map differentiates in a copy of its source chart's derivative table,
+    and a perturbed map in a copy of its base map's: the tables of what
+    outlives them do not grow, and the partials they read from them stay the
+    same objects."""
+    phi = builtin("proper_pbh_cylinder").build({"p": 3.0})
+
+    def sizes(table):
+        return {kind: len(kept) for kind, kept in table.items()}
+
+    chart, base = sizes(phi.source.table), sizes(phi.table)
+    moved = mapcalc.perturbed_map(phi, [parse("x1*x2", 3), parse("sin(x3)", 3)], 0.1)
+    other = mapcalc.SmoothMap(phi.source, phi.target,
+                              [parse("exp(x1^2 + x2^2)", 3), parse("x2", 3)], phi.params)
+    assert sizes(phi.source.table) == chart and sizes(phi.table) == base
+    assert all(moved.d1[0][i].left is phi.d1[0][i] for i in (0, 1))
+    # exp(u) shares u with the metric, whose partial the chart built
+    assert other.d1[0][0].right is phi.source.table[0][other.components[0].arg]
+
+
+@pytest.mark.parametrize("imm", [
+    graph_hypersurface_immersion(parse("x1*x2", 2), 2),
+    small_hypersphere_immersion(2, 0.8)], ids=["induced", "declared"])
+def test_an_immersion_builds_its_pullback_chart_and_map_in_one_table(imm):
+    assert imm.table is imm.source.table
+    dcomp = {id(d) for row in imm.d1 for d in row}
+    assert dcomp & {id(n) for e in _roots(imm.pullback_components) for n in e.walk()}

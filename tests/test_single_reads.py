@@ -1,7 +1,8 @@
 """Memo marking: an inner node that one reader reads skips the memo
 (`expr.mark_reads`). That must never make a node be computed twice where the
 memo would have served it, marking must be idempotent, and the batched runs
-must leave no reference cycle that keeps their points alive."""
+must leave no reference cycle that keeps their points alive; no run, sweep or
+criterion may leave a pbh object for the cyclic garbage collector."""
 
 import gc
 import weakref
@@ -119,8 +120,10 @@ def test_marking_is_idempotent():
     for forest in _forests(phi):
         expr.mark_reads(forest)
     assert _single_use(phi)[0] == first
-    # a second map over the same trees marks the same forests again
-    again = mapcalc.SmoothMap(phi.source, phi.target, phi.components, phi.params)
+    # a second map over the same trees, differentiated in the first map's
+    # derivative table, marks the same forests again
+    again = mapcalc.SmoothMap(phi.source, phi.target, phi.components, phi.params,
+                              table=phi.table)
     assert _single_use(again) == (first, roots)
     expr.mark_reads(roots)
     assert _single_use(phi)[0] == first
@@ -169,3 +172,36 @@ def test_points_are_freed_without_the_cyclic_gc(call, monkeypatch):
     finally:
         gc.enable()
     assert refs and alive == 0
+
+
+# each call of the cyclic-garbage guard: the built-ins, a short sweep, the criteria
+GC_GUARDED = {
+    **{name: (lambda name=name: run(builtin(name)))
+       for name in ("inversion(3)", "proper_pbh_cylinder", "small_hypersphere(2, 0.8)")},
+    "sweep": lambda: sweep(builtin("small_hypersphere(2, 0.8)"), "p", 2.0, 6.0, 3),
+    **{fn.__name__: fn for fn in verify.CRITERIA},
+}
+
+
+def test_no_pbh_object_waits_for_the_cyclic_gc():
+    """Every object a run, a sweep or a criterion leaves behind is freed by
+    reference counting: with the collector disabled, a collection then finds
+    no object whose type comes from pbh among the unreachable ones."""
+    left = {}
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for name, call in GC_GUARDED.items():
+            call()
+            gc.collect()
+            pbh_types = {type(o).__qualname__ for o in gc.garbage
+                         if type(o).__module__.startswith("pbh.")}
+            if pbh_types:
+                left[name] = sorted(pbh_types)
+            gc.garbage.clear()
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == {}
