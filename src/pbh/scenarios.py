@@ -1,31 +1,16 @@
 """Scenario files, built-in examples, the check runner, and report generation.
 
 A scenario bundles a map or immersion (as expression text plus chart specs),
-parameter bindings, a sampling plan, and a list of named checks. Its texts are
-parsed when it is constructed, whichever way it is made, and its map or
-immersion is assembled from them at the first build. Reports are
-deterministic: same scenario and overrides give byte-identical CSV/JSON.
-
-Check vocabulary:
-
-==================  ========================================================
-p_harmonic          |tau_p| at each sample point
-p_biharmonic        |tau_{2,p}| at each sample point
-theorem_2_1         residuals of the general submanifold system
-theorem_2_3         residuals of the CMC hypersurface system
-cmc_proper_p        solves for the proper p on a CMC hypersurface, then
-                    certifies the general system at that p
-stress_divergence   gap in div S_{2,p}(X) = -h(tau_{2,p}, dphi(X)), scaled
-                    by max(1, side magnitude)
-trace_identity      trace of S_{2,p} against both closed trace forms
-energy_quadrature   E_p and E_{2,p} over the sample box; the recorded
-                    residual is E_{2,p} (zero exactly for p-harmonic maps)
-==================  ========================================================
+parameter bindings, a sampling plan, and a list of named checks, keys of
+`CHECKS`, whose reductions say what their rows report. Its texts are parsed
+when it is constructed, whichever way it is made, and its map or immersion
+is assembled from them at the first build. Reports are deterministic: same
+scenario and overrides give byte-identical CSV/JSON.
 
 `run` evaluates the sample points in chunks of up to 512. A chunk gets one
 float context per point and one jet context for all its points, a batched
 point (see :mod:`pbh.jets`) lifted to the highest jet order its checks need
-(`CHECK_ORDER`; a higher order is always valid); every check reads these
+(a higher order is always valid); every check reads these
 contexts. All checks run on the batch under np.errstate(all="raise",
 under="ignore"); one function, `mapcalc._per_point`, splits each check's
 fields per point, and each point's rows are reduced from floats alone, in
@@ -45,7 +30,7 @@ in the last bit.
 exclude expression reads the swept parameter (p, unless a metric reads it).
 Then the sample points are drawn once, by the first step, and each chunk's
 contexts are built once; between steps they keep only their cached
-properties, with every p-independent term, and the rows of `_P_FREE_CHECKS`,
+properties, with every p-independent term, and the rows of p-free checks,
 which a check that raised does not leave. A chunk whose batched evaluation
 raised at one step goes straight to its halves at every later step; the
 halves give the rows the batch would. Otherwise each step is a `run`. The
@@ -58,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,17 +59,6 @@ from .stress import _scaled_divergence_gap, stress_divergence_sides, trace_ident
 from .submanifold import Immersion, _latitude_sphere_text
 
 SCHEMA_VERSION = "pbh/1"
-
-MAP_CHECKS = ("p_harmonic", "p_biharmonic", "stress_divergence", "trace_identity",
-              "energy_quadrature")
-IMMERSION_CHECKS = ("theorem_2_1", "theorem_2_3", "cmc_proper_p")
-ALL_CHECKS = MAP_CHECKS + IMMERSION_CHECKS
-
-# jet order each point check needs: the shifts its readers perform
-CHECK_ORDER = {"p_harmonic": 1, "trace_identity": 2, "theorem_2_1": 2, "theorem_2_3": 2,
-               "cmc_proper_p": 2, "p_biharmonic": 3, "stress_divergence": 3}
-# checks whose rows do not read the swept p: cmc_proper_p runs at each point's own p*
-_P_FREE_CHECKS = frozenset({"cmc_proper_p"})
 
 DEFAULT_TOLERANCE = 1e-7
 QUADRATURE_ORDER = 8
@@ -115,7 +90,7 @@ def _require_finite(v, field_name):
 
 def _require_p(p, checks):
     """The map checks read the p-tension, defined for p >= 2 only (`mapcalc.check_p`)."""
-    map_checks = sorted(set(checks) & set(MAP_CHECKS))
+    map_checks = sorted(c for c in checks if CHECKS[c].kind == "map")
     if map_checks:
         _require(p >= 2.0, "p", f"must be >= 2 for the checks {map_checks}, got {p!r}")
 
@@ -138,13 +113,10 @@ def _chart_from_spec(chart, params: dict) -> ChartMetric:
 
 
 def _chart_spec(spec: dict, field_name: str, declared: list):
-    """(dim, curvature, metric expressions) of a valid chart spec: a space form
-    has no metric expressions (None), a metric no curvature (None)."""
-    _require(isinstance(spec, dict), field_name, "must be an object")
-    _require("dim" in spec, f"{field_name}.dim", "is required")
+    """(dim, curvature, metric expressions) of a valid chart spec, whose dim
+    `Scenario` has checked: a space form has no metric expressions (None), a
+    metric no curvature (None)."""
     dim = spec["dim"]
-    _require(_is_int(dim) and dim >= 1, f"{field_name}.dim",
-             "must be a positive integer")
     if "space_form" in spec:
         _require_finite(spec["space_form"], f"{field_name}.space_form")
         return dim, float(spec["space_form"]), None
@@ -180,9 +152,18 @@ class Scenario:
     tolerance: float
 
     def __post_init__(self):
-        m, declared = self.source_spec["dim"], sorted(self.params)
-        # the sampling plan, checks, tolerance and p are checked here, so that
-        # `from_dict`, the constructor and dataclasses.replace check them alike
+        # every way of making a scenario checks its fields here; the structure first
+        _require(self.kind in ("map", "immersion"), "kind", "must be 'map' or 'immersion'")
+        for side, spec in (("source", self.source_spec), ("target", self.target_spec)):
+            _require(isinstance(spec, dict) and _is_int(spec.get("dim")) and spec["dim"] >= 1,
+                     f"{side}.dim", "must be a positive integer")
+        m, n, declared = self.source_spec["dim"], self.target_spec["dim"], sorted(self.params)
+        if self.kind == "immersion":
+            _require(n > m, "target.dim", "must exceed source.dim for an immersion")
+            _require("space_form" in self.target_spec, "target.space_form",
+                     "immersion checks need a space-form ambient")
+        _require(isinstance(self.component_text, list) and len(self.component_text) == n,
+                 "components", f"must list {n} expression strings")
         _require(isinstance(self.box, list) and len(self.box) == m
                  and all(isinstance(b, list) and len(b) == 2 for b in self.box),
                  "samples.box", f"must list {m} [lo, hi] pairs")
@@ -200,12 +181,13 @@ class Scenario:
         _require(isinstance(self.exclude_text, list), "samples.exclude", "must be a list")
         _require(isinstance(self.checks, list) and self.checks, "checks",
                  "must be a non-empty list")
-        self.exclude_text, self.checks = list(self.exclude_text), list(self.checks)
+        self.component_text, self.exclude_text, self.checks = (
+            list(self.component_text), list(self.exclude_text), list(self.checks))
         for c in self.checks:
-            _require(c in ALL_CHECKS, "checks", f"unknown check {c!r}")
-            if c in IMMERSION_CHECKS:
-                _require(self.kind == "immersion", "checks",
-                         f"{c!r} applies to immersions only")
+            _require(isinstance(c, str) and c in CHECKS, "checks", f"unknown check {c!r}")
+            _require(self.checks.count(c) == 1, "checks", f"lists {c!r} more than once")
+            _require(CHECKS[c].kind in ("map", self.kind), "checks",
+                     f"{c!r} applies to immersions only")
         _require_tolerance(self.tolerance)
         self.tolerance = float(self.tolerance)
         for p in self.sweeps["p"][:2] if "p" in self.sweeps else [self.params.get("p", 2.0)]:
@@ -231,8 +213,6 @@ class Scenario:
                  f"must be {SCHEMA_VERSION!r}")
         name = data.get("name")
         _require(isinstance(name, str) and name, "name", "must be a non-empty string")
-        kind = data.get("kind")
-        _require(kind in ("map", "immersion"), "kind", "must be 'map' or 'immersion'")
 
         raw_params = data.get("params", {})
         _require(isinstance(raw_params, dict), "params", "must be an object")
@@ -255,27 +235,13 @@ class Scenario:
 
         _require("source" in data, "source", "is required")
         _require("target" in data, "target", "is required")
-        source_spec, target_spec = data["source"], data["target"]
-        _require(isinstance(source_spec, dict) and _is_int(source_spec.get("dim")),
-                 "source.dim", "must be an integer")
-        _require(isinstance(target_spec, dict) and _is_int(target_spec.get("dim")),
-                 "target.dim", "must be an integer")
-        m, n = source_spec["dim"], target_spec["dim"]
-        if kind == "immersion":
-            _require(n > m, "target.dim", "must exceed source.dim for an immersion")
-            _require("space_form" in target_spec, "target.space_form",
-                     "immersion checks need a space-form ambient")
-
-        comp_text = data.get("components")
-        _require(isinstance(comp_text, list) and len(comp_text) == n, "components",
-                 f"must list {n} expression strings")
-
         samples = data.get("samples", {})
         _require(isinstance(samples, dict), "samples", "must be an object")
-        # the constructor checks the sampling plan, the checks, the tolerance and p
+        # the constructor checks the other fields
         return Scenario(
-            name=name, kind=kind, source_spec=source_spec, target_spec=target_spec,
-            component_text=list(comp_text), params=params, sweeps=sweeps,
+            name=name, kind=data.get("kind"), source_spec=data["source"],
+            target_spec=data["target"], component_text=data.get("components"),
+            params=params, sweeps=sweeps,
             box=samples.get("box"), points_per_axis=samples.get("points_per_axis", 0),
             random_points=samples.get("random_points", 0), seed=samples.get("seed", 0),
             exclude_text=samples.get("exclude", []), checks=data.get("checks"),
@@ -457,49 +423,102 @@ def _norm(metric, v) -> float:
                              for a in range(n) for b in range(n)), 0.0))
 
 
-def _check_results(check, jet, flts, p, tol) -> list:
-    """[(residual, passed, signed, extras)] of one check, one per point.
+def _p_harmonic(jet, flts, p):
+    """|tau_p| at each point."""
+    # at p = 2 the p-tension is the tension, a float reader
+    vecs = ([[value(c) for c in f.p_tension(p)] for f in flts] if p == 2.0
+            else _per_point(jet.p_tension(p), len(flts)))
+    return [(_norm(f.h, v), None, {}) for f, v in zip(flts, vecs)]
 
-    `flts` holds one float context per point, and `jet` the same points as one
-    jet context, batched when there are several. Every field computed on `jet`
-    is split per point (`mapcalc._per_point`), and each point's row is reduced
-    from floats alone, so a row does not depend on the batch its point was
-    evaluated in.
-    """
-    size = len(flts)
-    signed, extras = [None] * size, [{}] * size
-    if check == "p_harmonic":
-        # at p = 2 the p-tension is the tension, a float reader
-        vecs = ([[value(c) for c in f.p_tension(p)] for f in flts] if p == 2.0
-                else _per_point(jet.p_tension(p), size))
-        res = [_norm(f.h, v) for f, v in zip(flts, vecs)]
-    elif check == "p_biharmonic":
-        res = [_norm(f.h, v) for f, v in zip(flts, _per_point(jet.p_bitension(p), size))]
-    elif check == "stress_divergence":
-        res = [_scaled_divergence_gap(lhs, rhs)
-               for lhs, rhs in _per_point(stress_divergence_sides(jet, p), size)]
-    elif check == "trace_identity":
-        res = [max(abs(t - a), abs(t - d))
-               for t, _, a, d in _per_point(trace_identity_at(jet, p), size)]
-    elif check == "theorem_2_3":
-        rows = _per_point(jet.hypersurface_residuals(p), size)
-        signed = [s for s, _t in rows]
-        res = [max(abs(s), _norm(f.g, t)) for f, (s, t) in zip(flts, rows)]
-    else:  # theorem_2_1, and cmc_proper_p at the p it solves for
-        if check == "cmc_proper_p":
-            solved = [f.proper_p for f in flts]
-            extras = [{"p_star": r.p_star, "admissible": r.admissible} for r in solved]
-            # one p per point: an array of shape (P,) at a batched point
-            p = solved[0].p_star if size == 1 else np.array([r.p_star for r in solved])
-        rows = _per_point(jet.general_residuals(p), size)
-        res = [max(_norm(f.h, n), _norm(f.g, t)) for f, (n, t) in zip(flts, rows)]
-        if check == "theorem_2_1":  # projection of the normal residual on H/|H|
-            for e, (fip, (n, _t)) in enumerate(zip(flts, rows)):
-                h2 = value(fip.mean_curvature_norm2)
-                if h2 > 1e-18:
-                    H = [value(c) for c in fip.mean_curvature]
-                    signed[e] = value(fip.h_inner(n, H)) / math.sqrt(h2)
-    return [(r, r < tol, s, x) for r, s, x in zip(res, signed, extras)]
+
+def _p_biharmonic(jet, flts, p):
+    """|tau_{2,p}| at each point."""
+    vecs = _per_point(jet.p_bitension(p), len(flts))
+    return [(_norm(f.h, v), None, {}) for f, v in zip(flts, vecs)]
+
+
+def _stress_divergence(jet, flts, p):
+    """The gap in div S_{2,p}(X) = -h(tau_{2,p}, dphi(X)), scaled by max(1, side magnitude)."""
+    return [(_scaled_divergence_gap(lhs, rhs), None, {})
+            for lhs, rhs in _per_point(stress_divergence_sides(jet, p), len(flts))]
+
+
+def _trace_identity(jet, flts, p):
+    """The gap between the trace of S_{2,p} and each of its two closed forms."""
+    return [(max(abs(t - a), abs(t - d)), None, {})
+            for t, _, a, d in _per_point(trace_identity_at(jet, p), len(flts))]
+
+
+def _general_system(jet, flts, p):
+    """The general system's (normal, tangent) residuals per point, and the larger norm of each."""
+    rows = _per_point(jet.general_residuals(p), len(flts))
+    return rows, [max(_norm(f.h, n), _norm(f.g, t)) for f, (n, t) in zip(flts, rows)]
+
+
+def _theorem_2_1(jet, flts, p):
+    """The residual of the general submanifold system, signed by the normal part along H/|H|."""
+    rows, res = _general_system(jet, flts, p)
+    out = []
+    for f, (n, _t), r in zip(flts, rows, res):
+        h2, signed = value(f.mean_curvature_norm2), None
+        if h2 > 1e-18:
+            signed = value(f.h_inner(n, [value(c) for c in f.mean_curvature])) / math.sqrt(h2)
+        out.append((r, signed, {}))
+    return out
+
+
+def _theorem_2_3(jet, flts, p):
+    """The residual of the CMC hypersurface system, signed by its normal part."""
+    rows = _per_point(jet.hypersurface_residuals(p), len(flts))
+    return [(max(abs(s), _norm(f.g, t)), s, {}) for f, (s, t) in zip(flts, rows)]
+
+
+def _cmc_proper_p(jet, flts, p):
+    """The proper p* of a CMC hypersurface, and the general system's residual at p*."""
+    solved = [f.proper_p for f in flts]
+    # one p per point: an array of shape (P,) at a batched point
+    p_star = solved[0].p_star if len(flts) == 1 else np.array([r.p_star for r in solved])
+    return [(r, None, {"p_star": s.p_star, "admissible": s.admissible})
+            for s, r in zip(solved, _general_system(jet, flts, p_star)[1])]
+
+
+def _energy_quadrature(obj, box, p):
+    """E_{2,p} over the sample box, zero exactly for a p-harmonic map; E_p, E_{2,p} as extras."""
+    ep = p_energy_box(obj, box, p, order=QUADRATURE_ORDER)
+    e2p = p_bienergy_box(obj, box, p, order=QUADRATURE_ORDER)
+    return e2p, {"E_p": ep, "E_2p": e2p}
+
+
+@dataclass(frozen=True)
+class _Check:
+    """An entry of `CHECKS`. A point check's `reduce(jet, flts, p)` gives
+    [(residual, signed, extras)] per point; a box check's `reduce(map, box, p)`
+    gives (residual, extras)."""
+
+    kind: str  # the scenarios it applies to: "map" (every scenario) or "immersion"
+    order: int | None  # the jet order its readers need; None for a box check
+    reduce: Callable
+    reads_p: bool  # False: a sweep over p reuses its rows (cmc_proper_p reads p*)
+
+
+# every check a scenario may list, in the order of the README
+CHECKS = {
+    "p_harmonic": _Check("map", 1, _p_harmonic, True),
+    "p_biharmonic": _Check("map", 3, _p_biharmonic, True),
+    "theorem_2_1": _Check("immersion", 2, _theorem_2_1, True),
+    "theorem_2_3": _Check("immersion", 2, _theorem_2_3, True),
+    "cmc_proper_p": _Check("immersion", 2, _cmc_proper_p, False),
+    "stress_divergence": _Check("map", 3, _stress_divergence, True),
+    "trace_identity": _Check("map", 2, _trace_identity, True),
+    "energy_quadrature": _Check("map", None, _energy_quadrature, True),
+}
+
+
+def _check_results(check, jet, flts, p, tol) -> list:
+    """[(residual, passed, signed, extras)] of a point check, one per float
+    context in `flts`, read on `jet`, the same points as one jet context; each
+    row is reduced from floats alone, so it does not depend on the batch."""
+    return [(r, r < tol, s, x) for r, s, x in CHECKS[check].reduce(jet, flts, p)]
 
 
 # failures that turn the row of one sample point into NaN (SingularityError under strict)
@@ -540,7 +559,7 @@ class _ChunkContexts:
     per point and one jet context for the whole chunk, batched unless the
     chunk is one point, built on first use. `replayed` is set once the
     chunk's batched evaluation has raised. `p_free` keeps the results of the
-    `_P_FREE_CHECKS` that have run on the chunk without raising."""
+    checks that do not read p and have run on the chunk without raising."""
 
     def __init__(self, obj, chunk, order):
         self.obj, self.chunk, self.order = obj, chunk, order
@@ -553,7 +572,7 @@ class _ChunkContexts:
         """`_check_results` of a check on the chunk; a p-free check's, once."""
         _require_in_domain(self.obj, self.chunk, "sample point")
         out = self.p_free.get(check) or _check_results(check, self.jet(), self.flts, p, tol)
-        if check in _P_FREE_CHECKS:
+        if not CHECKS[check].reads_p:
             self.p_free[check] = out
         return out
 
@@ -576,8 +595,8 @@ def _run(scenario, overrides, tolerance, strict, shared) -> ResidualReport:
     contexts are built for this call, one chunk's at a time. Otherwise shared
     is a dict, empty at the first step, which draws the points into it under
     "points"; "chunks" maps each chunk of points to its `_ChunkContexts`,
-    which keeps only its cached properties and `_P_FREE_CHECKS` rows between
-    steps (`forget_scratch`). All steps must share one tolerance.
+    which keeps only its cached properties and the rows of the checks that do
+    not read p between steps (`forget_scratch`). All steps must share one tolerance.
     """
     params, tol = _run_params(scenario, overrides, tolerance)
     p = params.get("p", 2.0)
@@ -589,8 +608,8 @@ def _run(scenario, overrides, tolerance, strict, shared) -> ResidualReport:
             shared.update(points=scenario.sample_points(params), chunks={})
         points, chunks = shared["points"], shared["chunks"]
     row_params = tuple(sorted((k, v) for k, v in params.items() if k != "p"))
-    checks = [c for c in scenario.checks if c in CHECK_ORDER]
-    order = max((CHECK_ORDER[c] for c in checks), default=0)
+    checks = [c for c in scenario.checks if CHECKS[c].order is not None]
+    order = max((CHECKS[c].order for c in checks), default=0)
 
     def chunk_contexts(chunk):
         if chunks is None:
@@ -637,16 +656,13 @@ def _run(scenario, overrides, tolerance, strict, shared) -> ResidualReport:
                 extras.setdefault(check, {})[k] = v
     for ctx in (chunks or {}).values():
         ctx.forget_scratch()
-    if "energy_quadrature" in scenario.checks:
+    for check in (c for c in scenario.checks if CHECKS[c].order is None):  # one row each
         try:
-            ep = p_energy_box(obj, scenario.box, p, order=QUADRATURE_ORDER)
-            e2p = p_bienergy_box(obj, scenario.box, p, order=QUADRATURE_ORDER)
-            extras["energy_quadrature"] = {"E_p": ep, "E_2p": e2p}
-            rows.append(CheckRow(scenario.name, "energy_quadrature", p, row_params,
-                                 (), e2p, e2p < tol))
+            res, extras[check] = CHECKS[check].reduce(obj, scenario.box, p)
+            rows.append(CheckRow(scenario.name, check, p, row_params, (), res, res < tol))
         except POINT_FAILURES as exc:
             _point_failure(exc, strict)
-            rows.append(CheckRow(scenario.name, "energy_quadrature", p, row_params,
+            rows.append(CheckRow(scenario.name, check, p, row_params,
                                  (), float("nan"), False, note=str(exc)))
     return ResidualReport(scenario.name, tol, rows, extras)
 

@@ -1,13 +1,14 @@
 """The public surface of pbh: the names a fresh `import pbh` exports, the
 `python -m pbh` entry point (also with a closed stdout pipe), every module's
-`__all__` (each entry exists and something outside the tests uses it), and
-the methods the benchmark tracer wraps by name."""
+`__all__` (each entry exists and something outside the tests uses it), the
+methods the benchmark tracer wraps by name, and the README's check lists."""
 
 import ast
 import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -194,3 +195,13 @@ def test_tracer_counts_lifted_points_and_uninstalls():
     counts = tracer.counts
     assert counts["mapcalc.points_lifted"] == counts["submanifold.points_lifted"] == 5
     assert [cls.__dict__[attr] for cls, attr in hooked] == originals
+
+
+def test_readme_lists_the_checks_of_the_check_table():
+    readme = (ROOT / "README.md").read_text()
+    listed = re.search(r"^- Checks: (.*?)\.$", readme, re.M | re.S).group(1)
+    needs_p_at_least_2 = re.search(r"the map checks \((.*?)\)", readme, re.S).group(1)
+    checks = pbh.scenarios.CHECKS
+    assert re.findall(r"`(\w+)`", listed) == list(checks)
+    assert (re.findall(r"`(\w+)`", needs_p_at_least_2)
+            == [c for c, entry in checks.items() if entry.kind == "map"])

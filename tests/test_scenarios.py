@@ -70,6 +70,9 @@ class TestSchema:
         ({"source": {"dim": 2, "space_form": "flat"}}, "source.space_form"),
         ({"target": {"dim": 2, "metric": [["1", "0"], ["0"]]}}, "target.metric"),
         ({"target": {"dim": 2, "metric": [["1", "0"], ["0", "exp("]]}}, "target.metric[1][1]"),
+        ({"checks": ["p_harmonic", "p_harmonic", "energy_quadrature", "energy_quadrature"]},
+         "checks"),
+        ({"checks": [["p_harmonic"]]}, "checks"),
     ])
     def test_rejection_names_offending_field(self, mutation, field):
         data = make_scenario_dict(**mutation)
@@ -87,6 +90,11 @@ class TestSchema:
         data = make_scenario_dict(params={"p": {"from": 2.0, "to": 4.0, "steps": 3}})
         sc = Scenario.from_dict(data)
         assert sc.sweeps["p"] == (2.0, 4.0, 3)
+
+
+# a target chart given by a metric, where an immersion needs a space form
+FLAT_METRIC_3 = {"dim": 3, "metric": [["1" if i == j else "0" for j in range(3)]
+                                      for i in range(3)]}
 
 
 def _fields(sc):
@@ -108,13 +116,21 @@ class TestConstruction:
                 make(["x1 +", "x2", "x3"])
             assert err.value.field == "components[0]"
 
-    @pytest.mark.parametrize("changes, edit, field", [
-        ({"checks": ["p_harmonc"]}, lambda d: d.update(checks=["p_harmonc"]), "checks"),
-        ({"points_per_axis": 0, "random_points": 0},
+    @pytest.mark.parametrize("name, changes, edit, field", [
+        ("inversion(3)", {"checks": ["p_harmonc"]}, lambda d: d.update(checks=["p_harmonc"]),
+         "checks"),
+        ("inversion(3)", {"points_per_axis": 0, "random_points": 0},
          lambda d: d["samples"].update(points_per_axis=0, random_points=0), "samples"),
-    ], ids=["misspelt_check", "no_sample_points"])
-    def test_every_way_of_making_a_scenario_checks_its_fields(self, changes, edit, field):
-        sc = builtin("inversion(3)")
+        ("inversion(3)", {"kind": "flow"}, lambda d: d.update(kind="flow"), "kind"),
+        ("inversion(3)", {"component_text": ["x1", "x2"]},
+         lambda d: d.update(components=["x1", "x2"]), "components"),
+        ("inversion(3)", {"source_spec": {}}, lambda d: d.update(source={}), "source.dim"),
+        ("small_hypersphere(2, 0.8)", {"target_spec": FLAT_METRIC_3},
+         lambda d: d.update(target=FLAT_METRIC_3), "target.space_form"),
+    ], ids=["misspelt_check", "no_sample_points", "unknown_kind", "two_components",
+            "no_source_dim", "metric_ambient"])
+    def test_every_way_of_making_a_scenario_checks_its_fields(self, name, changes, edit, field):
+        sc = builtin(name)
         data = sc.to_dict()
         edit(data)
         for make in (lambda: Scenario(**{**_fields(sc), **changes}),
@@ -367,13 +383,21 @@ PARABOLOID = {
 }
 
 
+# the runs whose rows `_public_residual` recomputes: together they list every point check
+ORACLE_RUNS = [
+    ("proper_pbh_cylinder", 2.0), ("proper_pbh_cylinder", 3.0),
+    ("proper_pbh_cylinder", 4.0), ("small_hypersphere(2, 0.8)", 3.0),
+    ("inversion(3)", 2.0), ("inversion(3)", 3.0), ("paraboloid", 3.0)]
+
+
+def _oracle_scenario(name):
+    return Scenario.from_dict(PARABOLOID) if name == "paraboloid" else builtin(name)
+
+
 class TestEvaluationContexts:
-    @pytest.mark.parametrize("name, p", [
-        ("proper_pbh_cylinder", 2.0), ("proper_pbh_cylinder", 3.0),
-        ("proper_pbh_cylinder", 4.0), ("small_hypersphere(2, 0.8)", 3.0),
-        ("inversion(3)", 2.0), ("inversion(3)", 3.0), ("paraboloid", 3.0)])
+    @pytest.mark.parametrize("name, p", ORACLE_RUNS)
     def test_run_rows_equal_public_wrappers(self, name, p):
-        sc = Scenario.from_dict(PARABOLOID) if name == "paraboloid" else builtin(name)
+        sc = _oracle_scenario(name)
         obj = sc.build({"p": p})
         rep = run(sc, overrides={"p": p})
         point_rows = [r for r in rep.rows if r.point]
@@ -387,6 +411,12 @@ class TestEvaluationContexts:
             assert any(_public_residual("theorem_2_3", obj, x, p, part="tangent")
                        > _public_residual("theorem_2_3", obj, x, p, part="normal")
                        for x in sc.sample_points())
+
+    def test_the_oracle_runs_cover_every_point_check(self):
+        # a new entry of CHECKS needs a `_public_residual` case and a run here
+        listed = {c for name, _p in ORACLE_RUNS for c in _oracle_scenario(name).checks
+                  if scenarios.CHECKS[c].order is not None}
+        assert listed == {c for c, entry in scenarios.CHECKS.items() if entry.order is not None}
 
     @pytest.mark.parametrize("a", [0.6, 0.8, 0.999999999999])
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.5])
@@ -843,6 +873,10 @@ HOSTILE_INPUTS = [
     (["run", {"samples": {"box": [[0.2, 1.0], [0.2, float("inf")]], "points_per_axis": 2}}],
      2),
     (["run", {"target": {"dim": 2, "space_form": float("nan")}}], 2),
+    # a 0-dimensional immersion source, whose induced metric has no chart spec
+    (["run", {"kind": "immersion", "source": {"dim": 0}, "target": {"dim": 1, "space_form": 0.0},
+              "components": ["1"], "samples": {"box": [], "points_per_axis": 2},
+              "checks": ["theorem_2_1"]}], 2),
 ]
 
 
