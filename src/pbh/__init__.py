@@ -11,8 +11,7 @@ from .mapcalc import SmoothMap, p_bienergy_box, p_bitension, p_energy_box, p_ten
 from .scenarios import ResidualReport, Scenario, builtin, load_scenario, run, sweep
 from .stress import stress_divergence_check, stress_tensor, stress_trace
 from .submanifold import (CmcResult, Immersion, bitension_split, circle_immersion,
-                          cmc_proper_p, graph_hypersurface_immersion,
-                          small_hypersphere_immersion, theorem21_residuals,
+                          cmc_proper_p, graph_hypersurface_immersion, theorem21_residuals,
                           theorem23_residuals)
 
 __version__ = "0.1.0"

@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -56,7 +57,7 @@ from .jets import lift_point, value
 from .mapcalc import (SmoothMap, _per_point, _require_in_domain, _stack, p_bienergy_box,
                       p_energy_box, replay_chunks)
 from .stress import _scaled_divergence_gap, stress_divergence_sides, trace_identity_at
-from .submanifold import Immersion, _latitude_sphere_text
+from .submanifold import Immersion
 
 SCHEMA_VERSION = "pbh/1"
 
@@ -78,14 +79,26 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    """A number that converts to a finite float (a JSON integer may not)."""
+    return _is_number(v) and abs(v) <= sys.float_info.max
+
+
 def _require_tolerance(tol):
-    _require(_is_number(tol) and 0 < tol < math.inf, "tolerance",
+    _require(_is_finite(tol) and tol > 0, "tolerance",
              f"must be a positive finite number, got {tol!r}")
 
 
 def _require_finite(v, field_name):
-    _require(_is_number(v) and math.isfinite(v), field_name,
-             f"must be a finite number, got {v!r}")
+    _require(_is_finite(v), field_name, f"must be a finite number, got {v!r}")
+
+
+def _sweep_range(lo, hi, steps, prefix=""):
+    """(from, to, steps) of a sweep range, checked; `prefix` leads the field names."""
+    _require(_is_int(steps) and steps >= 2, f"{prefix}steps", "must be an integer >= 2")
+    _require_finite(lo, f"{prefix}from")
+    _require_finite(hi, f"{prefix}to")
+    return float(lo), float(hi), steps
 
 
 def _require_p(p, checks):
@@ -133,8 +146,9 @@ def _chart_spec(spec: dict, field_name: str, declared: list):
 @dataclass
 class Scenario:
     """Validated scenario: charts, components, params, sampling plan, checks.
-    However it is made, it parses its texts at construction; `_parsed`
-    assembles its map or immersion from them at the first build."""
+    However it is made, it checks every field and parses its texts at
+    construction (`from_dict` only reshapes JSON); `_parsed` assembles its map
+    or immersion from them at the first build."""
 
     name: str
     kind: str
@@ -152,7 +166,24 @@ class Scenario:
     tolerance: float
 
     def __post_init__(self):
-        # every way of making a scenario checks its fields here; the structure first
+        # every way of making a scenario checks its fields here, before it parses a text
+        _require(isinstance(self.name, str) and self.name, "name", "must be a non-empty string")
+        _require(isinstance(self.params, dict) and all(isinstance(k, str) for k in self.params)
+                 and isinstance(self.sweeps, dict) and set(self.sweeps) <= set(self.params),
+                 "params", "must map names to values, and sweep ranges over declared names")
+        params, sweeps = {}, {}
+        for key, val in self.params.items():
+            if key in self.sweeps:
+                rng = self.sweeps[key]
+                _require(isinstance(rng, (tuple, list)) and len(rng) == 3, f"params.{key}",
+                         "must be a (from, to, steps) sweep range")
+                sweeps[key] = _sweep_range(*rng, f"params.{key}.")
+                _require(val == sweeps[key][0], f"params.{key}",
+                         "must equal the from value of its sweep range")
+            _require(_is_number(val), f"params.{key}", "must be a number or a sweep range")
+            _require_finite(val, f"params.{key}")
+            params[key] = float(val)
+        self.params, self.sweeps = params, sweeps
         _require(self.kind in ("map", "immersion"), "kind", "must be 'map' or 'immersion'")
         for side, spec in (("source", self.source_spec), ("target", self.target_spec)):
             _require(isinstance(spec, dict) and _is_int(spec.get("dim")) and spec["dim"] >= 1,
@@ -167,7 +198,7 @@ class Scenario:
         _require(isinstance(self.box, list) and len(self.box) == m
                  and all(isinstance(b, list) and len(b) == 2 for b in self.box),
                  "samples.box", f"must list {m} [lo, hi] pairs")
-        _require(all(_is_number(v) and math.isfinite(v) for b in self.box for v in b),
+        _require(all(_is_finite(v) for b in self.box for v in b),
                  "samples.box", "bounds must be finite numbers")
         self.box = [[float(lo), float(hi)] for lo, hi in self.box]
         _require(all(lo < hi for lo, hi in self.box), "samples.box", "needs lo < hi per axis")
@@ -177,7 +208,8 @@ class Scenario:
                      "must be a non-negative integer")
         _require(self.points_per_axis > 0 or self.random_points > 0, "samples",
                  "needs points_per_axis or random_points")
-        _require(_is_int(self.seed), "samples.seed", "must be an integer")
+        _require(_is_int(self.seed) and self.seed >= 0, "samples.seed",
+                 "must be a non-negative integer")
         _require(isinstance(self.exclude_text, list), "samples.exclude", "must be a list")
         _require(isinstance(self.checks, list) and self.checks, "checks",
                  "must be a non-empty list")
@@ -208,38 +240,28 @@ class Scenario:
 
     @staticmethod
     def from_dict(data: dict) -> "Scenario":
+        """The scenario of a JSON document. This only reshapes the JSON into the
+        constructor's fields, which checks their values."""
         _require(isinstance(data, dict), "(root)", "scenario must be a JSON object")
         _require(data.get("schema") == SCHEMA_VERSION, "schema",
                  f"must be {SCHEMA_VERSION!r}")
-        name = data.get("name")
-        _require(isinstance(name, str) and name, "name", "must be a non-empty string")
-
         raw_params = data.get("params", {})
         _require(isinstance(raw_params, dict), "params", "must be an object")
         params, sweeps = {}, {}
         for key, val in raw_params.items():
-            if _is_number(val):
-                _require_finite(val, f"params.{key}")
-                params[key] = float(val)
-            elif isinstance(val, dict):
+            if isinstance(val, dict):  # a sweep range; the parameter starts at its `from`
                 for f in ("from", "to", "steps"):
                     _require(f in val, f"params.{key}.{f}", "is required in a sweep range")
-                _require(_is_int(val["steps"]) and val["steps"] >= 2,
-                         f"params.{key}.steps", "must be an integer >= 2")
-                for f in ("from", "to"):
-                    _require_finite(val[f], f"params.{key}.{f}")
-                sweeps[key] = (float(val["from"]), float(val["to"]), val["steps"])
-                params[key] = float(val["from"])
-            else:
-                raise SchemaError(f"params.{key}", "must be a number or a sweep range")
+                sweeps[key] = (val["from"], val["to"], val["steps"])
+                val = val["from"]
+            params[key] = val
 
         _require("source" in data, "source", "is required")
         _require("target" in data, "target", "is required")
         samples = data.get("samples", {})
         _require(isinstance(samples, dict), "samples", "must be an object")
-        # the constructor checks the other fields
         return Scenario(
-            name=name, kind=data.get("kind"), source_spec=data["source"],
+            name=data.get("name"), kind=data.get("kind"), source_spec=data["source"],
             target_spec=data["target"], component_text=data.get("components"),
             params=params, sweeps=sweeps,
             box=samples.get("box"), points_per_axis=samples.get("points_per_axis", 0),
@@ -248,13 +270,8 @@ class Scenario:
             tolerance=data.get("tolerance", DEFAULT_TOLERANCE))
 
     def to_dict(self) -> dict:
-        params = {}
-        for k, v in self.params.items():
-            if k in self.sweeps:
-                lo, hi, steps = self.sweeps[k]
-                params[k] = {"from": lo, "to": hi, "steps": steps}
-            else:
-                params[k] = v
+        ranges = {k: {"from": lo, "to": hi, "steps": steps}
+                  for k, (lo, hi, steps) in self.sweeps.items()}
         samples = {"box": self.box, "seed": self.seed}
         if self.points_per_axis:
             samples["points_per_axis"] = self.points_per_axis
@@ -265,7 +282,7 @@ class Scenario:
         return {
             "schema": SCHEMA_VERSION, "name": self.name, "kind": self.kind,
             "source": self.source_spec, "target": self.target_spec,
-            "components": self.component_text, "params": params,
+            "components": self.component_text, "params": {**self.params, **ranges},
             "samples": samples, "checks": self.checks, "tolerance": self.tolerance,
         }
 
@@ -718,9 +735,9 @@ def sweep(scenario: Scenario, param: str, lo=None, hi=None, steps=None,
         lo = d_lo if lo is None else lo
         hi = d_hi if hi is None else hi
         steps = d_steps if steps is None else steps
-    _require(_is_int(steps) and steps >= 2, "steps", "must be an integer >= 2")
-    _require_finite(lo, "from")
-    _require_finite(hi, "to")
+    lo, hi, steps = _sweep_range(lo, hi, steps)
+    for v in (lo, hi) if param == "p" else ():  # every step's p lies between them
+        _require_p(v, scenario.checks)
     values = [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
 
     reports = []
@@ -803,7 +820,6 @@ def _inversion_scenario(n: int) -> Scenario:
         "samples": {"box": [[0.5, 2.0]] * n, "points_per_axis": 2, "seed": 11,
                     "exclude": [f"{r2} - 0.01"]},
         "checks": ["p_harmonic", "energy_quadrature"],
-        "tolerance": DEFAULT_TOLERANCE,
     }
     return Scenario.from_dict(data)
 
@@ -824,9 +840,20 @@ def _cylinder_scenario() -> Scenario:
         "samples": {"box": [[0.5, 2.0]] * 3, "points_per_axis": 2, "seed": 12,
                     "exclude": ["x1^2 + x2^2 - 0.01"]},
         "checks": ["p_biharmonic", "stress_divergence", "trace_identity"],
-        "tolerance": DEFAULT_TOLERANCE,
     }
     return Scenario.from_dict(data)
+
+
+def _latitude_sphere_text(m: int):
+    """The m + 1 ambient components of the latitude m-sphere (the unit m-sphere's
+    stereographic chart, placed by u -> (a u, b) and read back through the
+    ambient one) and its round metric factor, as text in the parameters a and b."""
+    t2 = " + ".join(f"x{i + 1}^2" for i in range(m))
+    den = f"(1 + ({t2})/4)"
+    scale = "(2*a/(1 + b))"
+    comps = [f"{scale} * x{i + 1} / {den}" for i in range(m)]
+    comps.append(f"{scale} * (1 - ({t2})/4) / {den}")
+    return comps, f"a^2 * {den}^(-2)"
 
 
 def _small_hypersphere_scenario(m: int, a: float) -> Scenario:
@@ -847,7 +874,6 @@ def _small_hypersphere_scenario(m: int, a: float) -> Scenario:
         "params": {"a": a, "b": b, "p": 1.0 / (b * b)},
         "samples": {"box": [[-0.6, 0.7]] * m, "points_per_axis": 2, "seed": 13},
         "checks": ["theorem_2_1", "theorem_2_3", "cmc_proper_p"],
-        "tolerance": DEFAULT_TOLERANCE,
     }
     return Scenario.from_dict(data)
 

@@ -30,8 +30,8 @@ from .mapcalc import MapPoint, SmoothMap, _float_wrapper, share_with_metric
 
 __all__ = [
     "Immersion", "ImmersionPoint", "theorem21_residuals", "theorem23_residuals",
-    "cmc_proper_p", "CmcResult", "bitension_split", "small_hypersphere_immersion",
-    "graph_hypersurface_immersion", "circle_immersion",
+    "cmc_proper_p", "CmcResult", "bitension_split", "graph_hypersurface_immersion",
+    "circle_immersion",
 ]
 
 _PIVOT_REL_TOL = 1e-12
@@ -389,39 +389,6 @@ def bitension_split(imm: Immersion, x, p: float):
 # ---------------------------------------------------------------------- #
 # standard immersions
 # ---------------------------------------------------------------------- #
-
-def _latitude_sphere_text(m: int):
-    """The m + 1 ambient components of the latitude m-sphere and the factor of
-    its round metric, as expression text in the parameters a and b."""
-    t2 = " + ".join(f"x{i + 1}^2" for i in range(m))
-    den = f"(1 + ({t2})/4)"
-    scale = "(2*a/(1 + b))"
-    comps = [f"{scale} * x{i + 1} / {den}" for i in range(m)]
-    comps.append(f"{scale} * (1 - ({t2})/4) / {den}")
-    return comps, f"a^2 * {den}^(-2)"
-
-
-def small_hypersphere_immersion(m: int, a: float) -> Immersion:
-    """The radius-a latitude m-sphere inside the unit (m+1)-sphere.
-
-    Realized by composing the stereographic chart of the unit m-sphere with
-    the affine placement u -> (a u, b), b = sqrt(1 - a^2), read back through
-    the stereographic chart of the ambient sphere. The source carries the
-    round metric of radius a; the constructor's pull-back expressions allow
-    verifying that choice numerically.
-    """
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"radius parameter must lie in (0, 1), got {a}")
-    b = math.sqrt(1.0 - a * a)
-    ambient = space_form_chart(1.0, m + 1)
-    texts, round_text = _latitude_sphere_text(m)
-    comps = [parse(t, m, ["a", "b"]) for t in texts]
-    round_factor = parse(round_text, m, ["a", "b"])
-    zero = Const(0.0)
-    source_metric = [[round_factor if i == j else zero for j in range(m)] for i in range(m)]
-    return Immersion(m, ambient, comps, params={"a": a, "b": b},
-                     source_metric=source_metric, name=f"small_hypersphere({m},{a})")
-
 
 def graph_hypersurface_immersion(height: Expression, dim: int, name: str = "graph") -> Immersion:
     """Graph x -> (x, q(x)) in Euclidean space, with the induced metric."""

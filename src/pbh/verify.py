@@ -5,8 +5,8 @@ Each criterion function returns a :class:`CriterionResult`; `run_all` prints
 one pass/fail line per criterion. Tolerances are fixed here, not tunable.
 
 The corpus (`corpus_maps`, `corpus_immersions`, and the built-in scenarios
-whose `with_params` copies `cylinder_map` and `inversion_map` return) is built
-once per process and read by every criterion and pass. Built at each pass: the
+whose `with_params` copies `cylinder_map`, `inversion_map` and the latitude
+spheres of `corpus_immersions` are) is built once per process and read by every criterion and pass. Built at each pass: the
 perturbed maps of the first variation, and the two `inversion(3)` runs of the
 byte-identical-report check, which is about independent builds.
 
@@ -50,7 +50,7 @@ from .scenarios import builtin, run as run_scenario
 from .stress import (_scaled_divergence_gap, stress_divergence_sides, stress_tensor,
                      trace_identity_at)
 from .submanifold import (Immersion, circle_immersion, cmc_proper_p,
-                          graph_hypersurface_immersion, small_hypersphere_immersion)
+                          graph_hypersurface_immersion)
 
 P_VALUES = (2.0, 3.0, 4.0)
 
@@ -139,7 +139,7 @@ def _corpus_immersions():
         source_metric=[[parse(hfac, 2), Const(0.0)], [Const(0.0), parse(hfac, 2)]],
         name="hyperbolic_sphere")
     return (
-        *((name, small_hypersphere_immersion(2, a), ((-0.6, 0.7),) * 2)
+        *((name, _builtin(f"small_hypersphere(2, {a!r})").build(), ((-0.6, 0.7),) * 2)
           for name, a in _SPHERES),
         ("circle", circle_immersion(0.8), ((0.3, 2.8),)),
         ("paraboloid",

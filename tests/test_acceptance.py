@@ -79,8 +79,8 @@ def test_consecutive_passes_print_the_golden_lines(passes):
 
 
 def test_later_passes_build_only_the_fresh_objects(passes):
-    """The first pass builds the corpus (the inversion and cylinder scenarios
-    once each); every pass builds the two independent `inversion(3)` runs and
+    """The first pass builds the corpus (the inversion, cylinder and latitude
+    sphere scenarios once each); every pass builds the two independent `inversion(3)` runs and
     the six perturbed maps of the first variation, and no immersion after
     the first."""
     assert [counts for _lines, counts in passes] == [(21, 6), (8, 0), (8, 0)]

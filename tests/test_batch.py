@@ -24,7 +24,6 @@ from pbh.jets import JetScalar, lift_point, point_value, space_for, sqrt, value
 from pbh.mapcalc import SmoothMap, gauss_legendre_box, p_bienergy_box, p_energy_box
 from pbh.scenarios import SCHEMA_VERSION, Scenario, builtin, run, sweep
 from pbh.stress import stress_tensor, trace_identity_at
-from pbh.submanifold import small_hypersphere_immersion
 from pbh.verify import corpus_maps, random_expression_with_point
 
 FIRST_PARTIALS = [(1, 0), (0, 1)]
@@ -128,7 +127,8 @@ def _per_point_case(name):
         vec = [0.0, -0.0]
         return vec, size, _oracle_split(vec, size)
     if name == "general_residuals":
-        ip = small_hypersphere_immersion(2, 0.8).at(lift_point(_batch(PER_POINT_SPHERE_POINTS), 2))
+        sphere = builtin("small_hypersphere(2, 0.8)").build()
+        ip = sphere.at(lift_point(_batch(PER_POINT_SPHERE_POINTS), 2))
         normal, tangent = ip.general_residuals(3.0)
         return ((normal, tangent), size,
                 list(zip(_oracle_split(normal, size), _oracle_split(tangent, size))))

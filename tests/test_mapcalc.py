@@ -19,7 +19,7 @@ from pbh.mapcalc import (SmoothMap, gauss_legendre_box, p_bienergy_box, p_bitens
                          p_energy_box, p_tension, perturbed_map, tension)
 from pbh.scenarios import builtin
 from pbh.stress import stress_divergence_check, stress_tensor, stress_trace, theta_divergence
-from pbh.submanifold import bitension_split, small_hypersphere_immersion, theorem21_residuals
+from pbh.submanifold import bitension_split, theorem21_residuals
 from pbh.verify import _points, corpus_immersions, corpus_maps
 
 
@@ -63,7 +63,7 @@ class TestDifferential:
         assert J == [[3.0, 1.0, 0.0], [2.0, 0.0, 6.0]]
 
     def test_inclusion_norm_is_dimension(self):
-        imm = small_hypersphere_immersion(2, 0.7)
+        imm = builtin("small_hypersphere(2, 0.7)").build()
         assert value(imm.at((0.2, -0.3)).norm2) == pytest.approx(2.0, rel=1e-12)
 
     def test_cylinder_norm_against_index_sum(self):
@@ -169,7 +169,7 @@ class TestPullbackDerivative:
     def test_direction_outside_the_source_rejected(self, field):
         # a negative index would silently read the last direction, and a
         # constant field never reaches JetScalar.partial: the method checks
-        mp = small_hypersphere_immersion(2, 0.8).at(lift_point((0.1, 0.2), 1))
+        mp = builtin("small_hypersphere(2, 0.8)").build().at(lift_point((0.1, 0.2), 1))
         V = mp.dphi_cols[0] if field == "tangent" else [1.0, 0.0, 0.0]
         for i in (-1, 2):
             with pytest.raises(ValueError, match=f"direction {i} is not one of the 2"):
@@ -192,7 +192,7 @@ class TestPullbackDerivative:
                         sff[a][i][j], abs=1e-9)
 
     def test_metric_compatibility_of_pullback_connection(self):
-        phi = small_hypersphere_immersion(2, 0.75)
+        phi = builtin("small_hypersphere(2, 0.75)").build()
         x = (0.25, -0.35)
         X = lift_point(x, 1)
         mp = phi.at(X)
@@ -372,7 +372,7 @@ class TestArguments:
         lambda: stress_trace(cylinder(3.0), (1.0, 1.0, 1.0), 1.5),
         lambda: theta_divergence(cylinder(3.0), (1.0, 1.0, 1.0), 1.5),
         lambda: stress_divergence_check(cylinder(3.0), (1.0, 1.0, 1.0), 1.5),
-        lambda: bitension_split(small_hypersphere_immersion(2, 0.7), (0.1, 0.2), 1.5),
+        lambda: bitension_split(builtin("small_hypersphere(2, 0.7)").build(), (0.1, 0.2), 1.5),
         lambda: p_bienergy_box(inversion(3, 2.0), [(0.5, 1.0)] * 3, 1.5, order=2),
     ], ids=["stress_tensor", "stress_trace", "theta_divergence", "stress_divergence_check",
             "bitension_split", "p_bienergy_box"])
@@ -392,14 +392,14 @@ class TestArguments:
             p_bitension(phi, (1.0, 1.0, 1.0), 1e308)
 
     def test_point_with_too_many_coordinates(self):
-        imm = small_hypersphere_immersion(2, 0.7)
+        imm = builtin("small_hypersphere(2, 0.7)").build()
         with pytest.raises(ValueError, match="needs 2 coordinates, got 3"):
             p_tension(imm, (0.1, 0.2, 0.3), 3.0)
         with pytest.raises(ValueError, match="needs 2 coordinates, got 3"):
             imm.at((np.array([0.1, 0.2]),) * 3)
 
     def test_point_with_too_few_coordinates(self):
-        imm = small_hypersphere_immersion(2, 0.7)
+        imm = builtin("small_hypersphere(2, 0.7)").build()
         with pytest.raises(ValueError, match="needs 2 coordinates, got 1"):
             theorem21_residuals(imm, (0.1,), 3.0)
         with pytest.raises(ValueError, match="needs 2 coordinates, got 1"):

@@ -1,12 +1,14 @@
 """Scenario schema, built-ins, run/sweep engine, reports, and the CLI."""
 
 import dataclasses
+import functools
 import json
 import math
 import warnings
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pbh import expr, scenarios
 from pbh.cli import main as cli_main
@@ -127,15 +129,36 @@ class TestConstruction:
         ("inversion(3)", {"source_spec": {}}, lambda d: d.update(source={}), "source.dim"),
         ("small_hypersphere(2, 0.8)", {"target_spec": FLAT_METRIC_3},
          lambda d: d.update(target=FLAT_METRIC_3), "target.space_form"),
+        ("inversion(3)", {"name": 3}, lambda d: d.update(name=3), "name"),
+        ("inversion(3)", {"name": ""}, lambda d: d.update(name=""), "name"),
+        ("inversion(3)", {"params": {"l": "x", "p": 2.0}},
+         lambda d: d["params"].update(l="x"), "params.l"),
+        ("inversion(3)", {"params": {"l": math.nan, "p": 2.0}},
+         lambda d: d["params"].update(l=math.nan), "params.l"),
+        ("inversion(3)", {"params": {"l": True, "p": 2.0}},
+         lambda d: d["params"].update(l=True), "params.l"),
+        ("inversion(3)", {"sweeps": {"p": (2.0, 4.0, 1)}},
+         lambda d: d["params"].update(p={"from": 2.0, "to": 4.0, "steps": 1}), "params.p.steps"),
+        ("inversion(3)", {"sweeps": {"p": (2.0, math.inf, 3)}},
+         lambda d: d["params"].update(p={"from": 2.0, "to": math.inf, "steps": 3}),
+         "params.p.to"),
+        # a scenario file declares a swept parameter with its range: no file form
+        ("inversion(3)", {"sweeps": {"q": (2.0, 4.0, 3)}}, None, "params"),
+        ("inversion(3)", {"sweeps": {"p": (2.0, 4.0)}},
+         lambda d: d["params"].update(p=[2.0, 4.0]), "params.p"),
     ], ids=["misspelt_check", "no_sample_points", "unknown_kind", "two_components",
-            "no_source_dim", "metric_ambient"])
+            "no_source_dim", "metric_ambient", "int_name", "empty_name", "string_param",
+            "nan_param", "bool_param", "one_step_sweep", "infinite_sweep_end",
+            "undeclared_sweep", "two_value_sweep"])
     def test_every_way_of_making_a_scenario_checks_its_fields(self, name, changes, edit, field):
         sc = builtin(name)
         data = sc.to_dict()
-        edit(data)
-        for make in (lambda: Scenario(**{**_fields(sc), **changes}),
-                     lambda: dataclasses.replace(sc, **changes),
-                     lambda: Scenario.from_dict(data)):
+        makes = [lambda: Scenario(**{**_fields(sc), **changes}),
+                 lambda: dataclasses.replace(sc, **changes)]
+        if edit is not None:
+            edit(data)
+            makes.append(lambda: Scenario.from_dict(data))
+        for make in makes:
             with pytest.raises(SchemaError) as err:
                 make()
             assert err.value.field == field
@@ -158,6 +181,51 @@ class TestConstruction:
         fixed = FixedPoints(**_fields(base), points=points)
         want = [r for r in run(base, overrides={"p": 3.0}).rows if r.point in points]
         assert want and run(fixed, overrides={"p": 3.0}).rows == want
+
+
+# single-field edits of the built-ins: each field of each built-in replaced by
+# each value of the pool. Counts stay at 3 or below and p stays small, so that
+# no case runs long; the pool is small enough that Hypothesis tries every edit.
+EDIT_BUILTINS = ("inversion(3)", "proper_pbh_cylinder", "small_hypersphere(2, 0.8)")
+EDIT_POOL = ("", "x", "immersion", math.nan, math.inf, -math.inf, True, False, None,
+             [], ["x"], [[0.0, 1.0]], ["p_harmonic"], {}, {"dim": 2}, {"p": 3.0}, {"p": "x"},
+             {"p": [2.0, 3.0, 2]}, {0: 1.0}, -1, 0, 1, 3)
+single_field_edits = given(st.sampled_from(EDIT_BUILTINS),
+                           st.sampled_from([f.name for f in dataclasses.fields(Scenario)]),
+                           st.sampled_from(EDIT_POOL))
+EDIT_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=2000)
+
+
+@functools.cache
+def _edit_base(name):
+    return builtin(name)
+
+
+def _edited(name, field, value):
+    """The built-in `name` with one field replaced, or None if construction
+    rejects it with a SchemaError; any other exception propagates."""
+    try:
+        return dataclasses.replace(_edit_base(name), **{field: value})
+    except SchemaError:
+        return None
+
+
+@EDIT_SETTINGS
+@single_field_edits
+def test_a_single_field_edit_is_a_schema_error_or_a_report(name, field, value):
+    sc = _edited(name, field, value)
+    if sc is not None:
+        report = run(sc)
+        assert report.to_csv() and report.to_json()
+
+
+@EDIT_SETTINGS
+@single_field_edits
+def test_an_accepted_scenario_survives_a_json_round_trip(name, field, value):
+    sc = _edited(name, field, value)
+    if sc is not None:
+        again = Scenario.from_dict(json.loads(json.dumps(sc.to_dict())))
+        assert _fields(again) == _fields(sc)
 
 
 class TestBuiltins:
@@ -483,6 +551,14 @@ class TestSweep:
         sc = Scenario.from_dict(data)
         result = sweep(sc, "p")
         assert result.values == [2.0, 2.5, 3.0]
+
+    def test_a_p_sweep_is_checked_at_both_ends_before_its_first_step(self, monkeypatch):
+        builds, build = [], Scenario.build
+        monkeypatch.setattr(Scenario, "build",
+                            lambda self, *args: builds.append(args) or build(self, *args))
+        with pytest.raises(SchemaError) as err:
+            sweep(builtin("inversion(3)"), "p", 3.0, 1.0, 5)
+        assert err.value.field == "p" and builds == []
 
     def test_sweep_undeclared_parameter(self):
         with pytest.raises(SchemaError):
@@ -828,6 +904,8 @@ HOSTILE_INPUTS = [
     (["run", "inversion(3)", "--set", "l=2.3", "--p", "3", "--tol", "inf"], 2),
     (["sweep", "proper_pbh_cylinder", "--param", "p", "--from", "1.5", "--to", "3",
       "--steps", "3"], 2),
+    # the far end of a p sweep is checked before the first step runs
+    (["sweep", "inversion(3)", "--param", "p", "--from", "3", "--to", "1", "--steps", "5"], 2),
     (["run", "inversion(abc)"], 2),
     (["run", "inversion(2.5)"], 2),
     (["run", "small_hypersphere(2, x)"], 2),
@@ -873,6 +951,13 @@ HOSTILE_INPUTS = [
     (["run", {"samples": {"box": [[0.2, 1.0], [0.2, float("inf")]], "points_per_axis": 2}}],
      2),
     (["run", {"target": {"dim": 2, "space_form": float("nan")}}], 2),
+    # JSON integers too large for a float
+    (["run", {"params": {"p": 2.0, "c": 10 ** 400}}], 2),
+    (["run", {"tolerance": 10 ** 400}], 2),
+    (["run", {"samples": {"box": [[0.2, 10 ** 400], [0.2, 1.0]], "points_per_axis": 2}}], 2),
+    # a seed that numpy's generator rejects
+    (["run", {"samples": {"box": [[0.2, 1.0], [0.2, 1.0]], "random_points": 2, "seed": -1}}],
+     2),
     # a 0-dimensional immersion source, whose induced metric has no chart spec
     (["run", {"kind": "immersion", "source": {"dim": 0}, "target": {"dim": 1, "space_form": 0.0},
               "components": ["1"], "samples": {"box": [], "points_per_axis": 2},

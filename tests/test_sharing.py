@@ -14,7 +14,7 @@ from pbh.expr import Add, Const, Coord, Mul, Param, Sin, parse, share_subtrees
 from pbh.jets import JetScalar, lift_point
 from pbh.mapcalc import _roots, _stack
 from pbh.scenarios import builtin
-from pbh.submanifold import graph_hypersurface_immersion, small_hypersphere_immersion
+from pbh.submanifold import graph_hypersurface_immersion
 
 BUILTINS = [("inversion(3)", {"l": 2.0, "p": 3.0}), ("proper_pbh_cylinder", {"p": 3.0}),
             ("small_hypersphere(2, 0.8)", {})]
@@ -219,7 +219,7 @@ def test_a_map_writes_nothing_into_the_table_of_its_chart_or_base_map():
 
 @pytest.mark.parametrize("imm", [
     graph_hypersurface_immersion(parse("x1*x2", 2), 2),
-    small_hypersphere_immersion(2, 0.8)], ids=["induced", "declared"])
+    builtin("small_hypersphere(2, 0.8)").build()], ids=["induced", "declared"])
 def test_an_immersion_builds_its_pullback_chart_and_map_in_one_table(imm):
     assert imm.table is imm.source.table
     dcomp = {id(d) for row in imm.d1 for d in row}

@@ -10,10 +10,10 @@ from pbh.expr import parse
 from pbh.geometry import sectional_curvature, space_form_chart
 from pbh.jets import lift_point, value
 from pbh.mapcalc import SmoothMap, p_bitension, p_tension, tension
+from pbh.scenarios import builtin
 from pbh.stress import stress_divergence_check, stress_tensor
 from pbh.submanifold import (Immersion, bitension_split, circle_immersion,
-                             cmc_proper_p, graph_hypersurface_immersion,
-                             small_hypersphere_immersion, theorem21_residuals,
+                             cmc_proper_p, graph_hypersurface_immersion, theorem21_residuals,
                              theorem23_residuals)
 from pbh.verify import corpus_immersions
 
@@ -43,14 +43,14 @@ def sample(rng, box, count):
 
 class TestImmersionBasics:
     def test_isometric_source_metric(self):
-        imm = small_hypersphere_immersion(2, 0.8)
+        imm = builtin("small_hypersphere(2, 0.8)").build()
         rng = np.random.default_rng(51)
         assert imm.isometry_defect(sample(rng, SPHERE_BOX, 5)) < 1e-10
 
     def test_induced_metric_curvature_is_gauss(self):
         # induced round metric of the radius-a sphere has curvature 1/a^2
         for a in (0.6, 0.8):
-            imm = small_hypersphere_immersion(2, a)
+            imm = builtin(f"small_hypersphere(2, {a!r})").build()
             K = sectional_curvature(imm.source, (0.3, -0.2), [1, 0], [0, 1])
             assert K == pytest.approx(1.0 / a ** 2, abs=1e-8)
 
@@ -67,7 +67,7 @@ class TestImmersionBasics:
             Immersion(2, space_form_chart(0.0, 2), [parse("x1", 2), parse("x2", 2)])
 
     def test_normal_frame_orthonormal_and_normal(self):
-        imm = small_hypersphere_immersion(2, 0.7)
+        imm = builtin("small_hypersphere(2, 0.7)").build()
         x = (0.3, 0.25)
         F = floats(imm.at(x).normal_frame)
         assert len(F) == 1
@@ -106,7 +106,7 @@ class TestSecondFundamentalForm:
         # B_ij = coeff * g_ij with |coeff| = 1/r = b/a
         a = 0.8
         b = math.sqrt(1 - a * a)
-        imm = small_hypersphere_immersion(2, a)
+        imm = builtin(f"small_hypersphere(2, {a!r})").build()
         x = (0.2, -0.4)
         B = floats(imm.at(x).second_fundamental)[0]
         g = [[value(v) for v in row] for row in imm.source.metric_at(x)]
@@ -134,7 +134,7 @@ class TestShapeOperator:
     def test_sphere_is_proportional_to_identity(self):
         a = 0.6
         b = math.sqrt(1 - a * a)
-        imm = small_hypersphere_immersion(2, a)
+        imm = builtin(f"small_hypersphere(2, {a!r})").build()
         x = (0.15, 0.3)
         H = floats(imm.at(x).mean_curvature)
         hn = math.sqrt(sum(value(imm.at(x).h_inner(H, H)) for _ in [0]))
@@ -178,14 +178,14 @@ class TestMeanCurvature:
     def test_small_sphere_norm(self):
         for a in (0.6, 1 / math.sqrt(2), 0.8):
             b = math.sqrt(1 - a * a)
-            imm = small_hypersphere_immersion(2, a)
+            imm = builtin(f"small_hypersphere(2, {a!r})").build()
             ip = imm.at((0.22, -0.31))
             assert math.sqrt(value(ip.mean_curvature_norm2)) == pytest.approx(
                 b / a, rel=1e-10)
 
     def test_tension_is_m_times_H(self):
         rng = np.random.default_rng(53)
-        for imm, box in [(small_hypersphere_immersion(2, 0.7), SPHERE_BOX),
+        for imm, box in [(builtin("small_hypersphere(2, 0.7)").build(), SPHERE_BOX),
                          (paraboloid(), [(-0.7, 0.7)] * 2),
                          (circle_immersion(1.3), [(0.3, 2.8)])]:
             m = imm.m
@@ -195,7 +195,7 @@ class TestMeanCurvature:
                 assert max(abs(t - m * h) for t, h in zip(tau, H)) < 1e-9
 
     def test_p_tension_is_m_to_p_half_H(self):
-        imm = small_hypersphere_immersion(2, 0.75)
+        imm = builtin("small_hypersphere(2, 0.75)").build()
         x = (0.2, 0.4)
         H = floats(imm.at(x).mean_curvature)
         for p in (2.0, 3.0, 4.0):
@@ -205,7 +205,7 @@ class TestMeanCurvature:
 
 class TestNormalConnection:
     def test_parallel_mean_curvature_on_spheres(self):
-        imm = small_hypersphere_immersion(2, 0.8)
+        imm = builtin("small_hypersphere(2, 0.8)").build()
         x = (0.3, -0.1)
 
         def H_field(X):
@@ -220,7 +220,7 @@ class TestNormalConnection:
     def test_normal_laplacian_is_normal(self):
         rng = np.random.default_rng(54)
         for imm, box in [(paraboloid(), [(-0.6, 0.6)] * 2),
-                         (small_hypersphere_immersion(2, 0.6), SPHERE_BOX)]:
+                         (builtin("small_hypersphere(2, 0.6)").build(), SPHERE_BOX)]:
             for x in sample(rng, box, 3):
                 lap = floats(imm.at(lift_point(x, 2)).laplacian_perp_H)
                 ip = imm.at(x)
@@ -261,7 +261,7 @@ class TestResidualSystems:
         for a in (0.6, 1 / math.sqrt(2), 0.8):
             b = math.sqrt(1 - a * a)
             p_star = 1.0 / (b * b)
-            imm = small_hypersphere_immersion(2, a)
+            imm = builtin(f"small_hypersphere(2, {a!r})").build()
             for x in sample(rng, SPHERE_BOX, 3):
                 normal, tangent = theorem21_residuals(imm, x, p_star)
                 assert max(abs(v) for v in normal) < 1e-8
@@ -273,7 +273,7 @@ class TestResidualSystems:
     def test_sphere_residuals_nonzero_off_critical(self):
         a = 0.8
         b = math.sqrt(1 - a * a)
-        imm = small_hypersphere_immersion(2, a)
+        imm = builtin(f"small_hypersphere(2, {a!r})").build()
         x = (0.3, 0.2)
         normal, _ = theorem21_residuals(imm, x, 1.0 / (b * b) + 0.5)
         assert max(abs(v) for v in normal) > 1e-3
@@ -288,7 +288,7 @@ class TestResidualSystems:
         # via A_H = <H,eta> A and the umbilic trace identities
         rng = np.random.default_rng(56)
         cases = [(paraboloid(), [(-0.6, 0.6)] * 2),
-                 (small_hypersphere_immersion(2, 0.7), SPHERE_BOX),
+                 (builtin("small_hypersphere(2, 0.7)").build(), SPHERE_BOX),
                  (circle_immersion(0.9), [(0.3, 2.8)])]
         for imm, box in cases:
             for p in (2.0, 3.0):
@@ -319,7 +319,7 @@ class TestCmcProperP:
     def test_sphere_values(self):
         for a in (0.6, 1 / math.sqrt(2), 0.8):
             b = math.sqrt(1 - a * a)
-            imm = small_hypersphere_immersion(2, a)
+            imm = builtin(f"small_hypersphere(2, {a!r})").build()
             rng = np.random.default_rng(57)
             result = cmc_proper_p(imm, (0.2, 0.3), sample_points=sample(rng, SPHERE_BOX, 5))
             assert result.p_star == pytest.approx(1.0 / (b * b), abs=1e-8)
@@ -328,16 +328,17 @@ class TestCmcProperP:
 
     def test_admissibility_boundary(self):
         a = 1 / math.sqrt(2)
-        result = cmc_proper_p(small_hypersphere_immersion(2, a), (0.2, 0.3))
+        result = cmc_proper_p(builtin(f"small_hypersphere(2, {a!r})").build(), (0.2, 0.3))
         assert result.p_star == pytest.approx(2.0, abs=1e-8)
         assert result.admissible
-        small = cmc_proper_p(small_hypersphere_immersion(2, 0.6), (0.2, 0.3))
+        small = cmc_proper_p(builtin("small_hypersphere(2, 0.6)").build(), (0.2, 0.3))
         assert not small.admissible
         assert small.message == "no admissible p >= 2"
 
     def test_empty_sample_list_rejected(self):
         with pytest.raises(ValueError, match="at least one point"):
-            cmc_proper_p(small_hypersphere_immersion(2, 0.8), (0.2, 0.3), sample_points=[])
+            cmc_proper_p(builtin("small_hypersphere(2, 0.8)").build(), (0.2, 0.3),
+                         sample_points=[])
 
     def test_zero_mean_curvature_rejected(self):
         with pytest.raises(DomainError):
@@ -370,7 +371,7 @@ class TestCmcProperP:
 
 class TestBitensionCrossCheck:
     def test_split_reconstructs_bitension(self):
-        imm = small_hypersphere_immersion(2, 0.8)
+        imm = builtin("small_hypersphere(2, 0.8)").build()
         x = (0.25, 0.1)
         from pbh.mapcalc import p_bitension
         for p in (2.0, 3.0):
@@ -384,7 +385,7 @@ class TestBitensionCrossCheck:
     def test_master_factor(self):
         # tau_{2,p}(inclusion) = m^(p-1) (normal system, pushed tangent system)
         rng = np.random.default_rng(59)
-        for imm, box in [(small_hypersphere_immersion(2, 0.6), SPHERE_BOX),
+        for imm, box in [(builtin("small_hypersphere(2, 0.6)").build(), SPHERE_BOX),
                          (paraboloid(), [(-0.6, 0.6)] * 2),
                          (circle_immersion(0.8), [(0.3, 2.8)])]:
             m = imm.m
