@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 all checks pass, 1 at least one check failed tolerance or no
-row was checked, 2 input/schema error (including a scenario file that cannot
-be read or decoded as UTF-8, a report that cannot be written, and a number that
-is NaN or infinite), 3 singularity under --strict. An --out path that is a
-directory or lies in a missing directory is rejected before anything runs.
+Exit codes: 0 all checks pass, 1 at least one check failed tolerance or had
+no sample point left after the exclusions, 2 input/schema error (including a
+scenario file that cannot be read or decoded as UTF-8, a report that cannot be
+written, and a number that is NaN or infinite), 3 singularity under --strict.
+An --out path that is a directory or lies in a missing directory is rejected
+before anything runs.
 """
 
 from __future__ import annotations
@@ -80,12 +81,6 @@ def _cmd_builtin(args) -> int:
     return EXIT_PASS
 
 
-def _warn_if_unchecked(scenario, reports):
-    if any(not rep.rows for rep in reports):
-        print(f"{scenario.name}: no rows checked: every sample point was excluded, "
-              f"so the run fails", file=sys.stderr)
-
-
 def _cmd_run(args) -> int:
     _check_out(args.out)
     scenario = _load(args.scenario)
@@ -93,7 +88,6 @@ def _cmd_run(args) -> int:
     if args.p is not None:
         overrides["p"] = args.p
     report = run(scenario, overrides=overrides, tolerance=args.tol, strict=args.strict)
-    _warn_if_unchecked(scenario, [report])
     summary = report.summary()
     for check, entry in sorted(summary["checks"].items()):
         status = "pass" if entry["pass"] else "FAIL"
@@ -114,7 +108,6 @@ def _cmd_sweep(args) -> int:
     overrides = _parse_set(args.set)
     result = sweep(scenario, args.param, args.from_, args.to, args.steps,
                    overrides=overrides, tolerance=args.tol, strict=args.strict)
-    _warn_if_unchecked(scenario, result.reports)
     for crossing in result.crossings:
         _print(f"{scenario.name}: {crossing['check']}: signed residual crosses zero "
               f"at {args.param} = {crossing['value']!r}")

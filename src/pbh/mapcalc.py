@@ -564,9 +564,9 @@ def replay_chunks(items, batched, single):
     """Yield one result per item, in order, evaluating _CHUNK items at a time.
 
     batched(chunk) evaluates a chunk as one batched point, under
-    np.errstate(all="raise", under="ignore"), and returns one result per item.
-    If it raises (a point failure, a floating-point exception, a BatchSplit)
-    or returns None, each half of the chunk is tried the same way in turn,
+    np.errstate(all="raise", under="ignore"), and returns one result per item
+    or raises. If it raises (a point failure, a floating-point exception, a
+    BatchSplit), each half of the chunk is tried the same way in turn,
     down to single items. single(item) evaluates one item without a batch
     axis, under np.errstate(all="ignore"): it is the unbatched path, and a
     chunk of one item goes to it directly. Results and exceptions are those

@@ -26,16 +26,17 @@ value, metric norms, signed normal residual, proper p) stay on the per-point
 float contexts, since jet and float evaluation of one expression can differ
 in the last bit.
 
-`sweep` shares these contexts across its steps unless a component, metric or
-exclude expression reads the swept parameter (p, unless a metric reads it).
-Then the sample points are drawn once, by the first step, and each chunk's
-contexts are built once; between steps they keep only their cached
-properties, with every p-independent term, and the rows of p-free checks,
-which a check that raised does not leave. A chunk whose batched evaluation
-raised at one step goes straight to its halves at every later step; the
-halves give the rows the batch would. Otherwise each step is a `run`. The
-contexts belong to one `sweep` call; `run` builds fresh ones and holds one
-chunk's at a time.
+`run` is `_run` of one step; `sweep` hands all its steps to one `_run`
+unless a component, metric or exclude expression reads the swept parameter
+(p, unless a metric reads it), and otherwise runs each step on its own. In
+one `_run` the sample points are drawn once, at the first step's parameters,
+and each chunk's contexts are built once and read by every step in turn;
+between steps they keep only their cached properties, with every
+p-independent term, and the rows of p-free checks, which a check that raised
+does not leave. A chunk is attempted once for all the steps: if its batched
+evaluation raises at any step, its halves give every step's rows. Its
+contexts are dropped before the next chunk, so no more than one chunk's are
+alive at a time.
 """
 
 from __future__ import annotations
@@ -552,7 +553,7 @@ def _point_failure(exc, strict, point=None):
 
 def run(scenario: Scenario, overrides=None, tolerance=None, strict=False) -> ResidualReport:
     """Execute every requested check at every sample point."""
-    return _run(scenario, overrides, tolerance, strict, None)
+    return _run(scenario, [overrides], tolerance, strict)[0]
 
 
 def _run_params(scenario, overrides, tolerance):
@@ -574,15 +575,13 @@ def _run_params(scenario, overrides, tolerance):
 class _ChunkContexts:
     """The evaluation contexts of one chunk of sample points: a float context
     per point and one jet context for the whole chunk, batched unless the
-    chunk is one point, built on first use. `replayed` is set once the
-    chunk's batched evaluation has raised. `p_free` keeps the results of the
+    chunk is one point, built on first use. `p_free` keeps the results of the
     checks that do not read p and have run on the chunk without raising."""
 
     def __init__(self, obj, chunk, order):
         self.obj, self.chunk, self.order = obj, chunk, order
         self.flts = [obj.at(x) for x in chunk]
         self._jet = None
-        self.replayed = False
         self.p_free = {}
 
     def results(self, check, p, tol):
@@ -604,84 +603,84 @@ class _ChunkContexts:
             c.forget_scratch()
 
 
-def _run(scenario, overrides, tolerance, strict, shared) -> ResidualReport:
-    """`run`, on the sample points and chunk contexts of `shared` when the
-    steps of a sweep share them (see the module docstring).
+def _run(scenario, steps, tolerance, strict) -> list:
+    """The `run` report of each override dict in `steps`, all on the sample
+    points drawn at the first step's parameters (see the module docstring).
 
-    With shared None, as in `run`, the points are drawn and each chunk's
-    contexts are built for this call, one chunk's at a time. Otherwise shared
-    is a dict, empty at the first step, which draws the points into it under
-    "points"; "chunks" maps each chunk of points to its `_ChunkContexts`,
-    which keeps only its cached properties and the rows of the checks that do
-    not read p between steps (`forget_scratch`). All steps must share one tolerance.
+    Every step is checked before anything is built. Each chunk of points gets
+    one `_ChunkContexts`, which every step reads in turn, keeping only its
+    cached properties and the rows of the checks that do not read p between
+    steps (`forget_scratch`), and which is dropped before the next chunk. So
+    the steps must not change what the contexts hold: no component, metric or
+    exclude tree may read a parameter they vary, and they share one tolerance.
     """
-    params, tol = _run_params(scenario, overrides, tolerance)
-    p = params.get("p", 2.0)
-    obj = scenario.build(params)
-    if shared is None:
-        points, chunks = scenario.sample_points(params), None
-    else:
-        if not shared:
-            shared.update(points=scenario.sample_points(params), chunks={})
-        points, chunks = shared["points"], shared["chunks"]
-    row_params = tuple(sorted((k, v) for k, v in params.items() if k != "p"))
+    checked = [_run_params(scenario, overrides, tolerance) for overrides in steps]
+    objs = [scenario.build(params) for params, _ in checked]
+    points = scenario.sample_points(checked[0][0])
     checks = [c for c in scenario.checks if CHECKS[c].order is not None]
     order = max((CHECKS[c].order for c in checks), default=0)
 
-    def chunk_contexts(chunk):
-        if chunks is None:
-            return _ChunkContexts(obj, chunk, order)
-        if chunk not in chunks:
-            chunks[chunk] = _ChunkContexts(obj, chunk, order)
-        return chunks[chunk]
-
-    # per point, one outcome per check: a result tuple or the exception raised
+    # per point, per step, one outcome per check: a result tuple or the exception
+    # raised; each later step first forgets the scratch of the one before
     def batched(chunk):
-        ctx = chunk_contexts(chunk)
-        if ctx.replayed:  # it raised at an earlier sweep step; its halves give the same rows
-            return None
-        ctx.replayed = True  # stays set if the batch raises
-        results = [ctx.results(check, p, tol) for check in checks]
-        ctx.replayed = False
-        return list(zip(*results))
+        ctx = _ChunkContexts(objs[0], chunk, order)
+        per_step = []
+        for k, (params, tol) in enumerate(checked):
+            if k:
+                ctx.forget_scratch()
+            p = params.get("p", 2.0)
+            per_step.append(list(zip(*[ctx.results(check, p, tol) for check in checks])))
+        return list(zip(*per_step))
 
     def single(x):
-        ctx = chunk_contexts((x,))
-        out = []
-        for check in checks:
-            try:
-                out.append(ctx.results(check, p, tol)[0])
-            except POINT_FAILURES as exc:
-                _point_failure(exc, strict, x)
-                # without its traceback: the frames would hold `out`, a cycle
-                # that keeps the point's contexts alive until the cyclic GC runs
-                out.append(exc.with_traceback(None))
-        return out
+        ctx = _ChunkContexts(objs[0], (x,), order)
+        per_step = []
+        for k, (params, tol) in enumerate(checked):
+            if k:
+                ctx.forget_scratch()
+            out = []
+            for check in checks:
+                try:
+                    out.append(ctx.results(check, params.get("p", 2.0), tol)[0])
+                except POINT_FAILURES as exc:
+                    _point_failure(exc, strict, x)
+                    # without its traceback: the frames would hold `out`, a cycle
+                    # that keeps the point's contexts alive until the cyclic GC runs
+                    out.append(exc.with_traceback(None))
+            per_step.append(out)
+        return per_step
 
-    rows = []
-    extras = {}
-    outcomes_per_point = replay_chunks(tuple(points), batched, single) if checks else ()
-    for x, outcomes in zip(points, outcomes_per_point):
-        for check, outcome in zip(checks, outcomes):
-            if isinstance(outcome, Exception):
-                rows.append(CheckRow(scenario.name, check, p, row_params, x,
-                                     float("nan"), False, None, note=str(outcome)))
-                continue
-            res, ok, signed, extra = outcome
-            rows.append(CheckRow(scenario.name, check, p, row_params, x, res, ok, signed))
-            for k, v in extra.items():
-                extras.setdefault(check, {})[k] = v
-    for ctx in (chunks or {}).values():
-        ctx.forget_scratch()
-    for check in (c for c in scenario.checks if CHECKS[c].order is None):  # one row each
-        try:
-            res, extras[check] = CHECKS[check].reduce(obj, scenario.box, p)
-            rows.append(CheckRow(scenario.name, check, p, row_params, (), res, res < tol))
-        except POINT_FAILURES as exc:
-            _point_failure(exc, strict)
-            rows.append(CheckRow(scenario.name, check, p, row_params,
-                                 (), float("nan"), False, note=str(exc)))
-    return ResidualReport(scenario.name, tol, rows, extras)
+    outcomes_per_point = list(replay_chunks(tuple(points), batched, single)) if checks else []
+    reports = []
+    for k, (obj, (params, tol)) in enumerate(zip(objs, checked)):
+        p = params.get("p", 2.0)
+        row_params = tuple(sorted((n, v) for n, v in params.items() if n != "p"))
+        rows = []
+        extras = {}
+        for x, outcomes in zip(points, outcomes_per_point):
+            for check, outcome in zip(checks, outcomes[k]):
+                if isinstance(outcome, Exception):
+                    rows.append(CheckRow(scenario.name, check, p, row_params, x,
+                                         float("nan"), False, None, note=str(outcome)))
+                    continue
+                res, ok, signed, extra = outcome
+                rows.append(CheckRow(scenario.name, check, p, row_params, x, res, ok, signed))
+                for n, v in extra.items():
+                    extras.setdefault(check, {})[n] = v
+        if not points:  # a point check that saw no point fails; it is not a singularity
+            rows += [CheckRow(scenario.name, check, p, row_params, (), float("nan"), False,
+                              note="no sample point is left after the exclusions")
+                     for check in checks]
+        for check in (c for c in scenario.checks if CHECKS[c].order is None):  # one row each
+            try:
+                res, extras[check] = CHECKS[check].reduce(obj, scenario.box, p)
+                rows.append(CheckRow(scenario.name, check, p, row_params, (), res, res < tol))
+            except POINT_FAILURES as exc:
+                _point_failure(exc, strict)
+                rows.append(CheckRow(scenario.name, check, p, row_params,
+                                     (), float("nan"), False, note=str(exc)))
+        reports.append(ResidualReport(scenario.name, tol, rows, extras))
+    return reports
 
 
 @dataclass
@@ -693,11 +692,9 @@ class SweepResult:
     crossings: list
 
     def to_csv(self) -> str:
-        chunks = []
-        for k, rep in enumerate(self.reports):
-            csv = rep.to_csv()
-            chunks.append(csv if k == 0 else csv.split("\n", 1)[1])
-        return "".join(chunks)
+        """Every step's rows under one header, which covers the columns of all of them."""
+        rows = [r for rep in self.reports for r in rep.rows]
+        return ResidualReport(self.scenario, None, rows, {}).to_csv()
 
     def to_json(self) -> str:
         doc = {
@@ -715,12 +712,11 @@ def sweep(scenario: Scenario, param: str, lo=None, hi=None, steps=None,
     """Run the scenario over a parameter grid; report sign crossings of signed residuals.
 
     Each step gives the report `run` would give. Unless a component, metric
-    or exclude expression reads `param`, the steps share their sample points,
-    drawn once, and their point contexts (see `_run`): each chunk of sample
-    points is lifted once, and its p-independent terms and its cmc_proper_p
-    rows are computed once, for the whole sweep; a step evaluates only the
-    checks that read p. Otherwise each step is a `run`. The contexts live
-    only for this call.
+    or exclude expression reads `param`, all the steps are one `_run`: the
+    sample points are drawn once, and each chunk of them is lifted once and
+    read by every step in turn, so its p-independent terms and its
+    cmc_proper_p rows are computed once for the whole sweep, and a step
+    evaluates only the checks that read p. Otherwise each step is a `run`.
 
     Crossing locations come from linear interpolation of the mean signed
     normal residual between adjacent grid values, and a grid value where
@@ -740,12 +736,13 @@ def sweep(scenario: Scenario, param: str, lo=None, hi=None, steps=None,
         _require_p(v, scenario.checks)
     values = [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
 
-    reports = []
+    grid = [{**(overrides or {}), param: v} for v in values]
+    if param in scenario._params_read:  # other points or contexts at each step
+        reports = [_run(scenario, [step], tolerance, strict)[0] for step in grid]
+    else:
+        reports = _run(scenario, grid, tolerance, strict)
     means = {}
-    shared = None if param in scenario._params_read else {}
-    for v in values:
-        rep = _run(scenario, {**(overrides or {}), param: v}, tolerance, strict, shared)
-        reports.append(rep)
+    for rep in reports:
         for check in scenario.checks:
             signed = [r.signed for r in rep.rows if r.check == check and r.signed is not None]
             means.setdefault(check, []).append(sum(signed) / len(signed) if signed else None)

@@ -5,7 +5,8 @@ runs them, with the fixed tolerances baked into pbh.verify, and each result
 is its own test. The printed
 `verify-paper` lines are also held to the ones the benchmark keeps in
 `perfbench/golden/paper.json` (read only), so a drift in a criterion's detail
-fails here and not only in the benchmark.
+fails here and not only in the benchmark. So are the reports of the
+benchmark's other workloads, byte for byte, to the rest of `perfbench/golden/`.
 
 The corpus maps and immersions are built once per process and kept by
 `pbh.verify`: later passes print the same lines and construct only the
@@ -18,9 +19,10 @@ from pathlib import Path
 import pytest
 
 from pbh import mapcalc, submanifold, verify
+from pbh.scenarios import Scenario, builtin, run, sweep
 from pbh.verify import CRITERIA, run_all
 
-GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "paper.json"
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
 # the parsed scenarios and the corpus that the criteria keep for the process
 VERIFY_CACHES = [fn for fn in vars(verify).values()
@@ -43,9 +45,25 @@ def test_criterion(criterion, results):
 
 
 def test_verify_paper_output_equals_golden(results):
-    golden = json.loads(GOLDEN.read_text())
+    golden = json.loads((GOLDEN / "paper.json").read_text())
     assert ([(r.name, r.passed, r.detail) for r in results.values()]
             == [(c["name"], c["passed"], c["detail"]) for c in golden])
+
+
+def test_benchmark_reports_equal_golden():
+    # the cylinder over a pool of 48 random points at p = 2, 3, 4, under one header
+    data = builtin("proper_pbh_cylinder").to_dict()
+    data["samples"].update(random_points=48, seed=12)
+    pool = Scenario.from_dict(data)
+    csvs = [run(pool, overrides={"p": p}).to_csv() for p in (2.0, 3.0, 4.0)]
+    assert (csvs[0] + "".join(c.split("\n", 1)[1] for c in csvs[1:])
+            == (GOLDEN / "cylinder_checks.csv").read_text())
+    quadrature = run(builtin("inversion(3)"), overrides={"l": 2.0, "p": 3.0})
+    assert quadrature.to_csv() == (GOLDEN / "quadrature.csv").read_text()
+    swept = sweep(builtin("small_hypersphere(2, 0.8)"), "p", 2.0, 6.0, 41)
+    assert swept.to_csv() == (GOLDEN / "hypersphere_sweep.csv").read_text()
+    assert (json.dumps(swept.crossings, indent=1) + "\n"
+            == (GOLDEN / "hypersphere_sweep.crossings.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +91,7 @@ def passes():
 
 def test_consecutive_passes_print_the_golden_lines(passes):
     golden = [f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}"
-              for c in json.loads(GOLDEN.read_text())]
+              for c in json.loads((GOLDEN / "paper.json").read_text())]
     golden.append(f"PASS overall: {len(golden)}/{len(golden)} criteria passed")
     assert [lines for lines, _built in passes] == [golden] * 3
 

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import sys
+import weakref
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -487,11 +488,17 @@ def test_failure_mid_chunk_replays_each_point(monkeypatch, check_sizes, tmp_path
     swept = sweep(sc, "p", 2.0, 4.0, 3)
     path = tmp_path / "cusp.json"
     path.write_text(json.dumps(data))
-    argv = ["run", str(path), "--strict"]
-    strict = cli_main(argv), capsys.readouterr().err
+    argvs = (["run", str(path), "--strict"],
+             ["sweep", str(path), "--param", "p", "--from", "2", "--to", "4", "--steps", "3",
+              "--strict"])
+
+    def strict_runs():
+        return [(cli_main(argv), capsys.readouterr().err) for argv in argvs]
+
+    strict = strict_runs()
 
     def per_point():
-        return (run(sc), sweep(sc, "p", 2.0, 4.0, 3), (cli_main(argv), capsys.readouterr().err))
+        return run(sc), sweep(sc, "p", 2.0, 4.0, 3), strict_runs()
 
     ref_rep, ref_swept, ref_strict = _one_point_chunks(monkeypatch, per_point)
     assert any(r.note and "rank" in r.note for r in rep.rows)
@@ -499,21 +506,40 @@ def test_failure_mid_chunk_replays_each_point(monkeypatch, check_sizes, tmp_path
         (r.check, r.point, repr(r.residual), r.signed, r.note) for r in ref_rep.rows]
     assert rep.to_json() == ref_rep.to_json() and rep.extras == ref_rep.extras
     assert swept.to_json() == ref_swept.to_json() and swept.crossings == ref_swept.crossings
-    assert strict == ref_strict and strict[0] == 3
+    assert strict == ref_strict and [code for code, _ in strict] == [3, 3]
 
 
 def test_sweep_attempts_a_failing_batch_once(monkeypatch, check_sizes):
-    # every batch of the cusp raises at every p; after the first step the
-    # sweep goes straight to the halves of each, down to single points, where
-    # cmc_proper_p runs again only at the 3 rank-deficient points, which raise
+    # every batch of the cusp raises on its first check, so each is attempted
+    # once for all 41 steps; each single point then runs every step's checks,
+    # cmc_proper_p again only at the 3 rank-deficient points, which raise
     sc = Scenario.from_dict(cusp_immersion_dict(
         checks=["theorem_2_1", "theorem_2_3", "cmc_proper_p"]))
-    npoints = len(sc.sample_points())
     swept = sweep(sc, "p", 2.0, 6.0, 41)
-    assert check_sizes == _CUSP_HALVING + [1] * (40 * (2 * npoints + 3))
+    pt = [[1] * (3 + 40 * (3 if k in (3, 4, 5) else 2)) for k in range(9)]
+    assert [len(point) for point in pt] == [83] * 3 + [123] * 3 + [83] * 3
+    assert check_sizes == [9, 4, 2, *pt[0], *pt[1], 2, *pt[2], *pt[3], 5, 2, *pt[4], *pt[5],
+                           3, *pt[6], 2, *pt[7], *pt[8]]
     ref = _one_point_chunks(monkeypatch, lambda: sweep(sc, "p", 2.0, 6.0, 41))
     assert swept.to_csv() == ref.to_csv()
     assert swept.to_json() == ref.to_json() and swept.crossings == ref.crossings
+
+
+def test_a_sweep_holds_one_chunk_of_contexts_at_a_time(monkeypatch):
+    # each chunk's contexts are read by every step and dropped before the next chunk
+    sc = builtin("small_hypersphere(2, 0.8)")
+    alive, live_counts = weakref.WeakSet(), []
+    init = scenarios._ChunkContexts.__init__
+
+    def tracking(self, *args):
+        init(self, *args)
+        alive.add(self)
+        live_counts.append(len(alive))
+
+    monkeypatch.setattr(scenarios._ChunkContexts, "__init__", tracking)
+    monkeypatch.setattr(mapcalc, "_CHUNK", 2)
+    sweep(sc, "p", 2.0, 4.0, 5)
+    assert live_counts == [1, 1]  # two chunks of two points, one alive at a time
 
 
 def test_quadrature_makes_no_python_frame_per_node():

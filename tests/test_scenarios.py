@@ -396,13 +396,34 @@ class TestPointFailures:
         data = make_scenario_dict(samples={"box": [[0.2, 1.0], [0.2, 1.0]],
                                            "points_per_axis": 2, "exclude": ["-1"]})
         rep = run(Scenario.from_dict(data))
-        assert rep.rows == []
+        # one NaN row per point check, at no point
+        assert [(r.check, r.point, r.passed, r.note) for r in rep.rows] == [
+            ("p_harmonic", (), False, "no sample point is left after the exclusions")]
+        assert math.isnan(rep.rows[0].residual)
         assert not rep.verdict
         assert rep.summary()["verdict"] == "fail"
         path = tmp_path / "excluded.json"
         path.write_text(json.dumps(data))
         assert cli_main(["run", str(path)]) == 1
-        assert "no rows checked" in capsys.readouterr().err
+        assert "p_harmonic: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_a_point_check_without_points_fails_beside_a_box_check(self, tmp_path, capsys,
+                                                                 strict):
+        # energy_quadrature passes over the box; p_harmonic, with every sample
+        # point excluded, must not vanish from the report and let the run pass
+        data = builtin("inversion(3)").to_dict()
+        data["samples"]["exclude"] = ["-1"]
+        rep = run(Scenario.from_dict(data), overrides={"l": 2.0, "p": 3.0}, strict=strict)
+        assert [(r.check, r.point, r.passed) for r in rep.rows] == [
+            ("p_harmonic", (), False), ("energy_quadrature", (), True)]
+        assert rep.rows[0].note == "no sample point is left after the exclusions"
+        path = tmp_path / "excluded.json"
+        path.write_text(json.dumps(data))
+        argv = ["run", str(path), "--set", "l=2", "--p", "3"] + ["--strict"] * strict
+        assert cli_main(argv) == 1
+        out = capsys.readouterr().out
+        assert "p_harmonic: FAIL" in out and "energy_quadrature: pass" in out
 
 
 def _public_residual(check, phi, x, p, part=None):
@@ -534,14 +555,15 @@ class TestSweep:
         # each step's mean signed residual is given; None: no signed rows
         means = iter(series)
 
-        def step(scenario, overrides, tol, strict, _shared):
+        def step(scenario, overrides):
             mean = next(means)
             rows = [] if mean is None else [scenarios.CheckRow(
                 scenario.name, "theorem_2_1", overrides["p"], (), (0.0, 0.0), abs(mean),
                 False, mean)]
             return scenarios.ResidualReport(scenario.name, 1e-7, rows, {})
 
-        monkeypatch.setattr(scenarios, "_run", step)
+        monkeypatch.setattr(scenarios, "_run", lambda scenario, steps, tol, strict:
+                            [step(scenario, overrides) for overrides in steps])
         result = sweep(builtin("small_hypersphere(2, 0.8)"), "p", 2.0, 4.0, len(series))
         assert result.crossings == [{"check": "theorem_2_1", "param": "p",
                                      "value": result.values[k]} for k in zeros]
@@ -589,6 +611,23 @@ class TestSweep:
         result = sweep(sc, "l", 1.8, 2.2, 3, overrides={"p": 3.0})
         text = result.to_csv()
         assert text.count("scenario,check,p") == 1
+
+    def test_sweep_csv_header_covers_every_step(self, tmp_path, capsys):
+        # at r = 2 every grid point is excluded and the step has no point
+        # columns; the later steps have two
+        data = make_scenario_dict(
+            name="disc", params={"p": 3.0, "r": 10.0},
+            samples={"box": [[0.2, 1.0], [0.2, 1.0]], "points_per_axis": 2,
+                     "exclude": ["x1^2 + x2^2 - r"]},
+            checks=["p_harmonic", "energy_quadrature"])
+        path = tmp_path / "disc.json"
+        path.write_text(json.dumps(data))
+        cli_main(["sweep", str(path), "--param", "r", "--from", "2", "--to", "0.1",
+                  "--steps", "3", "--format", "csv"])
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith(("scenario,", "disc,"))]
+        assert lines[0] == "scenario,check,p,param:r,x1,x2,residual_norm,pass"
+        assert len(lines) > 3 and all(line.count(",") == 7 for line in lines)
 
 
 def _count_immersion_points(monkeypatch):
@@ -638,15 +677,13 @@ class TestSharedSweepContexts:
         else:
             sc = builtin(name)
         shared = sweep(sc, param, lo, hi, steps, overrides=overrides)
-        step_run = scenarios._run
-        with monkeypatch.context() as patch:
-            # each step as a `run` call: no contexts shared
-            patch.setattr(scenarios, "_run", lambda scenario, ov, tol, strict, _contexts:
-                          step_run(scenario, ov, tol, strict, None))
-            independent = sweep(sc, param, lo, hi, steps, overrides=overrides)
-        assert shared.to_csv() == independent.to_csv()
-        assert shared.to_json() == independent.to_json()
-        assert shared.crossings == independent.crossings
+        # each step as a `run` call: no contexts shared
+        independent = [run(sc, overrides={**(overrides or {}), param: v})
+                       for v in shared.values]
+        assert [rep.to_csv() for rep in shared.reports] == [
+            rep.to_csv() for rep in independent]
+        assert [rep.to_json() for rep in shared.reports] == [
+            rep.to_json() for rep in independent]
         if name.startswith("small_hypersphere") and param == "p":
             assert shared.crossings
         if name == "excluded_disc":
@@ -698,31 +735,34 @@ class TestSharedSweepContexts:
             assert built == {x: 2 * calls for x in points}
 
     def test_a_sweep_shares_contexts_unless_a_tree_reads_its_parameter(self, monkeypatch):
-        # the exclude tree reads r: each step of an r sweep is a `run` on the
-        # points drawn at its own r; the steps of a p sweep share one holder,
-        # whose points and chunks are those the first step drew
+        # the exclude tree reads r: each step of an r sweep is a one-step
+        # `_run` on the points drawn at its own r; the steps of a p sweep are
+        # one `_run`, on the points drawn once
         sc = Scenario.from_dict(make_scenario_dict(
             params={"p": 3.0, "r": 1.0}, checks=["p_harmonic", "p_biharmonic"],
             samples={"box": [[0.2, 1.0], [0.2, 1.0]], "points_per_axis": 3,
                      "exclude": ["x1^2 + x2^2 - r"]}))
-        held = []
-        step_run = scenarios._run
+        held, draws = [], []
+        step_run, sample_points = scenarios._run, Scenario.sample_points
 
-        def recording(scenario, overrides, tol, strict, shared):
-            rep = step_run(scenario, overrides, tol, strict, shared)
-            held.append((shared, sorted({r.point for r in rep.rows})))
-            return rep
+        def recording(scenario, steps, tol, strict):
+            reports = step_run(scenario, steps, tol, strict)
+            held.append([sorted({r.point for r in rep.rows}) for rep in reports])
+            return reports
 
         monkeypatch.setattr(scenarios, "_run", recording)
+        monkeypatch.setattr(Scenario, "sample_points",
+                            lambda self, params=None: draws.append(params)
+                            or sample_points(self, params))
         sweep(sc, "r", 0.4, 1.2, 41)
-        assert len(held) == 41 and len({len(points) for _, points in held}) > 1
-        assert all(shared is None for shared, _ in held)
+        assert len(held) == 41 and all(len(steps) == 1 for steps in held)
+        assert len({len(points) for (points,) in held}) > 1 and len(draws) == 41
         held.clear()
+        draws.clear()
         sweep(sc, "p", 2.0, 4.0, 5)
-        shared, points = held[0]
-        assert len(held) == 5 and all(s is shared and ps == points for s, ps in held)
-        assert sorted(shared["points"]) == points
-        assert sorted(x for chunk in shared["chunks"] for x in chunk) == points
+        (steps,) = held
+        assert len(steps) == 5 and all(points == steps[0] for points in steps)
+        assert len(draws) == 1 and sorted(sc.sample_points()) == steps[0]
 
     def test_point_failures_repeat_at_every_step(self, tmp_path):
         sc = Scenario.from_dict(cusp_immersion_dict())
