@@ -10,8 +10,7 @@ from .jets import JetScalar, JetSpace, lift_point
 from .mapcalc import SmoothMap, p_bienergy_box, p_bitension, p_energy_box, p_tension, tension
 from .scenarios import ResidualReport, Scenario, builtin, load_scenario, run, sweep
 from .stress import stress_divergence_check, stress_tensor, stress_trace
-from .submanifold import (CmcResult, Immersion, bitension_split, circle_immersion,
-                          cmc_proper_p, graph_hypersurface_immersion, theorem21_residuals,
-                          theorem23_residuals)
+from .submanifold import (CmcResult, Immersion, bitension_split, cmc_proper_p,
+                          theorem21_residuals, theorem23_residuals)
 
 __version__ = "0.1.0"

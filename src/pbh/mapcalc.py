@@ -672,8 +672,11 @@ def p_bienergy_box(phi: SmoothMap, box, p: float, order: int = 8) -> float:
     return _box_sum(phi, box, order, 0 if p == 2.0 else 1, integrand, factor=0.5)
 
 
-def perturbed_map(phi: SmoothMap, variation, t: float) -> SmoothMap:
-    """The map with components phi^a + t * v^a (a straight-line variation in chart coordinates)."""
-    comps = [c + Const(float(t)) * v for c, v in zip(phi.components, variation)]
-    return SmoothMap(phi.source, phi.target, comps, phi.params,
-                     name=f"{phi.name}+{t}*v", table=_copy_table(phi.table))
+def perturbed_map(phi: SmoothMap, variation, *ts: float) -> list:
+    """For each t in `ts`, the map with components phi^a + t * v^a (a straight-line
+    variation in chart coordinates); all differentiate in one copy of phi's
+    derivative table, so the variation's partials are built once."""
+    table = _copy_table(phi.table)
+    return [SmoothMap(phi.source, phi.target,
+                      [c + Const(float(t)) * v for c, v in zip(phi.components, variation)],
+                      phi.params, name=f"{phi.name}+{t}*v", table=table) for t in ts]

@@ -55,8 +55,8 @@ from .errors import (DomainError, PbhError, RankDeficiencyError, SchemaError,
 from .expr import parse
 from .geometry import ChartMetric, space_form_chart
 from .jets import lift_point, value
-from .mapcalc import (SmoothMap, _per_point, _require_in_domain, _stack, p_bienergy_box,
-                      p_energy_box, replay_chunks)
+from .mapcalc import (SmoothMap, _per_point, _stack, p_bienergy_box, p_energy_box,
+                      replay_chunks)
 from .stress import _scaled_divergence_gap, stress_divergence_sides, trace_identity_at
 from .submanifold import Immersion
 
@@ -576,17 +576,20 @@ class _ChunkContexts:
     """The evaluation contexts of one chunk of sample points: a float context
     per point and one jet context for the whole chunk, batched unless the
     chunk is one point, built on first use. `p_free` keeps the results of the
-    checks that do not read p and have run on the chunk without raising."""
+    checks that do not read p and have run on the chunk without raising.
+    `outside` is the chunk's first point outside the source domain, or None."""
 
     def __init__(self, obj, chunk, order):
         self.obj, self.chunk, self.order = obj, chunk, order
+        self.outside = next((x for x in chunk if not obj.source.contains(x)), None)
         self.flts = [obj.at(x) for x in chunk]
         self._jet = None
         self.p_free = {}
 
     def results(self, check, p, tol):
         """`_check_results` of a check on the chunk; a p-free check's, once."""
-        _require_in_domain(self.obj, self.chunk, "sample point")
+        if self.outside is not None:
+            raise SingularityError("sample point outside source domain", point=self.outside)
         out = self.p_free.get(check) or _check_results(check, self.jet(), self.flts, p, tol)
         if not CHECKS[check].reads_p:
             self.p_free[check] = out

@@ -23,15 +23,14 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, RankDeficiencyError
-from .expr import Const, Expression, parse
-from .geometry import ChartMetric, space_form_chart
+from .expr import Const
+from .geometry import ChartMetric
 from .jets import any_entry, lift_point, partial, point_value, same_in_every_entry, sqrt, value
 from .mapcalc import MapPoint, SmoothMap, _float_wrapper, share_with_metric
 
 __all__ = [
     "Immersion", "ImmersionPoint", "theorem21_residuals", "theorem23_residuals",
-    "cmc_proper_p", "CmcResult", "bitension_split", "graph_hypersurface_immersion",
-    "circle_immersion",
+    "cmc_proper_p", "CmcResult", "bitension_split",
 ]
 
 _PIVOT_REL_TOL = 1e-12
@@ -385,21 +384,3 @@ def bitension_split(imm: Immersion, x, p: float):
     """`ImmersionPoint.bitension_split` at a float point x."""
     return imm.at(lift_point(x, 3)).bitension_split(p)
 
-
-# ---------------------------------------------------------------------- #
-# standard immersions
-# ---------------------------------------------------------------------- #
-
-def graph_hypersurface_immersion(height: Expression, dim: int, name: str = "graph") -> Immersion:
-    """Graph x -> (x, q(x)) in Euclidean space, with the induced metric."""
-    ambient = space_form_chart(0.0, dim + 1)
-    comps = [parse(f"x{i + 1}", dim) for i in range(dim)]
-    comps.append(height)
-    return Immersion(dim, ambient, comps, name=name)
-
-
-def circle_immersion(radius: float) -> Immersion:
-    """Round circle of the given radius in the Euclidean plane (angle chart)."""
-    ambient = space_form_chart(0.0, 2)
-    comps = [parse(f"{radius!r}*cos(x1)", 1), parse(f"{radius!r}*sin(x1)", 1)]
-    return Immersion(1, ambient, comps, name=f"circle({radius})")

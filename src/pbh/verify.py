@@ -4,9 +4,12 @@ both from pytest and from `pbh verify-paper`.
 Each criterion function returns a :class:`CriterionResult`; `run_all` prints
 one pass/fail line per criterion. Tolerances are fixed here, not tunable.
 
-The corpus (`corpus_maps`, `corpus_immersions`, and the built-in scenarios
-whose `with_params` copies `cylinder_map`, `inversion_map` and the latitude
-spheres of `corpus_immersions` are) is built once per process and read by every criterion and pass. Built at each pass: the
+Every entry of the corpus (`corpus_maps`, `corpus_immersions`) is a
+scenario, built with `Scenario.build`: the latitude spheres, the cylinder and
+the inversion are built-in scenarios, and the other entries are the rows of
+`_ROWS` (`corpus_scenarios`). Each scenario is parsed and built once per
+process, and every criterion and pass reads what it built, or `with_params`
+copies of it (`cylinder_map`, `inversion_map`). Built at each pass: the
 perturbed maps of the first variation, and the two `inversion(3)` runs of the
 byte-identical-report check, which is about independent builds.
 
@@ -42,15 +45,14 @@ import numpy as np
 
 from .errors import DomainError
 from .expr import Const, Coord, Expression, _FUNCS, differentiate, parse
-from .geometry import euclidean_chart, sectional_curvature, space_form_chart
+from .geometry import sectional_curvature, space_form_chart
 from .jets import JetScalar, lift_point, value
 from .mapcalc import (MapPoint, SmoothMap, _box_sum, _read_points, p_energy_box, p_tension,
                       perturbed_map, tension)
-from .scenarios import builtin, run as run_scenario
+from .scenarios import DEFAULT_TOLERANCE, Scenario, builtin, run as run_scenario
 from .stress import (_scaled_divergence_gap, stress_divergence_sides, stress_tensor,
                      trace_identity_at)
-from .submanifold import (Immersion, circle_immersion, cmc_proper_p,
-                          graph_hypersurface_immersion)
+from .submanifold import cmc_proper_p
 
 P_VALUES = (2.0, 3.0, 4.0)
 
@@ -80,40 +82,63 @@ def inversion_map(n: int, l: float) -> SmoothMap:
     return _builtin(f"inversion({n})").build({"l": l})
 
 
-def corpus_maps():
-    """(name, map or p->map factory, sample box) triples used by the stress criteria."""
-    return _corpus_maps()
+def _space(dim: int, c: float = 0.0) -> dict:
+    return {"dim": dim, "space_form": c}
+
+
+# the denominator of the stereographic chart of a unit 2-sphere
+_DEN = "(1 + (x1^2 + x2^2)/4)"
+
+# the corpus entries that are not built-in scenarios, as scenario data:
+# (name, kind, source, target, components, box)
+_ROWS = (
+    ("identity2", "map", _space(2), _space(2), ["x1", "x2"], [[0.4, 1.6]] * 2),
+    ("cubic2", "map", _space(2), _space(2),
+     ["x1 + 0.1*x2^3 + 0.05*x1^2", "x2 - 0.07*x1^3 + 0.04*x1*x2"], [[0.4, 1.4]] * 2),
+    ("quadratic32", "map", _space(3), _space(2),
+     ["x1 + 0.2*x2*x3", "x2 - 0.1*x1^2 + 0.1*x3^2"], [[0.5, 1.5]] * 3),
+    ("curved_target", "map", _space(2), _space(2, 1.0),
+     ["x1 + 0.1*x2^2", "x2 - 0.2*x1*x2"], [[0.3, 1.2]] * 2),
+    ("curved_source", "map", _space(2, -1.0), _space(2),
+     ["x1 + 0.3*x2", "x1*x2 + 2"], [[0.4, 0.9]] * 2),
+    ("circle", "immersion", {"dim": 1}, _space(2), ["0.8*cos(x1)", "0.8*sin(x1)"], [[0.3, 2.8]]),
+    ("paraboloid", "immersion", {"dim": 2}, _space(3),
+     ["x1", "x2", "0.3*x1^2 + 0.2*x1*x2 + 0.4*x2^2 + 0.1*x1"], [[-0.7, 0.7]] * 2),
+    # the sphere |y| = 1 of the ball chart of curvature -1, a geodesic sphere,
+    # with its round metric supplied: the chart's factor at |y| = 1 times the
+    # unit sphere's
+    ("hyperbolic_sphere", "immersion",
+     {"dim": 2, "metric": [[f"(1 - 1/4)^(-2) * {_DEN}^(-2)", "0"],
+                           ["0", f"(1 - 1/4)^(-2) * {_DEN}^(-2)"]]},
+     _space(3, -1.0), [f"x1 / {_DEN}", f"x2 / {_DEN}", f"(1 - (x1^2 + x2^2)/4) / {_DEN}"],
+     [[-0.5, 0.6]] * 2),
+)
 
 
 @cache
-def _corpus_maps():
-    e2 = euclidean_chart(2)
-    e3 = euclidean_chart(3)
-    sphere2 = space_form_chart(1.0, 2)
-    ball2 = space_form_chart(-1.0, 2)
-    return (
-        ("identity2",
-         SmoothMap(e2, e2, [parse("x1", 2), parse("x2", 2)], name="identity2"),
-         ((0.4, 1.6),) * 2),
-        ("cubic2",
-         SmoothMap(e2, e2, [parse("x1 + 0.1*x2^3 + 0.05*x1^2", 2),
-                            parse("x2 - 0.07*x1^3 + 0.04*x1*x2", 2)], name="cubic2"),
-         ((0.4, 1.4),) * 2),
-        ("quadratic32",
-         SmoothMap(e3, e2, [parse("x1 + 0.2*x2*x3", 3),
-                            parse("x2 - 0.1*x1^2 + 0.1*x3^2", 3)], name="quadratic32"),
-         ((0.5, 1.5),) * 3),
-        ("curved_target",
-         SmoothMap(e2, sphere2, [parse("x1 + 0.1*x2^2", 2),
-                                 parse("x2 - 0.2*x1*x2", 2)], name="curved_target"),
-         ((0.3, 1.2),) * 2),
-        ("curved_source",
-         SmoothMap(ball2, e2, [parse("x1 + 0.3*x2", 2),
-                               parse("x1*x2 + 2", 2)], name="curved_source"),
-         ((0.4, 0.9),) * 2),
-        ("cylinder", cylinder_map, ((0.5, 2.0),) * 3),
-        ("inversion_critical_p3", inversion_map(3, 2.0), ((0.5, 2.0),) * 3),
-    )
+def corpus_scenarios() -> dict:
+    """The scenarios of `_ROWS`, by name, in order. Each declares p and lists
+    the two stress identities, which hold for every map."""
+    return {name: Scenario(name=name, kind=kind, source_spec=source, target_spec=target,
+                           component_text=components, params={"p": 2.0}, sweeps={},
+                           box=box, points_per_axis=2, random_points=0, seed=0,
+                           exclude_text=[], checks=["stress_divergence", "trace_identity"],
+                           tolerance=DEFAULT_TOLERANCE)
+            for name, kind, source, target, components, box in _ROWS}
+
+
+def _built(kind: str):
+    """(name, built object, box) of each corpus scenario of `kind`."""
+    return tuple((name, sc.build(), tuple(map(tuple, sc.box)))
+                 for name, sc in corpus_scenarios().items() if sc.kind == kind)
+
+
+@cache
+def corpus_maps():
+    """(name, map or p->map factory, sample box) triples used by the stress criteria."""
+    return (*_built("map"),
+            ("cylinder", cylinder_map, ((0.5, 2.0),) * 3),
+            ("inversion_critical_p3", inversion_map(3, 2.0), ((0.5, 2.0),) * 3))
 
 
 # the latitude spheres of the corpus: (name, radius a)
@@ -121,33 +146,12 @@ _SPHERES = (("sphere_a0.6", 0.6), ("sphere_critical", 1.0 / math.sqrt(2.0)),
             ("sphere_a0.8", 0.8))
 
 
+@cache
 def corpus_immersions():
     """(name, immersion, sample box) triples used by the submanifold criteria."""
-    return _corpus_immersions()
-
-
-@cache
-def _corpus_immersions():
-    rho = 1.0
-    t2 = "x1^2 + x2^2"
-    hfac = f"{rho ** 2!r} * (1 - {rho ** 2 / 4.0!r})^(-2) * (1 + ({t2})/4)^(-2)"
-    hyper = Immersion(
-        2, space_form_chart(-1.0, 3),
-        [parse(f"{rho!r} * x1 / (1 + ({t2})/4)", 2),
-         parse(f"{rho!r} * x2 / (1 + ({t2})/4)", 2),
-         parse(f"{rho!r} * (1 - ({t2})/4) / (1 + ({t2})/4)", 2)],
-        source_metric=[[parse(hfac, 2), Const(0.0)], [Const(0.0), parse(hfac, 2)]],
-        name="hyperbolic_sphere")
-    return (
-        *((name, _builtin(f"small_hypersphere(2, {a!r})").build(), ((-0.6, 0.7),) * 2)
-          for name, a in _SPHERES),
-        ("circle", circle_immersion(0.8), ((0.3, 2.8),)),
-        ("paraboloid",
-         graph_hypersurface_immersion(
-             parse("0.3*x1^2 + 0.2*x1*x2 + 0.4*x2^2 + 0.1*x1", 2), 2, name="paraboloid"),
-         ((-0.7, 0.7),) * 2),
-        ("hyperbolic_sphere", hyper, ((-0.5, 0.6),) * 2),
-    )
+    return (*((name, _builtin(f"small_hypersphere(2, {a!r})").build(), ((-0.6, 0.7),) * 2)
+              for name, a in _SPHERES),
+            *_built("immersion"))
 
 
 def _corpus(name: str):
@@ -475,8 +479,8 @@ def _variation_gap(phi, box, p, weights):
     """Relative gap between central-difference dE_p/dt and the tension pairing."""
     eps, order = 1e-4, 8  # difference step, Gauss rule order
     v = _bump_variation(box, weights)
-    e_plus = p_energy_box(perturbed_map(phi, v, eps), box, p, order=order)
-    e_minus = p_energy_box(perturbed_map(phi, v, -eps), box, p, order=order)
+    e_plus, e_minus = (p_energy_box(psi, box, p, order=order)
+                       for psi in perturbed_map(phi, v, eps, -eps))
     lhs = (e_plus - e_minus) / (2.0 * eps)
 
     def pairing(mp, x):

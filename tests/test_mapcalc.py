@@ -311,8 +311,9 @@ class TestVariationalConsistency:
         box = [(0.4, 1.4)] * 2
         p, eps = 3.0, 1e-4
         v = self._bump(box, (0.8, 0.3))
-        lhs = (p_energy_box(perturbed_map(phi, v, eps), box, p)
-               - p_energy_box(perturbed_map(phi, v, -eps), box, p)) / (2 * eps)
+        e_plus, e_minus = (p_energy_box(psi, box, p)
+                           for psi in perturbed_map(phi, v, eps, -eps))
+        lhs = (e_plus - e_minus) / (2 * eps)
         rhs = 0.0
         for x, w in gauss_legendre_box(box, 8):
             mp = phi.at(lift_point(x, 1))
@@ -335,8 +336,9 @@ class TestVariationalConsistency:
                         [parse(text, 2) for text in components])
         eps = 1e-4
         v = self._bump(box, (0.9, -0.5))
-        lhs = (p_bienergy_box(perturbed_map(phi, v, eps), box, p)
-               - p_bienergy_box(perturbed_map(phi, v, -eps), box, p)) / (2 * eps)
+        e_plus, e_minus = (p_bienergy_box(psi, box, p)
+                           for psi in perturbed_map(phi, v, eps, -eps))
+        lhs = (e_plus - e_minus) / (2 * eps)
         rhs = 0.0
         for x, w in gauss_legendre_box(box, 8):
             mp = phi.at(lift_point(x, 3))

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from pbh import expr, scenarios
 from pbh.cli import main as cli_main
 from pbh.errors import ExprSyntaxError, SchemaError, SingularityError
+from pbh.geometry import ChartMetric
 from pbh.jets import JetScalar, lift_point, point_value, value
 from pbh.mapcalc import MapPoint, p_bitension, p_tension
 from pbh.scenarios import (SCHEMA_VERSION, Scenario, builtin, load_scenario,
@@ -710,6 +711,17 @@ class TestSharedSweepContexts:
         # one chunk: cmc_proper_p reads each point's own p*, not the swept p
         assert calls == {"theorem_2_1": 41, "theorem_2_3": 41, "cmc_proper_p": 1,
                          "sample_points": 1}
+
+    def test_p_sweep_checks_each_point_against_the_domain_once(self, monkeypatch):
+        # when its chunk's contexts are built, not at each check of each step
+        # (the 41 steps made 492 calls for the 4 points)
+        calls = []
+        contains = ChartMetric.contains
+        monkeypatch.setattr(ChartMetric, "contains",
+                            lambda self, x: calls.append(x) or contains(self, x))
+        sc = builtin("small_hypersphere(2, 0.8)")
+        sweep(sc, "p", 2.0, 6.0, 41)
+        assert calls == sc.sample_points() and len(calls) == 4
 
     def test_p_sweep_builds_each_point_once(self, monkeypatch):
         built = _count_immersion_points(monkeypatch)

@@ -14,7 +14,6 @@ from pbh.expr import Add, Const, Coord, Mul, Param, Sin, parse, share_subtrees
 from pbh.jets import JetScalar, lift_point
 from pbh.mapcalc import _roots, _stack
 from pbh.scenarios import builtin
-from pbh.submanifold import graph_hypersurface_immersion
 
 BUILTINS = [("inversion(3)", {"l": 2.0, "p": 3.0}), ("proper_pbh_cylinder", {"p": 3.0}),
             ("small_hypersphere(2, 0.8)", {})]
@@ -208,7 +207,7 @@ def test_a_map_writes_nothing_into_the_table_of_its_chart_or_base_map():
         return {kind: len(kept) for kind, kept in table.items()}
 
     chart, base = sizes(phi.source.table), sizes(phi.table)
-    moved = mapcalc.perturbed_map(phi, [parse("x1*x2", 3), parse("sin(x3)", 3)], 0.1)
+    moved, = mapcalc.perturbed_map(phi, [parse("x1*x2", 3), parse("sin(x3)", 3)], 0.1)
     other = mapcalc.SmoothMap(phi.source, phi.target,
                               [parse("exp(x1^2 + x2^2)", 3), parse("x2", 3)], phi.params)
     assert sizes(phi.source.table) == chart and sizes(phi.table) == base
@@ -218,7 +217,7 @@ def test_a_map_writes_nothing_into_the_table_of_its_chart_or_base_map():
 
 
 @pytest.mark.parametrize("imm", [
-    graph_hypersurface_immersion(parse("x1*x2", 2), 2),
+    verify.corpus_scenarios()["paraboloid"].build(),
     builtin("small_hypersphere(2, 0.8)").build()], ids=["induced", "declared"])
 def test_an_immersion_builds_its_pullback_chart_and_map_in_one_table(imm):
     assert imm.table is imm.source.table

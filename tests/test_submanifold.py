@@ -10,14 +10,14 @@ from pbh.expr import parse
 from pbh.geometry import sectional_curvature, space_form_chart
 from pbh.jets import lift_point, value
 from pbh.mapcalc import SmoothMap, p_bitension, p_tension, tension
-from pbh.scenarios import builtin
+from pbh.scenarios import SCHEMA_VERSION, Scenario, builtin
 from pbh.stress import stress_divergence_check, stress_tensor
-from pbh.submanifold import (Immersion, bitension_split, circle_immersion,
-                             cmc_proper_p, graph_hypersurface_immersion, theorem21_residuals,
+from pbh.submanifold import (Immersion, bitension_split, cmc_proper_p, theorem21_residuals,
                              theorem23_residuals)
 from pbh.verify import corpus_immersions
 
 SPHERE_BOX = [(-0.6, 0.7)] * 2
+CORPUS = {name: imm for name, imm, _box in corpus_immersions()}
 
 
 def plane_immersion():
@@ -27,9 +27,20 @@ def plane_immersion():
     return Immersion(2, ambient, comps, name="plane")
 
 
-def paraboloid():
-    return graph_hypersurface_immersion(
-        parse("0.3*x1^2 + 0.2*x1*x2 + 0.4*x2^2 + 0.1*x1", 2), 2, name="paraboloid")
+def euclidean_immersion(name, components, box, params=None):
+    """The scenario of an immersion into Euclidean space with the induced metric."""
+    return Scenario.from_dict({
+        "schema": SCHEMA_VERSION, "name": name, "kind": "immersion",
+        "source": {"dim": len(box)}, "target": {"dim": len(components), "space_form": 0.0},
+        "components": components, "params": params or {},
+        "samples": {"box": box, "points_per_axis": 2}, "checks": ["theorem_2_1"]})
+
+
+# the round circle of radius r in the angle chart, and the flat torus
+# S^1(0.7) x S^1(1.3) in R^4, an immersion of codimension 2
+CIRCLE = euclidean_immersion("circle", ["r*cos(x1)", "r*sin(x1)"], [[0.3, 2.8]], {"r": 0.8})
+TORUS = euclidean_immersion(
+    "flat_torus", ["0.7*cos(x1)", "0.7*sin(x1)", "1.3*cos(x2)", "1.3*sin(x2)"], [[0.3, 2.8]] * 2)
 
 
 def floats(t):
@@ -118,7 +129,7 @@ class TestSecondFundamentalForm:
 
     def test_circle_curvature(self):
         rho = 0.8
-        imm = circle_immersion(rho)
+        imm = CIRCLE.build({"r": rho})
         B = floats(imm.at((1.1,)).second_fundamental)[0]
         g = value(imm.source.metric_at((1.1,))[0][0])
         assert abs(B[0][0]) / g == pytest.approx(1.0 / rho, rel=1e-10)
@@ -145,7 +156,7 @@ class TestShapeOperator:
                 assert A[i][j] == pytest.approx((b / a) * (i == j), abs=1e-8)
 
     def test_self_adjointness(self):
-        imm = paraboloid()
+        imm = CORPUS["paraboloid"]
         x = (0.3, -0.2)
         xi = floats(imm.at(x).normal_frame)[0]
         A = floats(imm.at(x).shape_matrix(xi))
@@ -157,7 +168,7 @@ class TestShapeOperator:
     def test_hypersurface_shape_identity(self):
         # A_H = <H, eta> A_eta on hypersurfaces
         rng = np.random.default_rng(52)
-        imm = paraboloid()
+        imm = CORPUS["paraboloid"]
         for x in sample(rng, [(-0.7, 0.7)] * 2, 5):
             ip = imm.at(x)
             eta = [value(c) for c in ip.normal_frame[0]]
@@ -186,8 +197,8 @@ class TestMeanCurvature:
     def test_tension_is_m_times_H(self):
         rng = np.random.default_rng(53)
         for imm, box in [(builtin("small_hypersphere(2, 0.7)").build(), SPHERE_BOX),
-                         (paraboloid(), [(-0.7, 0.7)] * 2),
-                         (circle_immersion(1.3), [(0.3, 2.8)])]:
+                         (CORPUS["paraboloid"], [(-0.7, 0.7)] * 2),
+                         (CIRCLE.build({"r": 1.3}), [(0.3, 2.8)])]:
             m = imm.m
             for x in sample(rng, box, 3):
                 tau = tension(imm, x)
@@ -219,7 +230,7 @@ class TestNormalConnection:
 
     def test_normal_laplacian_is_normal(self):
         rng = np.random.default_rng(54)
-        for imm, box in [(paraboloid(), [(-0.6, 0.6)] * 2),
+        for imm, box in [(CORPUS["paraboloid"], [(-0.6, 0.6)] * 2),
                          (builtin("small_hypersphere(2, 0.6)").build(), SPHERE_BOX)]:
             for x in sample(rng, box, 3):
                 lap = floats(imm.at(lift_point(x, 2)).laplacian_perp_H)
@@ -233,7 +244,7 @@ class TestNormalConnection:
         # hypersurfaces have parallel unit normal in the normal bundle, so
         # Delta_perp H = (Delta_g <H, eta>) eta
         from pbh.geometry import divergence_at
-        imm = paraboloid()
+        imm = CORPUS["paraboloid"]
         x = (0.25, -0.15)
 
         def f(X):
@@ -287,9 +298,9 @@ class TestResidualSystems:
     def test_hypersurface_system_matches_general_system(self):
         # via A_H = <H,eta> A and the umbilic trace identities
         rng = np.random.default_rng(56)
-        cases = [(paraboloid(), [(-0.6, 0.6)] * 2),
+        cases = [(CORPUS["paraboloid"], [(-0.6, 0.6)] * 2),
                  (builtin("small_hypersphere(2, 0.7)").build(), SPHERE_BOX),
-                 (circle_immersion(0.9), [(0.3, 2.8)])]
+                 (CIRCLE.build({"r": 0.9}), [(0.3, 2.8)])]
         for imm, box in cases:
             for p in (2.0, 3.0):
                 for x in sample(rng, box, 4):
@@ -344,26 +355,28 @@ class TestCmcProperP:
         with pytest.raises(DomainError):
             cmc_proper_p(plane_immersion(), (0.1, 0.1))
 
+    def test_shape_norm_is_the_norm_of_the_second_fundamental_form(self):
+        # |A|^2 = g^ik g^jl B_ij B_kl, from B and the source metric alone; on
+        # the paraboloid it differs from m |H|^2, which only an umbilical
+        # hypersurface attains
+        imm = CORPUS["paraboloid"]
+        x = (0.3, -0.2)
+        B = np.array(floats(imm.at(x).second_fundamental)[0])
+        ginv = np.linalg.inv([[value(v) for v in row] for row in imm.source.metric_at(x)])
+        a2 = float(np.einsum("ik,jl,ij,kl->", ginv, ginv, B, B))
+        result = cmc_proper_p(imm, x)
+        assert result.shape_norm2 == pytest.approx(a2, rel=1e-12)
+        assert abs(a2 - 2 * result.mean_curvature_norm ** 2) > 0.1
+
     def test_non_cmc_rejected(self):
         rng = np.random.default_rng(58)
         with pytest.raises(DomainError):
-            cmc_proper_p(paraboloid(), (0.2, 0.1),
+            cmc_proper_p(CORPUS["paraboloid"], (0.2, 0.1),
                          sample_points=sample(rng, [(-0.6, 0.6)] * 2, 5))
 
     def test_hyperbolic_geodesic_sphere_inadmissible(self):
         # umbilic in N(-1): |A|^2 = m |H|^2 forces p* = 1 - 1/|H|^2 < 2
-        rho = 1.0
-        t2 = "x1^2 + x2^2"
-        hfac = f"{rho ** 2!r} * (1 - {rho ** 2 / 4.0!r})^(-2) * (1 + ({t2})/4)^(-2)"
-        imm = Immersion(
-            2, space_form_chart(-1.0, 3),
-            [parse(f"{rho!r} * x1 / (1 + ({t2})/4)", 2),
-             parse(f"{rho!r} * x2 / (1 + ({t2})/4)", 2),
-             parse(f"{rho!r} * (1 - ({t2})/4) / (1 + ({t2})/4)", 2)],
-            source_metric=[[parse(hfac, 2), parse("0", 2)],
-                           [parse("0", 2), parse(hfac, 2)]],
-            name="hyperbolic_sphere")
-        result = cmc_proper_p(imm, (0.2, -0.3))
+        result = cmc_proper_p(CORPUS["hyperbolic_sphere"], (0.2, -0.3))
         assert not result.admissible
         h2 = result.mean_curvature_norm ** 2
         assert result.p_star == pytest.approx(1.0 - 1.0 / h2, abs=1e-8)
@@ -386,8 +399,9 @@ class TestBitensionCrossCheck:
         # tau_{2,p}(inclusion) = m^(p-1) (normal system, pushed tangent system)
         rng = np.random.default_rng(59)
         for imm, box in [(builtin("small_hypersphere(2, 0.6)").build(), SPHERE_BOX),
-                         (paraboloid(), [(-0.6, 0.6)] * 2),
-                         (circle_immersion(0.8), [(0.3, 2.8)])]:
+                         (CORPUS["paraboloid"], [(-0.6, 0.6)] * 2),
+                         (CORPUS["circle"], [(0.3, 2.8)]),
+                         (TORUS.build(), TORUS.box)]:
             m = imm.m
             for p in (2.0, 3.0, 4.0):
                 factor = m ** (p - 1.0)

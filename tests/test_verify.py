@@ -15,7 +15,7 @@ import pytest
 
 from pbh import mapcalc, scenarios, verify
 from pbh.errors import BatchSplit, DomainError
-from pbh.expr import eval_jet
+from pbh.expr import Expression, eval_jet
 from pbh.geometry import ChartMetric
 from pbh.jets import lift_point, value
 from pbh.scenarios import builtin, run as run_scenario
@@ -23,7 +23,7 @@ from pbh.stress import (divergence_gap, stress_divergence_check, stress_divergen
                         trace_identity_at)
 from pbh.submanifold import (ImmersionPoint, bitension_split, theorem21_residuals,
                              theorem23_residuals)
-from pbh.verify import (P_VALUES, _points, corpus_immersions, corpus_maps,
+from pbh.verify import (P_VALUES, _points, corpus_immersions, corpus_maps, corpus_scenarios,
                         criterion_bitension_cross_check, criterion_cylinder_proper_p_biharmonicity,
                         criterion_inversion_p_harmonicity, criterion_p2_reductions,
                         criterion_small_hypersphere, criterion_stress_divergence,
@@ -62,6 +62,16 @@ def test_shared_map_point_equals_stress_wrappers(name, phi, box):
                     == repr(stress_divergence_check(phi, x, p)))
             assert (repr(trace_identity_at(mp, p))
                     == repr(trace_identity_at(phi.at(lift_point(x, 2)), p)))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("name", list(corpus_scenarios()))
+def test_a_corpus_entry_runs_as_a_scenario(name, p):
+    """The corpus entries written as scenario data run as scenarios: the two
+    stress identities they list hold at every sample point."""
+    rep = run_scenario(corpus_scenarios()[name], {"p": p})
+    assert rep.verdict
+    assert {r.check for r in rep.rows} == {"stress_divergence", "trace_identity"}
 
 
 def test_target_curvature_is_computed_once_per_point(monkeypatch):
@@ -210,6 +220,25 @@ def test_jet_products_and_node_evaluations_stay_within_budget(operation_counts):
     counts.reset()
     assert len(run_scenario(builtin("proper_pbh_cylinder"), {"p": 3.0}).rows) == 24
     assert counts["products"] <= 170
+
+
+def test_the_perturbed_maps_of_a_variation_build_its_partials_once(monkeypatch):
+    """Counts, not times: the maps phi + t v at t = +eps and -eps build their
+    partials in one copy of phi's derivative table, so those of v are built
+    once. A warm first-variation pass makes 726 `Expression.diff` calls; with
+    a table copy per perturbed map it made 958."""
+    assert verify.criterion_first_variation().passed  # the corpus is built
+    calls = 0
+    diff = Expression.diff
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return diff(self, *args)
+
+    monkeypatch.setattr(Expression, "diff", counting)
+    assert verify.criterion_first_variation().passed
+    assert calls <= 726
 
 
 def _object_and_points(name, p):
