@@ -17,6 +17,7 @@ multiplied once, and the floats are those of the loops.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 
 from . import linalg
 from .expr import Const, parse, share_subtrees
@@ -138,13 +139,17 @@ class ChartMetric:
         return f"ChartMetric(dim={self.dim}{tag})"
 
 
+@cache
 def euclidean_chart(dim: int) -> ChartMetric:
+    """The flat chart of R^dim, one per dim: a chart is never written."""
     comps = [[Const(1.0) if i == j else Const(0.0) for j in range(dim)] for i in range(dim)]
     return ChartMetric(dim, comps, space_form_c=0.0)
 
 
+@cache
 def space_form_chart(c: float, dim: int) -> ChartMetric:
-    """Conformal-to-flat chart of the simply connected space form of curvature c.
+    """Conformal-to-flat chart of the simply connected space form of curvature c,
+    one per (c, dim), as `euclidean_chart` is one per dim.
 
     g_ij = (1 + (c/4)|x|^2)^(-2) delta_ij; for c < 0 the chart is the ball
     |x|^2 < 4/|c| where the conformal factor stays positive.

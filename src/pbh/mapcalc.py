@@ -30,14 +30,15 @@ each float equals the one the unhoisted jet loops give. The
 functions `tension`, `p_tension` and `p_bitension` take a float point, lift
 it to their own minimum order and call the same reader. A MapPoint may also
 hold a batch of points (see :mod:`pbh.jets`), at any jet order;
-`replay_chunks` evaluates items in batched chunks of up to 512 and evaluates
-a chunk that raises again by halves, down to single items. `pbh.scenarios`
-uses it for its sample points; the box quadrature (its Gauss nodes) and the
-acceptance criteria of `pbh.verify` (their sample points) read through one
-chunk reader on top of it, `_read_points`. A reader of a batched point
-returns what the library readers return there, arrays of per-entry values
-inside lists and tuples; one function, `_per_point`, splits such a result
-into the base values of each point, so no reader handles the batch axis.
+`replay_chunks` hands one function chunks of up to 512 items as batches,
+and the halves of a batch that raises, down to single items, unbatched.
+`pbh.scenarios` uses it for its sample points; the box quadrature (its
+Gauss nodes) and the acceptance criteria of `pbh.verify` (their sample
+points) read through one chunk reader on top of it, `_read_points`. A
+reader of a batched point returns what the library readers return there,
+arrays of per-entry values inside lists and tuples; one function,
+`_per_point`, splits such a result into the base values of each point, so
+no reader handles the batch axis.
 """
 
 from __future__ import annotations
@@ -560,49 +561,41 @@ def _per_point(t, size) -> list:
     return list(zip(*cols)) if type(t) is tuple else [list(col) for col in zip(*cols)]
 
 
-def replay_chunks(items, batched, single):
+def replay_chunks(items, attempt):
     """Yield one result per item, in order, evaluating _CHUNK items at a time.
 
-    batched(chunk) evaluates a chunk as one batched point, under
-    np.errstate(all="raise", under="ignore"), and returns one result per item
-    or raises. If it raises (a point failure, a floating-point exception, a
-    BatchSplit), each half of the chunk is tried the same way in turn,
-    down to single items. single(item) evaluates one item without a batch
-    axis, under np.errstate(all="ignore"): it is the unbatched path, and a
-    chunk of one item goes to it directly. Results and exceptions are those
-    of a per-item loop, in item order; a chunk with one bad item late in it
-    costs about 2 log2(size) batched attempts instead of size single ones.
+    attempt(chunk) evaluates a chunk and returns one result per item or
+    raises. A chunk of two or more items is attempted as one batched point,
+    under np.errstate(all="raise", under="ignore"); if it raises (a point
+    failure, a floating-point exception, a BatchSplit), each half of it is
+    attempted the same way in turn, down to single items. A chunk of one item
+    is the unbatched path: attempt runs it under np.errstate(all="ignore"),
+    and what it raises propagates. Results and exceptions are those of a
+    per-item loop, in item order; a chunk with one bad item late in it costs
+    about 2 log2(size) batched attempts instead of size single ones.
     """
     for start in range(0, len(items), _CHUNK):
-        yield from _halving(items[start:start + _CHUNK], batched, single)
+        yield from _halving(items[start:start + _CHUNK], attempt)
 
 
-def _halving(chunk, batched, single) -> list:
-    """The results of `chunk` for replay_chunks: one batched attempt, then
-    each half in turn. (At module level: a closure calling itself would be a
-    reference cycle holding every run's contexts until the cyclic GC runs.)"""
+def _halving(chunk, attempt) -> list:
+    """The results of `chunk` for replay_chunks: one attempt, and if a batched
+    one raises, each half in turn. (At module level: a closure calling itself
+    would be a reference cycle holding every run's contexts until the cyclic
+    GC runs.)"""
     if len(chunk) == 1:
         # unbatched, overflow gives inf and invalid gives NaN silently, as with floats
         with np.errstate(all="ignore"):
-            return [single(chunk[0])]
+            return attempt(chunk)
     try:
         with np.errstate(all="raise", under="ignore"):
-            results = batched(chunk)
+            results = attempt(chunk)
     except _REPLAYED:
         results = None
     if results is None:
         half = len(chunk) // 2
-        return (_halving(chunk[:half], batched, single)
-                + _halving(chunk[half:], batched, single))
+        return _halving(chunk[:half], attempt) + _halving(chunk[half:], attempt)
     return results
-
-
-def _require_in_domain(obj, points, what: str):
-    """Raise SingularityError at the first of `points` outside the source domain of `obj`."""
-    source = obj.source
-    for x in points:
-        if not source.contains(x):
-            raise SingularityError(f"{what} outside source domain", point=x)
 
 
 def _read_points(obj, points, order, read):
@@ -617,12 +610,16 @@ def _read_points(obj, points, order, read):
     (`replay_chunks`), so the exception and its message are those of a
     per-point loop.
     """
+    contains = obj.source.contains
+
     def at(chunk):
-        _require_in_domain(obj, chunk, "quadrature node")
+        outside = next((x for x in chunk if not contains(x)), None)
+        if outside is not None:
+            raise SingularityError("quadrature node outside source domain", point=outside)
         X = _stack(chunk) if len(chunk) > 1 else chunk[0]
         return _per_point(read(obj.at(lift_point(X, order) if order else X), X), len(chunk))
 
-    return replay_chunks(points, at, lambda x: at((x,))[0])
+    return replay_chunks(points, at)
 
 
 def _box_sum(phi, box, order, jet_order, integrand, factor=1.0):

@@ -17,14 +17,14 @@ fields per point, and each point's rows are reduced from floats alone, in
 point-major order. If anything in a chunk raises (a point failure, a
 floating-point exception, a `pbh.errors.BatchSplit` where points need
 different branches), each half of the chunk is evaluated the same way in
-turn, down to single points, where each check runs on its own and a failure
-becomes that check's row (a point outside the source chart's domain fails
+turn, down to single points. One function evaluates a chunk of any size
+(`_run`, `mapcalc.replay_chunks`); at a chunk of one point, on unbatched
+contexts, a point failure of a check becomes that check's row
+(`_ChunkContexts.results`; a point outside the source chart's domain fails
 every check). So the NaN rows, their notes and the exit under `--strict` are
-those of a per-point run; a chunk of one point is that per-point run, on
-unbatched contexts (`_run`, `mapcalc.replay_chunks`). Float readers (map
-value, metric norms, signed normal residual, proper p) stay on the per-point
-float contexts, since jet and float evaluation of one expression can differ
-in the last bit.
+those of a per-point run. Float readers (map value, metric norms, signed
+normal residual, proper p) stay on the per-point float contexts, since jet
+and float evaluation of one expression can differ in the last bit.
 
 `run` is `_run` of one step; `sweep` hands all its steps to one `_run`
 unless a component, metric or exclude expression reads the swept parameter
@@ -225,6 +225,10 @@ class Scenario:
         self.tolerance = float(self.tolerance)
         for p in self.sweeps["p"][:2] if "p" in self.sweeps else [self.params.get("p", 2.0)]:
             _require_p(p, self.checks)
+        # energy_quadrature holds every Gauss node of the box at once
+        _require("energy_quadrature" not in self.checks or QUADRATURE_ORDER ** m <= 8 ** 6,
+                 "checks", f"'energy_quadrature' takes at most 8^6 Gauss nodes (a source "
+                 f"of dim <= 6); this one needs {QUADRATURE_ORDER}^{m}")
         self._components = [_parse_field(text, f"components[{k}]", m, declared)
                             for k, text in enumerate(self.component_text)]
         # None: an induced source metric
@@ -579,18 +583,28 @@ class _ChunkContexts:
     checks that do not read p and have run on the chunk without raising.
     `outside` is the chunk's first point outside the source domain, or None."""
 
-    def __init__(self, obj, chunk, order):
-        self.obj, self.chunk, self.order = obj, chunk, order
+    def __init__(self, obj, chunk, order, strict=False):
+        self.obj, self.chunk, self.order, self.strict = obj, chunk, order, strict
         self.outside = next((x for x in chunk if not obj.source.contains(x)), None)
         self.flts = [obj.at(x) for x in chunk]
         self._jet = None
         self.p_free = {}
 
     def results(self, check, p, tol):
-        """`_check_results` of a check on the chunk; a p-free check's, once."""
-        if self.outside is not None:
-            raise SingularityError("sample point outside source domain", point=self.outside)
-        out = self.p_free.get(check) or _check_results(check, self.jet(), self.flts, p, tol)
+        """`_check_results` of a check on the chunk; a p-free check's, once. At a
+        chunk of one point, a point failure is the check's outcome instead (a
+        SingularityError under strict), stored without its traceback: its
+        frames would hold the exception, a cycle that keeps the point's
+        contexts alive until the cyclic GC runs."""
+        try:
+            if self.outside is not None:
+                raise SingularityError("sample point outside source domain", point=self.outside)
+            out = self.p_free.get(check) or _check_results(check, self.jet(), self.flts, p, tol)
+        except POINT_FAILURES as exc:
+            if len(self.chunk) > 1:
+                raise
+            _point_failure(exc, self.strict, self.chunk[0])
+            return [exc.with_traceback(None)]
         if not CHECKS[check].reads_p:
             self.p_free[check] = out
         return out
@@ -623,10 +637,11 @@ def _run(scenario, steps, tolerance, strict) -> list:
     checks = [c for c in scenario.checks if CHECKS[c].order is not None]
     order = max((CHECKS[c].order for c in checks), default=0)
 
-    # per point, per step, one outcome per check: a result tuple or the exception
-    # raised; each later step first forgets the scratch of the one before
-    def batched(chunk):
-        ctx = _ChunkContexts(objs[0], chunk, order)
+    # per point, per step, one outcome per check: a result tuple or, at a chunk
+    # of one point, the exception raised; each later step first forgets the
+    # scratch of the one before
+    def attempt(chunk):
+        ctx = _ChunkContexts(objs[0], chunk, order, strict)
         per_step = []
         for k, (params, tol) in enumerate(checked):
             if k:
@@ -635,25 +650,7 @@ def _run(scenario, steps, tolerance, strict) -> list:
             per_step.append(list(zip(*[ctx.results(check, p, tol) for check in checks])))
         return list(zip(*per_step))
 
-    def single(x):
-        ctx = _ChunkContexts(objs[0], (x,), order)
-        per_step = []
-        for k, (params, tol) in enumerate(checked):
-            if k:
-                ctx.forget_scratch()
-            out = []
-            for check in checks:
-                try:
-                    out.append(ctx.results(check, params.get("p", 2.0), tol)[0])
-                except POINT_FAILURES as exc:
-                    _point_failure(exc, strict, x)
-                    # without its traceback: the frames would hold `out`, a cycle
-                    # that keeps the point's contexts alive until the cyclic GC runs
-                    out.append(exc.with_traceback(None))
-            per_step.append(out)
-        return per_step
-
-    outcomes_per_point = list(replay_chunks(tuple(points), batched, single)) if checks else []
+    outcomes_per_point = list(replay_chunks(tuple(points), attempt)) if checks else []
     reports = []
     for k, (obj, (params, tol)) in enumerate(zip(objs, checked)):
         p = params.get("p", 2.0)

@@ -206,24 +206,41 @@ def node_calls(monkeypatch):
 
 @pytest.fixture
 def attempts(monkeypatch):
-    """The size of every batched attempt of `replay_chunks`, in order, and a 1
-    for each single-item call (a batched attempt never holds one item); an
-    attempt counts before the quadrature's domain check of its nodes."""
+    """The size of every attempt of `replay_chunks`, in order: a 1 is an
+    unbatched single item, any larger size a batched chunk; an attempt counts
+    before the quadrature's domain check of its nodes."""
     sizes = []
     inner = mapcalc.replay_chunks
 
-    def spying(items, batched, single):
-        def batched_attempt(chunk):
+    def spying(items, attempt):
+        def counting(chunk):
             sizes.append(len(chunk))
-            return batched(chunk)
-
-        def single_call(item):
-            sizes.append(1)
-            return single(item)
-        return inner(items, batched_attempt, single_call)
+            return attempt(chunk)
+        return inner(items, counting)
 
     monkeypatch.setattr(mapcalc, "replay_chunks", spying)
     return sizes
+
+
+def test_replay_chunks_hands_every_chunk_to_one_function():
+    """A chunk of several items is attempted batched, under numpy raise, and
+    by halves if it raises; one item is attempted unbatched, under numpy
+    ignore, and what it raises propagates."""
+    seen = []
+
+    def attempt(chunk, single_raises=False):
+        seen.append((len(chunk), np.geterr()["divide"]))
+        if 6 in chunk and (len(chunk) > 1 or single_raises):
+            raise ValueError("item 6")
+        return [-x if x == 6 else 10 * x for x in chunk]
+
+    items = list(range(11))
+    assert list(mapcalc.replay_chunks(items, attempt)) == [
+        0, 10, 20, 30, 40, 50, -6, 70, 80, 90, 100]
+    assert [size for size, _mode in seen] == [11, 5, 6, 3, 1, 2, 1, 1, 3]
+    assert all(mode == ("ignore" if size == 1 else "raise") for size, mode in seen)
+    with pytest.raises(ValueError, match="item 6"):
+        list(mapcalc.replay_chunks(items, lambda chunk: attempt(chunk, single_raises=True)))
 
 
 def _corpus():

@@ -278,6 +278,16 @@ class TestBuiltins:
         assert rep.extras["cmc_proper_p"]["p_star"] == pytest.approx(2.0, abs=1e-8)
         assert rep.extras["cmc_proper_p"]["admissible"]
 
+    def test_quadrature_over_more_than_8_to_the_6_nodes_is_an_input_error(self, capsys):
+        # constructed only: inversion(7) would hold 8^7 Gauss nodes
+        builtin("inversion(6)")
+        for n in (7, 9):
+            with pytest.raises(SchemaError, match="energy_quadrature") as err:
+                builtin(f"inversion({n})")
+            assert err.value.field == "checks"
+        assert cli_main(["run", "inversion(9)"]) == 2
+        assert "scenario field 'checks'" in capsys.readouterr().err
+
     def test_override_of_undeclared_parameter(self):
         with pytest.raises(SchemaError):
             run(builtin("inversion(3)"), overrides={"zeta": 1.0})

@@ -196,6 +196,19 @@ def test_with_params_copies_share_their_tables_and_own_their_params():
     assert phi.params == before
 
 
+def test_one_chart_per_space_form():
+    """A space form's chart is built once per (c, dim), so the corpus maps
+    into one Euclidean space share its trees."""
+    assert geometry.space_form_chart(1.0, 3) is geometry.space_form_chart(1.0, 3)
+    assert geometry.space_form_chart(0.0, 2) is geometry.euclidean_chart(2)
+    flat = {}
+    for _name, phi, _box in verify.corpus_maps():
+        if not callable(phi) and phi.target.space_form_c == 0.0:
+            flat.setdefault(phi.target.dim, []).append(phi.target.components)
+    assert len(flat[2]) >= 4
+    assert all(c is comps[0] for comps in flat.values() for c in comps)
+
+
 def test_a_map_writes_nothing_into_the_table_of_its_chart_or_base_map():
     """A map differentiates in a copy of its source chart's derivative table,
     and a perturbed map in a copy of its base map's: the tables of what
