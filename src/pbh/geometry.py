@@ -8,10 +8,11 @@ chart builds its derivative tables (`dg`, `d2g`) when it is constructed.
 The divergence operators take the Christoffel symbols (and inverse metric) and
 the field's components at a jet point, and differentiate the components by one
 jet shift; a caller lifts its point to the order its field consumes plus one.
-`sectional_curvature` is the one reader over a float point. The kernels are
-plain loops over every index that multiply through one memo per call
-(`_product_memo`), so an ordered pair of jets that several entries read is
-multiplied once, and the floats are those of the loops.
+`sectional_curvature` is the one reader over a float point, or a batched
+float point (one (P,) array per coordinate). The kernels are plain loops
+over every index that multiply through one memo per call (`_product_memo`),
+so an ordered pair of jets that several entries read is multiplied once,
+and the floats are those of the loops.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cache
 
 from . import linalg
 from .expr import Const, parse, share_subtrees
-from .jets import JetScalar, partial, value
+from .jets import JetScalar, any_entry, partial, value
 
 __all__ = [
     "ChartMetric", "space_form_chart", "euclidean_chart", "divergence_at",
@@ -246,8 +247,9 @@ def _product_memo():
 # curvature diagnostics (used by space-form validation)
 # ---------------------------------------------------------------------- #
 
-def sectional_curvature(chart: ChartMetric, x, u, v) -> float:
-    """K(u, v) = R(u,v,v,u) / (|u|^2 |v|^2 - g(u,v)^2), R_ijkl = g(R(d_i,d_j)d_k, d_l)."""
+def sectional_curvature(chart: ChartMetric, x, u, v):
+    """K(u, v) = R(u,v,v,u) / (|u|^2 |v|^2 - g(u,v)^2), R_ijkl = g(R(d_i,d_j)d_k, d_l), at a
+    float point, or as a (P,) array at a batched one (x, u, v of (P,) arrays)."""
     d = chart.dim
     if (len(x), len(u), len(v)) != (d, d, d):
         raise ValueError(f"the point and both vectors need {d} coordinates, got "
@@ -265,4 +267,6 @@ def sectional_curvature(chart: ChartMetric, x, u, v) -> float:
     num = sum(low[i][j][k][l] * u[i] * v[j] * v[k] * u[l]
               for i in range(d) for j in range(d) for k in range(d) for l in range(d))
     den = ip(u, u) * ip(v, v) - ip(u, v) ** 2
+    if any_entry(den <= 0.0):
+        raise ValueError("u and v span no plane: |u|^2 |v|^2 - g(u, v)^2 <= 0")
     return num / den

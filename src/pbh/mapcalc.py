@@ -379,13 +379,20 @@ class MapPoint:
         w, gm = _base(W), _base(self.gammaM)
         out = [0.0] * self.n
         for i, j, gij in self.ginv_terms:
-            for a, row in enumerate(self._gamma_dphi[i]):
-                s = partial_value(W[j][a], i)
-                for sg, gam_dphi in row:
-                    s = s + _times(value(gam_dphi), w[j][sg])
+            for a, s in enumerate(self._pullback_base(W[j], w[j], i)):
                 for k in range(self.m):
                     s = s - _times(gm[k][i][j], w[k][a])
                 out[a] = out[a] + _times(value(gij), s)
+        return out
+
+    def _pullback_base(self, V, v, i: int):
+        """Base values of `pullback_derivative(V, i)`, v = _base(V), d_i V read off V's order 1."""
+        out = []
+        for a, row in enumerate(self._gamma_dphi[i]):
+            s = partial_value(V[a], i)
+            for sg, gam_dphi in row:
+                s = s + _times(value(gam_dphi), v[sg])
+            out.append(s)
         return out
 
     def lower_base(self, v):

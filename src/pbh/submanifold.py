@@ -26,7 +26,8 @@ from .errors import DomainError, RankDeficiencyError
 from .expr import Const
 from .geometry import ChartMetric
 from .jets import any_entry, lift_point, partial, point_value, same_in_every_entry, sqrt, value
-from .mapcalc import MapPoint, SmoothMap, _float_wrapper, share_with_metric
+from .mapcalc import (MapPoint, SmoothMap, _base, _float_wrapper, _sum, _times,
+                      share_with_metric)
 
 __all__ = [
     "Immersion", "ImmersionPoint", "theorem21_residuals", "theorem23_residuals",
@@ -210,16 +211,21 @@ class ImmersionPoint(MapPoint):
 
     @cached_property
     def laplacian_perp_H(self):
-        """Rough normal Laplacian g^{ij}(nabla_perp_i nabla_perp_j - Gamma-corrected) H."""
-        W = self.nabla_perp_H
+        """Rough normal Laplacian g^{ij}(nabla_perp_i nabla_perp_j - Gamma-corrected) H in
+        base values (floats, or (P,) arrays), as every reader takes it: its second shift of
+        H leaves only order 0 valid at the residual systems' order-2 point."""
+        W, r = self.nabla_perp_H, range(self.n)
+        w, gm, h, frame = _base(W), _base(self.gammaM), _base(self.h), _base(self.tangent_frame)
         out = [0.0] * self.n
         for i, j, gij in self.ginv_terms:
-            term = self.nabla_perp(i, W[j])
+            V = term = self._pullback_base(W[j], w[j], i)
+            for t in frame:  # the normal projection of V
+                c = _sum(_times(_times(h[a][b], V[a]), t[b]) for a in r for b in r)
+                term = [o - _times(c, ti) for o, ti in zip(term, t)]
             for k in range(self.m):
-                gam = self.gammaM[k][i][j]
-                term = [t - gam * wk for t, wk in zip(term, W[k])]
-            for al in range(self.n):
-                out[al] = out[al] + gij * term[al]
+                term = [o - _times(gm[k][i][j], wk) for o, wk in zip(term, w[k])]
+            for al in r:
+                out[al] = out[al] + _times(value(gij), term[al])
         return out
 
     @cached_property

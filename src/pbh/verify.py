@@ -47,8 +47,8 @@ from .errors import DomainError
 from .expr import Const, Coord, Expression, _FUNCS, differentiate, parse
 from .geometry import sectional_curvature, space_form_chart
 from .jets import JetScalar, lift_point, value
-from .mapcalc import (MapPoint, SmoothMap, _box_sum, _read_points, p_energy_box, p_tension,
-                      perturbed_map, tension)
+from .mapcalc import (MapPoint, SmoothMap, _box_sum, _read_points, _stack, p_energy_box,
+                      p_tension, perturbed_map, tension)
 from .scenarios import DEFAULT_TOLERANCE, Scenario, builtin, run as run_scenario
 from .stress import (_scaled_divergence_gap, stress_divergence_sides, stress_tensor,
                      trace_identity_at)
@@ -567,12 +567,14 @@ def criterion_infrastructure() -> CriterionResult:
     rng3 = np.random.default_rng(110)
     worst_curv = 0.0
     for c, dim in ((1.0, 2), (1.0, 3), (-0.7, 3)):
-        chart = space_form_chart(c, dim)
-        for _ in range(20):
-            x = tuple(float(rng3.uniform(-0.4, 0.4)) for _ in range(dim))
-            u = [float(rng3.uniform(-1.0, 1.0)) for _ in range(dim)]
-            v = [float(rng3.uniform(-1.0, 1.0)) for _ in range(dim)]
-            worst_curv = max(worst_curv, abs(sectional_curvature(chart, x, u, v) - c))
+        # x, u and v of 20 points, drawn point by point, read as one batched point
+        draws = [[tuple(float(rng3.uniform(-a, a)) for _ in range(dim)) for a in (0.4, 1.0, 1.0)]
+                 for _ in range(20)]
+        x, u, v = (_stack(axis) for axis in zip(*draws))
+        with np.errstate(all="raise", under="ignore"):
+            K = sectional_curvature(space_form_chart(c, dim), x, u, v)
+        for k in K.tolist():
+            worst_curv = max(worst_curv, abs(k - c))
     if worst_curv > 1e-8:
         failures.append(f"space-form curvature drift {worst_curv:.2e}")
 

@@ -11,8 +11,9 @@ from pbh.expr import Const, parse
 from pbh.geometry import (ChartMetric, divergence_2tensor_at, divergence_at, euclidean_chart,
                           sectional_curvature, space_form_chart)
 from pbh.jets import lift_point, value
-from pbh.mapcalc import SmoothMap
+from pbh.mapcalc import SmoothMap, _stack
 from pbh.submanifold import Immersion
+from pbh.verify import corpus_immersions
 
 
 def conformal_chart(f_text, dim):
@@ -145,6 +146,35 @@ class TestCurvature:
     def test_sectional_curvature_checks_sizes(self, chart_dim, x, u, v):
         with pytest.raises(ValueError, match=f"need {chart_dim} coordinates"):
             sectional_curvature(space_form_chart(1.0, chart_dim), x, u, v)
+
+    @pytest.mark.parametrize("u, v", [([1, 0], [2, 0]), ([1, 0], [1, 1e-9])])
+    def test_sectional_curvature_rejects_vectors_that_span_no_plane(self, u, v):
+        # [1, 0] and [1, 1e-9] span a plane, but |u|^2 |v|^2 - g(u, v)^2 cancels to 0
+        chart = space_form_chart(1.0, 2)
+        with pytest.raises(ValueError, match="span no plane"):
+            sectional_curvature(chart, (0.2, 0.5), u, v)
+        # one such entry of a batched point, where numpy divides without raising
+        x, U, V = _stack([(0.1, -0.3), (0.2, 0.5)]), _stack([[1, 0], u]), _stack([[0, 1], v])
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="span no plane"):
+            sectional_curvature(chart, x, U, V)
+
+    @pytest.mark.parametrize("chart", [
+        space_form_chart(1.0, 2), space_form_chart(1.0, 3), space_form_chart(-0.7, 3),
+        next(imm.source for name, imm, _box in corpus_immersions() if name == "paraboloid"),
+    ], ids=["S2", "S3", "H3", "paraboloid"])
+    def test_sectional_curvature_at_a_batched_point_equals_the_per_point_floats(self, chart):
+        """The charts of the space-form criterion, and the pull-back metric of the
+        corpus paraboloid, which is not conformal to flat: its g_12 is nonzero, so
+        the inverse metric eliminates at every entry. (A pull-back metric that is
+        conformal to flat up to rounding, as a latitude sphere's, has g_12 exactly
+        zero at some entries and not at others: BatchSplit.)"""
+        rng, d = np.random.default_rng(34), chart.dim
+        draws = [[tuple(float(rng.uniform(-a, a)) for _ in range(d)) for a in (0.4, 1.0, 1.0)]
+                 for _ in range(20)]
+        expect = [sectional_curvature(chart, x, u, v) for x, u, v in draws]
+        with np.errstate(all="raise", under="ignore"):
+            K = sectional_curvature(chart, *(_stack(axis) for axis in zip(*draws)))
+        assert K.view(np.int64).tolist() == np.array(expect).view(np.int64).tolist()
 
     def test_two_sphere_scalar_curvature(self):
         # in dimension 2 the scalar curvature is twice the sectional curvature

@@ -9,7 +9,7 @@ from pbh.errors import DomainError, RankDeficiencyError
 from pbh.expr import parse
 from pbh.geometry import sectional_curvature, space_form_chart
 from pbh.jets import lift_point, value
-from pbh.mapcalc import SmoothMap, p_bitension, p_tension, tension
+from pbh.mapcalc import SmoothMap, _stack, p_bitension, p_tension, tension
 from pbh.scenarios import SCHEMA_VERSION, Scenario, builtin
 from pbh.stress import stress_divergence_check, stress_tensor
 from pbh.submanifold import (Immersion, bitension_split, cmc_proper_p, theorem21_residuals,
@@ -264,6 +264,45 @@ class TestNormalConnection:
         lap = floats(imm.at(lift_point(x, 2)).laplacian_perp_H)
         for a in range(3):
             assert lap[a] == pytest.approx(lap_scalar * eta[a], abs=1e-8)
+
+
+def jet_laplacian_perp_H(ip):
+    """The normal Laplacian as a loop of jet operations: the normal projection
+    of each pull-back derivative, the Christoffel correction and the g^ij sum
+    all on jets, the base values read off at the end."""
+    W = ip.nabla_perp_H
+    out = [0.0] * ip.n
+    for i, j, gij in ip.ginv_terms:
+        term = ip.nabla_perp(i, W[j])
+        for k in range(ip.m):
+            gam = ip.gammaM[k][i][j]
+            term = [t - gam * wk for t, wk in zip(term, W[k])]
+        for al in range(ip.n):
+            out[al] = out[al] + gij * term[al]
+    return out
+
+
+def bits(values, size):
+    """The int64 views of a list of base values, each broadcast to `size`
+    entries (a float is shared by all entries), so the sign of zero counts."""
+    return [np.broadcast_to(np.asarray(value(v), float), (size,)).view(np.int64).tolist()
+            for v in values]
+
+
+LAPLACIAN_CASES = list(corpus_immersions()) + [
+    ("small_hypersphere(3, 0.5)", builtin("small_hypersphere(3, 0.5)").build(), [(-0.6, 0.7)] * 3),
+    ("flat_torus", TORUS.build(), TORUS.box)]
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("name, imm, box", LAPLACIAN_CASES, ids=[c[0] for c in LAPLACIAN_CASES])
+def test_normal_laplacian_equals_the_jet_loop_bit_for_bit(name, imm, box, order):
+    """`laplacian_perp_H` takes its last stage on base values; every base value
+    equals the jet loop's, at single points and at one batched point."""
+    points = sample(np.random.default_rng(60), box, 4)
+    for X, size in [(x, 1) for x in points] + [(_stack(points), len(points))]:
+        ip = imm.at(lift_point(X, order))
+        assert bits(ip.laplacian_perp_H, size) == bits(jet_laplacian_perp_H(ip), size)
 
 
 class TestResidualSystems:

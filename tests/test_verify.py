@@ -18,7 +18,7 @@ from pbh.errors import BatchSplit, DomainError
 from pbh.expr import Expression, eval_jet
 from pbh.geometry import ChartMetric
 from pbh.jets import lift_point, value
-from pbh.scenarios import builtin, run as run_scenario
+from pbh.scenarios import builtin, run as run_scenario, sweep
 from pbh.stress import (divergence_gap, stress_divergence_check, stress_divergence_sides,
                         trace_identity_at)
 from pbh.submanifold import (ImmersionPoint, bitension_split, theorem21_residuals,
@@ -212,14 +212,20 @@ def test_jet_products_and_node_evaluations_stay_within_budget(operation_counts):
     each time its class applies its `OPERATION`."""
     counts = operation_counts
     assert criterion_bitension_cross_check().passed
-    assert counts["products"] <= 5_050
+    assert counts["products"] <= 4_582
     counts.reset()
     assert verify.criterion_infrastructure().passed
     assert counts["products"] <= 3_384
-    assert counts["nodes"] <= 73_612
+    assert counts["nodes"] <= 71_484
     counts.reset()
     assert len(run_scenario(builtin("proper_pbh_cylinder"), {"p": 3.0}).rows) == 24
     assert counts["products"] <= 170
+    counts.reset()
+    assert verify.criterion_small_hypersphere().passed
+    assert counts["products"] <= 1_806
+    counts.reset()
+    assert len(sweep(builtin("small_hypersphere(2, 0.8)"), "p", 2.0, 6.0, 41).reports) == 41
+    assert counts["products"] <= 830
 
 
 def test_the_perturbed_maps_of_a_variation_build_its_partials_once(monkeypatch):
