@@ -20,7 +20,10 @@ from __future__ import annotations
 import itertools
 from functools import cache
 
+import numpy as np
+
 from . import linalg
+from .errors import BatchSplit
 from .expr import Const, parse, share_subtrees
 from .jets import JetScalar, any_entry, partial, value
 
@@ -189,19 +192,18 @@ def divergence_at(gamma, comps):
 
 def divergence_2tensor_at(ginv, gamma, T):
     """(div T)(d_k) = g^{ij} (nabla_i T)(d_j, d_k) for a symmetric 2-tensor at a jet point."""
-    d = len(T)
+    d, terms = len(T), linalg.nonzero_entries(ginv)
     out = [0.0] * d
     for i in range(d):  # each out[k] adds its terms in (i, j) order, as a loop over k, i, j
         # where T[j][l] is T[l][j], the second product of (k, i, j) is the first of
         # (j, i, k), so a memo per i holds every product read twice
         mul = _product_memo()
-        for k, j in itertools.product(range(d), repeat=2):
-            if type(ginv[i][j]) is float and ginv[i][j] == 0.0:
-                continue  # the term adds nothing
+        row = [(j, gij) for r, j, gij in terms if r == i]
+        for k, (j, gij) in itertools.product(range(d), row):
             cov = partial(T[j][k], i)
             for l in range(d):
                 cov = cov - mul(gamma[l][i][j], T[l][k]) - mul(gamma[l][i][k], T[j][l])
-            out[k] = out[k] + ginv[i][j] * cov
+            out[k] = out[k] + gij * cov
     return out
 
 
@@ -249,7 +251,8 @@ def _product_memo():
 
 def sectional_curvature(chart: ChartMetric, x, u, v):
     """K(u, v) = R(u,v,v,u) / (|u|^2 |v|^2 - g(u,v)^2), R_ijkl = g(R(d_i,d_j)d_k, d_l), at a
-    float point, or as a (P,) array at a batched one (x, u, v of (P,) arrays)."""
+    float point, or as a (P,) array at a batched one (x, u, v of (P,) arrays), whose
+    entries are evaluated one at a time when they disagree on a branch (BatchSplit)."""
     d = chart.dim
     if (len(x), len(u), len(v)) != (d, d, d):
         raise ValueError(f"the point and both vectors need {d} coordinates, got "
@@ -257,7 +260,11 @@ def sectional_curvature(chart: ChartMetric, x, u, v):
     X = tuple(x)
     memo = {}  # the metric derivative trees share subtrees
     g = [[value(c) for c in row] for row in chart.metric_at(X, memo)]
-    R = chart.curvature_at(X, memo=memo)
+    try:
+        R = chart.curvature_at(X, memo=memo)
+    except BatchSplit:
+        entries = zip(*(a.tolist() for a in np.broadcast_arrays(*x, *u, *v)))
+        return np.array([sectional_curvature(chart, e[:d], e[d:2 * d], e[2 * d:]) for e in entries])
     low = [[[[sum(value(R[m][i][j][k]) * g[m][l] for m in range(d)) for l in range(d)]
              for k in range(d)] for j in range(d)] for i in range(d)]
 

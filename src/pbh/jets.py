@@ -59,6 +59,12 @@ exact zero: x - 0.0 * y keeps a -0.0 of x that a zero jet makes 0.0. An int,
 a numpy operand, ``0.0 - u`` and float mode keep their arithmetic; sums of
 jets therefore start from 0.0 (``sum(terms, 0.0)``), which hands the first
 term through, not from ``sum()``'s default int 0, which copies it.
+A contraction with g^-1 or h (a trace, an inner product, a raised index)
+iterates the entries that are not the float 0.0 (:func:`is_structural_zero`,
+:func:`pbh.linalg.nonzero_entries`). Each such sum starts at +0.0, and a
+dropped term is +-0.0 (the float 0.0 at a jet point), which round-to-nearest
+adds to a sum begun at +0.0 without changing a bit; only the NaN of 0 * inf
+at a float point, which a jet point already drops, is gone.
 """
 
 from __future__ import annotations
@@ -344,6 +350,11 @@ def _compose(u: JetScalar, taylor: list) -> JetScalar:
 def any_entry(mask) -> bool:
     """A comparison result taken over every batch entry (a plain bool passes through)."""
     return bool(mask.any()) if isinstance(mask, np.ndarray) else mask
+
+
+def is_structural_zero(u) -> bool:
+    """Whether a contraction may drop a term with factor u: u is the float 0.0."""
+    return isinstance(u, float) and u == 0.0
 
 
 def same_in_every_entry(mask) -> bool:

@@ -18,13 +18,19 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BatchSplit, SingularMatrixError
-from .jets import same_in_every_entry, value
+from .jets import is_structural_zero, same_in_every_entry, value
 
 
 def mat_mul(A, B):
     n, m, k = len(A), len(B[0]), len(B)
     return [[sum((A[i][l] * B[l][j] for l in range(k)), 0.0) for j in range(m)]
             for i in range(n)]
+
+
+def nonzero_entries(A) -> list:
+    """(i, j, A[i][j]), row by row, for the entries of A that are not structural zeros."""
+    return [(i, j, a) for i, row in enumerate(A) for j, a in enumerate(row)
+            if not is_structural_zero(a)]
 
 
 def _pivot(a, col):

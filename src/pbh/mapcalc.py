@@ -24,7 +24,7 @@ kept across the steps of a sweep). The p-bitension's third shift leaves only
 order 0 valid, so its curvature term and last trace multiply base values
 (floats, or (P,) arrays at a batched point), R * tau_p * dphi_i once per i.
 Structural zeros stay the float 0.0 at jet points (:mod:`pbh.jets`) and in
-those base values (`_times`); `ginv_terms` and `_gamma_dphi` drop them.
+those base values (`_times`); `ginv_terms`, `h_terms` and `_gamma_dphi` drop them.
 Hoisted products keep the left-to-right order and every sum its order, so
 each float equals the one the unhoisted jet loops give. The
 functions `tension`, `p_tension` and `p_bitension` take a float point, lift
@@ -53,8 +53,8 @@ from . import linalg
 from .errors import BatchSplit, JetOrderError, PbhError, SingularityError
 from .expr import Const, Expression, mark_reads, share_subtrees
 from .geometry import ChartMetric
-from .jets import (JetScalar, any_entry, lift_point, partial, partial_value, point_value, powr,
-                   sqrt, value)
+from .jets import (JetScalar, any_entry, is_structural_zero, lift_point, partial, partial_value,
+                   point_value, powr, sqrt, value)
 
 __all__ = [
     "SmoothMap", "MapPoint", "tension", "p_tension", "p_bitension",
@@ -224,8 +224,11 @@ class MapPoint:
     @cached_property
     def ginv_terms(self):
         """(i, j, g^{ij}) for the entries of g^{-1} that are not structurally zero."""
-        return [(i, j, gij) for i, row in enumerate(self.ginv) for j, gij in enumerate(row)
-                if not _zero(gij)]
+        return linalg.nonzero_entries(self.ginv)
+
+    def g_trace(self, T):
+        """g^{ij} T_ij of a matrix T, over the terms of `ginv_terms`."""
+        return sum((gij * T[i][j] for i, j, gij in self.ginv_terms), 0.0)
 
     @cached_property
     def gammaM(self):
@@ -235,6 +238,11 @@ class MapPoint:
     @cached_property
     def h(self):
         return self.map.target.metric_at(self.phiX, self._tgt_memo)
+
+    @cached_property
+    def h_terms(self):
+        """(a, b, h_ab) for the entries of h that are not structurally zero."""
+        return linalg.nonzero_entries(self.h)
 
     @cached_property
     def _hinv_dh(self):
@@ -255,7 +263,7 @@ class MapPoint:
         `pullback_derivative`, formed once per point."""
         n, gn, dphi = self.n, self.gammaN, self.dphi
         nonzero = [[(mu, sg, gn[a][mu][sg]) for mu, sg in itertools.product(range(n), repeat=2)
-                    if not _zero(gn[a][mu][sg])]
+                    if not is_structural_zero(gn[a][mu][sg])]
                    for a in range(n)]
         return [[[(sg, gam * dphi[mu][i]) for mu, sg, gam in row] for row in nonzero]
                 for i in range(self.m)]
@@ -268,8 +276,7 @@ class MapPoint:
                                             memo=self._tgt_memo)
 
     def h_inner(self, u, v):
-        h = self.h
-        return sum((h[a][b] * u[a] * v[b] for a in range(self.n) for b in range(self.n)), 0.0)
+        return sum((hab * u[a] * v[b] for a, b, hab in self.h_terms), 0.0)
 
     def push(self, v):
         """dphi applied to a source vector."""
@@ -279,10 +286,8 @@ class MapPoint:
     @cached_property
     def norm2(self):
         """|dphi|^2, the squared Hilbert-Schmidt norm of the differential."""
-        s = 0.0
-        for i, j, gij in self.ginv_terms:
-            s = s + gij * self.h_inner(self.dphi_cols[i], self.dphi_cols[j])
-        return s
+        cols = self.dphi_cols
+        return _sum(gij * self.h_inner(cols[i], cols[j]) for i, j, gij in self.ginv_terms)
 
     def norm_power(self, q: float):
         """|dphi|^q with the singularity guard for non-trivial exponents."""
@@ -321,13 +326,11 @@ class MapPoint:
     @cached_property
     def tension(self):
         """tau(phi)^a = g^{ij} (nabla dphi)^a_ij."""
-        return [sum((self.ginv[i][j] * self.sff[a][i][j]
-                     for i in range(self.m) for j in range(self.m)), 0.0)
-                for a in range(self.n)]
+        return [self.g_trace(s) for s in self.sff]
 
     def grad_scalar(self, partials):
         """g^{ij} (d_j f) from a list of coordinate partials of a scalar."""
-        return [sum((self.ginv[i][j] * partials[j] for j in range(self.m)), 0.0)
+        return [sum((gij * partials[j] for r, j, gij in self.ginv_terms if r == i), 0.0)
                 for i in range(self.m)]
 
     @once_per_p
@@ -351,10 +354,8 @@ class MapPoint:
     @once_per_p
     def tension_pairing(self, p: float):
         """<dphi, nabla^phi tau_p> = g^{ij} h(nabla^phi_i tau_p, dphi(d_j)) (two shifts)."""
-        pairing = 0.0
-        for i, j, gij in self.ginv_terms:
-            pairing = pairing + gij * self.h_inner(self.dp_tension(p)[i], self.dphi_cols[j])
-        return pairing
+        dtaup, cols = self.dp_tension(p), self.dphi_cols
+        return _sum(gij * self.h_inner(dtaup[i], cols[j]) for i, j, gij in self.ginv_terms)
 
     # -- pull-back covariant derivative ----------------------------------- #
     def pullback_derivative(self, V, i: int):
@@ -397,8 +398,8 @@ class MapPoint:
 
     def lower_base(self, v):
         """[h(v, dphi(d_i)) for each i] for a target vector v of base values, in base values."""
-        h, dphi, r = _base(self.h), _base(self.dphi), range(self.n)
-        return [_sum(_times(_times(h[a][b], v[a]), dphi[b][i]) for a in r for b in r)
+        dphi = _base(self.dphi)
+        return [_sum(_times(_times(value(hab), v[a]), dphi[b][i]) for a, b, hab in self.h_terms)
                 for i in range(self.m)]
 
     # -- the p-bitension field --------------------------------------------- #
@@ -419,7 +420,8 @@ class MapPoint:
             # [i][d]: (ga, R^d_{al be ga} * taup^al * dphi^be_i), formed once per i
             rt = [[[(ga, _times(_times(value(Rn[d][al][be][ga]), t[al]), dphi[be][i]))
                     for al, be, ga in itertools.product(range(n), repeat=3)
-                    if not _zero(Rn[d][al][be][ga])] for d in range(n)] for i in range(m)]
+                    if not is_structural_zero(Rn[d][al][be][ga])]
+                   for d in range(n)] for i in range(m)]
             for i, j, gij in self.ginv_terms:
                 for d, row in enumerate(rt[i]):
                     s = _sum(_times(r, dphi[ga][j]) for ga, r in row)
@@ -442,14 +444,9 @@ class MapPoint:
         return result
 
 
-def _zero(u) -> bool:
-    """A structural zero: the float 0.0 (:mod:`pbh.jets`)."""
-    return isinstance(u, float) and u == 0.0
-
-
 def _times(a, b):
     """a * b of base values; a structural zero factor gives the float 0.0, as at jet points."""
-    return 0.0 if _zero(a) or _zero(b) else a * b
+    return 0.0 if is_structural_zero(a) or is_structural_zero(b) else a * b
 
 
 def _sum(terms):

@@ -203,12 +203,16 @@ class Scenario:
                  "samples.box", "bounds must be finite numbers")
         self.box = [[float(lo), float(hi)] for lo, hi in self.box]
         _require(all(lo < hi for lo, hi in self.box), "samples.box", "needs lo < hi per axis")
+        _require(all(math.isfinite(hi - lo) for lo, hi in self.box), "samples.box",
+                 "needs a finite width hi - lo per axis")
         for key in ("points_per_axis", "random_points"):
             count = getattr(self, key)
             _require(_is_int(count) and count >= 0, f"samples.{key}",
                      "must be a non-negative integer")
         _require(self.points_per_axis > 0 or self.random_points > 0, "samples",
                  "needs points_per_axis or random_points")
+        _require(self.points_per_axis ** m <= 10 ** 6, "samples.points_per_axis",
+                 f"makes a grid of more than 10^6 points in {m} dimensions")
         _require(_is_int(self.seed) and self.seed >= 0, "samples.seed",
                  "must be a non-negative integer")
         _require(isinstance(self.exclude_text, list), "samples.exclude", "must be a list")

@@ -50,11 +50,6 @@ def _stress_matrix(mp: MapPoint, p: float):
     return S, tau2, scaled_pairing
 
 
-def _trace(mp: MapPoint, S):
-    m = mp.m
-    return sum((mp.ginv[i][j] * S[i][j] for i in range(m) for j in range(m)), 0.0)
-
-
 def _theta_divergence(mp: MapPoint, p: float) -> float:
     """div of theta with the index raised, at a jet point (2 shifts); theta is
     the pairing one-form theta(d_i) = h(|dphi|^{p-2} dphi(d_i), tau_p)."""
@@ -73,7 +68,7 @@ def trace_identity_at(mp: MapPoint, p: float):
     m, tau2 = mp.m, value(tau2)
     form_alg = -(m / 2.0) * tau2 + (p - m) * value(pairing)
     form_div = (m / 2.0 - p) * tau2 + (p - m) * _theta_divergence(mp, p)
-    return value(_trace(mp, S)), tau2, form_alg, form_div
+    return value(mp.g_trace(S)), tau2, form_alg, form_div
 
 
 def stress_divergence_sides(mp: MapPoint, p: float):
@@ -109,7 +104,7 @@ def stress_tensor(phi: SmoothMap, x, p: float):
 def stress_trace(phi: SmoothMap, x, p: float) -> float:
     """g^{ij} S_ij; equals -(m/2)|tau_p|^2 + (p-m)|dphi|^{p-2}<dphi, nabla tau_p>."""
     mp = phi.at(lift_point(x, 2))
-    return value(_trace(mp, _stress_matrix(mp, p)[0]))
+    return value(mp.g_trace(_stress_matrix(mp, p)[0]))
 
 
 @_float_wrapper

@@ -181,9 +181,7 @@ class ImmersionPoint(MapPoint):
     @cached_property
     def mean_curvature_frame(self):
         """H^a = (1/m) g^{ij} B^a_ij."""
-        return [sum((self.ginv[i][j] * B[i][j] for i in range(self.m) for j in range(self.m)), 0.0)
-                * (1.0 / self.m)
-                for B in self.second_fundamental]
+        return [self.g_trace(B) * (1.0 / self.m) for B in self.second_fundamental]
 
     @cached_property
     def mean_curvature(self):
@@ -215,12 +213,12 @@ class ImmersionPoint(MapPoint):
         base values (floats, or (P,) arrays), as every reader takes it: its second shift of
         H leaves only order 0 valid at the residual systems' order-2 point."""
         W, r = self.nabla_perp_H, range(self.n)
-        w, gm, h, frame = _base(W), _base(self.gammaM), _base(self.h), _base(self.tangent_frame)
+        w, gm, frame = _base(W), _base(self.gammaM), _base(self.tangent_frame)
         out = [0.0] * self.n
         for i, j, gij in self.ginv_terms:
             V = term = self._pullback_base(W[j], w[j], i)
             for t in frame:  # the normal projection of V
-                c = _sum(_times(_times(h[a][b], V[a]), t[b]) for a in r for b in r)
+                c = _sum(_times(_times(value(hab), V[a]), t[b]) for a, b, hab in self.h_terms)
                 term = [o - _times(c, ti) for o, ti in zip(term, t)]
             for k in range(self.m):
                 term = [o - _times(gm[k][i][j], wk) for o, wk in zip(term, w[k])]
@@ -262,12 +260,11 @@ class ImmersionPoint(MapPoint):
     # once; a term that raises is not cached and raises again when read.
     def trace_B_shape_H(self):
         """trace_g B(., A_H(.)) as an ambient (normal) vector."""
-        ginv, r = self.ginv, range(self.m)
-        M = self.shape_matrix(self.mean_curvature)
+        M, r = self.shape_matrix(self.mean_curvature), range(self.m)
         out = [0.0] * self.n
         for a, xi in enumerate(self.normal_frame):
             B = self.second_fundamental[a]
-            coeff = sum((ginv[i][j] * M[k][j] * B[i][k] for i in r for j in r for k in r), 0.0)
+            coeff = sum((gij * M[k][j] * B[i][k] for i, j, gij in self.ginv_terms for k in r), 0.0)
             for al in range(self.n):
                 out[al] = out[al] + coeff * xi[al]
         return out
@@ -283,11 +280,8 @@ class ImmersionPoint(MapPoint):
         m = self.m
         trB = self.trace_B_shape_H()
         W = self.nabla_perp_H
-        trA = [0.0] * m
         A_W = [self.shape_matrix(W[i]) for i in range(m)]
-        for i, j, gij in self.ginv_terms:
-            for k in range(m):
-                trA[k] = trA[k] + gij * A_W[i][k][j]
+        trA = [_sum(gij * A_W[i][k][j] for i, j, gij in self.ginv_terms) for k in range(m)]
         return trB, trA, self.grad_H_norm2()
 
     def general_residuals(self, p: float):

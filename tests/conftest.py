@@ -25,7 +25,9 @@ class OperationCounts(Counter):
       ordered operand pair (by object) was multiplied before;
       ``repeated_products:<module>`` splits them by the calling module;
     - ``composes``: `jets._compose` calls, and ``repeated_inversions`` the
-      reciprocals formed of a jet that was inverted before.
+      reciprocals formed of a jet that was inverted before;
+    - ``scales``: a jet times a non-jet, in either order, and ``adds``: a jet
+      plus or minus anything, in either order.
 
     The operands are kept alive until `reset`, so an id is never reused."""
 
@@ -43,6 +45,7 @@ class OperationCounts(Counter):
 def operation_counts(monkeypatch):
     counts = OperationCounts()
     mul, compose = JetScalar.__mul__, jets._compose
+    rmul = JetScalar.__rmul__
     reciprocal = jets._reciprocal.__code__
 
     def counting_mul(a, b):
@@ -57,7 +60,19 @@ def operation_counts(monkeypatch):
                     module = "pbh.expr"
                 counts[f"repeated_products:{module}"] += 1
             counts.pairs[key] = (a, b)
+        else:
+            counts["scales"] += 1
         return mul(a, b)
+
+    def counting_rmul(a, b):
+        counts["scales"] += 1
+        return rmul(a, b)
+
+    def counting_add(op):
+        def add(a, b):
+            counts["adds"] += 1
+            return op(a, b)
+        return add
 
     def counting_compose(u, taylor):
         counts["composes"] += 1
@@ -71,6 +86,9 @@ def operation_counts(monkeypatch):
         return _operation(*operands)
 
     monkeypatch.setattr(JetScalar, "__mul__", counting_mul)
+    monkeypatch.setattr(JetScalar, "__rmul__", counting_rmul)  # a class attribute of its own
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(JetScalar, name, counting_add(JetScalar.__dict__[name]))
     monkeypatch.setattr(jets, "_compose", counting_compose)
     for cls in _node_classes():
         if "OPERATION" in cls.__dict__:

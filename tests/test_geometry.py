@@ -12,6 +12,7 @@ from pbh.geometry import (ChartMetric, divergence_2tensor_at, divergence_at, euc
                           sectional_curvature, space_form_chart)
 from pbh.jets import lift_point, value
 from pbh.mapcalc import SmoothMap, _stack
+from pbh.scenarios import builtin
 from pbh.submanifold import Immersion
 from pbh.verify import corpus_immersions
 
@@ -108,6 +109,11 @@ class TestChristoffel:
                    for j in range(2)) == 0.0
 
 
+def _pullback_chart(imm):
+    """The source chart of `imm` rebuilt with the induced metric it pulls back."""
+    return Immersion(imm.m, imm.target, imm.components, params=imm.params).source
+
+
 class TestCurvature:
     def test_euclidean_flat(self):
         up, low = curvature_up_low(euclidean_chart(2), (0.5, 0.5))
@@ -161,13 +167,15 @@ class TestCurvature:
     @pytest.mark.parametrize("chart", [
         space_form_chart(1.0, 2), space_form_chart(1.0, 3), space_form_chart(-0.7, 3),
         next(imm.source for name, imm, _box in corpus_immersions() if name == "paraboloid"),
-    ], ids=["S2", "S3", "H3", "paraboloid"])
+        _pullback_chart(builtin("small_hypersphere(2, 0.8)").build()),
+    ], ids=["S2", "S3", "H3", "paraboloid", "latitude_sphere_pullback"])
     def test_sectional_curvature_at_a_batched_point_equals_the_per_point_floats(self, chart):
-        """The charts of the space-form criterion, and the pull-back metric of the
+        """The charts of the space-form criterion; the pull-back metric of the
         corpus paraboloid, which is not conformal to flat: its g_12 is nonzero, so
-        the inverse metric eliminates at every entry. (A pull-back metric that is
-        conformal to flat up to rounding, as a latitude sphere's, has g_12 exactly
-        zero at some entries and not at others: BatchSplit.)"""
+        the inverse metric eliminates at every entry; and the pull-back metric of a
+        latitude sphere, conformal to flat up to rounding: its g_12 is exactly zero
+        at some entries and not at others, so the batch splits (BatchSplit) and its
+        entries are evaluated one at a time."""
         rng, d = np.random.default_rng(34), chart.dim
         draws = [[tuple(float(rng.uniform(-a, a)) for _ in range(d)) for a in (0.4, 1.0, 1.0)]
                  for _ in range(20)]

@@ -147,10 +147,16 @@ class TestConstruction:
         ("inversion(3)", {"sweeps": {"q": (2.0, 4.0, 3)}}, None, "params"),
         ("inversion(3)", {"sweeps": {"p": (2.0, 4.0)}},
          lambda d: d["params"].update(p=[2.0, 4.0]), "params.p"),
+        # 101^3 grid points: more than 10^6
+        ("inversion(3)", {"points_per_axis": 101},
+         lambda d: d["samples"].update(points_per_axis=101), "samples.points_per_axis"),
+        # finite bounds whose difference overflows
+        ("inversion(3)", {"box": [[-1e308, 1e308]] * 3},
+         lambda d: d["samples"].update(box=[[-1e308, 1e308]] * 3), "samples.box"),
     ], ids=["misspelt_check", "no_sample_points", "unknown_kind", "two_components",
             "no_source_dim", "metric_ambient", "int_name", "empty_name", "string_param",
             "nan_param", "bool_param", "one_step_sweep", "infinite_sweep_end",
-            "undeclared_sweep", "two_value_sweep"])
+            "undeclared_sweep", "two_value_sweep", "huge_grid", "box_width_overflows"])
     def test_every_way_of_making_a_scenario_checks_its_fields(self, name, changes, edit, field):
         sc = builtin(name)
         data = sc.to_dict()
@@ -1020,6 +1026,12 @@ HOSTILE_INPUTS = [
     # a seed that numpy's generator rejects
     (["run", {"samples": {"box": [[0.2, 1.0], [0.2, 1.0]], "random_points": 2, "seed": -1}}],
      2),
+    # a grid of 10^18 points, which numpy cannot allocate
+    (["run", {"source": {"dim": 3, "space_form": 0.0}, "target": {"dim": 3, "space_form": 0.0},
+              "components": ["x1", "x2", "x3 + 0.1*x1^2"],
+              "samples": {"box": [[0.2, 1.0]] * 3, "points_per_axis": 1000000}}], 2),
+    # finite box bounds whose width overflows, which numpy's uniform draw rejects
+    (["run", {"samples": {"box": [[-1e308, 1e308]] * 2, "random_points": 2, "seed": 3}}], 2),
     # a 0-dimensional immersion source, whose induced metric has no chart spec
     (["run", {"kind": "immersion", "source": {"dim": 0}, "target": {"dim": 1, "space_form": 0.0},
               "components": ["1"], "samples": {"box": [], "points_per_axis": 2},

@@ -1,20 +1,24 @@
 """Extrinsic geometry of immersions and the p-biharmonic residual systems."""
 
+import functools
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
 
 from pbh.errors import DomainError, RankDeficiencyError
 from pbh.expr import parse
-from pbh.geometry import sectional_curvature, space_form_chart
-from pbh.jets import lift_point, value
+from pbh.geometry import divergence_2tensor_at, sectional_curvature, space_form_chart
+from pbh.jets import JetScalar, lift_point, partial, value
 from pbh.mapcalc import SmoothMap, _stack, p_bitension, p_tension, tension
 from pbh.scenarios import SCHEMA_VERSION, Scenario, builtin
-from pbh.stress import stress_divergence_check, stress_tensor
-from pbh.submanifold import (Immersion, bitension_split, cmc_proper_p, theorem21_residuals,
-                             theorem23_residuals)
-from pbh.verify import corpus_immersions
+from pbh.stress import (_stress_matrix, stress_divergence_check, stress_tensor, stress_trace,
+                        trace_identity_at)
+from pbh.submanifold import (Immersion, ImmersionPoint, bitension_split, cmc_proper_p,
+                             theorem21_residuals, theorem23_residuals)
+from pbh.verify import corpus_immersions, corpus_maps
 
 SPHERE_BOX = [(-0.6, 0.7)] * 2
 CORPUS = {name: imm for name, imm, _box in corpus_immersions()}
@@ -303,6 +307,194 @@ def test_normal_laplacian_equals_the_jet_loop_bit_for_bit(name, imm, box, order)
     for X, size in [(x, 1) for x in points] + [(_stack(points), len(points))]:
         ip = imm.at(lift_point(X, order))
         assert bits(ip.laplacian_perp_H, size) == bits(jet_laplacian_perp_H(ip), size)
+
+
+# ---------------------------------------------------------------------- #
+# the contractions with g^-1 and h, against full loops over every entry
+# ---------------------------------------------------------------------- #
+
+def _full_zero(u):
+    return isinstance(u, float) and u == 0.0
+
+
+def _full_times(a, b):
+    return 0.0 if _full_zero(a) or _full_zero(b) else a * b
+
+
+def _full_sum(terms):
+    return functools.reduce(operator.add, terms, 0.0)
+
+
+def _full_base(t):
+    return [_full_base(u) for u in t] if isinstance(t, list) else value(t)
+
+
+def full_h_inner(pt, u, v):
+    h = pt.h
+    return sum((h[a][b] * u[a] * v[b] for a in range(pt.n) for b in range(pt.n)), 0.0)
+
+
+def full_lower_base(pt, v):
+    h, dphi, r = _full_base(pt.h), _full_base(pt.dphi), range(pt.n)
+    return [_full_sum(_full_times(_full_times(h[a][b], v[a]), dphi[b][i]) for a in r for b in r)
+            for i in range(pt.m)]
+
+
+def full_grad_scalar(pt, partials):
+    return [sum((pt.ginv[i][j] * partials[j] for j in range(pt.m)), 0.0) for i in range(pt.m)]
+
+
+def full_g_trace(pt, T):
+    r = range(pt.m)
+    return sum((pt.ginv[i][j] * T[i][j] for i in r for j in r), 0.0)
+
+
+def full_norm2(pt):
+    s = 0.0
+    for i, j in itertools.product(range(pt.m), repeat=2):
+        s = s + pt.ginv[i][j] * full_h_inner(pt, pt.dphi_cols[i], pt.dphi_cols[j])
+    return s
+
+
+def full_tension_pairing(pt, p):
+    pairing = 0.0
+    for i, j in itertools.product(range(pt.m), repeat=2):
+        pairing = pairing + pt.ginv[i][j] * full_h_inner(pt, pt.dp_tension(p)[i],
+                                                         pt.dphi_cols[j])
+    return pairing
+
+
+def full_trace_B_shape_H(pt):
+    ginv, r = pt.ginv, range(pt.m)
+    M = pt.shape_matrix(pt.mean_curvature)
+    out = [0.0] * pt.n
+    for a, xi in enumerate(pt.normal_frame):
+        B = pt.second_fundamental[a]
+        coeff = sum((ginv[i][j] * M[k][j] * B[i][k] for i in r for j in r for k in r), 0.0)
+        for al in range(pt.n):
+            out[al] = out[al] + coeff * xi[al]
+    return out
+
+
+def full_trace_A(pt):
+    W, m = pt.nabla_perp_H, pt.m
+    trA = [0.0] * m
+    A_W = [pt.shape_matrix(W[i]) for i in range(m)]
+    for i, j in itertools.product(range(m), repeat=2):
+        for k in range(m):
+            trA[k] = trA[k] + pt.ginv[i][j] * A_W[i][k][j]
+    return trA
+
+
+def full_laplacian_perp_H(pt):
+    W, r = pt.nabla_perp_H, range(pt.n)
+    w, gm = _full_base(W), _full_base(pt.gammaM)
+    h, frame = _full_base(pt.h), _full_base(pt.tangent_frame)
+    out = [0.0] * pt.n
+    for i, j in itertools.product(range(pt.m), repeat=2):
+        V = term = pt._pullback_base(W[j], w[j], i)
+        for t in frame:
+            c = _full_sum(_full_times(_full_times(h[a][b], V[a]), t[b]) for a in r for b in r)
+            term = [o - _full_times(c, ti) for o, ti in zip(term, t)]
+        for k in range(pt.m):
+            term = [o - _full_times(gm[k][i][j], wk) for o, wk in zip(term, w[k])]
+        for al in r:
+            out[al] = out[al] + _full_times(value(pt.ginv[i][j]), term[al])
+    return out
+
+
+def full_divergence_2tensor(ginv, gamma, T):
+    d = len(T)
+    out = [0.0] * d
+    for i in range(d):
+        for k, j in itertools.product(range(d), repeat=2):
+            cov = partial(T[j][k], i)
+            for l in range(d):
+                cov = cov - gamma[l][i][j] * T[l][k] - gamma[l][i][k] * T[j][l]
+            out[k] = out[k] + ginv[i][j] * cov
+    return out
+
+
+def _contractions(pt, order, p):
+    """{site: (contraction, full loop)} for every site defined at a point of `order`
+    (0: a float point)."""
+    cols, tension_base = pt.dphi_cols, _full_base(pt.tension)
+    sites = {
+        "h_inner": ([pt.h_inner(u, v) for u in cols for v in cols],
+                    [full_h_inner(pt, u, v) for u in cols for v in cols]),
+        "lower_base": (pt.lower_base(tension_base), full_lower_base(pt, tension_base)),
+        "grad_scalar": (pt.grad_scalar(pt.dphi[0]), full_grad_scalar(pt, pt.dphi[0])),
+        "norm2": (pt.norm2, full_norm2(pt)),
+        "tension": (pt.tension, [full_g_trace(pt, s) for s in pt.sff]),
+    }
+    if order >= 2:
+        S = _stress_matrix(pt, p)[0]
+        sites["tension_pairing"] = (pt.tension_pairing(p), full_tension_pairing(pt, p))
+        sites["trace_identity"] = (trace_identity_at(pt, p)[0], value(full_g_trace(pt, S)))
+    if order >= 3:
+        sites["divergence_2tensor"] = (divergence_2tensor_at(pt.ginv, pt.gammaM, S),
+                                       full_divergence_2tensor(pt.ginv, pt.gammaM, S))
+    if isinstance(pt, ImmersionPoint):
+        sites["mean_curvature_frame"] = (
+            pt.mean_curvature_frame,
+            [full_g_trace(pt, B) * (1.0 / pt.m) for B in pt.second_fundamental])
+        sites["trace_B_shape_H"] = (pt.trace_B_shape_H(), full_trace_B_shape_H(pt))
+        if order >= 1:
+            sites["trace_A"] = (pt._general_terms[1], full_trace_A(pt))
+        if order >= 2:
+            sites["laplacian_perp_H"] = (pt.laplacian_perp_H, full_laplacian_perp_H(pt))
+    return sites
+
+
+def _bit_pattern(t):
+    """t with every scalar replaced by its type and the int64 view of its
+    coefficients (a jet), entries (an array) or value, so the sign of zero counts."""
+    if isinstance(t, (list, tuple)):
+        return [_bit_pattern(u) for u in t]
+    c = t.c if isinstance(t, JetScalar) else np.asarray(t, float)
+    return type(t).__name__, c.view(np.int64).tolist()
+
+
+CONTRACTION_CASES = [(name, obj, box) for name, obj, box in corpus_maps()] + LAPLACIAN_CASES
+
+
+@pytest.mark.parametrize("name, obj, box", CONTRACTION_CASES,
+                         ids=[c[0] for c in CONTRACTION_CASES])
+def test_contractions_equal_the_full_loops_bit_for_bit(name, obj, box):
+    """Every contraction with g^-1 or h adds the terms of the entries that are not
+    structural zeros only; each equals the loop over every entry bit for bit, at
+    float points, single jet points and a batched jet point of orders 1 to 3."""
+    p = 3.0
+    phi = obj(p) if callable(obj) else obj
+    points = sample(np.random.default_rng(61), box, 4)
+    cases = [(x, 0) for x in points] + [(X, order) for order in (1, 2, 3)
+                                        for X in (points[0], _stack(points))]
+    for X, order in cases:
+        pt = phi.at(lift_point(X, order) if order else X)
+        for site, (got, want) in _contractions(pt, order, p).items():
+            assert _bit_pattern(got) == _bit_pattern(want), (site, order)
+        if order == 0:  # the float-point wrapper lifts X to order 2 itself
+            q = phi.at(lift_point(X, 2))
+            want = value(full_g_trace(q, _stress_matrix(q, p)[0]))
+            assert _bit_pattern(stress_trace(phi, X, p)) == _bit_pattern(want)
+
+
+def test_a_dropped_term_with_an_infinite_operand_adds_no_nan():
+    """g^21 is a structural zero on a flat source, so g^2j d_j f drops the term
+    g^21 d_1 f. With an infinite d_1 f, the full loop gave 0 * inf = NaN at a
+    float point; a jet point already gave the finite value, as both do now."""
+    phi = next(obj for name, obj, _box in corpus_maps() if name == "cubic2")
+    x = (0.7, 0.9)
+    pt = phi.at(x)
+    assert _full_zero(pt.ginv[1][0])
+    got, want = pt.grad_scalar([math.inf, 0.5]), full_grad_scalar(pt, [math.inf, 0.5])
+    assert got[0] == want[0] == math.inf
+    assert math.isnan(want[1]) and got[1] == pt.ginv[1][1] * 0.5
+    jt = phi.at(lift_point(x, 1))
+    partials = [jt.X[0] + math.inf, jt.X[1]]
+    got, want = jt.grad_scalar(partials), full_grad_scalar(jt, partials)
+    assert _bit_pattern(got) == _bit_pattern(want)
+    assert np.isfinite(got[1].c).all()
 
 
 class TestResidualSystems:

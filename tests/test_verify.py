@@ -228,6 +228,21 @@ def test_jet_products_and_node_evaluations_stay_within_budget(operation_counts):
     assert counts["products"] <= 830
 
 
+def test_contractions_with_the_metrics_skip_their_structural_zeros(operation_counts):
+    """Counts, not times: a contraction with g^-1 or h adds no term whose metric
+    entry is the float 0.0 (`MapPoint.ginv_terms`, `MapPoint.h_terms`). With
+    loops over every entry, the cylinder run made 277 jet scalings and 274 jet
+    additions and subtractions, and the sweep 1042 and 1204."""
+    counts = operation_counts
+    assert len(run_scenario(builtin("proper_pbh_cylinder"), {"p": 3.0}).rows) == 24
+    assert counts["scales"] <= 189
+    assert counts["adds"] <= 220
+    counts.reset()
+    assert len(sweep(builtin("small_hypersphere(2, 0.8)"), "p", 2.0, 6.0, 41).reports) == 41
+    assert counts["scales"] <= 632
+    assert counts["adds"] <= 986
+
+
 def test_the_perturbed_maps_of_a_variation_build_its_partials_once(monkeypatch):
     """Counts, not times: the maps phi + t v at t = +eps and -eps build their
     partials in one copy of phi's derivative table, so those of v are built
