@@ -12,7 +12,9 @@ jet shift; a caller lifts its point to the order its field consumes plus one.
 float point (one (P,) array per coordinate). The kernels are plain loops
 over every index that multiply through one memo per call (`_product_memo`),
 so an ordered pair of jets that several entries read is multiplied once,
-and the floats are those of the loops.
+and the floats are those of the loops. `curvature_at` also takes its inputs in
+base values (floats, or (P,) arrays; `MapPoint.target_curvature`), where a
+float zero times an array is the float 0.0, as times a jet.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from . import linalg
 from .errors import BatchSplit
 from .expr import Const, parse, share_subtrees
-from .jets import JetScalar, any_entry, partial, value
+from .jets import JetScalar, _times, any_entry, partial, value
 
 __all__ = [
     "ChartMetric", "space_form_chart", "euclidean_chart", "divergence_at",
@@ -110,25 +112,26 @@ class ChartMetric:
         ginv, dg = self._ginv_dg(X, ginv, dg, memo)
         return _lowered_sums(self.dim, [(ginv, _brackets(dg))], _product_memo())
 
-    def christoffel_derivative_at(self, X, ginv=None, dg=None, memo=None):
+    def christoffel_derivative_at(self, X, ginv=None, dg=None, memo=None, d2g=None):
         """dGamma[m][k][i][j] = d Gamma^k_ij / d x_m, from symbolic metric derivatives."""
         d = self.dim
         ginv, dg = self._ginv_dg(X, ginv, dg, memo)
-        d2g = self.d2metric_at(X, memo)
-        # d(g^{kl})/dx_m = -g^{ka} dg_ab/dx_m g^{bl}
-        dginv = [[[-t for t in row] for row in linalg.mat_mul(ginv, linalg.mat_mul(dg[m], ginv))]
-                 for m in range(d)]
+        d2g = self.d2metric_at(X, memo) if d2g is None else d2g
         br, mul = _brackets(dg), _product_memo()
+        # d(g^{kl})/dx_m = -g^{ka} dg_ab/dx_m g^{bl}
+        dginv = [[[-t for t in row]
+                  for row in linalg.mat_mul(ginv, linalg.mat_mul(dg[m], ginv, mul), mul)]
+                 for m in range(d)]
         return [_lowered_sums(d, [(dginv[m], br), (ginv, _brackets(d2g[m]))], mul)
                 for m in range(d)]
 
-    def curvature_at(self, X, ginv=None, dg=None, gamma=None, memo=None):
+    def curvature_at(self, X, ginv=None, dg=None, gamma=None, memo=None, d2g=None):
         """R[l][i][j][k] with R(d_i, d_j) d_k = R^l_ijk d_l."""
         d = self.dim
         ginv, dg = self._ginv_dg(X, ginv, dg, memo)
         if gamma is None:
             gamma = self.christoffel_at(X, ginv=ginv, dg=dg)
-        dgamma = self.christoffel_derivative_at(X, ginv=ginv, dg=dg, memo=memo)
+        dgamma = self.christoffel_derivative_at(X, ginv=ginv, dg=dg, memo=memo, d2g=d2g)
         mul = _product_memo()  # R^l_ijk subtracts the product R^l_jik adds
         R = [[[[None] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
         for l, i, j, k in itertools.product(range(d), repeat=4):
@@ -231,12 +234,13 @@ def _product_memo():
     """mul(x, y) = x * y, each ordered pair of jets multiplied once per memo. The
     keys are the operands themselves (jets hash by identity), so the memo keeps
     them alive and a freed temporary cannot alias one. A float or array operand
-    goes straight to x * y."""
+    goes straight to x * y, except that a float zero times an array (the base
+    values of a batch) is the float 0.0, as it is times a jet (`jets._times`)."""
     kept = {}
 
     def mul(x, y):
         if type(x) is not JetScalar or type(y) is not JetScalar:
-            return x * y
+            return _times(x, y) if np.ndarray in (type(x), type(y)) else x * y
         p = kept.get((x, y))
         if p is None:
             p = kept[(x, y)] = x * y

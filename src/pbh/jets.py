@@ -357,6 +357,12 @@ def is_structural_zero(u) -> bool:
     return isinstance(u, float) and u == 0.0
 
 
+def _times(a, b):
+    """a * b; a structural zero factor gives the float 0.0, as at jet points, so base
+    values (floats, or arrays of a batch) keep the structural zeros of their jets."""
+    return 0.0 if is_structural_zero(a) or is_structural_zero(b) else a * b
+
+
 def same_in_every_entry(mask) -> bool:
     """A comparison result that every batch entry must share: its value when
     all entries agree (a plain bool passes through), BatchSplit otherwise."""

@@ -21,9 +21,9 @@ from .errors import BatchSplit, SingularMatrixError
 from .jets import is_structural_zero, same_in_every_entry, value
 
 
-def mat_mul(A, B):
+def mat_mul(A, B, mul):
     n, m, k = len(A), len(B[0]), len(B)
-    return [[sum((A[i][l] * B[l][j] for l in range(k)), 0.0) for j in range(m)]
+    return [[sum((mul(A[i][l], B[l][j]) for l in range(k)), 0.0) for j in range(m)]
             for i in range(n)]
 
 

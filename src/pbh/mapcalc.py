@@ -22,7 +22,8 @@ the products Gamma^N{}^a_{mu sigma} * dphi^mu_i that every Christoffel term of
 `sff` and `pullback_derivative` starts with (`_gamma_dphi`, p-independent, so
 kept across the steps of a sweep). The p-bitension's third shift leaves only
 order 0 valid, so its curvature term and last trace multiply base values
-(floats, or (P,) arrays at a batched point), R * tau_p * dphi_i once per i.
+(floats, or (P,) arrays at a batched point), R * tau_p * dphi_i once per i;
+R itself is built in base values (`target_curvature`).
 Structural zeros stay the float 0.0 at jet points (:mod:`pbh.jets`) and in
 those base values (`_times`); `ginv_terms`, `h_terms` and `_gamma_dphi` drop them.
 Hoisted products keep the left-to-right order and every sum its order, so
@@ -53,8 +54,8 @@ from . import linalg
 from .errors import BatchSplit, JetOrderError, PbhError, SingularityError
 from .expr import Const, Expression, mark_reads, share_subtrees
 from .geometry import ChartMetric
-from .jets import (JetScalar, any_entry, is_structural_zero, lift_point, partial, partial_value,
-                   point_value, powr, sqrt, value)
+from .jets import (JetScalar, _times, any_entry, is_structural_zero, lift_point, partial,
+                   partial_value, point_value, powr, sqrt, value)
 
 __all__ = [
     "SmoothMap", "MapPoint", "tension", "p_tension", "p_bitension",
@@ -270,13 +271,19 @@ class MapPoint:
 
     @cached_property
     def target_curvature(self):
-        """R^N at phi(X); p-independent, so every p reads the same tensor."""
-        hinv, dh = self._hinv_dh
-        return self.map.target.curvature_at(self.phiX, ginv=hinv, dg=dh, gamma=self.gammaN,
-                                            memo=self._tgt_memo)
+        """R^N at phi(X) in base values, as `p_bitension` reads it, from those of h^{-1}, dh,
+        Gamma^N and d^2h at the jet point phi(X); p-independent, so every p reads it."""
+        tgt, (hinv, dh) = self.map.target, self._hinv_dh
+        d2h = tgt.d2metric_at(self.phiX, self._tgt_memo)
+        return tgt.curvature_at(self.phiX, ginv=_base(hinv), dg=_base(dh),
+                                gamma=_base(self.gammaN), d2g=_base(d2h))
 
     def h_inner(self, u, v):
         return sum((hab * u[a] * v[b] for a, b, hab in self.h_terms), 0.0)
+
+    def _h_inner_base(self, u, v):
+        """`h_inner` of two target vectors of base values, in base values."""
+        return _sum(_times(_times(value(hab), u[a]), v[b]) for a, b, hab in self.h_terms)
 
     def push(self, v):
         """dphi applied to a source vector."""
@@ -398,9 +405,7 @@ class MapPoint:
 
     def lower_base(self, v):
         """[h(v, dphi(d_i)) for each i] for a target vector v of base values, in base values."""
-        dphi = _base(self.dphi)
-        return [_sum(_times(_times(value(hab), v[a]), dphi[b][i]) for a, b, hab in self.h_terms)
-                for i in range(self.m)]
+        return [self._h_inner_base(v, col) for col in _base(self.dphi_cols)]
 
     # -- the p-bitension field --------------------------------------------- #
     @once_per_p
@@ -442,11 +447,6 @@ class MapPoint:
             for a in range(n):
                 result[a] = result[a] - (p - 2.0) * tr3[a]
         return result
-
-
-def _times(a, b):
-    """a * b of base values; a structural zero factor gives the float 0.0, as at jet points."""
-    return 0.0 if is_structural_zero(a) or is_structural_zero(b) else a * b
 
 
 def _sum(terms):

@@ -213,6 +213,7 @@ class Scenario:
                  "needs points_per_axis or random_points")
         _require(self.points_per_axis ** m <= 10 ** 6, "samples.points_per_axis",
                  f"makes a grid of more than 10^6 points in {m} dimensions")
+        _require(self.random_points <= 10 ** 6, "samples.random_points", "must be at most 10^6")
         _require(_is_int(self.seed) and self.seed >= 0, "samples.seed",
                  "must be a non-negative integer")
         _require(isinstance(self.exclude_text, list), "samples.exclude", "must be a list")

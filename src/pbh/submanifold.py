@@ -6,7 +6,8 @@ tangent and normal frames, the second fundamental form, shape operators, mean
 curvature, the normal connection and normal Laplacian, and the residuals of
 the coupled normal/tangential systems characterizing p-biharmonic
 submanifolds (the general codimension system and its constant-mean-curvature
-hypersurface specialization).
+hypersurface specialization). The systems cache their p-independent terms as
+base values, so a p step after the first at a point makes no jet operation.
 
 The normal Laplacian is the rough trace of the squared normal connection,
 with no sign flip; the bitension cross-check in the test suite certifies that
@@ -25,9 +26,9 @@ from . import linalg
 from .errors import DomainError, RankDeficiencyError
 from .expr import Const
 from .geometry import ChartMetric
-from .jets import any_entry, lift_point, partial, point_value, same_in_every_entry, sqrt, value
-from .mapcalc import (MapPoint, SmoothMap, _base, _float_wrapper, _sum, _times,
-                      share_with_metric)
+from .jets import (_times, any_entry, lift_point, partial_value, point_value,
+                   same_in_every_entry, sqrt, value)
+from .mapcalc import MapPoint, SmoothMap, _base, _float_wrapper, _sum, share_with_metric
 
 __all__ = [
     "Immersion", "ImmersionPoint", "theorem21_residuals", "theorem23_residuals",
@@ -218,7 +219,7 @@ class ImmersionPoint(MapPoint):
         for i, j, gij in self.ginv_terms:
             V = term = self._pullback_base(W[j], w[j], i)
             for t in frame:  # the normal projection of V
-                c = _sum(_times(_times(value(hab), V[a]), t[b]) for a, b, hab in self.h_terms)
+                c = self._h_inner_base(V, t)
                 term = [o - _times(c, ti) for o, ti in zip(term, t)]
             for k in range(self.m):
                 term = [o - _times(gm[k][i][j], wk) for o, wk in zip(term, w[k])]
@@ -256,75 +257,76 @@ class ImmersionPoint(MapPoint):
 
     # -- residual systems ------------------------------------------------- #
     # p enters both systems only through scalar factors. The other terms are
-    # cached per point, so a point reused across values of p computes them
-    # once; a term that raises is not cached and raises again when read.
+    # cached per point in base values, so a point reused across values of p
+    # computes them once and a later p makes no jet operation; a term that
+    # raises is not cached and raises again when read. Shape operators stay jet
+    # solves: a base-value solve may split a batch (`linalg._skips`) that a jet one runs whole.
     def trace_B_shape_H(self):
-        """trace_g B(., A_H(.)) as an ambient (normal) vector."""
-        M, r = self.shape_matrix(self.mean_curvature), range(self.m)
+        """trace_g B(., A_H(.)) as an ambient (normal) vector, in base values."""
+        M, r = _base(self.shape_matrix(self.mean_curvature)), range(self.m)
         out = [0.0] * self.n
-        for a, xi in enumerate(self.normal_frame):
-            B = self.second_fundamental[a]
-            coeff = sum((gij * M[k][j] * B[i][k] for i, j, gij in self.ginv_terms for k in r), 0.0)
-            for al in range(self.n):
-                out[al] = out[al] + coeff * xi[al]
+        for B, xi in zip(_base(self.second_fundamental), _base(self.normal_frame)):
+            coeff = _sum(_times(_times(value(gij), M[k][j]), B[i][k])
+                         for i, j, gij in self.ginv_terms for k in r)
+            out = [o + _times(coeff, x) for o, x in zip(out, xi)]
         return out
 
     def grad_H_norm2(self):
-        """grad^M |H|^2 as a source vector (one jet shift)."""
-        h2 = self.mean_curvature_norm2
-        return self.grad_scalar([partial(h2, j) for j in range(self.m)])
+        """grad^M |H|^2 as a source vector, in base values."""
+        return self._grad_base(self.mean_curvature_norm2)
+
+    def _grad_base(self, f):
+        """`grad_scalar` of the partials of f in base values, d_j f read off f's order 1."""
+        d = [partial_value(f, j) for j in range(self.m)]
+        return [_sum(_times(value(gij), d[j]) for r, j, gij in self.ginv_terms if r == i)
+                for i in range(self.m)]
 
     @cached_property
     def _general_terms(self):
-        """(trace_g B(., A_H(.)), trace_g A_{nabla_perp H}, grad^M |H|^2)."""
-        m = self.m
-        trB = self.trace_B_shape_H()
-        W = self.nabla_perp_H
-        A_W = [self.shape_matrix(W[i]) for i in range(m)]
-        trA = [_sum(gij * A_W[i][k][j] for i, j, gij in self.ginv_terms) for k in range(m)]
-        return trB, trA, self.grad_H_norm2()
+        """(H, |H|^2, trace_g B(., A_H(.)), trace_g A_{nabla_perp H}, grad^M |H|^2)."""
+        W, m = self.nabla_perp_H, self.m
+        A_W = [_base(self.shape_matrix(W[i])) for i in range(m)]
+        trA = [_sum(_times(value(gij), A_W[i][k][j]) for i, j, gij in self.ginv_terms)
+               for k in range(m)]
+        return (_base(self.mean_curvature), value(self.mean_curvature_norm2),
+                self.trace_B_shape_H(), trA, self.grad_H_norm2())
 
     def general_residuals(self, p: float):
         """Normal and tangential residuals of the general p-biharmonic system."""
-        m = self.m
-        c = self.map.ambient_curvature
-        H = self.mean_curvature
-        h2 = self.mean_curvature_norm2
+        m, c = self.m, self.map.ambient_curvature
+        H, h2, trB, trA, grad = self._general_terms
         lap = self.laplacian_perp_H
-        trB, trA, grad = self._general_terms
-        h_coeff = m * (c - (p - 2.0) * h2)
+        h_coeff = m * (c - _times(p - 2.0, h2))
         grad_coeff = p - 2.0 + 0.5 * m
-        normal = [-lap[al] + trB[al] - h_coeff * H[al] for al in range(self.n)]
-        tangent = [2.0 * trA[k] + grad_coeff * grad[k] for k in range(m)]
+        normal = [-lap[al] + trB[al] - _times(h_coeff, H[al]) for al in range(self.n)]
+        tangent = [2.0 * trA[k] + _times(grad_coeff, grad[k]) for k in range(m)]
         return normal, tangent
 
     @cached_property
     def _hypersurface_terms(self):
-        """(|H|, |A|^2, -h(Laplacian_perp H, eta), grad |H|, A(grad |H|)) for
+        """(|H|^2, |H|, |A|^2, -h(Laplacian_perp H, eta), grad |H|, A(grad |H|)) for
         eta = H / |H| and A = A_eta; needs |H| > 0."""
-        m = self.m
-        hnorm = sqrt(self.mean_curvature_norm2)
+        m, h2 = self.m, self.mean_curvature_norm2
+        if any_entry(value(h2) <= 0.0):
+            raise DomainError("hypersurface system needs nowhere-zero mean curvature")
+        hnorm = sqrt(h2)
         eta = [Hc / hnorm for Hc in self.mean_curvature]
-        A = self.shape_matrix(eta)
-        A2 = sum((A[i][j] * A[j][i] for i in range(m) for j in range(m)), 0.0)
-        neg_lap_eta = -self.h_inner(self.laplacian_perp_H, eta)
-        grad_absH = self.grad_scalar([partial(hnorm, j) for j in range(m)])
-        A_grad = [sum((A[k][j] * grad_absH[j] for j in range(m)), 0.0) for k in range(m)]
-        return hnorm, A2, neg_lap_eta, grad_absH, A_grad
+        A = _base(self.shape_matrix(eta))
+        A2 = _sum(_times(A[i][j], A[j][i]) for i in range(m) for j in range(m))
+        neg_lap_eta = -self._h_inner_base(self.laplacian_perp_H, _base(eta))
+        grad_absH = self._grad_base(hnorm)
+        A_grad = [_sum(_times(A[k][j], grad_absH[j]) for j in range(m)) for k in range(m)]
+        return value(h2), value(hnorm), A2, neg_lap_eta, grad_absH, A_grad
 
     def hypersurface_residuals(self, p: float):
         """Scalar normal residual and tangential residual of the CMC hypersurface system."""
         if self.k != 1:
             raise DomainError("hypersurface system needs codimension 1")
-        m = self.m
-        c = self.map.ambient_curvature
-        h2 = self.mean_curvature_norm2
-        if any_entry(value(h2) <= 0.0):
-            raise DomainError("hypersurface system needs nowhere-zero mean curvature")
-        hnorm, A2, neg_lap_eta, grad_absH, A_grad = self._hypersurface_terms
-        normal_scalar = neg_lap_eta + (A2 + m * (p - 2.0) * h2 - m * c) * hnorm
-        grad_coeff = (2.0 * (p - 2.0) + m) * hnorm
-        tangent = [2.0 * A_grad[k] + grad_coeff * grad_absH[k] for k in range(m)]
+        m, c = self.m, self.map.ambient_curvature
+        h2, hnorm, A2, neg_lap_eta, grad_absH, A_grad = self._hypersurface_terms
+        normal_scalar = neg_lap_eta + _times(A2 + _times(m * (p - 2.0), h2) - m * c, hnorm)
+        grad_coeff = _times(2.0 * (p - 2.0) + m, hnorm)
+        tangent = [2.0 * A_grad[k] + _times(grad_coeff, grad_absH[k]) for k in range(m)]
         return normal_scalar, tangent
 
 

@@ -7,6 +7,7 @@ points and batched points of every chart the corpus maps and immersions use.
 The kernels multiply through `_product_memo`, tested last."""
 
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def christoffel_derivative(ginv, dg, d2g):
     d = len(dg)
     dginv = [[[None] * d for _ in range(d)] for _ in range(d)]
     for m in range(d):
-        tmp = linalg.mat_mul(ginv, linalg.mat_mul(dg[m], ginv))
+        tmp = linalg.mat_mul(ginv, linalg.mat_mul(dg[m], ginv, operator.mul), operator.mul)
         for k in range(d):
             for l in range(d):
                 dginv[m][k][l] = -tmp[k][l]

@@ -153,10 +153,16 @@ class TestConstruction:
         # finite bounds whose difference overflows
         ("inversion(3)", {"box": [[-1e308, 1e308]] * 3},
          lambda d: d["samples"].update(box=[[-1e308, 1e308]] * 3), "samples.box"),
+        # more random draws than a grid may hold points; every draw excluded, so
+        # sampling would draw 1000 times as many before it gave up
+        ("inversion(3)", {"random_points": 10 ** 6 + 1, "exclude_text": ["-1"]},
+         lambda d: d["samples"].update(random_points=10 ** 6 + 1, exclude=["-1"]),
+         "samples.random_points"),
     ], ids=["misspelt_check", "no_sample_points", "unknown_kind", "two_components",
             "no_source_dim", "metric_ambient", "int_name", "empty_name", "string_param",
             "nan_param", "bool_param", "one_step_sweep", "infinite_sweep_end",
-            "undeclared_sweep", "two_value_sweep", "huge_grid", "box_width_overflows"])
+            "undeclared_sweep", "two_value_sweep", "huge_grid", "box_width_overflows",
+            "huge_random"])
     def test_every_way_of_making_a_scenario_checks_its_fields(self, name, changes, edit, field):
         sc = builtin(name)
         data = sc.to_dict()
@@ -1032,6 +1038,9 @@ HOSTILE_INPUTS = [
               "samples": {"box": [[0.2, 1.0]] * 3, "points_per_axis": 1000000}}], 2),
     # finite box bounds whose width overflows, which numpy's uniform draw rejects
     (["run", {"samples": {"box": [[-1e308, 1e308]] * 2, "random_points": 2, "seed": 3}}], 2),
+    # 10^15 draws, each excluded: sampling would give up only after 10^18 of them
+    (["run", {"samples": {"box": [[0.2, 1.0]] * 2, "random_points": 10 ** 15,
+                          "exclude": ["-1"]}}], 2),
     # a 0-dimensional immersion source, whose induced metric has no chart spec
     (["run", {"kind": "immersion", "source": {"dim": 0}, "target": {"dim": 1, "space_form": 0.0},
               "components": ["1"], "samples": {"box": [], "points_per_axis": 2},

@@ -11,7 +11,7 @@ import pytest
 from pbh.errors import DomainError, RankDeficiencyError
 from pbh.expr import parse
 from pbh.geometry import divergence_2tensor_at, sectional_curvature, space_form_chart
-from pbh.jets import JetScalar, lift_point, partial, value
+from pbh.jets import JetScalar, lift_point, partial, sqrt, value
 from pbh.mapcalc import SmoothMap, _stack, p_bitension, p_tension, tension
 from pbh.scenarios import SCHEMA_VERSION, Scenario, builtin
 from pbh.stress import (_stress_matrix, stress_divergence_check, stress_tensor, stress_trace,
@@ -438,9 +438,10 @@ def _contractions(pt, order, p):
         sites["mean_curvature_frame"] = (
             pt.mean_curvature_frame,
             [full_g_trace(pt, B) * (1.0 / pt.m) for B in pt.second_fundamental])
-        sites["trace_B_shape_H"] = (pt.trace_B_shape_H(), full_trace_B_shape_H(pt))
+        # these two return base values, the jet loops' order-0 coefficients
+        sites["trace_B_shape_H"] = (pt.trace_B_shape_H(), _full_base(full_trace_B_shape_H(pt)))
         if order >= 1:
-            sites["trace_A"] = (pt._general_terms[1], full_trace_A(pt))
+            sites["trace_A"] = (pt._general_terms[3], _full_base(full_trace_A(pt)))
         if order >= 2:
             sites["laplacian_perp_H"] = (pt.laplacian_perp_H, full_laplacian_perp_H(pt))
     return sites
@@ -495,6 +496,139 @@ def test_a_dropped_term_with_an_infinite_operand_adds_no_nan():
     got, want = jt.grad_scalar(partials), full_grad_scalar(jt, partials)
     assert _bit_pattern(got) == _bit_pattern(want)
     assert np.isfinite(got[1].c).all()
+
+
+# ---------------------------------------------------------------------- #
+# the residual systems and the target curvature in base values, against the
+# jet-valued bodies they replace
+# ---------------------------------------------------------------------- #
+
+def jet_trace_B_shape_H(ip):
+    M, r = ip.shape_matrix(ip.mean_curvature), range(ip.m)
+    out = [0.0] * ip.n
+    for a, xi in enumerate(ip.normal_frame):
+        B = ip.second_fundamental[a]
+        coeff = sum((gij * M[k][j] * B[i][k] for i, j, gij in ip.ginv_terms for k in r), 0.0)
+        for al in range(ip.n):
+            out[al] = out[al] + coeff * xi[al]
+    return out
+
+
+def jet_general_terms(ip):
+    m, h2 = ip.m, ip.mean_curvature_norm2
+    W = ip.nabla_perp_H
+    A_W = [ip.shape_matrix(W[i]) for i in range(m)]
+    trA = [_full_sum(gij * A_W[i][k][j] for i, j, gij in ip.ginv_terms) for k in range(m)]
+    grad = ip.grad_scalar([partial(h2, j) for j in range(m)])
+    return ip.mean_curvature, h2, jet_trace_B_shape_H(ip), trA, grad
+
+
+def jet_general_residuals(ip, p):
+    m = ip.m
+    c = ip.map.ambient_curvature
+    H, h2, trB, trA, grad = jet_general_terms(ip)
+    lap = ip.laplacian_perp_H
+    h_coeff = m * (c - (p - 2.0) * h2)
+    grad_coeff = p - 2.0 + 0.5 * m
+    normal = [-lap[al] + trB[al] - h_coeff * H[al] for al in range(ip.n)]
+    tangent = [2.0 * trA[k] + grad_coeff * grad[k] for k in range(m)]
+    return normal, tangent
+
+
+def jet_hypersurface_terms(ip):
+    m, h2 = ip.m, ip.mean_curvature_norm2
+    hnorm = sqrt(h2)
+    eta = [Hc / hnorm for Hc in ip.mean_curvature]
+    A = ip.shape_matrix(eta)
+    A2 = sum((A[i][j] * A[j][i] for i in range(m) for j in range(m)), 0.0)
+    neg_lap_eta = -ip.h_inner(ip.laplacian_perp_H, eta)
+    grad_absH = ip.grad_scalar([partial(hnorm, j) for j in range(m)])
+    A_grad = [sum((A[k][j] * grad_absH[j] for j in range(m)), 0.0) for k in range(m)]
+    return h2, hnorm, A2, neg_lap_eta, grad_absH, A_grad
+
+
+def jet_hypersurface_residuals(ip, p):
+    m = ip.m
+    c = ip.map.ambient_curvature
+    h2, hnorm, A2, neg_lap_eta, grad_absH, A_grad = jet_hypersurface_terms(ip)
+    normal_scalar = neg_lap_eta + (A2 + m * (p - 2.0) * h2 - m * c) * hnorm
+    grad_coeff = (2.0 * (p - 2.0) + m) * hnorm
+    tangent = [2.0 * A_grad[k] + grad_coeff * grad_absH[k] for k in range(m)]
+    return normal_scalar, tangent
+
+
+def jet_target_curvature(mp):
+    hinv, dh = mp._hinv_dh
+    return mp.map.target.curvature_at(mp.phiX, ginv=hinv, dg=dh, gamma=mp.gammaN,
+                                      memo=mp._tgt_memo)
+
+
+def base_bits(t, size):
+    """The int64 views of the base values in a nested list or tuple, each
+    broadcast to `size` entries, so the sign of zero counts."""
+    if isinstance(t, (list, tuple)):
+        return [base_bits(u, size) for u in t]
+    return np.broadcast_to(np.asarray(value(t), float), (size,)).view(np.int64).tolist()
+
+
+def _oracle_points(box, order):
+    """(point lifted to `order`, batch size): one single point and one 4-point batch."""
+    points = sample(np.random.default_rng(62), box, 4)
+    return [(lift_point(points[1], order), 1), (lift_point(_stack(points), order), 4)]
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("name, imm, box", LAPLACIAN_CASES, ids=[c[0] for c in LAPLACIAN_CASES])
+def test_residual_systems_equal_their_jet_bodies_bit_for_bit(name, imm, box, order):
+    """The residual systems hold their p-independent terms as base values; every
+    base value, the sign of a zero included, equals the order-0 coefficient of
+    the jet body it replaces, for each p read on one point, as a sweep reads it,
+    and for one p per batch entry, as `cmc_proper_p` passes p*."""
+    for X, size in _oracle_points(box, order):
+        ip, jet = imm.at(X), imm.at(X)
+        assert base_bits(ip.trace_B_shape_H(), size) == base_bits(jet_trace_B_shape_H(jet), size)
+        assert base_bits(ip._general_terms, size) == base_bits(jet_general_terms(jet), size)
+        ps = [2.0, 3.0, 4.5] + ([np.array([2.0, 2.75, 3.5, 5.0])] if size > 1 else [])
+        for p in ps:
+            assert (base_bits(ip.general_residuals(p), size)
+                    == base_bits(jet_general_residuals(jet, p), size)), p
+            ip.forget_scratch()
+        if ip.k != 1:
+            with pytest.raises(DomainError):
+                ip.hypersurface_residuals(3.0)
+            continue
+        assert base_bits(ip._hypersurface_terms, size) == base_bits(jet_hypersurface_terms(jet),
+                                                                    size)
+        for p in ps:
+            assert (base_bits(ip.hypersurface_residuals(p), size)
+                    == base_bits(jet_hypersurface_residuals(jet, p), size)), p
+
+
+CURVED_TARGET_CASES = ([c for c in corpus_maps() if c[0] == "curved_target"]
+                       + [c for c in LAPLACIAN_CASES if c[1].target.space_form_c != 0.0])
+
+
+@pytest.mark.parametrize("name, obj, box", CURVED_TARGET_CASES,
+                         ids=[c[0] for c in CURVED_TARGET_CASES])
+def test_the_target_curvature_in_base_values_gives_the_jet_bitension(name, obj, box):
+    """The target curvature is built from base values; each entry has the bits
+    of the jet curvature's base value, a structural zero stays the float 0.0
+    (at a single point, so does an entry whose base value is 0.0, which adds
+    nothing), and the p-bitension and its split read from it equal those read
+    from the jets."""
+    for X, size in _oracle_points(box, 3):
+        mp, jet = obj.at(X), obj.at(X)
+        R, R_jet = mp.target_curvature, jet_target_curvature(jet)
+        jet.__dict__["target_curvature"] = R_jet
+        assert base_bits(R, size) == base_bits(R_jet, size)
+        flat = [t for a in R for b in a for c in b for t in c]
+        flat_jet = [t for a in R_jet for b in a for c in b for t in c]
+        assert all(_full_zero(t) for t, u in zip(flat, flat_jet) if _full_zero(u))
+        assert not any(isinstance(t, JetScalar) for t in flat)
+        for p in (2.0, 3.0, 4.5):
+            assert base_bits(mp.p_bitension(p), size) == base_bits(jet.p_bitension(p), size)
+            if isinstance(obj, Immersion) and size == 1:
+                assert base_bits(mp.bitension_split(p), 1) == base_bits(jet.bitension_split(p), 1)
 
 
 class TestResidualSystems:
